@@ -24,8 +24,10 @@ import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, exchange, firms, interest, macro, phase, sectors
-from .errors import FinphaseError, InvalidConfig
+from .errors import FinphaseError, InvalidConfig, ParseError
 
 ENV_OUTDIR = "FINPHASE_OUTDIR"
 
@@ -40,10 +42,16 @@ def _outdir(args) -> Path:
     return path
 
 
+def _json(payload) -> str:
+    """Strict JSON text: a NaN or infinity raises ValueError instead of
+    being written as a token JSON does not have."""
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
 def _write_json(path: Path, payload) -> None:
+    text = _json(payload)  # serialise before the file is created
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _grid_from_args(args) -> phase.GridSpec:
@@ -203,8 +211,8 @@ def _cmd_firms(args) -> int:
         p = outdir / f"phase_t{rec.t}.csv"
         with open(p, "w") as fh:
             fh.write("firm_id,x,y\n")
-            for i, pt in enumerate(rec.points):
-                fh.write(f"{i},{pt.x!r},{pt.y!r}\n")
+            for i, (x, y) in enumerate(rec.points.tolist()):
+                fh.write(f"{i},{x!r},{y!r}\n")
         manifest.add_output(p)
     manifest.payload["conservation_residuals"] = [
         rec.conservation_residual for rec in records
@@ -228,15 +236,22 @@ def _cmd_firms(args) -> int:
     return 0
 
 
-def _read_phase_csv(path) -> list[phase.PhasePoint]:
-    points = []
+def _read_phase_csv(path) -> np.ndarray:
+    """The (n, 2) float64 points of a phase CSV; a non-finite value is a
+    ParseError naming the file and line."""
+    values, linenos = [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("firm_id"):
                 continue
             _, x, y = line.split(",")
-            points.append(phase.PhasePoint(float(x), float(y)))
+            values.append((float(x), float(y)))
+            linenos.append(lineno)
+    points = np.array(values, dtype=float).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ParseError(linenos[bad[0]], f"{path}: non-finite phase point")
     return points
 
 
@@ -246,7 +261,7 @@ def _cmd_analyze(args) -> int:
     all_points = []
     for name in args.files:
         points = _read_phase_csv(name)
-        all_points.extend(points)
+        all_points.append(points)
         hist = phase.bin_phase(points, grid)
         metrics = phase.tail_metrics(points)
         report[Path(name).name] = {
@@ -259,12 +274,12 @@ def _cmd_analyze(args) -> int:
             "out_of_range": hist.out_of_range,
         }
     if args.hist_out:
-        phase.write_histogram_csv(phase.bin_phase(all_points, grid), args.hist_out)
+        combined = phase.bin_phase(np.concatenate(all_points), grid)
+        phase.write_histogram_csv(combined, args.hist_out)
     if args.out:
         _write_json(Path(args.out), report)
     else:
-        json.dump(report, sys.stdout, indent=2)
-        print()
+        print(_json(report))
     return 0
 
 
@@ -355,8 +370,7 @@ def _cmd_interest(args) -> int:
     if args.out:
         _write_json(Path(args.out), payload)
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        print(_json(payload))
     return 0
 
 
@@ -402,8 +416,7 @@ def _cmd_sectors(args) -> int:
     if args.out:
         _write_json(Path(args.out), payload)
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        print(_json(payload))
     return 0
 
 

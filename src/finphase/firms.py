@@ -42,12 +42,13 @@ One economy instance is sequential; independent seeds are independent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import rng
-from .errors import InvalidConfig
-from .ledger import Ledger, Money
-from .phase import PhasePoint
+from .errors import InsufficientFunds, InvalidConfig, MoneyOverflow
+from .ledger import MONEY_MAX, MONEY_MIN, Ledger, Money
 
 # The simulation step is the pay period ("the week"); annual rates are
 # converted with this documented constant.
@@ -100,8 +101,8 @@ class EconomyConfig:
             raise InvalidConfig("n_workers must be >= 0")
         if self.base_money < 0:
             raise InvalidConfig("base_money must be >= 0")
-        if self.wage < 0:
-            raise InvalidConfig("wage must be >= 0")
+        if not 0 <= self.wage <= MONEY_MAX:
+            raise InvalidConfig("wage must be in [0, 2**63 - 1]")
         if self.markup <= 0:
             raise InvalidConfig("markup must be > 0")
         if self.interest_rate < 0:
@@ -114,25 +115,16 @@ class EconomyConfig:
             raise InvalidConfig("capitalist_consumption_fraction must be in [0, 1]")
         if self.n_steps < 0:
             raise InvalidConfig("n_steps must be >= 0")
-        if self.initial_capital < 1:
-            raise InvalidConfig("initial_capital must be >= 1")
+        if not 1 <= self.initial_capital <= MONEY_MAX:
+            raise InvalidConfig("initial_capital must be in [1, 2**63 - 1]")
         if not 0 <= self.customer_churn <= 1:
             raise InvalidConfig("customer_churn must be in [0, 1]")
 
 
 @dataclass(frozen=True)
-class FirmState:
-    id: int
-    capital_stock: Money
-    employees: int
-    last_profit: Money
-    cls: FirmClass
-
-
-@dataclass(frozen=True)
 class StepRecord:
     t: int
-    points: tuple  # one PhasePoint per firm
+    points: np.ndarray  # (n_firms, 2) float64: x, y per firm
     class_counts: tuple  # (A, B, C) at classification time
     bankruptcies: int
     conservation_residual: Money
@@ -140,28 +132,20 @@ class StepRecord:
 
 @dataclass
 class EconomyState:
+    """Per-firm columns are int64 arrays indexed by firm id (``cls`` holds
+    FirmClass codes); ``worker_firm`` and ``worker_shop`` are indexed by
+    worker."""
+
     config: EconomyConfig
     ledger: Ledger
-    capital: list  # book value per firm
-    last_profit: list  # previous step's profit per firm
-    prev_net_debt: list  # net debt at the previous step boundary
-    cls: list  # FirmClass per firm, from the latest classification
-    employees: list  # headcount per firm
+    capital: np.ndarray  # book value per firm
+    last_profit: np.ndarray  # previous step's profit per firm
+    prev_net_debt: np.ndarray  # net debt at the previous step boundary
+    cls: np.ndarray  # FirmClass per firm, from the latest classification
+    employees: np.ndarray  # headcount per firm
+    worker_firm: np.ndarray  # employer per worker
+    worker_shop: np.ndarray  # current shop per worker
     t: int = 0
-    worker_firm: list = field(default_factory=list)  # employer per worker
-    worker_shop: list = field(default_factory=list)  # current shop per worker
-
-    def firm_state(self, i: int) -> FirmState:
-        return FirmState(
-            id=i,
-            capital_stock=self.capital[i],
-            employees=self.employees[i],
-            last_profit=self.last_profit[i],
-            cls=FirmClass(self.cls[i]),
-        )
-
-    def net_debt(self, i: int) -> Money:
-        return self.ledger.debt(i) - self.ledger.deposit(i)
 
 
 def classify(
@@ -196,22 +180,18 @@ def init_economy(config: EconomyConfig) -> EconomyState:
     config.validate()
     n = config.n_firms
     ledger = Ledger(n + config.n_workers, config.base_money)
-    worker_firm = [j % n for j in range(config.n_workers)]
-    employees = [0] * n
-    for f in worker_firm:
-        employees[f] += 1
+    worker_firm = np.arange(config.n_workers, dtype=np.int64) % n
     worker_shop = rng.randint_block(
         rng.derive(config.seed, 0, _TAG_WORKER_TARGET), 0, config.n_workers, n
-    ).tolist()
+    )
     return EconomyState(
         config=config,
         ledger=ledger,
-        capital=[config.initial_capital] * n,
-        last_profit=[0] * n,
-        prev_net_debt=[0] * n,
-        cls=[FirmClass.C_VOLUNTARY_LENDER] * n,
-        employees=employees,
-        t=0,
+        capital=np.full(n, config.initial_capital, dtype=np.int64),
+        last_profit=np.zeros(n, dtype=np.int64),
+        prev_net_debt=np.zeros(n, dtype=np.int64),
+        cls=np.full(n, FirmClass.C_VOLUNTARY_LENDER, dtype=np.int64),
+        employees=np.bincount(worker_firm, minlength=n).astype(np.int64),
         worker_firm=worker_firm,
         worker_shop=worker_shop,
     )
@@ -220,7 +200,7 @@ def init_economy(config: EconomyConfig) -> EconomyState:
 def _record(state: EconomyState, points, class_counts, bankruptcies) -> StepRecord:
     return StepRecord(
         t=state.t,
-        points=tuple(points),
+        points=points,
         class_counts=class_counts,
         bankruptcies=bankruptcies,
         conservation_residual=state.ledger.conservation_residual(),
@@ -229,150 +209,203 @@ def _record(state: EconomyState, points, class_counts, bankruptcies) -> StepReco
 
 def initial_record(state: EconomyState) -> StepRecord:
     """The t = 0 snapshot: every firm at the origin, nothing classified."""
-    return _record(
-        state, [PhasePoint(0.0, 0.0)] * state.config.n_firms, (0, 0, 0), 0
-    )
+    return _record(state, np.zeros((state.config.n_firms, 2)), (0, 0, 0), 0)
+
+
+def _int64(values: list, what: str) -> np.ndarray:
+    """A list of Python ints as an int64 column, or MoneyOverflow."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise MoneyOverflow(f"{what} out of 64-bit range") from None
+
+
+def _other_firms(seed: int, t: int, tag: int, n: int) -> np.ndarray:
+    """For each firm i, a uniformly drawn other firm (i + 1 + offset) % n."""
+    offsets = rng.randint_block(rng.derive(seed, t, tag), 0, n, n - 1)
+    return (np.arange(n) + 1 + offsets) % n
+
+
+# Below this magnitude int64 -> float64 is exact, so numpy's division is
+# Python's correctly rounded int / int, and a difference of two such
+# values cannot wrap.
+_EXACT = 2**52
 
 
 def step(state: EconomyState) -> StepRecord:
     """Advance one step in fixed order: wages, consumption, interest,
     classification + investment/repayment, depreciation, bankruptcy,
-    record. Mutates the state and returns the step's record."""
+    record. Returns the step's record.
+
+    Phases that are independent per firm are array operations posted as
+    one checked ledger batch each. Owner consumption and phase 4 are
+    order-dependent (a firm's deposit grows from earlier firms' purchases),
+    so they loop over the firms in id order on Python ints and post what
+    they collected as batches afterwards. Everything is posted to a copy
+    of the ledger and built in new columns; the state takes them only
+    after the last phase, so a step that raises leaves the state as it
+    was.
+    """
     cfg = state.config
     n = cfg.n_firms
-    ledger = state.ledger
-    dep = ledger.deposits_view()
-    debt = ledger.debts_view()
+    ledger = state.ledger.copy()
+    dep = ledger.deposits  # read-only views that follow the postings
+    debt = ledger.debts
     t = state.t + 1
     seed = cfg.seed
     wage = cfg.wage
-    capital = state.capital
-    receipts = [0] * n
-    wages_paid = [0] * n
-    interest_paid = [0] * n
 
     # (1) wages, borrowing any shortfall
-    for i in range(n):
-        bill = wage * state.employees[i]
-        if bill:
-            short = bill - dep[i]
-            if short > 0:
-                ledger.create_loan(i, short)
-            wages_paid[i] = bill
-    for j, f in enumerate(state.worker_firm):
-        if wage:
-            ledger.transfer(f, n + j, wage)
+    employees = state.employees
+    if wage > MONEY_MAX // max(int(employees.max(initial=0)), 1):
+        raise MoneyOverflow("wage bill out of 64-bit range")
+    wages_paid = wage * employees
+    short = wages_paid - dep[:n]
+    owing = np.flatnonzero(short > 0)
+    ledger.create_loan_many(owing, short[owing])
+    workers = n + np.arange(cfg.n_workers)
+    if wage:
+        ledger.transfer_many(state.worker_firm, workers, np.full(cfg.n_workers, wage))
 
     # (2) consumption: workers spend everything at their shop (a churn
     # fraction re-picks its shop uniformly first), then owners draw a
     # fraction of their firm's deposit and spend it at a random other firm
+    shops = state.worker_shop
+    receipts = np.zeros(n, dtype=np.int64)
     if cfg.n_workers:
-        shops = state.worker_shop
         if cfg.customer_churn > 0:
-            churn_u = rng.uniform_block(
-                rng.derive(seed, t, _TAG_CHURN), 0, cfg.n_workers
-            ).tolist()
+            churn_u = rng.uniform_block(rng.derive(seed, t, _TAG_CHURN), 0, cfg.n_workers)
             new_shops = rng.randint_block(
                 rng.derive(seed, t, _TAG_WORKER_TARGET), 0, cfg.n_workers, n
-            ).tolist()
-            churn = cfg.customer_churn
-            for j, u in enumerate(churn_u):
-                if u < churn:
-                    shops[j] = new_shops[j]
-        for j, shop in enumerate(shops):
-            w = n + j
-            bal = dep[w]
-            if bal:
-                ledger.transfer(w, shop, bal)
-                receipts[shop] += bal
+            )
+            shops = np.where(churn_u < cfg.customer_churn, new_shops, shops)
+        paying = np.flatnonzero(dep[n:])
+        spend, at = dep[n:][paying], shops[paying]
+        ledger.transfer_many(workers[paying], at, spend)
+        np.add.at(receipts, at, spend)
     frac = cfg.capitalist_consumption_fraction
     if frac > 0 and n > 1:
-        offsets = rng.randint_block(
-            rng.derive(seed, t, _TAG_OWNER_TARGET), 0, n, n - 1
-        ).tolist()
-        for i in range(n):
-            draw = int(dep[i] * frac)
+        shop_of = _other_firms(seed, t, _TAG_OWNER_TARGET, n)
+        d = dep[:n].tolist()
+        r = receipts.tolist()
+        draws = [0] * n
+        for i, shop in enumerate(shop_of.tolist()):
+            di = d[i]
+            draw = int(di * frac)
             if draw:
-                shop = (i + 1 + offsets[i]) % n
-                ledger.transfer(i, shop, draw)
-                receipts[shop] += draw
+                # The batch checks only the loop's net result; these catch
+                # balances that are out of range mid-loop only.
+                if draw > di:
+                    raise InsufficientFunds(f"firm {i} holds {di}, draws {draw}")
+                if d[shop] > MONEY_MAX - draw:
+                    raise MoneyOverflow(f"deposit of firm {shop} out of 64-bit range")
+                d[i] = di - draw
+                d[shop] += draw
+                r[shop] += draw
+                draws[i] = draw
+        draws = np.array(draws, dtype=np.int64)
+        owners = np.flatnonzero(draws)
+        ledger.transfer_many(owners, shop_of[owners], draws[owners])
+        receipts = _int64(r, "receipts")
 
     # (3) interest on outstanding debt, paid into bank equity
     rate = cfg.interest_rate
+    interest_paid = np.zeros(n, dtype=np.int64)
     if rate > 0:
-        for i in range(n):
-            due = int(debt[i] * rate)
-            if due:
-                short = due - dep[i]
-                if short > 0:
-                    ledger.create_loan(i, short)
-                ledger.pay_to_bank(i, due)
-                interest_paid[i] = due
+        due = debt[:n] * rate  # float64 and truncated, exactly as int(debt * rate)
+        if not (due < 2.0**63).all():
+            raise MoneyOverflow("interest due out of 64-bit range")
+        interest_paid = due.astype(np.int64)
+        short = interest_paid - dep[:n]
+        owing = np.flatnonzero(short > 0)
+        ledger.create_loan_many(owing, short[owing])
+        payers = np.flatnonzero(interest_paid)
+        ledger.pay_to_bank_many(payers, interest_paid[payers])
 
     # (4) classification, then investment (B) or repayment (C)
     annual_rate = rate * STEPS_PER_YEAR
     margin = cfg.investment_margin
-    invest_offsets = None
-    if n > 1:
-        invest_offsets = rng.randint_block(
-            rng.derive(seed, t, _TAG_INVEST_TARGET), 0, n, n - 1
-        ).tolist()
+    seller_of = _other_firms(seed, t, _TAG_INVEST_TARGET, n) if n > 1 else None
+    sellers = seller_of.tolist() if n > 1 else None
+    d = dep[:n].tolist()
+    b = debt[:n].tolist()
+    caps = state.capital.tolist()
+    cls = [0] * n
     counts = [0, 0, 0]
-    for i in range(n):
-        nd = debt[i] - dep[i]
+    invested = [0] * n
+    repaid = [0] * n
+    for i, lp in enumerate(state.last_profit.tolist()):
+        di, bi = d[i], b[i]
+        nd = bi - di
         due = int(nd * rate) if nd > 0 else 0
-        lp = state.last_profit[i]
-        profit_rate = lp * STEPS_PER_YEAR / capital[i]
-        c = classify(lp, due, profit_rate, annual_rate, margin)
-        state.cls[i] = c
+        c = classify(lp, due, lp * STEPS_PER_YEAR / caps[i], annual_rate, margin)
+        cls[i] = c
         counts[c] += 1
-        if c == FirmClass.B_VOLUNTARY_BORROWER:
-            if lp > 0 and invest_offsets is not None:
+        if c is FirmClass.B_VOLUNTARY_BORROWER:
+            if lp > 0 and sellers is not None:
                 # Capital goods change hands at cost: the sale adds to the
                 # seller's cash but carries no margin, so it does not enter
                 # the seller's profit. Only consumption sales do.
-                seller = (i + 1 + invest_offsets[i]) % n
-                ledger.create_loan(i, lp)
-                ledger.transfer(i, seller, lp)
-                capital[i] += lp
-        elif c == FirmClass.C_VOLUNTARY_LENDER:
-            repay = min(dep[i], debt[i])
+                seller = sellers[i]
+                if max(di, bi, d[seller]) > MONEY_MAX - lp:
+                    raise MoneyOverflow(f"loan to firm {i} out of 64-bit range")
+                b[i] = bi + lp
+                d[seller] += lp
+                caps[i] += lp
+                invested[i] = lp
+        elif c is FirmClass.C_VOLUNTARY_LENDER:
+            repay = min(di, bi)
             if repay:
-                ledger.repay_loan(i, repay)
+                d[i] = di - repay
+                b[i] = bi - repay
+                repaid[i] = repay
+    invested = np.array(invested, dtype=np.int64)
+    investors = np.flatnonzero(invested)
+    if investors.size:
+        ledger.create_loan_many(investors, invested[investors])
+        ledger.transfer_many(investors, seller_of[investors], invested[investors])
+    repaid = np.array(repaid, dtype=np.int64)
+    repayers = np.flatnonzero(repaid)
+    ledger.repay_many(repayers, repaid[repayers])
+    capital = _int64(caps, "capital")
 
     # (5) depreciation: book-value write-down, no money moves
     dep_rate = cfg.depreciation
     if dep_rate > 0:
-        for i in range(n):
-            capital[i] -= int(capital[i] * dep_rate)
+        capital -= (capital * dep_rate).astype(np.int64)
 
     # (6) bankruptcy: net debt above capital stock wipes the account and
     # a fresh firm re-enters at the origin
-    bankruptcies = 0
-    replaced = []
-    for i in range(n):
-        if debt[i] - dep[i] > capital[i]:
-            ledger.annihilate(i)
-            capital[i] = cfg.initial_capital
-            replaced.append(i)
-            bankruptcies += 1
+    bankrupt = np.flatnonzero(debt[:n] - dep[:n] > capital)
+    ledger.annihilate_many(bankrupt)
+    capital[bankrupt] = cfg.initial_capital
 
     # (7) profits, phase points, record
-    points = []
+    net_debt = debt[:n] - dep[:n]  # 0 for the bankrupt firms
     prev = state.prev_net_debt
-    for i in range(n):
-        nd = debt[i] - dep[i]
-        k = capital[i]
-        points.append(PhasePoint(nd / k, (nd - prev[i]) / k))
-        state.last_profit[i] = receipts[i] - wages_paid[i] - interest_paid[i]
-        prev[i] = nd
+    points = np.empty((n, 2))
+    points[:, 0] = net_debt / capital
+    points[:, 1] = (net_debt - prev) / capital  # may wrap; fixed up below
+    inexact = (np.abs(net_debt) > _EXACT) | (np.abs(prev) > _EXACT) | (capital > _EXACT)
+    for i in np.flatnonzero(inexact).tolist():
+        nd, p, k = int(net_debt[i]), int(prev[i]), int(capital[i])
+        points[i] = (nd / k, (nd - p) / k)
+    sales = receipts - wages_paid
+    if (sales < MONEY_MIN + interest_paid).any():
+        raise MoneyOverflow("profit out of 64-bit range")
+    profit = sales - interest_paid
     # replacements carry no history: they re-enter at the origin
-    for i in replaced:
-        points[i] = PhasePoint(0.0, 0.0)
-        state.last_profit[i] = 0
-        prev[i] = 0
+    points[bankrupt] = 0.0
+    profit[bankrupt] = 0
+
+    state.ledger = ledger
+    state.capital = capital
+    state.cls = np.array(cls, dtype=np.int64)
+    state.last_profit = profit
+    state.prev_net_debt = net_debt
+    state.worker_shop = shops
     state.t = t
-    return _record(state, points, (counts[0], counts[1], counts[2]), bankruptcies)
+    return _record(state, points, (counts[0], counts[1], counts[2]), int(bankrupt.size))
 
 
 def run(config: EconomyConfig) -> list[StepRecord]:

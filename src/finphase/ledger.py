@@ -11,8 +11,19 @@ stored. Loan creation adds a matching asset/liability pair to one account,
 repayment cancels such a pair, and bankruptcy annihilation wipes an account
 with the difference absorbed by bank equity (which may go negative).
 
-Failed operations never partially apply: all preconditions are checked
-before any state is touched.
+Storage is two int64 numpy columns, ``deposit`` and ``debt``, indexed by
+agent id, plus bank equity as a Python int. Every posting is a batch: the
+``*_many`` operations take equal-length columns of agent ids and amounts,
+and the scalar operations are one-element batches. A batch is atomic. Its
+inputs (agent bounds, no self-transfer, amounts >= 0) and its result (no
+deposit or debt outside [0, MONEY_MAX], no equity outside the signed 64-bit
+range) are checked, vectorised, before anything is written, and the check
+is made on the batch's net effect per account: a payer may spend within a
+batch what it receives in the same batch. Because int64 wraps silently,
+each per-account net is summed in int64 only when the batch total fits the
+money range (then no partial sum can wrap), and in Python ints otherwise,
+and every range check compares against the headroom (``MONEY_MAX - dep``)
+instead of forming the sum first.
 
 Concurrency: a Ledger has a single writer; read-only queries are safe
 concurrently when nothing is mutating.
@@ -22,6 +33,8 @@ from __future__ import annotations
 
 import csv
 from typing import Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     InsufficientFunds,
@@ -45,11 +58,41 @@ class Account(NamedTuple):
     debt: Money
 
 
-def _check_amount(amount: Money) -> None:
-    if amount < 0:
-        raise ValueError(f"amount must be >= 0, got {amount}")
-    if amount > MONEY_MAX:
-        raise MoneyOverflow(f"amount {amount} exceeds 64-bit money range")
+def _column(values, what: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuO"):
+        raise TypeError(f"{what} must be a column of integers, got {arr.dtype} {arr.shape}")
+    return arr
+
+
+def _money(values) -> np.ndarray:
+    """Amounts as an int64 column; negative amounts are a ValueError and
+    amounts above MONEY_MAX a MoneyOverflow."""
+    arr = _column(values, "amounts")
+    if arr.size:
+        if arr.min() < 0:
+            raise ValueError(f"amount must be >= 0, got {arr.min()}")
+        if arr.dtype != np.int64 and arr.max() > MONEY_MAX:
+            raise MoneyOverflow(f"amount {arr.max()} exceeds 64-bit money range")
+    return arr.astype(np.int64, copy=False)
+
+
+def _total(amount: np.ndarray) -> int:
+    """Exact sum of a non-negative int64 column, as a Python int."""
+    if amount.size == 0:
+        return 0
+    if int(amount.max()) <= MONEY_MAX // amount.size:
+        return int(amount.sum())  # no partial sum can exceed the total
+    return sum(amount.tolist())
+
+
+def _exact(amount: np.ndarray) -> np.ndarray:
+    """``amount``, widened to Python ints (object dtype) if its total is
+    above MONEY_MAX: only then can a per-agent sum of it wrap int64."""
+    if amount.size and int(amount.max()) > MONEY_MAX // amount.size:
+        if sum(amount.tolist()) > MONEY_MAX:
+            return amount.astype(object)
+    return amount
 
 
 class Ledger:
@@ -75,16 +118,14 @@ class Ledger:
         if not 0 <= base_money <= MONEY_MAX:
             raise MoneyOverflow(f"base_money {base_money} out of range")
         if initial_deposits is None:
-            self._dep = [0] * n_agents
+            self._dep = np.zeros(n_agents, dtype=np.int64)
         else:
             if len(initial_deposits) != n_agents:
                 raise ValueError("initial_deposits length != n_agents")
-            for d in initial_deposits:
-                _check_amount(d)
-            self._dep = list(initial_deposits)
-        self._debt = [0] * n_agents
+            self._dep = _money(list(initial_deposits))
+        self._debt = np.zeros(n_agents, dtype=np.int64)
         self._base_money = base_money
-        self._bank_equity = base_money - sum(self._dep)
+        self._bank_equity = base_money - _total(self._dep)
         if self._bank_equity < MONEY_MIN:
             raise MoneyOverflow("initial deposits exceed representable equity")
 
@@ -102,145 +143,185 @@ class Ledger:
     def bank_equity(self) -> Money:
         return self._bank_equity
 
+    @property
+    def deposits(self) -> np.ndarray:
+        """Read-only int64 view of the deposit column, indexed by agent id.
+
+        The view follows later postings; numpy rejects writes through it.
+        """
+        view = self._dep.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def debts(self) -> np.ndarray:
+        """Read-only int64 view of the debt column; see :attr:`deposits`."""
+        view = self._debt.view()
+        view.flags.writeable = False
+        return view
+
     def _check_agent(self, agent: AgentId) -> None:
         if not 0 <= agent < len(self._dep):
             raise UnknownAgent(f"no agent {agent} in ledger of {len(self._dep)}")
 
     def account(self, agent: AgentId) -> Account:
         self._check_agent(agent)
-        return Account(self._dep[agent], self._debt[agent])
+        return Account(int(self._dep[agent]), int(self._debt[agent]))
 
     def deposit(self, agent: AgentId) -> Money:
         self._check_agent(agent)
-        return self._dep[agent]
+        return int(self._dep[agent])
 
     def debt(self, agent: AgentId) -> Money:
         self._check_agent(agent)
-        return self._debt[agent]
+        return int(self._debt[agent])
 
     def net_position(self, agent: AgentId) -> Money:
         """deposit - debt (signed)."""
         self._check_agent(agent)
-        return self._dep[agent] - self._debt[agent]
+        return int(self._dep[agent]) - int(self._debt[agent])
 
     def accounts(self) -> Iterator[tuple[AgentId, Account]]:
-        for i, (d, b) in enumerate(zip(self._dep, self._debt)):
+        for i, (d, b) in enumerate(zip(self._dep.tolist(), self._debt.tolist())):
             yield i, Account(d, b)
-
-    def deposits_view(self) -> Sequence[Money]:
-        """The live deposit column, indexed by agent id.
-
-        Read-only by contract: mutations must go through the operations
-        below. Exposed so simulation hot loops can read balances without
-        per-call overhead.
-        """
-        return self._dep
-
-    def debts_view(self) -> Sequence[Money]:
-        """The live debt column; same read-only contract as deposits_view."""
-        return self._debt
 
     def conservation_residual(self) -> Money:
         """sum(deposit - debt) + bank_equity - base_money; must be 0.
 
-        Computed by full summation every call, not tracked incrementally,
-        so it doubles as a self-check of the operation postconditions.
+        Computed by exact full summation every call, not tracked
+        incrementally, so it doubles as a self-check of the postings.
         """
-        return sum(self._dep) - sum(self._debt) + self._bank_equity - self._base_money
+        return _total(self._dep) - _total(self._debt) + self._bank_equity - self._base_money
 
-    # -- operations ----------------------------------------------------------
+    # -- batch checking and posting -------------------------------------------
+
+    def _agents(self, agents) -> np.ndarray:
+        idx = _column(agents, "agent ids")
+        n = len(self._dep)
+        # viewed as uint64 a negative id is larger than any valid one
+        if idx.size and not (idx.dtype == np.int64 and int(idx.view(np.uint64).max()) < n):
+            bad = [a for a in idx.tolist() if not 0 <= a < n]
+            if bad:
+                raise UnknownAgent(f"no agent {bad[0]} in ledger of {n}")
+        return idx.astype(np.intp, copy=False)
+
+    def _pair(self, agents, amount):
+        agents, amount = self._agents(agents), _money(amount)
+        if len(agents) != len(amount):
+            raise ValueError("agent and amount lengths differ")
+        return agents, amount
+
+    def _commit(self, idx, dep_delta=None, debt_delta=None, equity_delta: Money = 0) -> None:
+        """Post one batch: ``dep_delta[k]`` and ``debt_delta[k]`` are added
+        to agent ``idx[k]`` (repeated ids sum) and ``equity_delta`` to bank
+        equity. Every resulting value is range-checked before anything is
+        written."""
+        n = len(self._dep)
+        # A small batch reads and writes only its own agents; a large one
+        # whole columns, which is cheaper than gathering most of them.
+        rows = idx if 8 * len(idx) < n else slice(None)
+        writes = []
+        for col, delta, verb, short_error in (
+            (self._dep, dep_delta, "holds", InsufficientFunds),
+            (self._debt, debt_delta, "owes", NoSuchDebt),
+        ):
+            if delta is None:
+                continue
+            net = np.zeros(n, dtype=delta.dtype)
+            np.add.at(net, idx, delta)
+            cur = col[rows]
+            change = net[rows]
+            short = change < -cur
+            if short.any():
+                a = int(np.flatnonzero(net < -col)[0])
+                raise short_error(f"agent {a} {verb} {col[a]}, batch takes {-net[a]}")
+            if (change > MONEY_MAX - cur).any():
+                a = int(np.flatnonzero(net > MONEY_MAX - col)[0])
+                raise MoneyOverflow(f"balance of agent {a} would exceed 64-bit range")
+            writes.append((col, cur + change))
+        new_equity = self._bank_equity + equity_delta
+        if not MONEY_MIN <= new_equity <= MONEY_MAX:
+            raise MoneyOverflow(f"bank equity {new_equity} out of 64-bit range")
+        for col, new in writes:
+            col[rows] = new  # a repeated id gets the same value each time
+        self._bank_equity = new_equity
+
+    # -- batch operations -------------------------------------------------------
+
+    def transfer_many(self, src, dst, amount) -> None:
+        """Move ``amount[k]`` of deposit from ``src[k]`` to ``dst[k]`` for
+        every k, zero-sum; checked on each account's net change."""
+        src, dst = self._agents(src), self._agents(dst)
+        amount = _money(amount)
+        if not len(src) == len(dst) == len(amount):
+            raise ValueError("src, dst and amount lengths differ")
+        same = src == dst
+        if same.any():
+            raise SelfTransfer(f"agent {src[np.argmax(same)]} cannot transfer to itself")
+        amount = _exact(amount)
+        self._commit(np.concatenate((dst, src)), dep_delta=np.concatenate((amount, -amount)))
+
+    def create_loan_many(self, borrower, amount) -> None:
+        """Create deposit/debt pairs: borrowers' net positions are unchanged."""
+        borrower, amount = self._pair(borrower, amount)
+        amount = _exact(amount)
+        self._commit(borrower, dep_delta=amount, debt_delta=amount)
+
+    def repay_many(self, borrower, amount) -> None:
+        """Cancel deposit/debt pairs; exact inverse of create_loan_many."""
+        borrower, amount = self._pair(borrower, amount)
+        amount = -_exact(amount)
+        self._commit(borrower, dep_delta=amount, debt_delta=amount)
+
+    def pay_to_bank_many(self, agent, amount) -> None:
+        """Move deposits into bank equity (e.g. interest)."""
+        agent, amount = self._pair(agent, amount)
+        self._commit(agent, dep_delta=-_exact(amount), equity_delta=_total(amount))
+
+    def annihilate_many(self, bankrupt) -> None:
+        """Write off accounts: deposit and debt both go to zero.
+
+        The net write-off sum(deposit - debt) lands on bank equity, which
+        may go negative; an agent listed twice is written off once.
+        """
+        idx = np.unique(self._agents(bankrupt))
+        dep, debt = self._dep[idx], self._debt[idx]
+        delta = sum((dep - debt).tolist())
+        self._commit(idx, dep_delta=-dep, debt_delta=-debt, equity_delta=delta)
+
+    # -- scalar operations: one-element batches --------------------------------
 
     def transfer(self, src: AgentId, dst: AgentId, amount: Money) -> None:
         """Move ``amount`` of deposit from ``src`` to ``dst`` (zero-sum)."""
-        self._check_agent(src)
-        self._check_agent(dst)
-        if src == dst:
-            raise SelfTransfer(f"agent {src} cannot transfer to itself")
-        _check_amount(amount)
-        if self._dep[src] < amount:
-            raise InsufficientFunds(
-                f"agent {src} holds {self._dep[src]}, needs {amount}"
-            )
-        new_dst = self._dep[dst] + amount
-        if new_dst > MONEY_MAX:
-            raise MoneyOverflow("deposit overflow on transfer")
-        self._dep[src] -= amount
-        self._dep[dst] = new_dst
+        self.transfer_many([src], [dst], [amount])
 
     def create_loan(self, borrower: AgentId, amount: Money) -> None:
         """Create a deposit/debt pair: the borrower's net position is unchanged."""
-        self._check_agent(borrower)
-        _check_amount(amount)
-        new_dep = self._dep[borrower] + amount
-        new_debt = self._debt[borrower] + amount
-        if new_dep > MONEY_MAX or new_debt > MONEY_MAX:
-            raise MoneyOverflow("loan would overflow deposit or debt")
-        self._dep[borrower] = new_dep
-        self._debt[borrower] = new_debt
+        self.create_loan_many([borrower], [amount])
 
     def repay_loan(self, borrower: AgentId, amount: Money) -> None:
         """Cancel a deposit/debt pair; exact inverse of create_loan."""
-        self._check_agent(borrower)
-        _check_amount(amount)
-        if self._dep[borrower] < amount:
-            raise InsufficientFunds(
-                f"agent {borrower} holds {self._dep[borrower]}, repaying {amount}"
-            )
-        if self._debt[borrower] < amount:
-            raise NoSuchDebt(
-                f"agent {borrower} owes {self._debt[borrower]}, repaying {amount}"
-            )
-        self._dep[borrower] -= amount
-        self._debt[borrower] -= amount
+        self.repay_many([borrower], [amount])
 
     def annihilate(self, bankrupt: AgentId) -> None:
-        """Write off an account: deposit and debt both go to zero.
-
-        The net write-off (deposit - debt) lands on bank equity, which may
-        go negative; conservation holds exactly either way.
-        """
-        self._check_agent(bankrupt)
-        delta = self._dep[bankrupt] - self._debt[bankrupt]
-        new_equity = self._bank_equity + delta
-        if not MONEY_MIN <= new_equity <= MONEY_MAX:
-            raise MoneyOverflow("bank equity overflow on annihilation")
-        self._dep[bankrupt] = 0
-        self._debt[bankrupt] = 0
-        self._bank_equity = new_equity
+        """Write off one account; see :meth:`annihilate_many`."""
+        self.annihilate_many([bankrupt])
 
     def pay_to_bank(self, agent: AgentId, amount: Money) -> None:
         """Move deposit from an agent into bank equity (e.g. interest)."""
-        self._check_agent(agent)
-        _check_amount(amount)
-        if self._dep[agent] < amount:
-            raise InsufficientFunds(
-                f"agent {agent} holds {self._dep[agent]}, paying bank {amount}"
-            )
-        new_equity = self._bank_equity + amount
-        if new_equity > MONEY_MAX:
-            raise MoneyOverflow("bank equity overflow")
-        self._dep[agent] -= amount
-        self._bank_equity = new_equity
+        self.pay_to_bank_many([agent], [amount])
 
     def pay_from_bank(self, agent: AgentId, amount: Money) -> None:
         """Move bank equity into an agent's deposit; equity may go negative."""
-        self._check_agent(agent)
-        _check_amount(amount)
-        new_dep = self._dep[agent] + amount
-        new_equity = self._bank_equity - amount
-        if new_dep > MONEY_MAX:
-            raise MoneyOverflow("deposit overflow")
-        if new_equity < MONEY_MIN:
-            raise MoneyOverflow("bank equity underflow")
-        self._dep[agent] = new_dep
-        self._bank_equity = new_equity
+        agent, amount = self._pair([agent], [amount])
+        self._commit(agent, dep_delta=amount, equity_delta=-int(amount[0]))
 
     # -- snapshots -----------------------------------------------------------
 
     def copy(self) -> "Ledger":
         clone = Ledger.__new__(Ledger)
-        clone._dep = list(self._dep)
-        clone._debt = list(self._debt)
+        clone._dep = self._dep.copy()
+        clone._debt = self._debt.copy()
         clone._bank_equity = self._bank_equity
         clone._base_money = self._base_money
         return clone
@@ -250,7 +331,7 @@ class Ledger:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["agent_id", "deposit", "debt"])
-            for i, (d, b) in enumerate(zip(self._dep, self._debt)):
+            for i, (d, b) in enumerate(zip(self._dep.tolist(), self._debt.tolist())):
                 writer.writerow([i, d, b])
             fh.write(f"#bank_equity,{self._bank_equity}\n")
             fh.write(f"#base_money,{self._base_money}\n")
@@ -278,8 +359,8 @@ class Ledger:
         if equity is None or base is None:
             raise ValueError("snapshot missing #bank_equity/#base_money trailers")
         clone = cls.__new__(cls)
-        clone._dep = deposits
-        clone._debt = debts
+        clone._dep = _money(deposits)
+        clone._debt = _money(debts)
         clone._bank_equity = equity
         clone._base_money = base
         return clone

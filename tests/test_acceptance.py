@@ -94,7 +94,7 @@ def test_criterion_4_rentier_tail(default_runs):
         assert med_rentier(20) > med_rentier(2)
         for run in runs:
             for rec in run:
-                assert all(p.x <= 1.0 for p in rec.points)
+                assert (rec.points[:, 0] <= 1.0).all()
 
 
 def test_criterion_5_equilibrium_profit_rate():

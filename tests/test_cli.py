@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from finphase.cli import dispatch, parse_config_file
+from finphase.cli import _write_json, dispatch, parse_config_file
 from finphase.errors import InvalidConfig
 from finphase.firms import EconomyConfig
 
@@ -32,6 +32,12 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_json_output_rejects_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            _write_json(path, {"mean_x": float("nan")})
+        assert not path.exists()
 
     def test_missing_file_exits_one(self, capsys):
         assert run_cli("sectors", "check", "/no/such/file.csv") == 1
@@ -180,6 +186,24 @@ class TestAnalyzeCommand:
         assert metrics["points"] == 30
         assert 0.0 <= metrics["rentier_fraction"] <= 1.0
         assert hist.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_point_is_a_parse_error(self, tmp_path, capsys, bad):
+        csv_path = tmp_path / "phase_t1.csv"
+        csv_path.write_text(f"firm_id,x,y\n0,0.5,0.1\n1,{bad},0.0\n2,-0.3,0.2\n")
+        out = tmp_path / "metrics.json"
+        hist = tmp_path / "hist.csv"
+        code = run_cli(
+            "analyze", str(csv_path), "--out", str(out), "--hist-out", str(hist)
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 3:")
+        assert "phase_t1.csv" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists() and not hist.exists()
+        assert run_cli("analyze", str(csv_path)) == 1
+        assert "NaN" not in capsys.readouterr().out
 
 
 class TestInterestAndReserves:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from finphase import rng
 from finphase.errors import (
+    FinphaseError,
     InsufficientFunds,
     MoneyOverflow,
     NoSuchDebt,
@@ -330,3 +331,131 @@ def test_loan_then_repay_is_identity(deposit, amount):
     led.create_loan(0, amount)
     led.repay_loan(0, amount)
     assert (led.account(0), led.account(1), led.bank_equity) == before
+
+
+# --- batch postings ----------------------------------------------------------
+
+def _state(led):
+    return list(led.accounts()), led.bank_equity
+
+
+# Mixed scales: small amounts exercise the ordinary checks, amounts in
+# [2**61, 2**63-1] the overflow headroom and the wide (Python int) sums.
+_amount = st.one_of(st.integers(0, 1000), st.integers(2**61, MONEY_MAX))
+_agent = st.integers(0, 4)
+
+# kind -> (row strategy, scalar method, batch method)
+_BATCHES = {
+    "transfer": (st.tuples(_agent, _agent, _amount), "transfer", "transfer_many"),
+    "loan": (st.tuples(_agent, _amount), "create_loan", "create_loan_many"),
+    "repay": (st.tuples(_agent, _amount), "repay_loan", "repay_many"),
+    "to_bank": (st.tuples(_agent, _amount), "pay_to_bank", "pay_to_bank_many"),
+    "annihilate": (st.tuples(_agent), "annihilate", "annihilate_many"),
+}
+_ARITY = {"transfer": 3, "loan": 2, "repay": 2, "to_bank": 2, "annihilate": 1}
+
+
+@st.composite
+def _batch_case(draw):
+    kind = draw(st.sampled_from(sorted(_BATCHES)))
+    rows = draw(st.lists(_BATCHES[kind][0], max_size=8))
+    deposits = draw(st.lists(_amount, min_size=5, max_size=5))
+    loans = draw(st.lists(st.one_of(st.just(0), _amount), min_size=5, max_size=5))
+    base = draw(st.integers(0, MONEY_MAX))
+    return kind, rows, deposits, loans, base
+
+
+@settings(max_examples=400, deadline=None)
+@given(_batch_case())
+def test_batch_equals_sequential_scalar_ops(case):
+    kind, rows, deposits, loans, base = case
+    try:
+        led = Ledger(5, base, deposits)
+        for agent, amount in enumerate(loans):
+            led.create_loan(agent, amount)
+    except MoneyOverflow:
+        return  # not a representable starting ledger
+    _, scalar, batch = _BATCHES[kind]
+    before = _state(led)
+
+    sequential = led.copy()
+    try:
+        for row in rows:
+            getattr(sequential, scalar)(*row)
+        sequence_ok = True
+    except (FinphaseError, ValueError):
+        sequence_ok = False
+
+    batched = led.copy()
+    columns = [[row[i] for row in rows] for i in range(_ARITY[kind])]
+    try:
+        getattr(batched, batch)(*columns)
+        batch_ok = True
+    except (FinphaseError, ValueError):
+        batch_ok = False
+        assert _state(batched) == before  # a rejected batch writes nothing
+
+    if sequence_ok:
+        assert batch_ok
+        assert _state(batched) == _state(sequential)
+    if batch_ok:
+        assert batched.conservation_residual() == 0
+        assert conservation_oracle(batched) == 0
+
+
+class TestBatchEdges:
+    def test_two_large_inflows_overflow_without_wrapping(self):
+        led = Ledger(3, MONEY_MAX, [1, 2**62, 2**62])
+        before = _state(led)
+        with pytest.raises(MoneyOverflow):
+            led.transfer_many([1, 2], [0, 0], [2**62, 2**62])
+        assert _state(led) == before
+        with pytest.raises(MoneyOverflow):
+            led.create_loan_many([0, 0], [2**62, 2**62])
+        assert _state(led) == before
+
+    def test_batch_total_above_int64_sums_exactly(self):
+        # three 2**62 transfers round a ring: the batch total is 3 * 2**62,
+        # every net change and every balance fits
+        led = Ledger(3, MONEY_MAX, [2**62, 2**62, 0])
+        sequential = led.copy()
+        for src, dst in ((0, 2), (1, 0), (2, 1)):
+            sequential.transfer(src, dst, 2**62)
+        led.transfer_many([0, 1, 2], [2, 0, 1], [2**62] * 3)
+        assert _state(led) == _state(sequential)
+        assert led.conservation_residual() == 0
+
+    def test_bank_equity_overflow_rejects_whole_batch(self):
+        led = Ledger(2, MONEY_MAX)
+        led.create_loan_many([0, 1], [10, 10])
+        before = _state(led)
+        with pytest.raises(MoneyOverflow):
+            led.pay_to_bank_many([0, 1], [1, 1])
+        assert _state(led) == before
+
+    def test_spend_what_the_batch_brings_in(self):
+        led = make_ledger([0, 50, 0])
+        led.transfer_many([1, 0], [0, 2], [50, 50])
+        assert [led.deposit(i) for i in range(3)] == [0, 0, 50]
+
+    def test_mismatched_lengths_and_bad_inputs(self):
+        led = make_ledger([10, 10])
+        with pytest.raises(ValueError):
+            led.transfer_many([0], [1, 1], [1])
+        with pytest.raises(UnknownAgent):
+            led.create_loan_many([0, 2], [1, 1])
+        with pytest.raises(SelfTransfer):
+            led.transfer_many([0, 1], [1, 1], [1, 1])
+        with pytest.raises(MoneyOverflow):
+            led.pay_to_bank_many([0], [2**63])
+        assert _state(led) == _state(make_ledger([10, 10]))
+
+    def test_column_views_are_read_only_and_follow_postings(self):
+        led = make_ledger([10, 0])
+        dep = led.deposits
+        with pytest.raises(ValueError):
+            dep[0] = 99
+        led.transfer(0, 1, 4)
+        assert dep.tolist() == [6, 4]
+        led.create_loan(1, 3)
+        assert led.debts.tolist() == [0, 3]
