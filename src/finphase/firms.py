@@ -326,7 +326,7 @@ def step(state: EconomyState) -> StepRecord:
     annual_rate = rate * STEPS_PER_YEAR
     margin = cfg.investment_margin
     seller_of = _other_firms(seed, t, _TAG_INVEST_TARGET, n) if n > 1 else None
-    sellers = seller_of.tolist() if n > 1 else None
+    sellers = None if seller_of is None else seller_of.tolist()
     d = dep[:n].tolist()
     b = debt[:n].tolist()
     caps = state.capital.tolist()
@@ -390,10 +390,10 @@ def step(state: EconomyState) -> StepRecord:
     for i in np.flatnonzero(inexact).tolist():
         nd, p, k = int(net_debt[i]), int(prev[i]), int(capital[i])
         points[i] = (nd / k, (nd - p) / k)
-    sales = receipts - wages_paid
-    if (sales < MONEY_MIN + interest_paid).any():
+    after_wages = receipts - wages_paid  # both in [0, MONEY_MAX]: no wrap
+    if (after_wages < MONEY_MIN + interest_paid).any():
         raise MoneyOverflow("profit out of 64-bit range")
-    profit = sales - interest_paid
+    profit = after_wages - interest_paid
     # replacements carry no history: they re-enter at the origin
     points[bankrupt] = 0.0
     profit[bankrupt] = 0

@@ -59,6 +59,7 @@ class Account(NamedTuple):
 
 
 def _column(values, what: str) -> np.ndarray:
+    """A 1-d integer array; Python ints beyond int64 stay exact (object)."""
     arr = np.asarray(values)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuO"):
         raise TypeError(f"{what} must be a column of integers, got {arr.dtype} {arr.shape}")
@@ -89,10 +90,7 @@ def _total(amount: np.ndarray) -> int:
 def _exact(amount: np.ndarray) -> np.ndarray:
     """``amount``, widened to Python ints (object dtype) if its total is
     above MONEY_MAX: only then can a per-agent sum of it wrap int64."""
-    if amount.size and int(amount.max()) > MONEY_MAX // amount.size:
-        if sum(amount.tolist()) > MONEY_MAX:
-            return amount.astype(object)
-    return amount
+    return amount if _total(amount) <= MONEY_MAX else amount.astype(object)
 
 
 class Ledger:
@@ -314,7 +312,7 @@ class Ledger:
     def pay_from_bank(self, agent: AgentId, amount: Money) -> None:
         """Move bank equity into an agent's deposit; equity may go negative."""
         agent, amount = self._pair([agent], [amount])
-        self._commit(agent, dep_delta=amount, equity_delta=-int(amount[0]))
+        self._commit(agent, dep_delta=amount, equity_delta=-_total(amount))
 
     # -- snapshots -----------------------------------------------------------
 
