@@ -211,8 +211,8 @@ def _cmd_firms(args) -> int:
         p = outdir / f"phase_t{rec.t}.csv"
         with open(p, "w") as fh:
             fh.write("firm_id,x,y\n")
-            for i, (x, y) in enumerate(rec.points.tolist()):
-                fh.write(f"{i},{x!r},{y!r}\n")
+            rows = enumerate(rec.points.tolist())
+            fh.write("".join([f"{i},{x!r},{y!r}\n" for i, (x, y) in rows]))
         manifest.add_output(p)
     manifest.payload["conservation_residuals"] = [
         rec.conservation_residual for rec in records

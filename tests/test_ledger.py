@@ -361,46 +361,79 @@ def _batch_case(draw):
     rows = draw(st.lists(_BATCHES[kind][0], max_size=8))
     deposits = draw(st.lists(_amount, min_size=5, max_size=5))
     loans = draw(st.lists(st.one_of(st.just(0), _amount), min_size=5, max_size=5))
-    base = draw(st.integers(0, MONEY_MAX))
+    base = draw(st.one_of(st.integers(0, MONEY_MAX), st.just(MONEY_MAX)))
     return kind, rows, deposits, loans, base
+
+
+def _reference(kind, rows, led):
+    """The postings one at a time on Python ints, with the list-backed
+    ledger's checks; None if one fails."""
+    dep = [a.deposit for _, a in led.accounts()]
+    debt = [a.debt for _, a in led.accounts()]
+    equity = led.bank_equity
+    for row in rows:
+        i, amount = row[0], row[-1]
+        if kind == "transfer":
+            j = row[1]
+            if i == j or dep[i] < amount or dep[j] + amount > MONEY_MAX:
+                return None
+            dep[i] -= amount
+            dep[j] += amount
+        elif kind == "loan":
+            if max(dep[i], debt[i]) + amount > MONEY_MAX:
+                return None
+            dep[i] += amount
+            debt[i] += amount
+        elif kind == "repay":
+            if min(dep[i], debt[i]) < amount:
+                return None
+            dep[i] -= amount
+            debt[i] -= amount
+        elif kind == "to_bank":
+            if dep[i] < amount or equity + amount > MONEY_MAX:
+                return None
+            dep[i] -= amount
+            equity += amount
+        else:  # annihilate
+            equity += dep[i] - debt[i]
+            if not -(2**63) <= equity <= MONEY_MAX:
+                return None
+            dep[i] = debt[i] = 0
+    return [(k, (d, b)) for k, (d, b) in enumerate(zip(dep, debt))], equity
 
 
 @settings(max_examples=400, deadline=None)
 @given(_batch_case())
 def test_batch_equals_sequential_scalar_ops(case):
     kind, rows, deposits, loans, base = case
-    try:
-        led = Ledger(5, base, deposits)
-        for agent, amount in enumerate(loans):
-            led.create_loan(agent, amount)
-    except MoneyOverflow:
+    if base - sum(deposits) < -(2**63) or max(map(sum, zip(deposits, loans))) > MONEY_MAX:
         return  # not a representable starting ledger
+    led = Ledger(5, base, deposits)
+    led.create_loan_many(range(5), loans)
     _, scalar, batch = _BATCHES[kind]
     before = _state(led)
+    expected = _reference(kind, rows, led)
 
     sequential = led.copy()
     try:
         for row in rows:
             getattr(sequential, scalar)(*row)
-        sequence_ok = True
+        assert _state(sequential) == expected
     except (FinphaseError, ValueError):
-        sequence_ok = False
+        assert expected is None
 
     batched = led.copy()
     columns = [[row[i] for row in rows] for i in range(_ARITY[kind])]
     try:
         getattr(batched, batch)(*columns)
-        batch_ok = True
-    except (FinphaseError, ValueError):
-        batch_ok = False
-        assert _state(batched) == before  # a rejected batch writes nothing
-
-    if sequence_ok:
-        assert batch_ok
-        assert _state(batched) == _state(sequential)
-    if batch_ok:
         assert batched.conservation_residual() == 0
         assert conservation_oracle(batched) == 0
+    except (FinphaseError, ValueError):
+        assert _state(batched) == before  # a rejected batch writes nothing
+        assert expected is None  # only a failing sequence may be rejected
+    else:
+        if expected is not None:
+            assert _state(batched) == expected
 
 
 class TestBatchEdges:
