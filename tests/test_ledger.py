@@ -447,6 +447,14 @@ class TestBatchEdges:
             led.create_loan_many([0, 0], [2**62, 2**62])
         assert _state(led) == before
 
+    def test_balances_reach_money_max_exactly(self):
+        led = Ledger(3, MONEY_MAX, [0, 0, 10])
+        led.create_loan_many([0], [MONEY_MAX])
+        led.transfer_many([0, 2], [1, 1], [MONEY_MAX - 10, 10])
+        led.pay_to_bank_many([1], [0])
+        assert _state(led)[0] == [(0, (10, MONEY_MAX)), (1, (MONEY_MAX, 0)), (2, (0, 0))]
+        assert led.conservation_residual() == 0
+
     def test_batch_total_above_int64_sums_exactly(self):
         # three 2**62 transfers round a ring: the batch total is 3 * 2**62,
         # every net change and every balance fits
