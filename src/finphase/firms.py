@@ -237,11 +237,11 @@ def step(state: EconomyState) -> StepRecord:
     classification + investment/repayment, depreciation, bankruptcy,
     record. Returns the step's record.
 
-    Phases that are independent per firm are array operations posted as
-    one checked ledger batch each. Owner consumption and phase 4 are
-    order-dependent (a firm's deposit grows from earlier firms' purchases),
-    so they loop over the firms in id order on Python ints and post what
-    they collected as batches afterwards. Everything is posted to a copy
+    Phases that are independent per firm are array operations, posted as
+    checked ledger batches (one per kind of posting). Owner consumption
+    and phase 4 are order-dependent (a firm's deposit grows from earlier
+    firms' purchases), so they loop over the firms in id order on Python
+    ints and post what they collected as batches afterwards. Everything is posted to a copy
     of the ledger and built in new columns; the state takes them only
     after the last phase, so a step that raises leaves the state as it
     was.
@@ -359,6 +359,7 @@ def step(state: EconomyState) -> StepRecord:
                 d[i] = di - repay
                 b[i] = bi - repay
                 repaid[i] = repay
+    # repayments go last: a repayment may spend an investment receipt
     invested = np.array(invested, dtype=np.int64)
     investors = np.flatnonzero(invested)
     if investors.size:

@@ -8,7 +8,7 @@ so any later rewrite of the ledger or of ``firms.step`` that keeps them
 has kept the simulation's integers and the writer's formatting exactly.
 
 Regenerate (only for a deliberate, documented semantic change) with
-``python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``, which prints the table.
 """
 
 import hashlib
