@@ -273,13 +273,14 @@ def _cmd_analyze(args) -> int:
             "points": hist.total,
             "out_of_range": hist.out_of_range,
         }
+    text = _json(report)  # a non-finite metric fails here, before any output
     if args.hist_out:
         combined = phase.bin_phase(np.concatenate(all_points), grid)
         phase.write_histogram_csv(combined, args.hist_out)
     if args.out:
-        _write_json(Path(args.out), report)
+        Path(args.out).write_text(text + "\n")
     else:
-        print(_json(report))
+        print(text)
     return 0
 
 

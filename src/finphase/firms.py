@@ -241,8 +241,9 @@ def step(state: EconomyState) -> StepRecord:
     checked ledger batches (one per kind of posting). Owner consumption
     and phase 4 are order-dependent (a firm's deposit grows from earlier
     firms' purchases), so they loop over the firms in id order on Python
-    ints and post what they collected as batches afterwards. Everything is posted to a copy
-    of the ledger and built in new columns; the state takes them only
+    ints, checking every balance as they go, and post their net result
+    as one batch afterwards. Everything is posted to a copy of the ledger
+    and built in new columns; the state takes them only
     after the last phase, so a step that raises leaves the state as it
     was.
     """
@@ -332,8 +333,6 @@ def step(state: EconomyState) -> StepRecord:
     caps = state.capital.tolist()
     cls = [0] * n
     counts = [0, 0, 0]
-    invested = [0] * n
-    repaid = [0] * n
     for i, lp in enumerate(state.last_profit.tolist()):
         di, bi = d[i], b[i]
         nd = bi - di
@@ -352,22 +351,17 @@ def step(state: EconomyState) -> StepRecord:
                 b[i] = bi + lp
                 d[seller] += lp
                 caps[i] += lp
-                invested[i] = lp
         elif c is FirmClass.C_VOLUNTARY_LENDER:
             repay = min(di, bi)
             if repay:
                 d[i] = di - repay
                 b[i] = bi - repay
-                repaid[i] = repay
-    # repayments go last: a repayment may spend an investment receipt
-    invested = np.array(invested, dtype=np.int64)
-    investors = np.flatnonzero(invested)
-    if investors.size:
-        ledger.create_loan_many(investors, invested[investors])
-        ledger.transfer_many(investors, seller_of[investors], invested[investors])
-    repaid = np.array(repaid, dtype=np.int64)
-    repayers = np.flatnonzero(repaid)
-    ledger.repay_many(repayers, repaid[repayers])
+    # the loop's loans, purchases and repayments, posted as their net result
+    # (every balance stayed in range above, so these columns are int64)
+    dep_change = np.array(d, dtype=np.int64) - dep[:n]
+    debt_change = np.array(b, dtype=np.int64) - debt[:n]
+    moved = np.flatnonzero(dep_change | debt_change)
+    ledger.settle_many(moved, dep_change[moved], debt_change[moved])
     capital = _int64(caps, "capital")
 
     # (5) depreciation: book-value write-down, no money moves

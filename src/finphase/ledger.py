@@ -14,16 +14,20 @@ with the difference absorbed by bank equity (which may go negative).
 Storage is two int64 numpy columns, ``deposit`` and ``debt``, indexed by
 agent id, plus bank equity as a Python int. Every posting is a batch: the
 ``*_many`` operations take equal-length columns of agent ids and amounts,
-and the scalar operations are one-element batches. A batch is atomic. Its
-inputs (agent bounds, no self-transfer, amounts >= 0) and its result (no
-deposit or debt outside [0, MONEY_MAX], no equity outside the signed 64-bit
-range) are checked, vectorised, before anything is written, and the check
-is made on the batch's net effect per account: a payer may spend within a
-batch what it receives in the same batch. Because int64 wraps silently,
-each per-account net is summed in int64 only when the batch total fits the
-money range (then no partial sum can wrap), and in Python ints otherwise,
-and every range check compares against the headroom (``MONEY_MAX - dep``)
-instead of forming the sum first.
+the scalar operations are one-element batches, and ``settle_many`` posts
+the net result of a mix of transfers, loans and repayments, one row per
+agent. A batch is atomic. Its inputs (agent bounds, no self-transfer,
+amounts >= 0) and its result (no deposit or debt outside [0, MONEY_MAX],
+no equity outside the signed 64-bit range) are checked, vectorised,
+before anything is written, and the check is made on the batch's net
+effect per account: a payer may spend within a batch what it receives in
+the same batch. Because int64 wraps silently, each per-account net is
+summed in int64 only when the batch total fits the money range (then no
+partial sum can wrap), and in Python ints otherwise, and every range
+check compares against the headroom (``MONEY_MAX - dep``) instead of
+forming the sum first. A batch costs O(batch size), apart from the rare
+one whose total exceeds MONEY_MAX, which sums in an object column of all
+agents.
 
 Concurrency: a Ledger has a single writer; read-only queries are safe
 concurrently when nothing is mutating.
@@ -78,6 +82,14 @@ def _money(values) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _signed(values) -> np.ndarray:
+    """Signed changes as an int64 column, or MoneyOverflow."""
+    arr = _column(values, "changes")
+    if arr.size and arr.dtype != np.int64 and not MONEY_MIN <= arr.min() <= arr.max() <= MONEY_MAX:
+        raise MoneyOverflow("change out of 64-bit money range")
+    return arr.astype(np.int64, copy=False)
+
+
 def _total(amount: np.ndarray) -> int:
     """Exact sum of a non-negative int64 column, as a Python int."""
     if amount.size == 0:
@@ -103,7 +115,7 @@ class Ledger:
     as bank equity, i.e. as the bank's reserve).
     """
 
-    __slots__ = ("_dep", "_debt", "_bank_equity", "_base_money")
+    __slots__ = ("_dep", "_debt", "_net", "_bank_equity", "_base_money")
 
     def __init__(
         self,
@@ -122,6 +134,7 @@ class Ledger:
                 raise ValueError("initial_deposits length != n_agents")
             self._dep = _money(list(initial_deposits))
         self._debt = np.zeros(n_agents, dtype=np.int64)
+        self._net = np.zeros(n_agents, dtype=np.int64)  # see _commit
         self._base_money = base_money
         self._bank_equity = base_money - _total(self._dep)
         if self._bank_equity < MONEY_MIN:
@@ -213,11 +226,13 @@ class Ledger:
         """Post one batch: ``dep_delta[k]`` and ``debt_delta[k]`` are added
         to agent ``idx[k]`` (repeated ids sum) and ``equity_delta`` to bank
         equity. Every resulting value is range-checked before anything is
-        written."""
-        n = len(self._dep)
-        # A small batch reads and writes only its own agents; a large one
-        # whole columns, which is cheaper than gathering most of them.
-        rows = idx if 8 * len(idx) < n else slice(None)
+        written.
+
+        Work is O(batch): per-agent nets accumulate in ``_net``, a column
+        that is all zero between batches and is cleared again at the
+        batch's own rows. A wide batch (object-dtype Python-int deltas,
+        see :func:`_exact`) sums in a fresh object column instead.
+        """
         writes = []
         for col, delta, verb, short_error in (
             (self._dep, dep_delta, "holds", InsufficientFunds),
@@ -225,23 +240,25 @@ class Ledger:
         ):
             if delta is None:
                 continue
-            net = np.zeros(n, dtype=delta.dtype)
+            net = self._net if delta.dtype == np.int64 else np.zeros(len(col), dtype=object)
             np.add.at(net, idx, delta)
-            cur = col[rows]
-            change = net[rows]
+            change = net[idx]
+            net[idx] = 0
+            cur = col[idx]
             short = change < -cur
             if short.any():
-                a = int(np.flatnonzero(net < -col)[0])
-                raise short_error(f"agent {a} {verb} {col[a]}, batch takes {-net[a]}")
-            if (change > MONEY_MAX - cur).any():
-                a = int(np.flatnonzero(net > MONEY_MAX - col)[0])
-                raise MoneyOverflow(f"balance of agent {a} would exceed 64-bit range")
+                k = int(np.argmax(short))
+                raise short_error(f"agent {idx[k]} {verb} {cur[k]}, batch takes {-change[k]}")
+            over = change > MONEY_MAX - cur
+            if over.any():
+                k = int(np.argmax(over))
+                raise MoneyOverflow(f"balance of agent {idx[k]} would exceed 64-bit range")
             writes.append((col, cur + change))
         new_equity = self._bank_equity + equity_delta
         if not MONEY_MIN <= new_equity <= MONEY_MAX:
             raise MoneyOverflow(f"bank equity {new_equity} out of 64-bit range")
         for col, new in writes:
-            col[rows] = new  # a repeated id gets the same value each time
+            col[idx] = new  # a repeated id gets the same value each time
         self._bank_equity = new_equity
 
     # -- batch operations -------------------------------------------------------
@@ -275,6 +292,23 @@ class Ledger:
         """Move deposits into bank equity (e.g. interest)."""
         agent, amount = self._pair(agent, amount)
         self._commit(agent, dep_delta=-_exact(amount), equity_delta=_total(amount))
+
+    def settle_many(self, agent, dep_change, debt_change) -> None:
+        """Apply signed deposit and debt changes, one row per distinct
+        agent: the net result of a sequence of transfers, loans and
+        repayments, posted as one batch. The changes must leave
+        sum(deposit - debt) unchanged (equal totals), so money is only
+        moved, lent or repaid, never created.
+        """
+        agent = self._agents(agent)
+        dep_change, debt_change = _signed(dep_change), _signed(debt_change)
+        if not len(agent) == len(dep_change) == len(debt_change):
+            raise ValueError("agent and change lengths differ")
+        if len(np.unique(agent)) != len(agent):
+            raise ValueError("settle_many takes each agent at most once")
+        if sum(dep_change.tolist()) != sum(debt_change.tolist()):
+            raise ValueError("deposit and debt changes differ in total: money would not be conserved")
+        self._commit(agent, dep_delta=dep_change, debt_delta=debt_change)
 
     def annihilate_many(self, bankrupt) -> None:
         """Write off accounts: deposit and debt both go to zero.
@@ -317,12 +351,16 @@ class Ledger:
     # -- snapshots -----------------------------------------------------------
 
     def copy(self) -> "Ledger":
-        clone = Ledger.__new__(Ledger)
-        clone._dep = self._dep.copy()
-        clone._debt = self._debt.copy()
-        clone._bank_equity = self._bank_equity
-        clone._base_money = self._base_money
-        return clone
+        return Ledger._of(self._dep.copy(), self._debt.copy(), self._bank_equity, self._base_money)
+
+    @classmethod
+    def _of(cls, dep, debt, equity: Money, base: Money) -> "Ledger":
+        """A ledger on the given int64 columns, unchecked."""
+        led = cls.__new__(cls)
+        led._dep, led._debt = dep, debt
+        led._net = np.zeros(len(dep), dtype=np.int64)
+        led._bank_equity, led._base_money = equity, base
+        return led
 
     def write_csv(self, path) -> None:
         """Dump ``agent_id,deposit,debt`` rows plus equity/base trailers."""
@@ -356,9 +394,4 @@ class Ledger:
                     debts.append(int(b))
         if equity is None or base is None:
             raise ValueError("snapshot missing #bank_equity/#base_money trailers")
-        clone = cls.__new__(cls)
-        clone._dep = _money(deposits)
-        clone._debt = _money(debts)
-        clone._bank_equity = equity
-        clone._base_money = base
-        return clone
+        return cls._of(_money(deposits), _money(debts), equity, base)

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finphase.cli import _write_json, dispatch, parse_config_file
@@ -204,6 +205,22 @@ class TestAnalyzeCommand:
         assert not out.exists() and not hist.exists()
         assert run_cli("analyze", str(csv_path)) == 1
         assert "NaN" not in capsys.readouterr().out
+
+    def test_non_finite_metric_writes_no_output(self, tmp_path, capsys):
+        # finite points whose spread overflows float64: std_x is inf
+        csv_path = tmp_path / "phase_t1.csv"
+        csv_path.write_text("firm_id,x,y\n0,1e200,0.1\n1,-1e200,0.0\n2,0.3,0.2\n")
+        out = tmp_path / "metrics.json"
+        hist = tmp_path / "hist.csv"
+        with np.errstate(all="ignore"):
+            code = run_cli(
+                "analyze", str(csv_path), "--out", str(out), "--hist-out", str(hist)
+            )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert not out.exists() and not hist.exists()
 
 
 class TestInterestAndReserves:

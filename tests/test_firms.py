@@ -16,6 +16,7 @@ from finphase.firms import (
     run,
     step,
 )
+from finphase.ledger import MONEY_MAX
 
 from conftest import conservation_oracle
 
@@ -201,6 +202,41 @@ class TestTransactionalStep:
         step(state)
         assert state.t == 1
         assert snapshot(state) != before
+
+
+class TestInvestmentSettlement:
+    """Phase 4 posts its loans, purchases and repayments as one net
+    batch, so a step succeeds exactly when the one-at-a-time postings in
+    firm-id order would."""
+
+    def economy(self, lender):
+        # Two firms, no wages, consumption or interest. Firm `lender` is a
+        # C firm holding 2**63 - 1 - 10 and owing 2000; the other is a B
+        # firm that borrows 1000 to buy capital goods from it.
+        config = EconomyConfig(
+            n_firms=2, n_workers=0, base_money=MONEY_MAX, wage=0, interest_rate=0.0,
+            depreciation=0.0, capitalist_consumption_fraction=0.0,
+        )
+        state = init_economy(config)
+        state.ledger.pay_from_bank(lender, MONEY_MAX - 2010)
+        state.ledger.create_loan(lender, 2000)
+        state.last_profit[1 - lender] = 1000
+        return state
+
+    def test_lender_repays_before_the_purchase_arrives(self):
+        state = self.economy(lender=0)
+        rec = step(state)
+        assert rec.class_counts == (0, 1, 1)
+        assert rec.conservation_residual == 0
+        assert list(state.ledger.accounts()) == [(0, (MONEY_MAX - 1010, 0)), (1, (0, 1000))]
+        assert state.capital.tolist() == [3000, 4000]
+
+    def test_purchase_before_the_repayment_overflows(self):
+        state = self.economy(lender=1)
+        before = snapshot(state)
+        with pytest.raises(MoneyOverflow):
+            step(state)
+        assert snapshot(state) == before
 
 
 class TestExactRecord:

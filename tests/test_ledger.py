@@ -491,6 +491,14 @@ class TestBatchEdges:
             led.pay_to_bank_many([0], [2**63])
         assert _state(led) == _state(make_ledger([10, 10]))
 
+    def test_rejected_batch_leaves_no_partial_sums_behind(self):
+        led = make_ledger([10, 0, 0])
+        with pytest.raises(InsufficientFunds):
+            led.transfer_many([0, 1], [1, 2], [10, 11])  # agent 1 nets -1
+        led.transfer_many([0], [2], [4])
+        assert [led.deposit(i) for i in range(3)] == [6, 0, 4]
+        assert led.conservation_residual() == 0
+
     def test_column_views_are_read_only_and_follow_postings(self):
         led = make_ledger([10, 0])
         dep = led.deposits
@@ -500,3 +508,50 @@ class TestBatchEdges:
         assert dep.tolist() == [6, 4]
         led.create_loan(1, 3)
         assert led.debts.tolist() == [0, 3]
+
+
+class TestSettle:
+    def test_equals_the_gross_postings(self):
+        # agent 1 borrows 30 and pays it to agent 0, which repays 25
+        led = make_ledger([20, 0, 5])
+        led.create_loan(0, 25)
+        gross = led.copy()
+        gross.create_loan(1, 30)
+        gross.transfer(1, 0, 30)
+        gross.repay_loan(0, 25)
+        led.settle_many([0, 1], [30 - 25, 0], [-25, 30])
+        assert _state(led) == _state(gross)
+        assert conservation_oracle(led) == 0
+
+    def test_net_result_may_pass_through_money_max(self):
+        # Agent 0 holds MONEY_MAX - 10 and owes 2000. Receiving 1000
+        # before repaying would overflow; the net result fits.
+        led = Ledger(2, MONEY_MAX, [MONEY_MAX - 2010, 0])
+        led.create_loan(0, 2000)
+        gross = led.copy()
+        gross.create_loan(1, 1000)
+        with pytest.raises(MoneyOverflow):
+            gross.transfer(1, 0, 1000)
+        led.settle_many([0, 1], [1000 - 2000, 0], [-2000, 1000])
+        assert _state(led)[0] == [(0, (MONEY_MAX - 1010, 0)), (1, (0, 1000))]
+        assert led.conservation_residual() == 0
+
+    @pytest.mark.parametrize(
+        "agents, dep_change, debt_change, error",
+        [
+            ([0, 0], [1, -1], [0, 0], ValueError),  # repeated agent
+            ([0], [5], [4], ValueError),  # would create money
+            ([0, 1], [-16, 16], [0, 0], InsufficientFunds),
+            ([0, 1], [-5, 0], [-6, 1], NoSuchDebt),
+            ([0, 1], [MONEY_MAX, 0], [0, MONEY_MAX], MoneyOverflow),
+            ([0], [2**63], [2**63], MoneyOverflow),  # change beyond int64
+            ([0], [1, 2], [3], ValueError),
+        ],
+    )
+    def test_rejected_settlement_writes_nothing(self, agents, dep_change, debt_change, error):
+        led = make_ledger([10, 0], base_money=MONEY_MAX)
+        led.create_loan(0, 5)
+        before = _state(led)
+        with pytest.raises(error):
+            led.settle_many(agents, dep_change, debt_change)
+        assert _state(led) == before
