@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -59,6 +60,36 @@ def _grid_from_args(args) -> phase.GridSpec:
         return phase.GridSpec.default()
     x0, x1, y0, y1, nx, ny = args.grid
     return phase.GridSpec(float(x0), float(x1), float(y0), float(y1), int(nx), int(ny))
+
+
+def _csv_rows(path, width: int) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank row of a CSV with ``#``
+    comments; a row with another number of fields is a ParseError."""
+    rows = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if len(fields) != width:
+                raise ParseError(lineno, f"{path}: expected {width} fields, got {len(fields)}")
+            rows.append((lineno, fields))
+    return rows
+
+
+def _finite_floats(path, lineno: int, names, fields) -> list[float]:
+    """``fields`` as finite floats; anything else is a ParseError naming
+    the line and the column."""
+    values = []
+    for name, text in zip(names, fields):
+        try:
+            values.append(float(text))
+        except ValueError:
+            values.append(math.nan)
+        if not math.isfinite(values[-1]):
+            raise ParseError(lineno, f"{path}: {name} must be a finite number, got {text!r}")
+    return values
 
 
 def parse_config_file(path, config_cls):
@@ -188,24 +219,20 @@ def _cmd_firms(args) -> int:
     config = _economy_config_from_args(args)
     grid = _grid_from_args(args)
     records = firms.run(config)
+    series = ["t,entropy,rentier_fraction,std_x,bankruptcies,class_A,class_B,class_C\n"]
+    for rec in records:  # a degenerate sample fails here, before any output
+        h = phase.entropy(phase.bin_phase(rec.points, grid))
+        metrics = phase.tail_metrics(rec.points)
+        a, b, c = rec.class_counts
+        series.append(
+            f"{rec.t},{h!r},{metrics.rentier_fraction!r},"
+            f"{metrics.std_x!r},{rec.bankruptcies},{a},{b},{c}\n"
+        )
     outdir = _outdir(args)
     manifest = _Manifest("firms", dataclasses.asdict(config), config.seed)
 
     series_path = outdir / "series.csv"
-    with open(series_path, "w") as fh:
-        fh.write(
-            "t,entropy,rentier_fraction,std_x,bankruptcies,"
-            "class_A,class_B,class_C\n"
-        )
-        for rec in records:
-            hist = phase.bin_phase(rec.points, grid)
-            h = phase.entropy(hist)
-            metrics = phase.tail_metrics(rec.points)
-            a, b, c = rec.class_counts
-            fh.write(
-                f"{rec.t},{h!r},{metrics.rentier_fraction!r},"
-                f"{metrics.std_x!r},{rec.bankruptcies},{a},{b},{c}\n"
-            )
+    series_path.write_text("".join(series))
     manifest.add_output(series_path)
     for rec in records:
         p = outdir / f"phase_t{rec.t}.csv"
@@ -289,42 +316,29 @@ def _cmd_macro(args) -> int:
     unit = "%" if args.percent else ""
     if args.cagr:
         ts, levels = [], []
-        with open(args.cagr) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                a, b = line.split(",")
-                try:
-                    ts.append(float(a))
-                except ValueError:
-                    continue  # header row
-                levels.append(float(b))
+        for k, (lineno, fields) in enumerate(_csv_rows(args.cagr, 2)):
+            try:
+                float(fields[0])
+            except ValueError:
+                if k == 0:
+                    continue  # header row; a later one fails below
+            t, level = _finite_floats(args.cagr, lineno, ("t", "level"), fields)
+            ts.append(t)
+            levels.append(level)
         growth = macro.cagr(ts, levels)
         print(f"cagr = {growth * scale:.12g}{unit}")
         return 0
     if args.table:
         if args.out is None:
             raise InvalidConfig("--table needs --out for the result CSV")
-        rows = []
-        with open(args.table) as fh:
-            header = None
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = [p.strip() for p in line.split(",")]
-                if header is None:
-                    header = parts
-                    expected = ["year", "g_L", "g_P", "d", "lambda"]
-                    if header != expected:
-                        raise InvalidConfig(
-                            f"table header must be {','.join(expected)}"
-                        )
-                    continue
-                year = parts[0]
-                g_L, g_P, d, lam = (float(p) for p in parts[1:])
-                rows.append((year, g_L, g_P, d, lam))
+        expected = ["year", "g_L", "g_P", "d", "lambda"]
+        table = _csv_rows(args.table, len(expected))
+        if table and table[0][1] != expected:
+            raise InvalidConfig(f"table header must be {','.join(expected)}")
+        rows = [
+            (year, *_finite_floats(args.table, lineno, expected[1:], values))
+            for lineno, (year, *values) in table[1:]
+        ]
         if not rows:
             raise InvalidConfig("table has no data rows")
         reference = (
@@ -332,21 +346,21 @@ def _cmd_macro(args) -> int:
             if args.reference is not None
             else macro.equilibrium_rate(rows[0][1], rows[0][2], rows[0][3], rows[0][4])
         )
-        with open(args.out, "w") as fh:
-            fh.write("year,R_star,g_P_required_vs_reference\n")
-            for year, g_L, g_P, d, lam in rows:
-                r_star = macro.equilibrium_rate(g_L, g_P, d, lam)
-                g_req = macro.required_productivity(reference, lam, g_L, d)
-                fh.write(f"{year},{r_star!r},{g_req!r}\n")
+        lines = ["year,R_star,g_P_required_vs_reference\n"]
+        for year, g_L, g_P, d, lam in rows:  # every row is checked before the file opens
+            r_star = macro.equilibrium_rate(g_L, g_P, d, lam)
+            g_req = macro.required_productivity(reference, lam, g_L, d)
+            lines.append(f"{year},{r_star!r},{g_req!r}\n")
+        Path(args.out).write_text("".join(lines))
         print(f"macro: wrote {len(rows)} rows to {args.out}")
         return 0
-    if None in (args.gL, args.gP, args.d, args.lam):
+    if None in (args.gL, args.gP, args.d, args.lambda_):
         raise InvalidConfig("macro needs --gL --gP --d --lambda (or --table/--cagr)")
-    r_star = macro.equilibrium_rate(args.gL, args.gP, args.d, args.lam)
+    r_star = macro.equilibrium_rate(args.gL, args.gP, args.d, args.lambda_)
     print(f"R* = {r_star * scale:.12g}{unit}")
     if args.r0 is not None:
         series = macro.profit_rate_trajectory(
-            args.r0, args.gL, args.gP, args.d, args.lam, args.dt, args.steps
+            args.r0, args.gL, args.gP, args.d, args.lambda_, args.dt, args.steps
         )
         if args.out:
             with open(args.out, "w") as fh:
@@ -441,6 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--manifest", action="store_true", help="also write manifest.json"
         )
 
+    def add_grid(p):
+        p.add_argument(
+            "--grid",
+            nargs=6,
+            metavar=("XMIN", "XMAX", "YMIN", "YMAX", "NX", "NY"),
+            default=None,
+            help="phase-plane extent and bin counts",
+        )
+
     p = sub.add_parser("exchange", help="conservative random pairwise exchange")
     add_common(p)
     p.add_argument("--agents", type=int, default=10000)
@@ -466,22 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--initial-capital", type=int, default=None)
     p.add_argument("--churn", type=float, default=None)
-    p.add_argument(
-        "--grid",
-        nargs=6,
-        metavar=("XMIN", "XMAX", "YMIN", "YMAX", "NX", "NY"),
-        default=None,
-    )
+    add_grid(p)
     p.set_defaults(func=_cmd_firms)
 
     p = sub.add_parser("analyze", help="entropy and tail metrics of phase CSVs")
     p.add_argument("files", nargs="+")
-    p.add_argument(
-        "--grid",
-        nargs=6,
-        metavar=("XMIN", "XMAX", "YMIN", "YMAX", "NX", "NY"),
-        default=None,
-    )
+    add_grid(p)
     p.add_argument("--out", default=None, help="write metrics JSON here")
     p.add_argument("--hist-out", default=None, help="write combined histogram CSV")
     p.set_defaults(func=_cmd_analyze)
@@ -490,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gL", type=float, default=None)
     p.add_argument("--gP", type=float, default=None)
     p.add_argument("--d", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lambda_", type=float, default=None)
     p.add_argument("--r0", type=float, default=None, help="also integrate from R0")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--steps", type=int, default=10000)
@@ -541,6 +554,9 @@ def dispatch(argv) -> int:
     except SystemExit as exc:  # argparse handles --help/usage errors
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():  # --lambda is stored as lambda_
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfig(f"{name.rstrip('_')} must be finite, got {value}")
         return args.func(args)
     except FinphaseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,63 +31,19 @@ class MoneyOverflow(FinphaseError):
     """Result of a money operation left the signed 64-bit range."""
 
 
-# --- simulation configs ---------------------------------------------------
+# --- preconditions and samples --------------------------------------------
 
 class InvalidConfig(FinphaseError):
-    """Configuration violates a documented precondition."""
+    """A configuration value or function parameter violates a documented
+    precondition; the message names the parameter."""
 
 
 class DegenerateSample(FinphaseError):
-    """Sample carries no usable signal (e.g. all-zero wealth)."""
+    """Sample carries no usable signal (e.g. all-zero wealth, an empty
+    histogram, too few points)."""
 
 
-# --- phase analytics ------------------------------------------------------
-
-class EmptyHistogram(FinphaseError):
-    """Histogram holds no in-range points."""
-
-
-class TooFewPoints(FinphaseError):
-    """Statistic needs more data points than were supplied."""
-
-
-# --- macro rates ----------------------------------------------------------
-
-class NonpositiveCapital(FinphaseError):
-    """Capital stock must be > 0."""
-
-
-class NonpositiveLambda(FinphaseError):
-    """Investment/profit ratio must be > 0."""
-
-
-class NonpositiveInitialRate(FinphaseError):
-    """Trajectory start rate must be > 0."""
-
-
-class NonpositiveStep(FinphaseError):
-    """Step size must be > 0."""
-
-
-class NonpositiveLevel(FinphaseError):
-    """Growth-rate computation needs strictly positive levels."""
-
-
-# --- bank interest --------------------------------------------------------
-
-class NonpositiveSigma(FinphaseError):
-    """Excursion standard deviation must be > 0."""
-
-
-class LoanExceedsReserves(FinphaseError):
-    """Loan larger than the pre-loan reserves."""
-
-
-class NonpositiveLoan(FinphaseError):
-    """Interest floor needs a loan > 0."""
-
-
-# --- sector tables --------------------------------------------------------
+# --- input files and sector tables ----------------------------------------
 
 class ParseError(FinphaseError):
     """Malformed input file; carries the 1-based line number."""

@@ -42,7 +42,8 @@ One economy instance is sequential; independent seeds are independent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,18 +74,14 @@ class EconomyConfig:
 
     interest_rate and depreciation are per step; investment_margin is the
     annual spread over the annualised interest rate that marks a firm as
-    a voluntary borrower. ``markup`` is validated but unused by the
-    current revenue rule (revenue is whatever consumption and investment
-    spending arrives; there are no posted prices); it is kept for
-    price-setting variants. ``initial_capital`` is the book value of a
-    fresh firm's equipment.
+    a voluntary borrower. ``initial_capital`` is the book value of a
+    fresh firm's equipment. Every float field must be finite.
     """
 
     n_firms: int = 1000
     n_workers: int = 10000
     base_money: Money = 10**9
     wage: Money = 100
-    markup: float = 1.0
     interest_rate: float = 0.005
     investment_margin: float = 0.01
     depreciation: float = 0.01
@@ -95,6 +92,9 @@ class EconomyConfig:
     customer_churn: float = 0.0
 
     def validate(self) -> None:
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfig(f"{name} must be finite, got {value}")
         if self.n_firms < 1:
             raise InvalidConfig("n_firms must be >= 1")
         if self.n_workers < 0:
@@ -103,8 +103,6 @@ class EconomyConfig:
             raise InvalidConfig("base_money must be >= 0")
         if not 0 <= self.wage <= MONEY_MAX:
             raise InvalidConfig("wage must be in [0, 2**63 - 1]")
-        if self.markup <= 0:
-            raise InvalidConfig("markup must be > 0")
         if self.interest_rate < 0:
             raise InvalidConfig("interest_rate must be >= 0")
         if self.investment_margin < 0:

@@ -16,12 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    LoanExceedsReserves,
-    NonpositiveLoan,
-    NonpositiveSigma,
-    NonpositiveStep,
-)
+from .errors import InvalidConfig
 from .ledger import Money
 
 
@@ -33,8 +28,8 @@ class ReserveRiskModel:
     mean_excursion: float = 0.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise NonpositiveSigma(f"sigma must be > 0, got {self.sigma}")
+        if not self.sigma > 0:
+            raise InvalidConfig(f"sigma must be > 0, got {self.sigma}")
         if self.reserves < 0:
             raise ValueError("reserves must be >= 0")
 
@@ -62,9 +57,7 @@ def excursion_exceedance(model: ReserveRiskModel, loan: Money) -> float:
     if loan < 0:
         raise ValueError("loan must be >= 0")
     if loan > model.reserves:
-        raise LoanExceedsReserves(
-            f"loan {loan} exceeds reserves {model.reserves}"
-        )
+        raise InvalidConfig(f"loan {loan} exceeds reserves {model.reserves}")
     hi = gaussian_cdf(-(model.reserves - loan), model.mean_excursion, model.sigma)
     lo = gaussian_cdf(-model.reserves, model.mean_excursion, model.sigma)
     return max(hi - lo, 0.0)
@@ -78,8 +71,8 @@ def expected_loan_cost(model: ReserveRiskModel, loan: Money) -> float:
 def min_interest_rate(model: ReserveRiskModel, loan: Money) -> float:
     """Lower bound on the rational annual interest rate: expected cost of
     the loan divided by the loan."""
-    if loan <= 0:
-        raise NonpositiveLoan(f"loan must be > 0, got {loan}")
+    if not loan > 0:
+        raise InvalidConfig(f"loan must be > 0, got {loan}")
     return expected_loan_cost(model, loan) / loan
 
 
@@ -90,8 +83,8 @@ def reserve_path(
 
     The law is exactly linear, so the path carries no integration error.
     """
-    if dt <= 0:
-        raise NonpositiveStep(f"dt must be > 0, got {dt}")
+    if not dt > 0:
+        raise InvalidConfig(f"dt must be > 0, got {dt}")
     if n < 0:
         raise ValueError("n must be >= 0")
     flow = params.G - params.Tx - params.S

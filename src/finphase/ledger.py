@@ -44,6 +44,7 @@ from .errors import (
     InsufficientFunds,
     MoneyOverflow,
     NoSuchDebt,
+    ParseError,
     SelfTransfer,
     UnknownAgent,
 )
@@ -374,24 +375,44 @@ class Ledger:
 
     @classmethod
     def read_csv(cls, path) -> "Ledger":
-        """Rebuild a ledger from :meth:`write_csv` output."""
-        deposits: list[Money] = []
-        debts: list[Money] = []
-        equity = None
-        base = None
+        """Rebuild a ledger from :meth:`write_csv` output.
+
+        Each row must be ``agent_id,deposit,debt`` for the next agent id
+        with both balances in [0, MONEY_MAX], the base money in that range
+        and the bank equity in the signed 64-bit range, and the bank equity
+        must leave a zero conservation residual; anything else is a
+        ParseError naming the line.
+        """
+        rows: list[list[Money]] = []  # [deposit, debt] per agent
+        trailers: dict[str, tuple[int, Money]] = {}
+        lowest = {"#bank_equity": MONEY_MIN, "#base_money": 0}
         with open(path, newline="") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("agent_id"):
                     continue
-                if line.startswith("#bank_equity,"):
-                    equity = int(line.split(",", 1)[1])
-                elif line.startswith("#base_money,"):
-                    base = int(line.split(",", 1)[1])
+                key, *fields = line.split(",")
+                try:
+                    values = [int(v) for v in fields]
+                except ValueError:
+                    values = []  # malformed, reported below
+                n = len(rows)
+                if key in lowest and len(values) == 1:
+                    ok = lowest[key] <= values[0] <= MONEY_MAX
+                    trailers[key] = (lineno, values[0])
                 else:
-                    _, d, b = line.split(",")
-                    deposits.append(int(d))
-                    debts.append(int(b))
-        if equity is None or base is None:
+                    ok = key == str(n) and len(values) == 2
+                    ok = ok and 0 <= min(values) <= max(values) <= MONEY_MAX
+                    rows.append(values)
+                if not ok:
+                    want = f"'{n},deposit,debt' or a trailer, in range"
+                    raise ParseError(lineno, f"{path}: expected {want}; got {line!r}")
+        if len(trailers) != 2:
             raise ValueError("snapshot missing #bank_equity/#base_money trailers")
-        return cls._of(_money(deposits), _money(debts), equity, base)
+        (lineno, equity), (_, base) = trailers["#bank_equity"], trailers["#base_money"]
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 2).T.copy()
+        led = cls._of(cols[0], cols[1], equity, base)
+        residual = led.conservation_residual()
+        if residual:
+            raise ParseError(lineno, f"{path}: bank equity leaves conservation residual {residual}")
+        return led

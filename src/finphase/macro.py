@@ -12,14 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    NonpositiveCapital,
-    NonpositiveInitialRate,
-    NonpositiveLambda,
-    NonpositiveLevel,
-    NonpositiveStep,
-    TooFewPoints,
-)
+from .errors import DegenerateSample, InvalidConfig
 
 
 @dataclass(frozen=True)
@@ -52,16 +45,16 @@ class RateSeries:
 
 def average_profit_rate(p: MacroParams) -> float:
     """R = rho * L / K."""
-    if p.K <= 0:
-        raise NonpositiveCapital(f"K must be > 0, got {p.K}")
+    if not p.K > 0:
+        raise InvalidConfig(f"K must be > 0, got {p.K}")
     return p.rho * p.L / p.K
 
 
 def equilibrium_rate(g_L: float, g_P: float, d: float, lambda_: float) -> float:
     """R* = (g_L + g_P + d) / lambda; the fixed point of the profit-rate
     growth dynamics."""
-    if lambda_ <= 0:
-        raise NonpositiveLambda(f"lambda must be > 0, got {lambda_}")
+    if not lambda_ > 0:
+        raise InvalidConfig(f"lambda must be > 0, got {lambda_}")
     return (g_L + g_P + d) / lambda_
 
 
@@ -97,14 +90,14 @@ def profit_rate_trajectory(
     The dynamics are logistic with fixed point R* = (g_L+g_P+d)/lambda, so
     the closed-form solution is available as an independent test oracle.
     """
-    if R0 <= 0:
-        raise NonpositiveInitialRate(f"R0 must be > 0, got {R0}")
-    if dt <= 0:
-        raise NonpositiveStep(f"dt must be > 0, got {dt}")
+    if not R0 > 0:
+        raise InvalidConfig(f"R0 must be > 0, got {R0}")
+    if not dt > 0:
+        raise InvalidConfig(f"dt must be > 0, got {dt}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if lambda_ <= 0:
-        raise NonpositiveLambda(f"lambda must be > 0, got {lambda_}")
+    if not lambda_ > 0:
+        raise InvalidConfig(f"lambda must be > 0, got {lambda_}")
     a = g_L + g_P + d
 
     def f(r: float) -> float:
@@ -128,13 +121,13 @@ def cagr(t: Sequence[float], levels: Sequence[float]) -> float:
     """Compound annual growth rate between the first and last points:
     (v_end / v_start) ** (1 / (t_end - t_start)) - 1."""
     if len(t) < 2 or len(levels) < 2:
-        raise TooFewPoints("cagr needs at least 2 points")
+        raise DegenerateSample("cagr needs at least 2 points")
     if len(t) != len(levels):
         raise ValueError("t and levels must have equal length")
-    if any(b <= a for a, b in zip(t, t[1:])):
+    if any(not b > a for a, b in zip(t, t[1:])):
         raise ValueError("t must be strictly increasing")
     for v in levels:
-        if v <= 0:
-            raise NonpositiveLevel(f"levels must be > 0, got {v}")
+        if not v > 0:
+            raise InvalidConfig(f"levels must be > 0, got {v}")
     span = t[-1] - t[0]
     return math.exp(math.log(levels[-1] / levels[0]) / span) - 1.0

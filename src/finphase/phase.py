@@ -13,18 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .errors import EmptyHistogram, TooFewPoints
-
-
-class PhasePoint(NamedTuple):
-    """(debt ratio, per-step normalized debt change) for one agent."""
-
-    x: float
-    y: float
+from .errors import DegenerateSample
 
 
 # Default window: covers the bankruptcy wall at x = 1 plus a long
@@ -43,8 +36,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("grid extent must be non-empty")
+        inf = math.inf
+        if not (-inf < self.x_min < self.x_max < inf and -inf < self.y_min < self.y_max < inf):
+            raise ValueError("grid extent must be finite and non-empty")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("bin counts must be >= 1")
 
@@ -73,9 +67,9 @@ class TailMetrics:
     skew_x: float
 
 
-def bin_phase(points: Sequence[PhasePoint], grid: GridSpec) -> PhaseHistogram:
-    """Bin points on the grid; bins are half-open [lo, hi) except the top
-    edge of the last bin in each axis, which is inclusive."""
+def bin_phase(points: ArrayLike, grid: GridSpec) -> PhaseHistogram:
+    """Bin (n, 2) (x, y) points on the grid; bins are half-open [lo, hi)
+    except the top edge of the last bin in each axis, which is inclusive."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     total = len(pts)
     if total == 0:
@@ -110,17 +104,17 @@ def entropy(hist: PhaseHistogram) -> float:
     """
     n = hist.in_range
     if n < 1:
-        raise EmptyHistogram("entropy needs at least one in-range point")
+        raise DegenerateSample("entropy needs at least one in-range point")
     c = hist.counts[hist.counts > 0].astype(float)
     p = c / n
     return float(-(p * np.log(p)).sum()) + 0.0
 
 
-def tail_metrics(points: Sequence[PhasePoint]) -> TailMetrics:
-    """Sample statistics of the debt-ratio marginal {x}."""
+def tail_metrics(points: ArrayLike) -> TailMetrics:
+    """Sample statistics of the debt-ratio marginal {x} of (n, 2) points."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 2:
-        raise TooFewPoints(f"need >= 2 points, got {len(pts)}")
+        raise DegenerateSample(f"need >= 2 points, got {len(pts)}")
     x = pts[:, 0]
     mean = float(x.mean())
     centered = x - mean

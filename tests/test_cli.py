@@ -1,6 +1,7 @@
 """CLI: routing, exit codes, output formats, and reproducibility."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,75 @@ class TestMacroCommand:
         assert lines[0] == "t,R"
         assert len(lines) == 2002
 
+    @pytest.mark.parametrize("row", ["abc,7", "2,4.0,1"])
+    def test_cagr_bad_row_names_the_line(self, tmp_path, capsys, row):
+        levels = tmp_path / "levels.csv"
+        levels.write_text(f"t,level\n0,1.0\n{row}\n3,4.0\n")
+        assert run_cli("macro", "--cagr", str(levels)) == 1
+        assert capsys.readouterr().err.startswith("error: line 3:")
+
+    def test_table_row_shape_names_the_line(self, tmp_path, capsys):
+        table = tmp_path / "params.csv"
+        table.write_text("year,g_L,g_P,d,lambda\n1964,0.02,0.03,0.10,0.60\n2000,0.0\n")
+        out = tmp_path / "decomp.csv"
+        assert run_cli("macro", "--table", str(table), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: line 3:")
+        assert not out.exists()
+
+    def test_table_bad_later_row_writes_no_output(self, tmp_path, capsys):
+        table = tmp_path / "params.csv"
+        table.write_text("year,g_L,g_P,d,lambda\n1964,0.02,0.03,0.10,0.60\n2000,0,0,0.1,0\n")
+        out = tmp_path / "decomp.csv"
+        assert run_cli("macro", "--table", str(table), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: lambda must be > 0, got 0.0\n"
+        assert not out.exists()
+
+    def test_parameter_error_message(self, capsys):
+        code = run_cli(
+            "macro", "--gL", "0.02", "--gP", "0.03", "--d", "0.10", "--lambda", "0",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: lambda must be > 0, got 0.0\n"
+
+
+FIRMS = ["firms", "--firms", "5", "--workers", "20", "--steps", "2", "--outdir", "{out}"]
+MACRO = ["macro", "--gP", "0.03", "--d", "0.1", "--r0", "0.1", "--out", "{out}/r.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (FIRMS + ["--margin", "nan"], "margin must be finite"),
+        (FIRMS + ["--interest-rate", "nan"], "interest_rate must be finite"),
+        (FIRMS + ["--grid", "-10", "inf", "-1", "1", "10", "10"], "grid extent"),
+        (MACRO + ["--gL", "nan", "--lambda", "0.6"], "gL must be finite"),
+        (MACRO + ["--gL", "0.02", "--lambda", "inf"], "lambda must be finite"),
+        (["macro", "--cagr", "{levels}"], "line 3: .*level must be a finite number"),
+        (["macro", "--table", "{table}", "--out", "{out}/t.csv"],
+         "line 2: .*d must be a finite number"),
+        (["reserves", "--b0", "1", "--g", "1", "--tax", "1", "--sales", "1",
+          "--dt", "nan", "--outdir", "{out}"], "dt must be finite"),
+        (["interest", "--capital", "5", "--reserves", "3", "--loan", "1",
+          "--sigma", "inf", "--out", "{out}/i.json"], "sigma must be finite"),
+        (["firms", "--firms", "1", "--workers", "2", "--steps", "1", "--outdir", "{out}"],
+         "need >= 2 points"),
+    ],
+    ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
+         "one_firm"],
+)
+def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message):
+    levels = tmp_path / "levels.csv"
+    levels.write_text("t,level\n0,1.0\n1,nan\n")
+    table = tmp_path / "params.csv"
+    table.write_text("year,g_L,g_P,d,lambda\n1964,0.02,0.03,inf,0.60\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.format(out=out, levels=levels, table=table) for a in argv]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert re.match(f"error: {message}", err), err
+    assert list(out.iterdir()) == []
+
 
 class TestExchangeCommand:
     def test_outputs_and_fit(self, tmp_path):
@@ -167,6 +237,22 @@ class TestFirmsCommand:
         with pytest.raises(InvalidConfig):
             parse_config_file(cfg, EconomyConfig)
         assert run_cli("firms", "--config", str(cfg), "--outdir", str(tmp_path)) == 1
+
+    def test_markup_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("n_firms = 10\nmarkup = 1.0\n")
+        out = tmp_path / "out"
+        assert run_cli("firms", "--config", str(cfg), "--outdir", str(out)) == 1
+        assert "unknown key 'markup'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_config_value_writes_no_output(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("n_firms = 5\nn_workers = 20\ninterest_rate = nan\n")
+        out = tmp_path / "out"
+        assert run_cli("firms", "--config", str(cfg), "--outdir", str(out)) == 1
+        assert capsys.readouterr().err == "error: interest_rate must be finite, got nan\n"
+        assert not out.exists()
 
 
 class TestAnalyzeCommand:

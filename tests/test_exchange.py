@@ -157,7 +157,7 @@ class TestEquilibrium:
                         n_agents=2000, initial_money=1000, n_events=n_events, seed=seed
                     )
                 )
-                pts = [phase.PhasePoint(float(m), 0.0) for m in w.money]
+                pts = [(float(m), 0.0) for m in w.money]
                 hs.append(phase.entropy(phase.bin_phase(pts, grid)))
             medians.append(statistics.median(hs))
         assert medians[0] < medians[1] <= medians[2] + 0.02

@@ -67,8 +67,6 @@ class TestInitEconomy:
         with pytest.raises(InvalidConfig):
             init_economy(small_config(n_firms=0))
         with pytest.raises(InvalidConfig):
-            init_economy(small_config(markup=0.0))
-        with pytest.raises(InvalidConfig):
             init_economy(small_config(depreciation=1.0))
         with pytest.raises(InvalidConfig):
             init_economy(small_config(capitalist_consumption_fraction=1.5))
@@ -76,6 +74,10 @@ class TestInitEconomy:
             init_economy(small_config(initial_capital=0))
         with pytest.raises(InvalidConfig):
             init_economy(small_config(customer_churn=-0.1))
+        with pytest.raises(InvalidConfig, match="^interest_rate must be finite"):
+            init_economy(small_config(interest_rate=float("nan")))
+        with pytest.raises(InvalidConfig, match="^investment_margin must be finite"):
+            init_economy(small_config(investment_margin=float("inf")))
 
 
 class TestClassify:

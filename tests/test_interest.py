@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from finphase.errors import (
-    LoanExceedsReserves,
-    NonpositiveLoan,
-    NonpositiveSigma,
-    NonpositiveStep,
-)
+from finphase.errors import InvalidConfig
 from finphase.interest import (
     ReserveFlowParams,
     ReserveRiskModel,
@@ -83,7 +78,7 @@ class TestExcursionExceedance:
             assert abs(hits - p) <= 4 * se + 1e-9
 
     def test_loan_exceeding_reserves(self):
-        with pytest.raises(LoanExceedsReserves):
+        with pytest.raises(InvalidConfig, match="^loan .* exceeds reserves"):
             excursion_exceedance(BASE_MODEL, 3 * M + 1)
 
     def test_negative_loan(self):
@@ -91,8 +86,10 @@ class TestExcursionExceedance:
             excursion_exceedance(BASE_MODEL, -1)
 
     def test_nonpositive_sigma(self):
-        with pytest.raises(NonpositiveSigma):
+        with pytest.raises(InvalidConfig, match="^sigma"):
             ReserveRiskModel(banker_capital=M, reserves=M, sigma=0.0)
+        with pytest.raises(InvalidConfig, match="^sigma"):
+            ReserveRiskModel(banker_capital=M, reserves=M, sigma=float("nan"))
 
 
 class TestMinInterestRate:
@@ -131,7 +128,7 @@ class TestMinInterestRate:
         assert all(b < a for a, b in zip(rates, rates[1:]))
 
     def test_nonpositive_loan(self):
-        with pytest.raises(NonpositiveLoan):
+        with pytest.raises(InvalidConfig, match="^loan must be > 0"):
             min_interest_rate(BASE_MODEL, 0)
 
 
@@ -151,5 +148,7 @@ class TestReservePath:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_nonpositive_step(self):
-        with pytest.raises(NonpositiveStep):
+        with pytest.raises(InvalidConfig, match="^dt"):
             reserve_path(ReserveFlowParams(B0=0, G=0, Tx=0, S=0), 0.0, 3)
+        with pytest.raises(InvalidConfig, match="^dt"):
+            reserve_path(ReserveFlowParams(B0=0, G=0, Tx=0, S=0), float("nan"), 3)

@@ -10,6 +10,7 @@ from finphase.errors import (
     InsufficientFunds,
     MoneyOverflow,
     NoSuchDebt,
+    ParseError,
     SelfTransfer,
     UnknownAgent,
 )
@@ -242,6 +243,28 @@ class TestSnapshots:
         assert list(clone.accounts()) == list(led.accounts())
         assert clone.bank_equity == led.bank_equity
         assert clone.base_money == led.base_money
+
+    @pytest.mark.parametrize(
+        "body,line,message",
+        [
+            ("0,5,0\n#bank_equity,-95\n#base_money,5\n", 3, "conservation residual -95"),
+            ("0,5,0\n#bank_equity,-9\n#base_money,-4\n", 4, "'#base_money,-4'"),
+            (f"#bank_equity,0\n#base_money,{2**63}\n", 3, "'#base_money,"),
+            (f"#bank_equity,{-(2**63) - 1}\n#base_money,0\n", 2, "'#bank_equity,"),
+            ("0,-5,0\n#bank_equity,5\n#base_money,0\n", 2, "'0,-5,0'"),
+            (f"0,{2**63},0\n#bank_equity,0\n#base_money,0\n", 2, "'0,"),
+            ("0,5\n#bank_equity,0\n#base_money,5\n", 2, "'0,5'"),
+            ("1,5,0\n#bank_equity,0\n#base_money,5\n", 2, "'1,5,0'"),
+            ("0,5,x\n#bank_equity,0\n#base_money,5\n", 2, "'0,5,x'"),
+            ("0,5,0\n#equity,0\n#base_money,5\n", 3, "'#equity,0'"),
+        ],
+    )
+    def test_read_csv_rejects_bad_snapshots(self, tmp_path, body, line, message):
+        path = tmp_path / "snap.csv"
+        path.write_text("agent_id,deposit,debt\n" + body)
+        with pytest.raises(ParseError, match=f"^line {line}: .*{message}") as exc:
+            Ledger.read_csv(path)
+        assert exc.value.line == line
 
     def test_copy_is_independent(self):
         led = make_ledger([10, 10])

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finphase.errors import (
-    NonpositiveCapital,
-    NonpositiveInitialRate,
-    NonpositiveLambda,
-    NonpositiveLevel,
-    NonpositiveStep,
-    TooFewPoints,
-)
+from finphase.errors import DegenerateSample, InvalidConfig
 from finphase.macro import (
     MacroParams,
     average_profit_rate,
@@ -49,7 +42,7 @@ class TestAverageProfitRate:
 
     def test_nonpositive_capital(self):
         p = MacroParams(rho=0.5, L=100.0, K=0.0, g_L=0, g_P=0, d=0, lambda_=1)
-        with pytest.raises(NonpositiveCapital):
+        with pytest.raises(InvalidConfig, match="^K must be > 0"):
             average_profit_rate(p)
 
 
@@ -66,8 +59,10 @@ class TestEquilibriumRate:
         assert equilibrium_rate(0.01, 0.02, 0.05, 0.40) == pytest.approx(0.20)
 
     def test_nonpositive_lambda(self):
-        with pytest.raises(NonpositiveLambda):
+        with pytest.raises(InvalidConfig, match="^lambda must be > 0, got 0.0$"):
             equilibrium_rate(0.02, 0.03, 0.10, 0.0)
+        with pytest.raises(InvalidConfig, match="^lambda"):
+            equilibrium_rate(0.02, 0.03, 0.10, float("nan"))
 
 
 class TestRequiredProductivity:
@@ -154,11 +149,13 @@ class TestTrajectory:
         assert all(b < a for a, b in zip(falling.value, falling.value[1:]))
 
     def test_errors(self):
-        with pytest.raises(NonpositiveInitialRate):
+        with pytest.raises(InvalidConfig, match="^R0"):
             profit_rate_trajectory(0.0, 0.02, 0.03, 0.10, 0.60, 0.01, 10)
-        with pytest.raises(NonpositiveStep):
+        with pytest.raises(InvalidConfig, match="^dt"):
             profit_rate_trajectory(0.05, 0.02, 0.03, 0.10, 0.60, 0.0, 10)
-        with pytest.raises(NonpositiveLambda):
+        with pytest.raises(InvalidConfig, match="^dt"):
+            profit_rate_trajectory(0.05, 0.02, 0.03, 0.10, 0.60, float("nan"), 10)
+        with pytest.raises(InvalidConfig, match="^lambda"):
             profit_rate_trajectory(0.05, 0.02, 0.03, 0.10, 0.0, 0.01, 10)
 
 
@@ -198,9 +195,13 @@ class TestCagr:
         assert base == pytest.approx(shifted, abs=1e-14)
 
     def test_errors(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(DegenerateSample, match="^cagr needs at least 2"):
             cagr([0], [1.0])
-        with pytest.raises(NonpositiveLevel):
+        with pytest.raises(InvalidConfig, match="^levels"):
             cagr([0, 1], [1.0, 0.0])
+        with pytest.raises(InvalidConfig, match="^levels"):
+            cagr([0, 1], [1.0, float("nan")])
         with pytest.raises(ValueError):
             cagr([0, 0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            cagr([0, float("nan")], [1.0, 2.0])

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from finphase import rng
-from finphase.errors import EmptyHistogram, TooFewPoints
+from finphase.errors import DegenerateSample
 from finphase.phase import (
     GridSpec,
     PhaseHistogram,
-    PhasePoint,
     bin_phase,
     entropy,
     read_histogram_csv,
@@ -28,6 +27,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 2.0, 1.0, 10, 10)
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_extent(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(-1.0, bound, 0.0, 1.0, 10, 10)
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(bound, 1.0, 0.0, 1.0, 10, 10)
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(0.0, 1.0, 0.0, bound, 10, 10)
+
     def test_rejects_zero_bins(self):
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 0, 10)
@@ -40,22 +48,22 @@ class TestGridSpec:
 
 class TestBinPhase:
     def test_single_point_at_center(self):
-        hist = bin_phase([PhasePoint(0.55, 0.55)], UNIT_GRID)
+        hist = bin_phase([(0.55, 0.55)], UNIT_GRID)
         assert hist.counts.sum() == 1
         assert hist.counts[5, 5] == 1
         assert hist.total == 1 and hist.out_of_range == 0
 
     def test_top_edge_lands_in_last_bin(self):
-        hist = bin_phase([PhasePoint(1.0, 1.0)], UNIT_GRID)
+        hist = bin_phase([(1.0, 1.0)], UNIT_GRID)
         assert hist.counts[9, 9] == 1
         assert hist.out_of_range == 0
 
     def test_half_open_interior_edges(self):
-        hist = bin_phase([PhasePoint(0.5, 0.0)], UNIT_GRID)
+        hist = bin_phase([(0.5, 0.0)], UNIT_GRID)
         assert hist.counts[5, 0] == 1
 
     def test_out_of_range_counted_not_dropped(self):
-        pts = [PhasePoint(2.0, 0.5), PhasePoint(0.5, 0.5), PhasePoint(-0.1, 0.0)]
+        pts = [(2.0, 0.5), (0.5, 0.5), (-0.1, 0.0)]
         hist = bin_phase(pts, UNIT_GRID)
         assert hist.total == 3
         assert hist.out_of_range == 2
@@ -84,14 +92,14 @@ class TestBinPhase:
 
 class TestEntropy:
     def test_all_mass_one_bin_is_zero(self):
-        hist = bin_phase([PhasePoint(0.5, 0.5)] * 1000, UNIT_GRID)
+        hist = bin_phase([(0.5, 0.5)] * 1000, UNIT_GRID)
         assert entropy(hist) == 0.0
 
     def test_equal_mass_gives_log_n(self):
         pts = []
         for i in range(10):
             for j in range(10):
-                pts.append(PhasePoint(0.05 + 0.1 * i, 0.05 + 0.1 * j))
+                pts.append((0.05 + 0.1 * i, 0.05 + 0.1 * j))
         hist = bin_phase(pts * 3, UNIT_GRID)
         assert entropy(hist) == pytest.approx(math.log(100), rel=1e-12)
 
@@ -117,11 +125,11 @@ class TestEntropy:
         assert h1 == pytest.approx(h3, abs=1e-12)
 
     def test_empty_histogram_raises(self):
-        with pytest.raises(EmptyHistogram):
+        with pytest.raises(DegenerateSample, match="^entropy needs"):
             entropy(bin_phase([], UNIT_GRID))
         # all points out of range also has no in-range mass
-        with pytest.raises(EmptyHistogram):
-            entropy(bin_phase([PhasePoint(5.0, 5.0)], UNIT_GRID))
+        with pytest.raises(DegenerateSample, match="^entropy needs"):
+            entropy(bin_phase([(5.0, 5.0)], UNIT_GRID))
 
     def test_refinement_never_decreases_entropy(self):
         # doubling nx, ny splits each bin: grouping can only add entropy
@@ -139,7 +147,7 @@ class TestEntropy:
         # ny = 1 reduces to the wealth-histogram entropy used for exchange
         money = (rng.uniform_block(30, 0, 10_000) * 4000).tolist()
         grid = GridSpec(0.0, 4000.0, -1.0, 1.0, 50, 1)
-        pts = [PhasePoint(m, 0.0) for m in money]
+        pts = [(m, 0.0) for m in money]
         h2d = entropy(bin_phase(pts, grid))
         counts, _ = np.histogram(money, bins=50, range=(0.0, 4000.0))
         p = counts[counts > 0] / counts.sum()
@@ -149,30 +157,30 @@ class TestEntropy:
 
 class TestTailMetrics:
     def test_all_zero(self):
-        m = tail_metrics([PhasePoint(0.0, 0.0)] * 10)
+        m = tail_metrics([(0.0, 0.0)] * 10)
         assert m.rentier_fraction == 0.0
         assert m.std_x == 0.0
         assert m.skew_x == 0.0
 
     def test_symmetric_pair(self):
-        m = tail_metrics([PhasePoint(-1.0, 0.0), PhasePoint(1.0, 0.0)])
+        m = tail_metrics([(-1.0, 0.0), (1.0, 0.0)])
         assert m.rentier_fraction == 0.5
         assert m.mean_x == 0.0
 
     def test_negative_skew_for_long_left_tail(self):
         xs = [-10.0, -5.0] + [0.1] * 50
-        m = tail_metrics([PhasePoint(x, 0.0) for x in xs])
+        m = tail_metrics([(x, 0.0) for x in xs])
         assert m.skew_x < 0
 
     def test_matches_numpy_moments(self):
         xs = rng.normal_block(77, 0, 5000)
-        m = tail_metrics([PhasePoint(float(x), 0.0) for x in xs])
+        m = tail_metrics([(float(x), 0.0) for x in xs])
         assert m.mean_x == pytest.approx(float(xs.mean()), abs=1e-12)
         assert m.std_x == pytest.approx(float(xs.std()), abs=1e-12)
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
-            tail_metrics([PhasePoint(0.0, 0.0)])
+        with pytest.raises(DegenerateSample, match="^need >= 2 points"):
+            tail_metrics([(0.0, 0.0)])
 
 
 class TestHistogramCsv:
