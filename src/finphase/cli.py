@@ -148,7 +148,6 @@ class _Manifest:
 
 _RULE_NAMES = {
     "pairsplit": exchange.RULE_UNIFORM_PAIR_SPLIT,
-    "fraction": exchange.RULE_UNIFORM_FRACTION,
     "fixed": exchange.RULE_FIXED_AMOUNT,
 }
 
@@ -469,9 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=int, default=10000)
     p.add_argument("--initial-money", type=int, default=1000)
     p.add_argument("--events", type=int, default=10**7)
-    p.add_argument(
-        "--rule", choices=["pairsplit", "fraction", "fixed"], default="pairsplit"
-    )
+    p.add_argument("--rule", choices=list(_RULE_NAMES), default="pairsplit")
     p.add_argument("--amount", type=int, default=1, help="amount for the fixed rule")
     p.set_defaults(func=_cmd_exchange)
 

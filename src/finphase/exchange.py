@@ -1,29 +1,35 @@
 """Conservative random pairwise money exchange.
 
-Agents start with equal endowments; each event picks an ordered
-(payer, payee) pair uniformly at random among distinct agents and
-redistributes money inside the pair, so total money is conserved
-bit-exactly.
+Agents start with equal endowments and money moves only inside pairs of
+distinct agents, so total money is conserved bit-exactly. Two rules are
+provided:
 
-Three rules are provided:
+* ``uniform_pair_split`` (default): a pair's combined money is
+  redistributed uniformly over its integer splits. The run is a sequence
+  of matching rounds: each round draws a uniformly random perfect
+  matching of the agents (with an odd count, one agent sits the round
+  out) and splits all n // 2 disjoint pairs at once, one event per pair.
+  Every pair-split maps the uniform measure on compositions of the total
+  to itself, so the stationary distribution is exactly the
+  maximum-entropy (Gibbs-Boltzmann/exponential) one, reached within a few
+  events per agent (Dragulescu & Yakovenko, "Statistical mechanics of
+  money", Eur. Phys. J. B 17, 2000). The splits of a round touch disjoint
+  agents, so applying them together is the same as applying them in any
+  order.
+* ``fixed_amount``: an ordered (payer, payee) pair is drawn uniformly per
+  event and the payer pays min(fixed_amount, balance). The classic
+  quantum-transfer model; it runs one event at a time, equilibrates to
+  the exponential only over ~(mean/amount)^2 events per agent and leaves
+  a lattice atom at zero of roughly amount/mean, so large runs and small
+  amounts are needed for a close exponential fit.
 
-* ``uniform_pair_split`` (default): the pair's combined money is
-  redistributed uniformly over the integer splits. The chain is symmetric
-  over compositions of the total, so its stationary distribution is
-  exactly the maximum-entropy (Gibbs-Boltzmann/exponential) one, reached
-  within a few events per agent.
-* ``uniform_fraction``: the payer pays floor(u * balance), u ~ U[0,1).
-  Conserves money and is fast, but its stationary distribution is NOT
-  exponential: multiplicative own-balance rules pile mass near zero
-  (measured KS to the exponential plateaus near 0.18 regardless of run
-  length), which is why it is not the default.
-* ``fixed_amount``: the payer pays min(fixed_amount, balance). The
-  classic quantum-transfer model; equilibrates to the exponential only
-  over ~(mean/amount)^2 events per agent and leaves a lattice atom at
-  zero of roughly amount/mean, so large runs and small amounts are needed
-  for a close exponential fit.
+A multiplicative rule such as "pay floor(u * balance)" also conserves
+money but does not relax to the exponential law; the test suite keeps
+it as the counterexample.
 
-A run is strictly sequential; independent seeds can run in parallel.
+Every draw is read from a counter-mode stream at a fixed offset (round
+``r`` uses keys ``r*n ..`` and splits ``r*(n//2) ..``), so the output does
+not depend on how many rounds are drawn per block.
 """
 
 from __future__ import annotations
@@ -34,18 +40,22 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateSample, InvalidConfig
-from .ledger import Money
+from .ledger import MONEY_MAX, Money
 
 RULE_UNIFORM_PAIR_SPLIT = "uniform_pair_split"
-RULE_UNIFORM_FRACTION = "uniform_fraction"
 RULE_FIXED_AMOUNT = "fixed_amount"
 
-_RULES = (RULE_UNIFORM_PAIR_SPLIT, RULE_UNIFORM_FRACTION, RULE_FIXED_AMOUNT)
+_RULES = (RULE_UNIFORM_PAIR_SPLIT, RULE_FIXED_AMOUNT)
 
-# Substream tags for (payer, payee-offset, amount) draws.
-_TAG_PAYER, _TAG_PAYEE, _TAG_AMOUNT = 1, 2, 3
+# Substream tags: (payer, payee-offset) draws of the fixed rule; the
+# pair-split rule's matching keys and split draws.
+_TAG_PAYER, _TAG_PAYEE, _TAG_SPLIT, _TAG_MATCH = 1, 2, 3, 4
 
-_CHUNK = 1_000_000
+# Stream outputs drawn per block: matching keys for the pair-split rule
+# (at least one round), events for the fixed rule. 2**18 keys are 2 MB;
+# larger blocks only raise peak memory (a 1e4-agent run peaks at about
+# 37 MB with 2**18 and 55 MB with 2**20, in the same time).
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,11 @@ class ExchangeConfig:
             raise InvalidConfig("n_agents must be >= 2")
         if self.initial_money < 0:
             raise InvalidConfig("initial_money must be >= 0")
+        if self.n_agents * self.initial_money > MONEY_MAX:
+            raise InvalidConfig(
+                f"total money n_agents * initial_money must be <= {MONEY_MAX}, "
+                f"got {self.n_agents * self.initial_money}"
+            )
         if self.n_events < 0:
             raise InvalidConfig("n_events must be >= 0")
         if self.rule not in _RULES:
@@ -89,47 +104,76 @@ class ExponentialFit:
 def run_exchange(config: ExchangeConfig) -> WealthVector:
     """Run the exchange process; deterministic given the config seed.
 
-    Balances never go negative: a transfer-rule payer with zero balance
+    Balances never go negative: a fixed-rule payer with zero balance
     makes the event a no-op, which still counts as an event.
     """
     config.validate()
+    if config.rule == RULE_UNIFORM_PAIR_SPLIT:
+        money = np.full(config.n_agents, config.initial_money, dtype=np.uint64)
+        _pair_split_rounds(money, config.n_events, config.seed)
+        return WealthVector(money.tolist())
+    return WealthVector(_fixed_amount_events(config))
+
+
+def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
+    """Apply ``n_events`` pair-splits to ``money`` (uint64) in place.
+
+    Round ``r`` keys agent ``i`` with stream output ``r*n + i``, whose low
+    ``b = (n-1).bit_length()`` bits are replaced by ``i``. The keys are
+    then distinct, so sorting them gives one permutation whatever the sort
+    algorithm, and the low bits of the sorted keys are that permutation.
+    Keys whose random high bits tie fall back to id order; that happens
+    with probability below n**2 / 2**(65 - b), far under sampling noise.
+    Pair ``j`` is (perm[2j], perm[2j+1]); the first agent keeps
+    ``draw % (total + 1)``. The last round of a run that is not a whole
+    number of rounds splits its first pairs only.
+    """
+    n = len(money)
+    half = n // 2
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    ids = np.arange(n, dtype=np.uint64)
+    s_match = rng.derive(seed, _TAG_MATCH)
+    s_split = rng.derive(seed, _TAG_SPLIT)
+    whole, rest = divmod(n_events, half)
+    rounds = whole + (rest > 0)
+    per_block = max(1, _BLOCK // n)
+    for r0 in range(0, rounds, per_block):
+        b = min(per_block, rounds - r0)
+        keys = rng.u64_block(s_match, r0 * n, b * n).reshape(b, n)
+        keys &= ~low
+        keys |= ids
+        keys.sort(axis=1)
+        keys &= low
+        perm = keys.view(np.int64)  # agent ids < 2**63: same bits
+        draws = rng.u64_block(s_split, r0 * half, b * half).reshape(b, half)
+        for j in range(b):
+            k = half if r0 + j < whole else rest
+            p = perm[j, 0 : 2 * k : 2]
+            q = perm[j, 1 : 2 * k : 2]
+            # total money <= MONEY_MAX, so total + 1 fits in uint64
+            total = money[p] + money[q]
+            keep = draws[j, :k] % (total + np.uint64(1))
+            money[p] = keep
+            money[q] = total - keep
+
+
+def _fixed_amount_events(config: ExchangeConfig) -> list:
     n = config.n_agents
     money = [config.initial_money] * n
     s_payer = rng.derive(config.seed, _TAG_PAYER)
     s_payee = rng.derive(config.seed, _TAG_PAYEE)
-    s_amount = rng.derive(config.seed, _TAG_AMOUNT)
     fixed = config.fixed_amount
-
-    done = 0
-    while done < config.n_events:
-        m = min(_CHUNK, config.n_events - done)
+    for done in range(0, config.n_events, _BLOCK):
+        m = min(_BLOCK, config.n_events - done)
         payers = rng.randint_block(s_payer, done, m, n).tolist()
         offsets = rng.randint_block(s_payee, done, m, n - 1).tolist()
-        if config.rule == RULE_UNIFORM_PAIR_SPLIT:
-            draws = rng.u64_block(s_amount, done, m).tolist()
-            for p, off, r in zip(payers, offsets, draws):
-                q = (p + 1 + off) % n
-                pair_total = money[p] + money[q]
-                keep = r % (pair_total + 1)
-                money[p] = keep
-                money[q] = pair_total - keep
-        elif config.rule == RULE_UNIFORM_FRACTION:
-            us = rng.uniform_block(s_amount, done, m).tolist()
-            for p, off, u in zip(payers, offsets, us):
-                bal = money[p]
-                amount = int(u * bal)
-                if amount:
-                    money[p] = bal - amount
-                    money[(p + 1 + off) % n] += amount
-        else:  # fixed amount
-            for p, off in zip(payers, offsets):
-                bal = money[p]
-                amount = fixed if fixed <= bal else bal
-                if amount:
-                    money[p] = bal - amount
-                    money[(p + 1 + off) % n] += amount
-        done += m
-    return WealthVector(money)
+        for p, off in zip(payers, offsets):
+            bal = money[p]
+            amount = fixed if fixed <= bal else bal
+            if amount:
+                money[p] = bal - amount
+                money[(p + 1 + off) % n] += amount
+    return money
 
 
 def fit_exponential(wealth: WealthVector) -> ExponentialFit:

@@ -30,6 +30,10 @@ class ReserveRiskModel:
     def __post_init__(self):
         if not self.sigma > 0:
             raise InvalidConfig(f"sigma must be > 0, got {self.sigma}")
+        if not math.isfinite(self.sigma):
+            raise InvalidConfig(f"sigma must be finite, got {self.sigma}")
+        if not math.isfinite(self.mean_excursion):
+            raise InvalidConfig(f"mean_excursion must be finite, got {self.mean_excursion}")
         if self.reserves < 0:
             raise ValueError("reserves must be >= 0")
 
@@ -85,6 +89,8 @@ def reserve_path(
     """
     if not dt > 0:
         raise InvalidConfig(f"dt must be > 0, got {dt}")
+    if not math.isfinite(dt):
+        raise InvalidConfig(f"dt must be finite, got {dt}")
     if n < 0:
         raise ValueError("n must be >= 0")
     flow = params.G - params.Tx - params.S

@@ -43,10 +43,19 @@ class RateSeries:
             raise ValueError("t must be strictly increasing")
 
 
+def _require_finite(names: str, *values: float) -> None:
+    """InvalidConfig naming the first non-finite value; ``names`` lists
+    the parameter names, space-separated, in the order of ``values``."""
+    for name, v in zip(names.split(), values):
+        if not math.isfinite(v):
+            raise InvalidConfig(f"{name} must be finite, got {v}")
+
+
 def average_profit_rate(p: MacroParams) -> float:
     """R = rho * L / K."""
     if not p.K > 0:
         raise InvalidConfig(f"K must be > 0, got {p.K}")
+    _require_finite("rho L K", p.rho, p.L, p.K)
     return p.rho * p.L / p.K
 
 
@@ -55,6 +64,7 @@ def equilibrium_rate(g_L: float, g_P: float, d: float, lambda_: float) -> float:
     growth dynamics."""
     if not lambda_ > 0:
         raise InvalidConfig(f"lambda must be > 0, got {lambda_}")
+    _require_finite("g_L g_P d lambda", g_L, g_P, d, lambda_)
     return (g_L + g_P + d) / lambda_
 
 
@@ -98,6 +108,7 @@ def profit_rate_trajectory(
         raise ValueError("n must be >= 0")
     if not lambda_ > 0:
         raise InvalidConfig(f"lambda must be > 0, got {lambda_}")
+    _require_finite("R0 g_L g_P d lambda dt", R0, g_L, g_P, d, lambda_, dt)
     a = g_L + g_P + d
 
     def f(r: float) -> float:
@@ -126,8 +137,11 @@ def cagr(t: Sequence[float], levels: Sequence[float]) -> float:
         raise ValueError("t and levels must have equal length")
     if any(not b > a for a, b in zip(t, t[1:])):
         raise ValueError("t must be strictly increasing")
+    if not (math.isfinite(t[0]) and math.isfinite(t[-1])):
+        raise ValueError("t must be finite")
     for v in levels:
         if not v > 0:
             raise InvalidConfig(f"levels must be > 0, got {v}")
+        _require_finite("levels", v)
     span = t[-1] - t[0]
     return math.exp(math.log(levels[-1] / levels[0]) / span) - 1.0

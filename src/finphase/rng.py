@@ -44,19 +44,34 @@ def derive(seed: int, *tags: int) -> int:
     return state
 
 
+# Outputs are generated in slices of this many values, so the scratch
+# array and the slice being mixed stay in cache.
+_SLICE = 1 << 16
+
+
 def u64_block(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs ``start .. start+count-1`` of the stream as uint64."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN)
-        z ^= z >> np.uint64(30)
+    out = np.empty(count, dtype=np.uint64)
+    tmp = np.empty(min(count, _SLICE), dtype=np.uint64)
+    # (i + 1) * GOLDEN for i in a slice: each slice's counters are this
+    # plus one scalar offset.
+    strides = np.arange(1, len(tmp) + 1, dtype=np.uint64)
+    strides *= np.uint64(_GOLDEN)
+    for lo in range(0, count, _SLICE):
+        z = out[lo : lo + _SLICE]
+        t = tmp[: len(z)]
+        np.add(strides[: len(z)], np.uint64((seed + (start + lo) * _GOLDEN) & _MASK), out=z)
+        np.right_shift(z, 30, out=t)
+        z ^= t
         z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
+        np.right_shift(z, 27, out=t)
+        z ^= t
         z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-    return z
+        np.right_shift(z, 31, out=t)
+        z ^= t
+    return out
 
 
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:

@@ -156,9 +156,11 @@ MACRO = ["macro", "--gP", "0.03", "--d", "0.1", "--r0", "0.1", "--out", "{out}/r
           "--sigma", "inf", "--out", "{out}/i.json"], "sigma must be finite"),
         (["firms", "--firms", "1", "--workers", "2", "--steps", "1", "--outdir", "{out}"],
          "need >= 2 points"),
+        (["exchange", "--agents", "2", "--initial-money", str(2**62), "--events", "10",
+          "--outdir", "{out}"], "total money n_agents \\* initial_money must be <= "),
     ],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
-         "one_firm"],
+         "one_firm", "exchange_total_money"],
 )
 def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message):
     levels = tmp_path / "levels.csv"
@@ -189,6 +191,12 @@ class TestExchangeCommand:
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["total_money"] == 10000
         assert set(fit) == {"temperature", "ks_statistic", "total_money"}
+
+    def test_fraction_rule_is_an_unknown_choice(self, tmp_path, capsys):
+        code = run_cli("exchange", "--rule", "fraction", "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert "invalid choice: 'fraction'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFirmsCommand:

@@ -11,13 +11,13 @@ from finphase import exchange, phase, rng
 from finphase.errors import DegenerateSample, InvalidConfig
 from finphase.exchange import (
     RULE_FIXED_AMOUNT,
-    RULE_UNIFORM_FRACTION,
     RULE_UNIFORM_PAIR_SPLIT,
     ExchangeConfig,
     WealthVector,
     fit_exponential,
     run_exchange,
 )
+from finphase.ledger import MONEY_MAX
 
 
 def config(**kwargs):
@@ -26,14 +26,54 @@ def config(**kwargs):
     return ExchangeConfig(**base)
 
 
+def _ordered_pairs(config):
+    """Per event, a uniformly drawn ordered pair of distinct agents and a
+    third stream output, in blocks of 10**6 events."""
+    n = config.n_agents
+    s_payer = rng.derive(config.seed, 1)
+    s_payee = rng.derive(config.seed, 2)
+    s_amount = rng.derive(config.seed, 3)
+    for done in range(0, config.n_events, 10**6):
+        m = min(10**6, config.n_events - done)
+        payers = rng.randint_block(s_payer, done, m, n).tolist()
+        offsets = rng.randint_block(s_payee, done, m, n - 1).tolist()
+        draws = rng.u64_block(s_amount, done, m).tolist()
+        for p, off, r in zip(payers, offsets, draws):
+            yield p, (p + 1 + off) % n, r
+
+
+def sequential_pair_split(config):
+    """Oracle: one uniform pair-split per event on a uniformly drawn pair,
+    strictly in sequence (the chain ``run_exchange`` ran before it moved
+    to matching rounds)."""
+    money = [config.initial_money] * config.n_agents
+    for p, q, r in _ordered_pairs(config):
+        pair_total = money[p] + money[q]
+        keep = r % (pair_total + 1)
+        money[p] = keep
+        money[q] = pair_total - keep
+    return WealthVector(money)
+
+
+def uniform_fraction(config):
+    """Counterexample: the payer pays floor(u * balance), u ~ U[0, 1).
+
+    Conserves money, but the multiplicative own-balance kernel piles mass
+    near zero, so its stationary law is not exponential."""
+    money = [config.initial_money] * config.n_agents
+    for p, q, r in _ordered_pairs(config):
+        amount = int((r >> 11) * 2.0**-53 * money[p])
+        money[p] -= amount
+        money[q] += amount
+    return WealthVector(money)
+
+
 class TestRunExchange:
     def test_zero_events_leaves_endowments(self):
         w = run_exchange(config(n_events=0))
         assert w.money == [1000] * 500
 
-    @pytest.mark.parametrize(
-        "rule", [RULE_UNIFORM_PAIR_SPLIT, RULE_UNIFORM_FRACTION, RULE_FIXED_AMOUNT]
-    )
+    @pytest.mark.parametrize("rule", [RULE_UNIFORM_PAIR_SPLIT, RULE_FIXED_AMOUNT])
     def test_total_money_exactly_conserved(self, rule):
         w = run_exchange(config(rule=rule, fixed_amount=37))
         assert w.total() == 500 * 1000
@@ -46,11 +86,49 @@ class TestRunExchange:
         assert a.money == b.money
         assert a.money != c.money
 
-    def test_chunk_boundaries_do_not_change_stream(self, monkeypatch):
-        small = run_exchange(config())
-        monkeypatch.setattr(exchange, "_CHUNK", 7_919)
-        chunked = run_exchange(config())
-        assert small.money == chunked.money
+    # 1: one pair-split round or one fixed-rule event per block; 7919 keys
+    # is 15 rounds of 500 agents plus a remainder, and is prime.
+    @pytest.mark.parametrize("block", [1, 7_919])
+    @pytest.mark.parametrize("rule", [RULE_UNIFORM_PAIR_SPLIT, RULE_FIXED_AMOUNT])
+    def test_block_size_does_not_change_output(self, monkeypatch, rule, block):
+        # 20_101 events: 80 whole rounds of 250 pairs and a final round of 101
+        cfg = config(rule=rule, fixed_amount=37, n_events=20_101)
+        whole = run_exchange(cfg)
+        monkeypatch.setattr(exchange, "_BLOCK", block)
+        assert run_exchange(cfg).money == whole.money
+
+    @pytest.mark.parametrize("n_agents", [2, 3, 500, 501])
+    def test_partial_round_moves_only_its_pairs(self, n_agents):
+        # events = r whole rounds + k pairs: against r rounds, only the 2k
+        # agents of the first k pairs of round r may have moved, and against
+        # r + 1 rounds, only the other pairs of that round
+        half = n_agents // 2
+        r, k = 7, (half + 1) // 2
+        runs = [
+            np.array(run_exchange(config(n_agents=n_agents, n_events=e, seed=4)).money)
+            for e in (r * half, r * half + k, (r + 1) * half)
+        ]
+        for w in runs:
+            assert w.sum() == n_agents * 1000 and (w >= 0).all()
+        assert (runs[0] != runs[1]).sum() <= 2 * k
+        assert (runs[1] != runs[2]).sum() <= 2 * (half - k)
+        if n_agents % 2:
+            # one agent sits each round out
+            assert (runs[0] == runs[2]).sum() >= 1
+
+    @pytest.mark.parametrize(
+        "n_agents, initial_money", [(7, MONEY_MAX // 7), (2, MONEY_MAX // 2)]
+    )
+    @pytest.mark.parametrize("rule", [RULE_UNIFORM_PAIR_SPLIT, RULE_FIXED_AMOUNT])
+    def test_total_money_up_to_int64_max(self, rule, n_agents, initial_money):
+        cfg = config(
+            n_agents=n_agents, initial_money=initial_money, n_events=1_001, rule=rule,
+            fixed_amount=MONEY_MAX // 3,
+        )
+        w = run_exchange(cfg)
+        assert w.total() == n_agents * initial_money  # exactly MONEY_MAX for 7 agents
+        assert all(0 <= m <= MONEY_MAX for m in w.money)
+        assert w.money != [initial_money] * n_agents
 
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfig):
@@ -62,7 +140,13 @@ class TestRunExchange:
         with pytest.raises(InvalidConfig):
             run_exchange(config(rule="bogus"))
         with pytest.raises(InvalidConfig):
+            run_exchange(config(rule="uniform_fraction"))
+        with pytest.raises(InvalidConfig):
             run_exchange(config(rule=RULE_FIXED_AMOUNT, fixed_amount=-2))
+        with pytest.raises(InvalidConfig, match="total money"):
+            run_exchange(config(n_agents=2, initial_money=2**62))
+        with pytest.raises(InvalidConfig, match="total money"):
+            run_exchange(config(n_agents=10**6, initial_money=MONEY_MAX // 10**6 + 1))
 
     def test_zero_balance_payer_is_noop_event(self):
         # all money starts on one agent; fixed rule with huge amount
@@ -117,20 +201,46 @@ class TestEquilibrium:
         assert fit.ks_statistic <= 0.04  # sampling noise floor ~1.36/sqrt(2000)
         assert fit.temperature == pytest.approx(1000, abs=1e-9)
 
+    def test_sequential_oracle_has_the_same_law(self):
+        # The sequential chain draws one pair per event; the rounds chain
+        # splits disjoint pairs together. Both must relax to the same
+        # exponential law, and their samples must agree with each other
+        # (two-sample KS at 2000 + 2000, 0.1% critical value ~0.062).
+        cfg = ExchangeConfig(n_agents=2000, initial_money=1000, n_events=10**6, seed=1)
+        rounds = run_exchange(cfg)
+        oracle = sequential_pair_split(cfg)
+        assert oracle.total() == rounds.total() == 2000 * 1000
+        for w in (rounds, oracle):
+            assert fit_exponential(w).ks_statistic <= 0.04
+        two_sample = scipy.stats.ks_2samp(rounds.money, oracle.money).statistic
+        assert two_sample <= 0.062
+
+    @pytest.mark.parametrize("chain", [run_exchange, sequential_pair_split])
+    def test_three_agents_visit_compositions_uniformly(self, chain):
+        # 3 agents sharing 3 units have 10 compositions, and the pair-split
+        # chain's stationary law is uniform over them. Final states of 2000
+        # seeds after 30 events against the chi-square 0.1% critical value
+        # for 9 degrees of freedom.
+        counts = {}
+        for seed in range(2000):
+            w = chain(ExchangeConfig(n_agents=3, initial_money=1, n_events=30, seed=seed))
+            key = tuple(w.money)
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 10
+        assert all(sum(key) == 3 for key in counts)
+        expected = 2000 / 10
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 27.877
+
     def test_uniform_fraction_stationary_law_is_not_exponential(self):
-        # Documents why uniform_fraction is not the default: the
-        # multiplicative own-balance kernel piles mass near zero and its
-        # KS distance to the exponential plateaus far above the sampling
-        # noise floor (~0.04 here) no matter how long it runs.
-        w = run_exchange(
-            ExchangeConfig(
-                n_agents=1000,
-                initial_money=1000,
-                n_events=2 * 10**6,
-                rule=RULE_UNIFORM_FRACTION,
-                seed=2,
-            )
+        # Documents why a multiplicative rule is not offered: the
+        # own-balance kernel piles mass near zero and its KS distance to
+        # the exponential plateaus far above the sampling noise floor
+        # (~0.04 here) no matter how long it runs.
+        w = uniform_fraction(
+            ExchangeConfig(n_agents=1000, initial_money=1000, n_events=2 * 10**6, seed=2)
         )
+        assert w.total() == 1000 * 1000
         assert fit_exponential(w).ks_statistic > 0.1
 
     def test_stationarity_of_ks(self):

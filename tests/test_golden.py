@@ -1,14 +1,20 @@
-"""Byte-level goldens for ``finphase firms`` outputs.
+"""Byte-level goldens for ``finphase firms`` and ``finphase exchange``.
 
-Each digest is the SHA-256 over ``series.csv`` and ``phase_t0.csv`` ..
-``phase_t30.csv`` (file name, a NUL byte, then the file bytes, in that
+Each firms digest is the SHA-256 over ``series.csv`` and ``phase_t0.csv``
+.. ``phase_t30.csv`` (file name, a NUL byte, then the file bytes, in that
 order) from a 50 firms x 500 workers x 30 steps run. The digests were
 captured from the list-backed ledger with its one-posting-at-a-time step,
 so any later rewrite of the ledger or of ``firms.step`` that keeps them
 has kept the simulation's integers and the writer's formatting exactly.
 
+Each exchange digest is the SHA-256 of ``wealth.csv`` from a 30000-event
+run. The ``fixed`` rule's digests were captured from the per-event loop
+that predates the matching-round pair-split chain and must never change;
+the ``pairsplit`` digests pin that chain (299 agents: an odd count and a
+final partial round).
+
 Regenerate (only for a deliberate, documented semantic change) with
-``PYTHONPATH=src python tests/test_golden.py``, which prints the table.
+``PYTHONPATH=src python tests/test_golden.py``, which prints the tables.
 """
 
 import hashlib
@@ -48,6 +54,36 @@ GOLDEN = {
 }
 
 
+EXCHANGE_EVENTS = 30_000
+
+EXCHANGE_CASES = {
+    "fixed_seed0": ("--rule", "fixed", "--amount", "37", "--agents", "300", "--seed", "0"),
+    "fixed_seed1": ("--rule", "fixed", "--amount", "37", "--agents", "300", "--seed", "1"),
+    "fixed_seed2": ("--rule", "fixed", "--amount", "37", "--agents", "300", "--seed", "2"),
+    "fixed_odd_agents": ("--rule", "fixed", "--amount", "37", "--agents", "301", "--seed", "0"),
+    "fixed_broke_payers": (
+        "--rule", "fixed", "--amount", "10", "--agents", "300", "--initial-money", "5",
+        "--seed", "0",
+    ),
+    "pairsplit_seed0": ("--agents", "300", "--seed", "0"),
+    "pairsplit_seed1": ("--agents", "300", "--seed", "1"),
+    "pairsplit_seed2": ("--agents", "300", "--seed", "2"),
+    "pairsplit_odd_agents": ("--agents", "299", "--seed", "0"),
+}
+
+EXCHANGE_GOLDEN = {
+    "fixed_broke_payers": "d2924fd2a6398360e06b8fdf61057a93e67985577978ee09ed44bff2fa85629c",
+    "fixed_odd_agents": "c6ec018ccaa78a49507620c531a3b7c9039f2d1d1fdf4beab9e45e76b638b506",
+    "fixed_seed0": "4467bf947fc4a7840bc8ee7f6a7730b1d9daa2d33dd8e8ba59422a139119c31a",
+    "fixed_seed1": "d823b84c47c6d40737f218c837281e28fe471d38cb736fb737a702b5ce2a9672",
+    "fixed_seed2": "d3649f107e934ee9bb570fff7b0efadf12931fd0cbe791caca457cca8dc2b166",
+    "pairsplit_odd_agents": "0f7a2ee7e2a391d0ad3cff62f3b03089146b42ee9fb5f49faf44755698a3051f",
+    "pairsplit_seed0": "9a35357d0860b42ab8033a8afa541d8e5cb65d60209b0ad67736b1f7c4571529",
+    "pairsplit_seed1": "8c1b42fffbb4a4eb1b166a15f7f04970f44052ed56fe970186a9198b2f0d85c7",
+    "pairsplit_seed2": "eb8a265d4a52342d09726fa7af6a1c29118423983725109b7dde0e8c227b24e5",
+}
+
+
 def output_digest(outdir: Path) -> str:
     h = hashlib.sha256()
     names = ["series.csv"] + [f"phase_t{t}.csv" for t in range(STEPS + 1)]
@@ -64,13 +100,29 @@ def run_case(name: str, outdir: Path) -> str:
     return output_digest(outdir)
 
 
+def run_exchange_case(name: str, outdir: Path) -> str:
+    argv = [
+        "exchange", "--events", str(EXCHANGE_EVENTS), *EXCHANGE_CASES[name],
+        "--outdir", str(outdir),
+    ]
+    assert dispatch(argv) == 0
+    return hashlib.sha256((outdir / "wealth.csv").read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_firms_outputs_match_golden(tmp_path, name):
     assert run_case(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(EXCHANGE_CASES))
+def test_exchange_outputs_match_golden(tmp_path, name):
+    assert run_exchange_case(name, tmp_path) == EXCHANGE_GOLDEN[name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: run_case(name, Path(tmp) / name) for name in sorted(CASES)}
-    for name, digest in digests.items():
-        sys.stdout.write(f'    "{name}": "{digest}",\n')
+        for cases, run in ((CASES, run_case), (EXCHANGE_CASES, run_exchange_case)):
+            digests = {name: run(name, Path(tmp) / name) for name in sorted(cases)}
+            for name, digest in digests.items():
+                sys.stdout.write(f'    "{name}": "{digest}",\n')
+            sys.stdout.write("\n")

@@ -90,6 +90,12 @@ class TestExcursionExceedance:
             ReserveRiskModel(banker_capital=M, reserves=M, sigma=0.0)
         with pytest.raises(InvalidConfig, match="^sigma"):
             ReserveRiskModel(banker_capital=M, reserves=M, sigma=float("nan"))
+        with pytest.raises(InvalidConfig, match="^sigma must be finite, got inf$"):
+            ReserveRiskModel(banker_capital=M, reserves=M, sigma=float("inf"))
+        with pytest.raises(InvalidConfig, match="^mean_excursion must be finite"):
+            ReserveRiskModel(
+                banker_capital=M, reserves=M, sigma=1.0, mean_excursion=float("-inf")
+            )
 
 
 class TestMinInterestRate:
@@ -152,3 +158,5 @@ class TestReservePath:
             reserve_path(ReserveFlowParams(B0=0, G=0, Tx=0, S=0), 0.0, 3)
         with pytest.raises(InvalidConfig, match="^dt"):
             reserve_path(ReserveFlowParams(B0=0, G=0, Tx=0, S=0), float("nan"), 3)
+        with pytest.raises(InvalidConfig, match="^dt must be finite"):
+            reserve_path(ReserveFlowParams(B0=0, G=0, Tx=0, S=0), float("inf"), 3)

@@ -44,6 +44,9 @@ class TestAverageProfitRate:
         p = MacroParams(rho=0.5, L=100.0, K=0.0, g_L=0, g_P=0, d=0, lambda_=1)
         with pytest.raises(InvalidConfig, match="^K must be > 0"):
             average_profit_rate(p)
+        p = MacroParams(rho=0.5, L=100.0, K=float("inf"), g_L=0, g_P=0, d=0, lambda_=1)
+        with pytest.raises(InvalidConfig, match="^K must be finite, got inf$"):
+            average_profit_rate(p)
 
 
 class TestEquilibriumRate:
@@ -63,6 +66,12 @@ class TestEquilibriumRate:
             equilibrium_rate(0.02, 0.03, 0.10, 0.0)
         with pytest.raises(InvalidConfig, match="^lambda"):
             equilibrium_rate(0.02, 0.03, 0.10, float("nan"))
+        with pytest.raises(InvalidConfig, match="^lambda must be finite, got inf$"):
+            equilibrium_rate(0.02, 0.03, 0.10, float("inf"))
+        with pytest.raises(InvalidConfig, match="^g_P must be finite, got -inf$"):
+            equilibrium_rate(0.02, float("-inf"), 0.10, 0.60)
+        with pytest.raises(InvalidConfig, match="^d must be finite, got nan$"):
+            equilibrium_rate(0.02, 0.03, float("nan"), 0.60)
 
 
 class TestRequiredProductivity:
@@ -155,8 +164,16 @@ class TestTrajectory:
             profit_rate_trajectory(0.05, 0.02, 0.03, 0.10, 0.60, 0.0, 10)
         with pytest.raises(InvalidConfig, match="^dt"):
             profit_rate_trajectory(0.05, 0.02, 0.03, 0.10, 0.60, float("nan"), 10)
+        with pytest.raises(InvalidConfig, match="^dt must be finite"):
+            profit_rate_trajectory(0.05, 0.02, 0.03, 0.10, 0.60, float("inf"), 10)
         with pytest.raises(InvalidConfig, match="^lambda"):
             profit_rate_trajectory(0.05, 0.02, 0.03, 0.10, 0.0, 0.01, 10)
+        with pytest.raises(InvalidConfig, match="^lambda must be finite"):
+            profit_rate_trajectory(0.05, 0.02, 0.03, 0.10, float("inf"), 0.01, 10)
+        with pytest.raises(InvalidConfig, match="^R0 must be finite"):
+            profit_rate_trajectory(float("inf"), 0.02, 0.03, 0.10, 0.60, 0.01, 10)
+        with pytest.raises(InvalidConfig, match="^g_L must be finite"):
+            profit_rate_trajectory(0.05, float("nan"), 0.03, 0.10, 0.60, 0.01, 10)
 
 
 class TestRateSeries:
@@ -201,7 +218,11 @@ class TestCagr:
             cagr([0, 1], [1.0, 0.0])
         with pytest.raises(InvalidConfig, match="^levels"):
             cagr([0, 1], [1.0, float("nan")])
+        with pytest.raises(InvalidConfig, match="^levels must be finite"):
+            cagr([0, 1], [1.0, float("inf")])
         with pytest.raises(ValueError):
             cagr([0, 0], [1.0, 2.0])
         with pytest.raises(ValueError):
             cagr([0, float("nan")], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^t must be finite"):
+            cagr([0, float("inf")], [1.0, 2.0])

@@ -53,3 +53,24 @@ def test_normal_block_moments():
     # block indexing must not overlap
     z2 = rng.normal_block(11, 200_000, 200_000)
     assert abs(np.corrcoef(z, z2)[0, 1]) < 0.01
+
+
+def test_published_splitmix64_vector():
+    # splitmix64 seeded with 0: the first two outputs of the reference code
+    assert rng.u64_block(0, 0, 2).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+
+
+def test_block_matches_scalar_finalizer_across_slice_edges():
+    # outputs are generated in 65536-value slices; an unaligned start puts
+    # the slice edges at other stream offsets
+    seed = 0xDEADBEEF
+    for start in (0, 12_345):
+        block = rng.u64_block(seed, start, 65_538 + 12_345).tolist()
+        for k in (0, 65_535, 65_536, 65_537, len(block) - 1):
+            z = seed + (start + k + 1) * 0x9E3779B97F4A7C15
+            assert block[k] == rng._finalize_scalar(z), (start, k)
+
+
+def test_empty_block():
+    block = rng.u64_block(3, 10, 0)
+    assert block.dtype == np.uint64 and block.shape == (0,)
