@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 import typing
 from datetime import datetime, timezone
@@ -120,7 +121,8 @@ def parse_config_file(path, config_cls):
 
 
 class _Manifest:
-    """Reproducibility record: resolved config, seed, outputs, timing."""
+    """Reproducibility record: resolved config, seed, outputs, timing, and
+    the Python and numpy versions and peak RSS of the run."""
 
     def __init__(self, subcommand: str, config: dict, seed):
         self.payload = {
@@ -139,7 +141,16 @@ class _Manifest:
         self.payload["outputs"].append(path.name)
 
     def write(self, outdir: Path) -> None:
-        self.payload["finished"] = datetime.now(timezone.utc).isoformat()
+        import resource  # Unix only; needed only when a manifest is asked for
+
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.payload.update(
+            finished=datetime.now(timezone.utc).isoformat(),
+            python=platform.python_version(),
+            numpy=np.__version__,
+            peak_rss_mb=rss / (2**20 if sys.platform == "darwin" else 2**10),
+        )
         _write_json(outdir / "manifest.json", self.payload)
 
 
@@ -214,6 +225,9 @@ def _economy_config_from_args(args) -> firms.EconomyConfig:
     return firms.EconomyConfig(**values)
 
 
+_PHASE_HEADER = "firm_id,x,y"
+
+
 def _cmd_firms(args) -> int:
     config = _economy_config_from_args(args)
     grid = _grid_from_args(args)
@@ -236,7 +250,7 @@ def _cmd_firms(args) -> int:
     for rec in records:
         p = outdir / f"phase_t{rec.t}.csv"
         with open(p, "w") as fh:
-            fh.write("firm_id,x,y\n")
+            fh.write(_PHASE_HEADER + "\n")
             rows = enumerate(rec.points.tolist())
             fh.write("".join([f"{i},{x!r},{y!r}\n" for i, (x, y) in rows]))
         manifest.add_output(p)
@@ -263,32 +277,71 @@ def _cmd_firms(args) -> int:
 
 
 def _read_phase_csv(path) -> np.ndarray:
-    """The (n, 2) float64 points of a phase CSV; a non-finite value is a
-    ParseError naming the file and line."""
-    values, linenos = [], []
+    """The (n, 2) float64 points of a phase CSV: the ``firm_id,x,y`` header,
+    then one ``firm_id,x,y`` row per line with finite x and y (the id is
+    not read); blank lines are skipped. Anything else is a ParseError
+    naming the file and the line.
+
+    The file is parsed whole, so the cost per row is C calls, not Python
+    statements. Only a file that fails a check is walked line by line, to
+    find the line to name.
+    """
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("firm_id"):
-                continue
-            _, x, y = line.split(",")
-            values.append((float(x), float(y)))
-            linenos.append(lineno)
-    points = np.array(values, dtype=float).reshape(-1, 2)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        raise ParseError(linenos[bad[0]], f"{path}: non-finite phase point")
-    return points
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    if header.strip() != _PHASE_HEADER:
+        raise ParseError(1, f"{path}: expected the header {_PHASE_HEADER!r}, got {header!r}")
+    rows = list(filter(None, map(str.strip, body.split("\n"))))
+    n = len(rows)
+    if n == 0:
+        return np.empty((0, 2))
+    # Joined with ",\n", the rows split into fields where each newline
+    # starts a field. Every row has three fields exactly when there are
+    # 3n fields and all n - 1 newlines start one of the ids, fields[3k].
+    fields = ",\n".join(rows).split(",")
+    if len(fields) == 3 * n and "".join(fields[::3]).count("\n") == n - 1:
+        del fields[::3]  # x0, y0, x1, y1, ... remain
+        try:
+            points = np.fromiter(map(float, fields), float, 2 * n).reshape(n, 2)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(points).all():
+                return points
+    raise _phase_row_error(path, text.split("\n"))
+
+
+def _phase_row_error(path, lines) -> ParseError:
+    """The ParseError for the first malformed row of a phase CSV."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            return ParseError(lineno, f"{path}: expected 3 fields, got {len(fields)}")
+        try:
+            x, y = float(fields[1]), float(fields[2])
+        except ValueError:
+            return ParseError(lineno, f"{path}: x and y must be numbers, got {line.strip()!r}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return ParseError(lineno, f"{path}: non-finite phase point")
+    # not reached: the whole-file checks fail only on a row rejected above
+    return ParseError(len(lines), f"{path}: malformed phase rows")
 
 
 def _cmd_analyze(args) -> int:
     grid = _grid_from_args(args)
     report = {}
-    all_points = []
+    # Binning is per point, so the histogram of all files is the sum of
+    # the per-file ones; no file's points are kept past its own turn.
+    counts = np.zeros((grid.nx, grid.ny), dtype=np.int64)
+    total = out_of_range = 0
     for name in args.files:
         points = _read_phase_csv(name)
-        all_points.append(points)
         hist = phase.bin_phase(points, grid)
+        counts += hist.counts
+        total += hist.total
+        out_of_range += hist.out_of_range
         metrics = phase.tail_metrics(points)
         report[Path(name).name] = {
             "entropy": phase.entropy(hist),
@@ -301,7 +354,7 @@ def _cmd_analyze(args) -> int:
         }
     text = _json(report)  # a non-finite metric fails here, before any output
     if args.hist_out:
-        combined = phase.bin_phase(np.concatenate(all_points), grid)
+        combined = phase.PhaseHistogram(grid, counts, total, out_of_range)
         phase.write_histogram_csv(combined, args.hist_out)
     if args.out:
         Path(args.out).write_text(text + "\n")

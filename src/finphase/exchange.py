@@ -125,8 +125,10 @@ def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
     Keys whose random high bits tie fall back to id order; that happens
     with probability below n**2 / 2**(65 - b), far under sampling noise.
     Pair ``j`` is (perm[2j], perm[2j+1]); the first agent keeps
-    ``draw % (total + 1)``. The last round of a run that is not a whole
-    number of rounds splits its first pairs only.
+    ``draw % (total + 1)``, or its :func:`rng.redraw_below` when the draw
+    lies in the biased top range (see :func:`_redraw_biased`). The last
+    round of a run that is not a whole number of rounds splits its first
+    pairs only.
     """
     n = len(money)
     half = n // 2
@@ -137,6 +139,10 @@ def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
     whole, rest = divmod(n_events, half)
     rounds = whole + (rest > 0)
     per_block = max(1, _BLOCK // n)
+    # A pair's total is at most the run's, so a draw <= 2**64 - 1 - run
+    # total is below every pair's rejection limit; only rounds with a draw
+    # above it need the exact check.
+    safe = ~np.uint64(int(money.sum()))
     for r0 in range(0, rounds, per_block):
         b = min(per_block, rounds - r0)
         keys = rng.u64_block(s_match, r0 * n, b * n).reshape(b, n)
@@ -146,6 +152,7 @@ def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
         keys &= low
         perm = keys.view(np.int64)  # agent ids < 2**63: same bits
         draws = rng.u64_block(s_split, r0 * half, b * half).reshape(b, half)
+        risky = (draws.max(axis=1) > safe).tolist()
         for j in range(b):
             k = half if r0 + j < whole else rest
             p = perm[j, 0 : 2 * k : 2]
@@ -153,8 +160,21 @@ def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
             # total money <= MONEY_MAX, so total + 1 fits in uint64
             total = money[p] + money[q]
             keep = draws[j, :k] % (total + np.uint64(1))
+            if risky[j]:
+                _redraw_biased(keep, draws[j, :k], total, s_split, (r0 + j) * half)
             money[p] = keep
             money[q] = total - keep
+
+
+def _redraw_biased(keep, draws, total, seed: int, offset: int) -> None:
+    """Replace, in place, each ``keep[i] = draws[i] % (total[i] + 1)`` whose
+    draw lies in the top ``2**64 % (total[i] + 1)`` values of the uint64
+    range, where the modulo is biased, by the :func:`rng.redraw_below` of
+    stream output ``offset + i``."""
+    bound = total + np.uint64(1)
+    # ~t % (t + 1) == 2**64 % (t + 1), the size of the biased range
+    for i in np.flatnonzero(draws > ~(~total % bound)).tolist():
+        keep[i] = rng.redraw_below(seed, offset + i, int(bound[i]))
 
 
 def _fixed_amount_events(config: ExchangeConfig) -> list:

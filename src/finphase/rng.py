@@ -7,9 +7,13 @@ seeded with ``s`` is ``finalize(s + (k+1) * GOLDEN) mod 2**64`` where
 be evaluated at any offset without stepping through the stream, and splits
 into independent substreams by reseeding through :func:`derive`.
 
-Uniform floats are ``(u64 >> 11) * 2**-53`` in [0, 1). Bounded integers use
-``u64 % bound``; the modulo bias is at most ``bound / 2**64`` and is
-irrelevant for the bounds used here (< 2**32).
+Uniform floats are ``(u64 >> 11) * 2**-53`` in [0, 1). Bounded integers
+are ``u64 % bound`` with rejection: the top ``2**64 % bound`` values of a
+uint64 would make the low residues more likely (for ``bound = 3 * 2**61``,
+residues below ``2**62`` would come up 3/4 of the time, not 2/3), so such
+a draw is replaced by :func:`redraw_below`. That happens with probability
+below ``bound / 2**64``, so for small bounds the output is ``u64 % bound``
+in all but astronomically rare cases.
 """
 
 from __future__ import annotations
@@ -80,10 +84,31 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def randint_block(seed: int, start: int, count: int, bound: int) -> np.ndarray:
-    """int64 integers uniform on [0, bound)."""
+    """int64 integers uniform on [0, bound): output ``start + i`` mod bound,
+    or its :func:`redraw_below` when it lies in the biased top range."""
     if bound <= 0:
         raise ValueError("bound must be > 0")
-    return (u64_block(seed, start, count) % np.uint64(bound)).astype(np.int64)
+    draws = u64_block(seed, start, count)
+    out = (draws % np.uint64(bound)).astype(np.int64)
+    # draw > 2**64 - 1 - 2**64 % bound: the draw is in the biased top range
+    for i in np.flatnonzero(draws > np.uint64(_MASK - (1 << 64) % bound)).tolist():
+        out[i] = redraw_below(seed, start + i, bound)
+    return out
+
+
+def redraw_below(seed: int, offset: int, bound: int) -> int:
+    """The uniform integer on [0, bound) that replaces ``u64 % bound`` for
+    output ``offset`` of stream ``seed`` when that output was rejected: the
+    first output of the substream ``derive(seed, offset)`` below the
+    largest multiple of ``bound`` in 2**64, mod ``bound``. Each try is
+    rejected with probability below 1/2, so few are made.
+    """
+    stream = derive(seed, offset)
+    limit = (1 << 64) - (1 << 64) % bound
+    k = 1
+    while (z := _finalize_scalar(stream + k * _GOLDEN)) >= limit:
+        k += 1
+    return z % bound
 
 
 def normal_block(seed: int, start: int, count: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI: routing, exit codes, output formats, and reproducibility."""
 
 import json
+import platform
 import re
 from pathlib import Path
 
@@ -219,6 +220,9 @@ class TestFirmsCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["conservation_residuals"] == [0, 0, 0, 0]
         assert "series.csv" in manifest["outputs"]
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert 1.0 < manifest["peak_rss_mb"] < 1e5
 
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "economy.cfg"
@@ -299,6 +303,72 @@ class TestAnalyzeCommand:
         assert not out.exists() and not hist.exists()
         assert run_cli("analyze", str(csv_path)) == 1
         assert "NaN" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            ("0,0.3\n", 4, "expected 3 fields, got 2"),
+            ("1,0.2,0.3,0.4\n", 4, "expected 3 fields, got 4"),
+            # four fields then two: as many fields as two good rows
+            ("1,0.2,0.3,\n2,0.1\n", 4, "expected 3 fields, got 4"),
+            ("1,0.2\n2,0.1,0.3,0.4\n", 4, "expected 3 fields, got 2"),
+            ("1,abc,0.2\n", 4, "x and y must be numbers, got '1,abc,0.2'"),
+            ("1,0.2,\n", 4, "x and y must be numbers"),
+            ("1,0.2,0.1\n2,-inf,0.3\n", 5, "non-finite phase point"),
+        ],
+        ids=["too_few", "too_many", "shifted", "shifted_back", "non_numeric", "empty",
+             "later_inf"],
+    )
+    def test_malformed_row_is_a_parse_error(self, tmp_path, capsys, rows, line, message):
+        good = tmp_path / "phase_t0.csv"
+        good.write_text("firm_id,x,y\n0,0.5,0.1\n1,-0.3,0.2\n")
+        csv_path = tmp_path / "phase_t1.csv"
+        # a blank line before the bad row: line numbers count it
+        csv_path.write_text(f"firm_id,x,y\n0,0.5,0.1\n\n{rows}3,-0.3,0.2\n")
+        out = tmp_path / "metrics.json"
+        hist = tmp_path / "hist.csv"
+        code = run_cli(
+            "analyze", str(good), str(csv_path), "--out", str(out), "--hist-out", str(hist)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: {csv_path}: {message}")
+        assert "Traceback" not in err
+        assert not out.exists() and not hist.exists()
+
+    @pytest.mark.parametrize("first", ["0,0.5,0.1", "firm_id;x;y", "", "x,y"])
+    def test_missing_header_is_a_parse_error(self, tmp_path, capsys, first):
+        csv_path = tmp_path / "phase_t1.csv"
+        csv_path.write_text(f"{first}\n0,0.5,0.1\n1,-0.3,0.2\n")
+        out = tmp_path / "metrics.json"
+        assert run_cli("analyze", str(csv_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 1: {csv_path}: expected the header 'firm_id,x,y'")
+        assert not out.exists()
+
+    def test_blank_lines_and_spaces_are_skipped(self, tmp_path):
+        plain = tmp_path / "a" / "phase_t1.csv"
+        spaced = tmp_path / "b" / "phase_t1.csv"
+        plain.parent.mkdir()
+        spaced.parent.mkdir()
+        plain.write_text("firm_id,x,y\n0,0.5,0.1\n1,-0.3,0.2\n2,1e-3,-0.25\n")
+        spaced.write_bytes(
+            b"firm_id,x,y \r\n\r\n 0, 0.5 ,0.1\n  \n\t\n1,-0.3,0.2\r\n2 ,1e-3, -0.25\n\n\n"
+        )
+        reports = []
+        for path in (plain, spaced):
+            out = path.parent / "metrics.json"
+            hist = path.parent / "hist.csv"
+            assert run_cli("analyze", str(path), "--out", str(out), "--hist-out", str(hist)) == 0
+            reports.append((out.read_bytes(), hist.read_bytes()))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0][0])["phase_t1.csv"]["points"] == 3
+
+    def test_header_only_file_is_a_degenerate_sample(self, tmp_path, capsys):
+        csv_path = tmp_path / "phase_t1.csv"
+        csv_path.write_text("firm_id,x,y\n\n")
+        assert run_cli("analyze", str(csv_path)) == 1
+        assert capsys.readouterr().err == "error: need >= 2 points, got 0\n"
 
     def test_non_finite_metric_writes_no_output(self, tmp_path, capsys):
         # finite points whose spread overflows float64: std_x is inf

@@ -130,6 +130,20 @@ class TestRunExchange:
         assert all(0 <= m <= MONEY_MAX for m in w.money)
         assert w.money != [initial_money] * n_agents
 
+    def test_split_is_uniform_at_a_pair_total_near_int64(self):
+        # total + 1 = 3 * 2**61: a plain draw % (total + 1) keeps less than
+        # 2**62 with probability 3/4, so one agent of the pair ends below
+        # 2**61 with probability 5/8 instead of 2/3
+        total = 3 * 2**61 - 1
+        seeds = 6000
+        below = 0
+        for seed in range(seeds):
+            money = np.array([total, 0], dtype=np.uint64)
+            exchange._pair_split_rounds(money, 1, seed)
+            assert int(money[0]) + int(money[1]) == total
+            below += int(money.min()) < 2**61
+        assert abs(below / seeds - 2 / 3) < 0.018  # sigma 0.006
+
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfig):
             run_exchange(config(n_agents=1))

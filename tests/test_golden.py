@@ -1,4 +1,4 @@
-"""Byte-level goldens for ``finphase firms`` and ``finphase exchange``.
+"""Byte-level goldens for ``finphase firms``, ``exchange`` and ``analyze``.
 
 Each firms digest is the SHA-256 over ``series.csv`` and ``phase_t0.csv``
 .. ``phase_t30.csv`` (file name, a NUL byte, then the file bytes, in that
@@ -12,6 +12,13 @@ run. The ``fixed`` rule's digests were captured from the per-event loop
 that predates the matching-round pair-split chain and must never change;
 the ``pairsplit`` digests pin that chain (299 agents: an odd count and a
 final partial round).
+
+Each analyze digest is the SHA-256 over ``report.json`` and ``hist.csv``
+(name, NUL, bytes, as above) from ``analyze`` of every phase CSV of the
+``seed0`` firms case, in step order, with the default grid and with a
+custom one. They were captured from the line-by-line CSV reader that
+binned the concatenated points of all files a second time, so a reader
+or histogram rewrite that keeps them has kept the reports exactly.
 
 Regenerate (only for a deliberate, documented semantic change) with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints the tables.
@@ -84,9 +91,21 @@ EXCHANGE_GOLDEN = {
 }
 
 
-def output_digest(outdir: Path) -> str:
+ANALYZE_CASES = {
+    "default_grid": (),
+    "custom_grid": ("--grid", "-2.5", "1.25", "-0.4", "0.3", "17", "9"),
+}
+
+ANALYZE_GOLDEN = {
+    "custom_grid": "1c5424c8aaa886d9c03b790f2d7bf1527e1ff369b547ad94ab104693837514f4",
+    "default_grid": "4a4e9e87dc8c748a007cae51ee919e6dfb129c65baf9c549b3d73c167e3bd528",
+}
+
+
+def output_digest(outdir: Path, names=None) -> str:
     h = hashlib.sha256()
-    names = ["series.csv"] + [f"phase_t{t}.csv" for t in range(STEPS + 1)]
+    if names is None:
+        names = ["series.csv"] + [f"phase_t{t}.csv" for t in range(STEPS + 1)]
     for name in names:
         h.update(name.encode() + b"\0")
         h.update((outdir / name).read_bytes())
@@ -109,6 +128,18 @@ def run_exchange_case(name: str, outdir: Path) -> str:
     return hashlib.sha256((outdir / "wealth.csv").read_bytes()).hexdigest()
 
 
+def run_analyze_case(name: str, outdir: Path) -> str:
+    rundir = outdir / "run"
+    run_case("seed0", rundir)
+    phases = [str(rundir / f"phase_t{t}.csv") for t in range(STEPS + 1)]
+    argv = [
+        "analyze", *phases, *ANALYZE_CASES[name],
+        "--out", str(outdir / "report.json"), "--hist-out", str(outdir / "hist.csv"),
+    ]
+    assert dispatch(argv) == 0
+    return output_digest(outdir, ["report.json", "hist.csv"])
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_firms_outputs_match_golden(tmp_path, name):
     assert run_case(name, tmp_path) == GOLDEN[name]
@@ -119,9 +150,18 @@ def test_exchange_outputs_match_golden(tmp_path, name):
     assert run_exchange_case(name, tmp_path) == EXCHANGE_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(ANALYZE_CASES))
+def test_analyze_outputs_match_golden(tmp_path, name):
+    assert run_analyze_case(name, tmp_path) == ANALYZE_GOLDEN[name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for cases, run in ((CASES, run_case), (EXCHANGE_CASES, run_exchange_case)):
+        for cases, run in (
+            (CASES, run_case),
+            (EXCHANGE_CASES, run_exchange_case),
+            (ANALYZE_CASES, run_analyze_case),
+        ):
             digests = {name: run(name, Path(tmp) / name) for name in sorted(cases)}
             for name, digest in digests.items():
                 sys.stdout.write(f'    "{name}": "{digest}",\n')

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finphase import rng
 from finphase.errors import DegenerateSample, ParseError
@@ -88,6 +90,28 @@ class TestBinPhase:
         expected = n * p
         sigma = math.sqrt(n * p * (1 - p))
         assert np.abs(hist.counts - expected).max() < 5 * sigma
+
+
+def _axis(lo, hi):
+    """Coordinates on [lo, hi], on and just past its edges, and outside."""
+    edges = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    return st.one_of(st.sampled_from(edges + [lo - 1.0, hi + 1.0]), st.floats(lo, hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_axis(-10.0, 1.5), _axis(-1.0, 1.0)), max_size=80),
+    st.lists(st.integers(0, 80), max_size=6),
+)
+def test_histograms_of_chunks_sum_to_the_whole(points, cuts):
+    # analyze's combined histogram is the sum of its per-file ones
+    grid = GridSpec.default()
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    whole = bin_phase(pts, grid)
+    parts = [bin_phase(chunk, grid) for chunk in np.split(pts, sorted(cuts))]
+    assert np.array_equal(sum(p.counts for p in parts), whole.counts)
+    assert sum(p.total for p in parts) == whole.total == len(pts)
+    assert sum(p.out_of_range for p in parts) == whole.out_of_range
 
 
 class TestEntropy:

@@ -46,6 +46,27 @@ def test_randint_bounds_and_uniformity():
     assert (abs(counts - expected) < 5 * sigma).all()
 
 
+def test_randint_is_unbiased_for_bounds_near_2_64():
+    # bound = 3 * 2**61: plain u64 % bound lands below 2**62 with
+    # probability 3/4, not 2/3; the top 2**64 % bound = 2**62 draws (a
+    # quarter) are rejected and redrawn
+    bound = 3 * 2**61
+    draws = rng.u64_block(5, 0, 100_000)
+    x = rng.randint_block(5, 0, 100_000, bound)
+    assert x.min() >= 0 and x.max() < bound
+    assert abs((x < 2**62).mean() - 2 / 3) < 0.006  # sigma 0.0015
+    kept = draws < np.uint64(2**64 - 2**62)
+    assert (x[kept].astype(np.uint64) == draws[kept] % np.uint64(bound)).all()
+    redrawn = np.flatnonzero(~kept).tolist()
+    assert 20_000 < len(redrawn) < 30_000
+    for i in redrawn[:50]:
+        # the first output of substream derive(5, i) below the limit
+        sub = rng.u64_block(rng.derive(5, i), 0, 64)
+        assert x[i] == int(sub[sub < np.uint64(2**64 - 2**62)][0]) % bound
+    # offsets are stream offsets: a later start gives the same values
+    assert (rng.randint_block(5, 40_000, 60_000, bound) == x[40_000:]).all()
+
+
 def test_normal_block_moments():
     z = rng.normal_block(11, 0, 200_000)
     assert abs(z.mean()) < 0.01
