@@ -56,11 +56,22 @@ def _write_json(path: Path, payload) -> None:
         fh.write(text + "\n")
 
 
+_GRID_FIELDS = ("XMIN", "XMAX", "YMIN", "YMAX", "NX", "NY")
+
+
 def _grid_from_args(args) -> phase.GridSpec:
+    """The ``--grid`` extents and bin counts; a field that does not parse
+    is an InvalidConfig naming it, and GridSpec checks the values."""
     if args.grid is None:
         return phase.GridSpec.default()
-    x0, x1, y0, y1, nx, ny = args.grid
-    return phase.GridSpec(float(x0), float(x1), float(y0), float(y1), int(nx), int(ny))
+    values = []
+    for name, text in zip(_GRID_FIELDS, args.grid):
+        kind, what = (int, "an integer") if name in ("NX", "NY") else (float, "a number")
+        try:
+            values.append(kind(text))
+        except ValueError:
+            raise InvalidConfig(f"--grid {name} must be {what}, got {text!r}") from None
+    return phase.GridSpec(*values)
 
 
 def _csv_rows(path, width: int) -> list[tuple[int, list[str]]]:
@@ -511,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--grid",
             nargs=6,
-            metavar=("XMIN", "XMAX", "YMIN", "YMAX", "NX", "NY"),
+            metavar=_GRID_FIELDS,
             default=None,
             help="phase-plane extent and bin counts",
         )

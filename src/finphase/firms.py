@@ -35,6 +35,17 @@ is what puts every firm exactly at the origin at t = 0 and lets a
 post-bankruptcy replacement re-enter at the origin as well (its money
 endowment from bank equity is the initial per-firm endowment: zero).
 
+Two phases are defined by a pass over the firms in id order: owner
+consumption and classification + investment/repayment, where a firm's
+deposit at its turn includes what lower firms paid it. Since a turn
+depends only on lower ids, each is evaluated exactly as a few array
+passes: starting from no payments, recompute every firm's deposit at
+its turn, and what it then pays, from the payments of the pass before,
+until nothing changes. The unique fixed point is the in-order result,
+reached within one pass more than the longest chain of lower-id
+payments, and the step raises the error the in-order pass would raise
+first.
+
 The ledger conservation residual is zero after every step, bit-exactly.
 One economy instance is sequential; independent seeds are independent.
 """
@@ -49,7 +60,7 @@ import numpy as np
 
 from . import rng
 from .errors import InsufficientFunds, InvalidConfig, MoneyOverflow
-from .ledger import MONEY_MAX, MONEY_MIN, Ledger, Money
+from .ledger import MONEY_MAX, MONEY_MIN, Ledger, Money, _exact
 
 # The simulation step is the pay period ("the week"); annual rates are
 # converted with this documented constant.
@@ -130,16 +141,14 @@ class StepRecord:
 
 @dataclass
 class EconomyState:
-    """Per-firm columns are int64 arrays indexed by firm id (``cls`` holds
-    FirmClass codes); ``worker_firm`` and ``worker_shop`` are indexed by
-    worker."""
+    """Per-firm columns are int64 arrays indexed by firm id;
+    ``worker_firm`` and ``worker_shop`` are indexed by worker."""
 
     config: EconomyConfig
     ledger: Ledger
     capital: np.ndarray  # book value per firm
     last_profit: np.ndarray  # previous step's profit per firm
     prev_net_debt: np.ndarray  # net debt at the previous step boundary
-    cls: np.ndarray  # FirmClass per firm, from the latest classification
     employees: np.ndarray  # headcount per firm
     worker_firm: np.ndarray  # employer per worker
     worker_shop: np.ndarray  # current shop per worker
@@ -147,24 +156,36 @@ class EconomyState:
 
 
 def classify(
-    last_profit: Money,
-    interest_due: Money,
-    profit_rate: float,
+    last_profit: np.ndarray,
+    interest_due: np.ndarray,
+    profit_rate: np.ndarray,
     interest_rate: float,
     margin: float,
-) -> FirmClass:
-    """Classify a firm from its last profit and current position.
+) -> np.ndarray:
+    """Classify firms from their last profits and current positions; the
+    result holds one FirmClass code per firm.
 
-    A (involuntary borrower) if last_profit < the interest due on its net
-    debt -- it must borrow just to service what it owes. B (voluntary
-    borrower) if the annualised profit rate beats interest_rate + margin.
-    C (voluntary lender) otherwise.
+    A (involuntary borrower) where last_profit < the interest due on its
+    net debt -- it must borrow just to service what it owes. B (voluntary
+    borrower) where the annualised profit rate beats interest_rate +
+    margin. C (voluntary lender) otherwise.
+
+    ``last_profit`` is int64. ``interest_due`` is the float product of
+    net debt (0 if there is none) and the per-step rate; the test uses
+    its integer part, as ``int(net_debt * rate)``, compared exactly with
+    the int64 profit (a product of 2**63 or more exceeds any of them).
     """
-    if last_profit < interest_due:
-        return FirmClass.A_INVOLUNTARY_BORROWER
-    if profit_rate > interest_rate + margin:
-        return FirmClass.B_VOLUNTARY_BORROWER
-    return FirmClass.C_VOLUNTARY_LENDER
+    big = interest_due >= 2.0**63
+    due = np.where(big, 0.0, interest_due).astype(np.int64)
+    return np.where(
+        big | (last_profit < due),
+        FirmClass.A_INVOLUNTARY_BORROWER,
+        np.where(
+            profit_rate > interest_rate + margin,
+            FirmClass.B_VOLUNTARY_BORROWER,
+            FirmClass.C_VOLUNTARY_LENDER,
+        ),
+    )
 
 
 def init_economy(config: EconomyConfig) -> EconomyState:
@@ -188,7 +209,6 @@ def init_economy(config: EconomyConfig) -> EconomyState:
         capital=np.full(n, config.initial_capital, dtype=np.int64),
         last_profit=np.zeros(n, dtype=np.int64),
         prev_net_debt=np.zeros(n, dtype=np.int64),
-        cls=np.full(n, FirmClass.C_VOLUNTARY_LENDER, dtype=np.int64),
         employees=np.bincount(worker_firm, minlength=n).astype(np.int64),
         worker_firm=worker_firm,
         worker_shop=worker_shop,
@@ -210,14 +230,6 @@ def initial_record(state: EconomyState) -> StepRecord:
     return _record(state, np.zeros((state.config.n_firms, 2)), (0, 0, 0), 0)
 
 
-def _int64(values: list, what: str) -> np.ndarray:
-    """A list of Python ints as an int64 column, or MoneyOverflow."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise MoneyOverflow(f"{what} out of 64-bit range") from None
-
-
 def _other_firms(seed: int, t: int, tag: int, n: int) -> np.ndarray:
     """For each firm i, a uniformly drawn other firm (i + 1 + offset) % n."""
     offsets = rng.randint_block(rng.derive(seed, t, tag), 0, n, n - 1)
@@ -229,6 +241,160 @@ def _other_firms(seed: int, t: int, tag: int, n: int) -> np.ndarray:
 # values cannot wrap.
 _EXACT = 2**52
 
+# The largest float64 below 2**63: a product clipped to it converts to
+# int64 without wrapping.
+_BELOW_2_63 = float(2**63 - 1024)
+
+
+def _inbound(target: np.ndarray, amount: np.ndarray, n: int) -> np.ndarray:
+    """Per-firm sums of ``amount[k]`` sent to firm ``target[k]``, exact:
+    int64 when the total fits the money range (then no partial sum can
+    wrap), Python ints in an object column otherwise."""
+    amount = _exact(amount)
+    sums = np.zeros(n, dtype=amount.dtype)
+    np.add.at(sums, target, amount)
+    return sums
+
+
+def _at_turn(base: np.ndarray, inbound: np.ndarray):
+    """``base + inbound`` as int64, and where it exceeds MONEY_MAX.
+
+    There MONEY_MAX stands in for the sum: that deposit left the money
+    range before the firm's turn, so the in-order loop raised earlier and
+    the value only has to be some deterministic int64.
+    """
+    over = inbound > MONEY_MAX - base
+    return np.where(over, MONEY_MAX, base + inbound).astype(np.int64, copy=False), over
+
+
+def _first_overflow(base, early, target, amount, taken, end: int):
+    """The first turn below ``end`` at which a firm deposit leaves the
+    money range, or None if none does.
+
+    Firms take turns in id order. At firm k's turn its deposit (``base[k]``
+    plus what lower firms sent it) loses ``taken[k]`` and firm
+    ``target[k]`` gains ``amount[k]``; ``early[k]`` marks a check that
+    fails no later than firm k's turn. A deposit rises up to its own turn,
+    drops there and rises again, so within the first m turns it peaks just
+    before its turn or after the last of them. Whether some check fails
+    within the first m turns is then monotone in m, and bisection finds
+    the least such m.
+    """
+    ids = np.arange(len(base))
+
+    def fails(m: int) -> bool:
+        done = ids < m
+        inflow = _inbound(target, np.where(done, amount, 0), len(base))
+        peak = inflow - np.where(done, taken, 0) > MONEY_MAX - base
+        return bool((early & done).any() or peak.any())
+
+    if not fails(end):
+        return None
+    lo, hi = 0, end - 1  # fails(hi + 1) holds
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fails(mid + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _owner_consumption(dep, receipts, shop_of, frac: float):
+    """Owner consumption: in id order each firm i draws
+    ``int(deposit * frac)`` of its deposit at its turn and spends it at
+    firm ``shop_of[i]``. Returns the draws and the receipts with these
+    sales added, or raises what the in-order loop raises first:
+    InsufficientFunds for a draw above its deposit (a float product
+    rounded up), MoneyOverflow for a deposit or receipt out of range.
+
+    A firm's deposit at its turn is ``dep`` plus the draws of the lower
+    firms that shop at it, so the draws are the fixed point of
+    ``draw = int((dep + inbound from lower ids) * frac)``. Iterated from
+    zero inbound, pass p is exact for every firm whose chain of lower
+    payers is shorter than p, and it stops the first time nothing
+    changes; the draw map is monotone, so the iterates rise to the
+    in-order result. The chains of lower ids are at most n long, hence
+    at most n + 1 passes.
+    """
+    n = len(dep)
+    lower = np.flatnonzero(shop_of > np.arange(n))  # paid before the shop's turn
+    ahead = shop_of[lower]
+    inbound = np.zeros(n, dtype=np.int64)
+    for _ in range(n + 1):
+        at_turn, over = _at_turn(dep, inbound)
+        product = at_turn * frac  # float64, truncated below: int(deposit * frac)
+        draws = np.minimum(product, _BELOW_2_63).astype(np.int64)
+        new = _inbound(ahead, draws[lower], n)
+        if np.array_equal(new, inbound):
+            break
+        inbound = new
+    sales = _inbound(shop_of, draws, n)
+    short = (product >= 2.0**63) | (draws > at_turn)
+    if short.any() or over.any() or (sales - draws > MONEY_MAX - dep).any():
+        first = int(np.argmax(short)) if short.any() else n
+        turn = _first_overflow(dep, over, shop_of, draws, draws, first)
+        if turn is not None:
+            raise MoneyOverflow(f"deposit of firm {shop_of[turn]} out of 64-bit range")
+        raise InsufficientFunds(
+            f"firm {first} holds {at_turn[first]}, draws {int(product[first])}"
+        )
+    if (sales > MONEY_MAX - receipts).any():
+        raise MoneyOverflow("receipts out of 64-bit range")
+    return draws, (receipts + sales).astype(np.int64, copy=False)
+
+
+def _invest(dep, debt, capital, last_profit, seller_of, rate: float, margin: float):
+    """Phase 4 in id order: each firm is classified from its position at
+    its turn; a B firm with positive last profit borrows it and buys
+    capital goods for it from firm ``seller_of[i]`` (None: one firm,
+    nobody to buy from), a C firm repays what its deposit covers.
+    Returns the classes and the deposit, debt and capital columns'
+    changes, or raises MoneyOverflow where the in-order loop would.
+
+    Only a firm's deposit depends on the order: it is ``dep`` plus the
+    purchases of lower firms that buy from it. As in
+    :func:`_owner_consumption` the deposits at each turn are the fixed
+    point of recomputing the interest due, the class and the purchases
+    from them, which is monotone: more inbound lowers the interest due,
+    so a firm only ever leaves class A.
+    """
+    n = len(dep)
+    lp = last_profit
+    profit_rate = lp * STEPS_PER_YEAR / capital  # may wrap or round: fixed below
+    # a negative profit is below any interest due (class A): its rate is not read
+    inexact = (lp > _EXACT // STEPS_PER_YEAR) | (capital > _EXACT)
+    for i in np.flatnonzero(inexact).tolist():
+        profit_rate[i] = int(lp[i]) * STEPS_PER_YEAR / int(capital[i])
+    annual_rate = rate * STEPS_PER_YEAR
+    may_buy = (lp > 0) & (seller_of is not None)
+    target = np.arange(n) if seller_of is None else seller_of
+    lower = np.flatnonzero(target > np.arange(n))
+    ahead = target[lower]
+    inbound = np.zeros(n, dtype=np.int64)
+    for _ in range(n + 1):
+        at_turn, over = _at_turn(dep, inbound)
+        cls = classify(lp, np.maximum(debt - at_turn, 0) * rate, profit_rate, annual_rate, margin)
+        # Capital goods change hands at cost: the sale adds to the seller's
+        # cash but carries no margin, so it does not enter the seller's
+        # profit. Only consumption sales do.
+        spent = np.where(may_buy & (cls == FirmClass.B_VOLUNTARY_BORROWER), lp, 0)
+        new = _inbound(ahead, spent[lower], n)
+        if np.array_equal(new, inbound):
+            break
+        inbound = new
+    repaid = np.where(cls == FirmClass.C_VOLUNTARY_LENDER, np.minimum(at_turn, debt), 0)
+    sales = _inbound(target, spent, n)
+    # a buyer's loan passes through its deposit before it pays the seller
+    early = over | (at_turn > MONEY_MAX - spent) | (debt > MONEY_MAX - spent)
+    if early.any() or (sales - repaid > MONEY_MAX - dep).any():
+        turn = _first_overflow(dep, early, target, spent, repaid, n)
+        raise MoneyOverflow(f"loan to firm {turn} out of 64-bit range")
+    if (capital > MONEY_MAX - spent).any():
+        raise MoneyOverflow("capital out of 64-bit range")
+    dep_change = (sales - repaid).astype(np.int64, copy=False)
+    return cls, dep_change, spent - repaid, capital + spent
+
 
 def step(state: EconomyState) -> StepRecord:
     """Advance one step in fixed order: wages, consumption, interest,
@@ -237,13 +403,14 @@ def step(state: EconomyState) -> StepRecord:
 
     Phases that are independent per firm are array operations, posted as
     checked ledger batches (one per kind of posting). Owner consumption
-    and phase 4 are order-dependent (a firm's deposit grows from earlier
-    firms' purchases), so they loop over the firms in id order on Python
-    ints, checking every balance as they go, and post their net result
-    as one batch afterwards. Everything is posted to a copy of the ledger
-    and built in new columns; the state takes them only
-    after the last phase, so a step that raises leaves the state as it
-    was.
+    and phase 4 are defined in firm-id order (a firm's deposit grows from
+    lower firms' purchases). They are evaluated exactly as array passes
+    to the fixed point that equals the in-order result (see
+    :func:`_owner_consumption`), raise what the in-order loop would
+    raise first, and post their net result as one batch. Everything is
+    posted to a copy of the ledger and built in new columns; the state
+    takes them only after the last phase, so a step that raises leaves
+    the state as it was.
     """
     cfg = state.config
     n = cfg.n_firms
@@ -285,27 +452,9 @@ def step(state: EconomyState) -> StepRecord:
     frac = cfg.capitalist_consumption_fraction
     if frac > 0 and n > 1:
         shop_of = _other_firms(seed, t, _TAG_OWNER_TARGET, n)
-        d = dep[:n].tolist()
-        r = receipts.tolist()
-        draws = [0] * n
-        for i, shop in enumerate(shop_of.tolist()):
-            di = d[i]
-            draw = int(di * frac)
-            if draw:
-                # The batch checks only the loop's net result; these catch
-                # balances that are out of range mid-loop only.
-                if draw > di:
-                    raise InsufficientFunds(f"firm {i} holds {di}, draws {draw}")
-                if d[shop] > MONEY_MAX - draw:
-                    raise MoneyOverflow(f"deposit of firm {shop} out of 64-bit range")
-                d[i] = di - draw
-                d[shop] += draw
-                r[shop] += draw
-                draws[i] = draw
-        draws = np.array(draws, dtype=np.int64)
+        draws, receipts = _owner_consumption(dep[:n], receipts, shop_of, frac)
         owners = np.flatnonzero(draws)
         ledger.transfer_many(owners, shop_of[owners], draws[owners])
-        receipts = _int64(r, "receipts")
 
     # (3) interest on outstanding debt, paid into bank equity
     rate = cfg.interest_rate
@@ -322,45 +471,14 @@ def step(state: EconomyState) -> StepRecord:
         ledger.pay_to_bank_many(payers, interest_paid[payers])
 
     # (4) classification, then investment (B) or repayment (C)
-    annual_rate = rate * STEPS_PER_YEAR
-    margin = cfg.investment_margin
     seller_of = _other_firms(seed, t, _TAG_INVEST_TARGET, n) if n > 1 else None
-    sellers = None if seller_of is None else seller_of.tolist()
-    d = dep[:n].tolist()
-    b = debt[:n].tolist()
-    caps = state.capital.tolist()
-    cls = [0] * n
-    counts = [0, 0, 0]
-    for i, lp in enumerate(state.last_profit.tolist()):
-        di, bi = d[i], b[i]
-        nd = bi - di
-        due = int(nd * rate) if nd > 0 else 0
-        c = classify(lp, due, lp * STEPS_PER_YEAR / caps[i], annual_rate, margin)
-        cls[i] = c
-        counts[c] += 1
-        if c is FirmClass.B_VOLUNTARY_BORROWER:
-            if lp > 0 and sellers is not None:
-                # Capital goods change hands at cost: the sale adds to the
-                # seller's cash but carries no margin, so it does not enter
-                # the seller's profit. Only consumption sales do.
-                seller = sellers[i]
-                if max(di, bi, d[seller]) > MONEY_MAX - lp:
-                    raise MoneyOverflow(f"loan to firm {i} out of 64-bit range")
-                b[i] = bi + lp
-                d[seller] += lp
-                caps[i] += lp
-        elif c is FirmClass.C_VOLUNTARY_LENDER:
-            repay = min(di, bi)
-            if repay:
-                d[i] = di - repay
-                b[i] = bi - repay
-    # the loop's loans, purchases and repayments, posted as their net result
-    # (every balance stayed in range above, so these columns are int64)
-    dep_change = np.array(d, dtype=np.int64) - dep[:n]
-    debt_change = np.array(b, dtype=np.int64) - debt[:n]
+    cls, dep_change, debt_change, capital = _invest(
+        dep[:n], debt[:n], state.capital, state.last_profit, seller_of,
+        rate, cfg.investment_margin,
+    )
     moved = np.flatnonzero(dep_change | debt_change)
     ledger.settle_many(moved, dep_change[moved], debt_change[moved])
-    capital = _int64(caps, "capital")
+    counts = np.bincount(cls, minlength=3)
 
     # (5) depreciation: book-value write-down, no money moves
     dep_rate = cfg.depreciation
@@ -393,12 +511,11 @@ def step(state: EconomyState) -> StepRecord:
 
     state.ledger = ledger
     state.capital = capital
-    state.cls = np.array(cls, dtype=np.int64)
     state.last_profit = profit
     state.prev_net_debt = net_debt
     state.worker_shop = shops
     state.t = t
-    return _record(state, points, (counts[0], counts[1], counts[2]), int(bankrupt.size))
+    return _record(state, points, tuple(counts.tolist()), int(bankrupt.size))
 
 
 def run(config: EconomyConfig) -> list[StepRecord]:

@@ -103,6 +103,8 @@ def _total(amount: np.ndarray) -> int:
 def _exact(amount: np.ndarray) -> np.ndarray:
     """``amount``, widened to Python ints (object dtype) if its total is
     above MONEY_MAX: only then can a per-agent sum of it wrap int64."""
+    if amount.size == 0 or int(amount.max()) <= MONEY_MAX // amount.size:
+        return amount  # the total is at most size * max: no sum needed
     return amount if _total(amount) <= MONEY_MAX else amount.astype(object)
 
 

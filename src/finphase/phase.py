@@ -24,6 +24,9 @@ from .errors import DegenerateSample, ParseError
 # negative-x (net creditor) tail.
 DEFAULT_GRID_BOUNDS = (-10.0, 1.5, -1.0, 1.0)
 DEFAULT_GRID_BINS = (100, 100)
+# The most bins a grid may have, checked before anything is allocated:
+# 2048 x 2048, so one int64 count grid takes at most 32 MiB.
+MAX_BINS = 2**22
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ class GridSpec:
             raise ValueError("grid extent must be finite and non-empty")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("bin counts must be >= 1")
+        if self.nx * self.ny > MAX_BINS:
+            raise ValueError(f"grid of {self.nx} x {self.ny} bins exceeds the limit of {MAX_BINS}")
 
     @classmethod
     def default(cls) -> "GridSpec":

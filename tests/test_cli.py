@@ -137,7 +137,14 @@ class TestMacroCommand:
 
 
 FIRMS = ["firms", "--firms", "5", "--workers", "20", "--steps", "2", "--outdir", "{out}"]
+ANALYZE = ["analyze", "{phase}", "--out", "{out}/r.json", "--hist-out", "{out}/h.csv"]
 MACRO = ["macro", "--gP", "0.03", "--d", "0.1", "--r0", "0.1", "--out", "{out}/r.csv"]
+# A bad --grid field, and a grid too large to allocate (checked, never built).
+BAD_GRIDS = [
+    (["0", "1", "0", "1", "1.5", "2"], "--grid NX must be an integer, got '1.5'"),
+    (["0", "one", "0", "1", "2", "2"], "--grid XMAX must be a number, got 'one'"),
+    (["0", "1", "0", "1", "100000", "100000"], "grid of 100000 x 100000 bins exceeds the limit"),
+]
 
 
 @pytest.mark.parametrize(
@@ -159,21 +166,26 @@ MACRO = ["macro", "--gP", "0.03", "--d", "0.1", "--r0", "0.1", "--out", "{out}/r
          "need >= 2 points"),
         (["exchange", "--agents", "2", "--initial-money", str(2**62), "--events", "10",
           "--outdir", "{out}"], "total money n_agents \\* initial_money must be <= "),
-    ],
+    ]
+    + [(cmd + ["--grid", *grid], message) for cmd in (FIRMS, ANALYZE) for grid, message in BAD_GRIDS],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
-         "one_firm", "exchange_total_money"],
+         "one_firm", "exchange_total_money"]
+    + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze") for case in ("nx", "extent", "bins")],
 )
 def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message):
     levels = tmp_path / "levels.csv"
     levels.write_text("t,level\n0,1.0\n1,nan\n")
     table = tmp_path / "params.csv"
     table.write_text("year,g_L,g_P,d,lambda\n1964,0.02,0.03,inf,0.60\n")
+    phase_csv = tmp_path / "phase_t1.csv"
+    phase_csv.write_text("firm_id,x,y\n0,0.5,0.0\n1,-0.5,0.1\n")
     out = tmp_path / "out"
     out.mkdir()
-    argv = [a.format(out=out, levels=levels, table=table) for a in argv]
+    argv = [a.format(out=out, levels=levels, table=table, phase=phase_csv) for a in argv]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert re.match(f"error: {message}", err), err
+    assert "Traceback" not in err
     assert list(out.iterdir()) == []
 
 

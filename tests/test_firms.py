@@ -1,13 +1,18 @@
 """Firm economy: initialisation, step mechanics, invariants, trends."""
 
+import copy
 import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from finphase import phase
-from finphase.errors import InvalidConfig, MoneyOverflow
+from finphase import firms, phase
+from finphase.errors import InsufficientFunds, InvalidConfig, MoneyOverflow
 from finphase.firms import (
+    STEPS_PER_YEAR,
     EconomyConfig,
     FirmClass,
     classify,
@@ -16,7 +21,7 @@ from finphase.firms import (
     run,
     step,
 )
-from finphase.ledger import MONEY_MAX
+from finphase.ledger import MONEY_MAX, MONEY_MIN, Ledger
 
 from conftest import conservation_oracle
 
@@ -84,26 +89,26 @@ class TestClassify:
     def test_voluntary_borrower(self):
         # high profit rate, well in excess of interest plus margin
         cls = classify(
-            last_profit=30, interest_due=10, profit_rate=0.3,
-            interest_rate=0.1, margin=0.05,
+            last_profit=np.array([30]), interest_due=np.array([10.0]),
+            profit_rate=np.array([0.3]), interest_rate=0.1, margin=0.05,
         )
-        assert cls is FirmClass.B_VOLUNTARY_BORROWER
+        assert cls.tolist() == [FirmClass.B_VOLUNTARY_BORROWER]
 
     def test_involuntary_borrower(self):
         # profit below the interest due on its net debt
         cls = classify(
-            last_profit=5, interest_due=10, profit_rate=0.4,
-            interest_rate=0.1, margin=0.05,
+            last_profit=np.array([5]), interest_due=np.array([10.0]),
+            profit_rate=np.array([0.4]), interest_rate=0.1, margin=0.05,
         )
-        assert cls is FirmClass.A_INVOLUNTARY_BORROWER
+        assert cls.tolist() == [FirmClass.A_INVOLUNTARY_BORROWER]
 
     def test_voluntary_lender(self):
         # no debt, positive cash, profit rate below the hurdle
         cls = classify(
-            last_profit=5, interest_due=0, profit_rate=0.05,
-            interest_rate=0.1, margin=0.05,
+            last_profit=np.array([5]), interest_due=np.array([0.0]),
+            profit_rate=np.array([0.05]), interest_rate=0.1, margin=0.05,
         )
-        assert cls is FirmClass.C_VOLUNTARY_LENDER
+        assert cls.tolist() == [FirmClass.C_VOLUNTARY_LENDER]
 
 
 class TestStep:
@@ -176,7 +181,6 @@ def snapshot(state):
         list(state.ledger.accounts()),
         state.ledger.bank_equity,
         state.capital.tolist(),
-        state.cls.tolist(),
         state.last_profit.tolist(),
         state.prev_net_debt.tolist(),
         state.worker_shop.tolist(),
@@ -301,3 +305,243 @@ class TestRun:
             records = run(EconomyConfig(n_firms=200, n_workers=2000, n_steps=20, seed=seed))
             skews.append(phase.tail_metrics(records[20].points).skew_x)
         assert statistics.median(skews) < 0
+
+
+# -- the sequential oracle ---------------------------------------------------
+#
+# Owner consumption and phase 4 as they were written before their array
+# evaluation: loops in firm-id order on Python ints, checking every balance
+# as they go. They take and return what firms._owner_consumption and
+# firms._invest do, so they can also stand in for them inside step.
+
+
+def _int64(values: list, what: str) -> np.ndarray:
+    """A list of Python ints as an int64 column, or MoneyOverflow."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise MoneyOverflow(f"{what} out of 64-bit range") from None
+
+
+def classify_oracle(last_profit, interest_due, profit_rate, interest_rate, margin):
+    if last_profit < interest_due:
+        return FirmClass.A_INVOLUNTARY_BORROWER
+    if profit_rate > interest_rate + margin:
+        return FirmClass.B_VOLUNTARY_BORROWER
+    return FirmClass.C_VOLUNTARY_LENDER
+
+
+def owner_consumption_oracle(dep, receipts, shop_of, frac):
+    n = len(dep)
+    d = dep.tolist()
+    r = receipts.tolist()
+    draws = [0] * n
+    for i, shop in enumerate(shop_of.tolist()):
+        di = d[i]
+        draw = int(di * frac)
+        if draw:
+            # The batch checks only the loop's net result; these catch
+            # balances that are out of range mid-loop only.
+            if draw > di:
+                raise InsufficientFunds(f"firm {i} holds {di}, draws {draw}")
+            if d[shop] > MONEY_MAX - draw:
+                raise MoneyOverflow(f"deposit of firm {shop} out of 64-bit range")
+            d[i] = di - draw
+            d[shop] += draw
+            r[shop] += draw
+            draws[i] = draw
+    return np.array(draws, dtype=np.int64), _int64(r, "receipts")
+
+
+def invest_oracle(dep, debt, capital, last_profit, seller_of, rate, margin):
+    annual_rate = rate * STEPS_PER_YEAR
+    sellers = None if seller_of is None else seller_of.tolist()
+    d = dep.tolist()
+    b = debt.tolist()
+    caps = capital.tolist()
+    cls = [0] * len(d)
+    for i, lp in enumerate(last_profit.tolist()):
+        di, bi = d[i], b[i]
+        nd = bi - di
+        due = int(nd * rate) if nd > 0 else 0
+        c = classify_oracle(lp, due, lp * STEPS_PER_YEAR / caps[i], annual_rate, margin)
+        cls[i] = c
+        if c is FirmClass.B_VOLUNTARY_BORROWER:
+            if lp > 0 and sellers is not None:
+                seller = sellers[i]
+                if max(di, bi, d[seller]) > MONEY_MAX - lp:
+                    raise MoneyOverflow(f"loan to firm {i} out of 64-bit range")
+                b[i] = bi + lp
+                d[seller] += lp
+                caps[i] += lp
+        elif c is FirmClass.C_VOLUNTARY_LENDER:
+            repay = min(di, bi)
+            if repay:
+                d[i] = di - repay
+                b[i] = bi - repay
+    dep_change = np.array(d, dtype=np.int64) - dep
+    debt_change = np.array(b, dtype=np.int64) - debt
+    return np.array(cls, dtype=np.int64), dep_change, debt_change, _int64(caps, "capital")
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, as plain lists, or the class and
+    message of the money error it raises."""
+    try:
+        result = fn(*args)
+    except (InsufficientFunds, MoneyOverflow) as exc:
+        return type(exc), str(exc)
+    return [col.tolist() for col in result]
+
+
+# Balances small, above 2**53 (where int -> float64 rounds), and within
+# 10**6 of MONEY_MAX, where small profits and draws cross it.
+_money = st.one_of(
+    st.integers(0, 10**6), st.integers(2**53, MONEY_MAX), st.integers(MONEY_MAX - 10**6, MONEY_MAX)
+)
+_profit = st.one_of(
+    st.integers(-(10**6), 10**6), st.integers(MONEY_MIN, MONEY_MAX), st.integers(MONEY_MAX - 10**6, MONEY_MAX)
+)
+_capital = st.one_of(st.integers(1, 10**6), st.integers(2**52, MONEY_MAX))
+_fraction = st.one_of(st.sampled_from([0.0, 1.0, 0.05, 0.5]), st.floats(0, 1))
+_rate = st.one_of(st.sampled_from([0.0, 0.005, 0.5, 1.0, 3.0]), st.floats(0, 4))
+_margin = st.one_of(st.sampled_from([0.0, 0.01]), st.floats(0, 1))
+
+
+@st.composite
+def _other_firms(draw, n):
+    """For each firm, another firm (None for a single firm)."""
+    if n == 1:
+        return None
+    offsets = draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+    return (np.arange(n) + 1 + np.array(offsets)) % n
+
+
+def _column(draw, n, values):
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64)
+
+
+@st.composite
+def _owner_case(draw):
+    n = draw(st.integers(2, 6))
+    return (
+        _column(draw, n, _money), _column(draw, n, _money),
+        draw(_other_firms(n)), draw(_fraction),
+    )
+
+
+@st.composite
+def _invest_case(draw):
+    n = draw(st.integers(1, 6))
+    return (
+        _column(draw, n, _money), _column(draw, n, _money), _column(draw, n, _capital),
+        _column(draw, n, _profit), draw(_other_firms(n)), draw(_rate), draw(_margin),
+    )
+
+
+def _arrays(*columns):
+    return tuple(None if c is None else np.array(c, dtype=np.int64) for c in columns)
+
+
+class TestOrderDependentPhases:
+    """The array evaluation of owner consumption and phase 4 against the
+    sequential loops: the same draws, classes and balances, or the same
+    error raised first."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_owner_case())
+    # firm 1's float product rounds up to 2**63, so it draws more than it
+    # holds, before firm 2's draw would overflow firm 1
+    @example(_arrays([0, MONEY_MAX, 10], [0, 0, 0], [1, 2, 1]) + (1.0,))
+    # firm 0's draw overflows firm 1 before firm 1's product rounds up
+    @example(_arrays([10, MONEY_MAX - 5, 0], [0, 0, 0], [1, 2, 0]) + (1.0,))
+    # the deposits stay in range but a receipt does not
+    @example(_arrays([10, 0], [0, MONEY_MAX - 5], [1, 0]) + (1.0,))
+    def test_owner_consumption_matches_the_loop(self, case):
+        assert outcome(firms._owner_consumption, *case) == outcome(owner_consumption_oracle, *case)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_invest_case())
+    # a lender repays before the purchase arrives / the purchase overflows
+    @example(_arrays([MONEY_MAX - 10, 0], [2000, 0], [3000, 3000], [0, 1000], [1, 0]) + (0.0, 0.01))
+    @example(_arrays([0, MONEY_MAX - 10], [0, 2000], [3000, 3000], [1000, 0], [1, 0]) + (0.0, 0.01))
+    # a buyer's loan overflows its own deposit, its debt, its capital
+    @example(_arrays([MONEY_MAX - 10, 0], [0, 0], [3000, 3000], [1000, 0], [1, 0]) + (0.0, 0.01))
+    @example(_arrays([0, 0], [MONEY_MAX - 10, 0], [3000, 3000], [1000, 0], [1, 0]) + (0.0, 0.0))
+    @example(_arrays([0, 0], [0, 0], [MONEY_MAX - 10, 3000], [2**62, 0], [1, 0]) + (0.0, 0.0))
+    # interest due of 2**63 or more, with the largest profit
+    @example(_arrays([0], [MONEY_MAX], [1], [MONEY_MAX], None) + (2.0, 0.0))
+    def test_invest_matches_the_loop(self, case):
+        assert outcome(firms._invest, *case) == outcome(invest_oracle, *case)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_chains_of_lower_ids(self, n, direction):
+        # Firm i pays firm i + direction: upward every payment lands before
+        # its payee's turn, so the result needs one pass per link.
+        ids = np.arange(n)
+        target = (ids + direction) % n
+        dep = np.where(ids == 0, 10**15, 0)
+        zeros = np.zeros(n, dtype=np.int64)
+        args = (dep, zeros, target, 0.5)
+        if n > 1:
+            assert outcome(firms._owner_consumption, *args) == outcome(owner_consumption_oracle, *args)
+        # Each firm but the first owes enough interest to be class A,
+        # until the purchase of the firm before it arrives.
+        debt = np.where(ids == 0, 0, 1100)
+        args = (zeros, debt, np.full(n, 100), np.full(n, 10), target if n > 1 else None, 0.01, 0.0)
+        expected = outcome(invest_oracle, *args)
+        assert outcome(firms._invest, *args) == expected
+        if direction == 1:
+            assert expected[0] == [FirmClass.B_VOLUNTARY_BORROWER] * n
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        n_workers=st.integers(0, 6),
+        seed=st.integers(0, 2**32),
+        wage=st.sampled_from([0, 100, 2**60]),
+        frac=_fraction,
+        rate=_rate,
+        margin=_margin,
+        data=st.data(),
+    )
+    def test_step_matches_the_loops(self, n, n_workers, seed, wage, frac, rate, margin, data):
+        config = EconomyConfig(
+            n_firms=n, n_workers=n_workers, base_money=MONEY_MAX // 2, wage=wage,
+            interest_rate=rate, investment_margin=margin,
+            capitalist_consumption_fraction=frac, seed=seed,
+        )
+        state = init_economy(config)
+        dep, debt = _column(data.draw, n, _money), _column(data.draw, n, _money)
+        firm_ids = np.arange(n)
+        try:
+            initial = [*np.maximum(dep - debt, 0).tolist(), *[0] * n_workers]
+            ledger = Ledger(n + n_workers, config.base_money, initial)
+            ledger.create_loan_many(firm_ids, debt)
+            ledger.pay_to_bank_many(firm_ids, np.maximum(debt - dep, 0))
+        except MoneyOverflow:
+            reject()  # not a representable starting ledger
+        state.ledger = ledger
+        state.capital = _column(data.draw, n, _capital)
+        state.last_profit = _column(data.draw, n, _profit)
+        looped = copy.deepcopy(state)
+
+        def run_step(s):
+            try:
+                rec = step(s)
+            except (InsufficientFunds, MoneyOverflow) as exc:
+                return type(exc), str(exc)
+            return rec.t, rec.class_counts, rec.bankruptcies, rec.conservation_residual, rec.points
+
+        result = run_step(state)
+        with mock.patch.object(firms, "_owner_consumption", owner_consumption_oracle), \
+                mock.patch.object(firms, "_invest", invest_oracle):
+            expected = run_step(looped)
+        assert len(result) == len(expected)
+        if len(result) == 5:
+            assert result[:4] == expected[:4]
+            assert np.array_equal(result[4], expected[4], equal_nan=True)
+        else:
+            assert result == expected
+        assert snapshot(state) == snapshot(looped)

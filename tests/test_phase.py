@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from finphase import rng
 from finphase.errors import DegenerateSample, ParseError
 from finphase.phase import (
+    MAX_BINS,
     GridSpec,
     PhaseHistogram,
     bin_phase,
@@ -41,6 +42,14 @@ class TestGridSpec:
     def test_rejects_zero_bins(self):
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 0, 10)
+
+    def test_rejects_more_than_max_bins(self):
+        # only the specification is built, never a count grid
+        assert GridSpec(0.0, 1.0, 0.0, 1.0, 2048, 2048).nx * 2048 == MAX_BINS
+        assert GridSpec(0.0, 1.0, 0.0, 1.0, MAX_BINS, 1).nx == MAX_BINS
+        for nx, ny in [(2048, 2049), (MAX_BINS + 1, 1), (100000, 100000)]:
+            with pytest.raises(ValueError, match=f"grid of {nx} x {ny} bins exceeds the limit"):
+                GridSpec(0.0, 1.0, 0.0, 1.0, nx, ny)
 
     def test_default(self):
         g = GridSpec.default()
