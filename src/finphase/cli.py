@@ -4,8 +4,10 @@ One binary, subcommand style: exchange | firms | analyze | macro |
 interest | reserves | sectors. Every run is deterministic given its
 config and seed (seeds default to 0, never to the clock), and all data
 outputs are written with full-precision repr formatting so identical runs
-are byte-identical. Exit codes: 0 success, 1 domain error (message on
-stderr, never a stack trace), 2 usage error.
+are byte-identical. ``firms`` has its phase CSVs formatted by a second
+process (``_phasecsv``) while its simulation runs; this process writes
+them once the last step is done. Exit codes: 0 success, 1 domain error
+(message on stderr, never a stack trace), 2 usage error.
 
 Config files are plain ``key = value`` lines with ``#`` comments; CLI
 flags override file values, and unknown keys are hard errors. The default
@@ -133,7 +135,12 @@ def parse_config_file(path, config_cls):
 
 class _Manifest:
     """Reproducibility record: resolved config, seed, outputs, timing, and
-    the Python and numpy versions and peak RSS of the run."""
+    the Python and numpy versions and peak RSS of the run.
+
+    Peak RSS is the larger of this process's and that of its largest
+    reaped child (``firms``'s phase-CSV writer), read when the manifest
+    is written, after the writer has exited.
+    """
 
     def __init__(self, subcommand: str, config: dict, seed):
         self.payload = {
@@ -155,7 +162,10 @@ class _Manifest:
         import resource  # Unix only; needed only when a manifest is asked for
 
         # ru_maxrss is in KiB on Linux and in bytes on macOS
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        rss = max(
+            resource.getrusage(who).ru_maxrss
+            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+        )
         self.payload.update(
             finished=datetime.now(timezone.utc).isoformat(),
             python=platform.python_version(),
@@ -236,45 +246,49 @@ def _economy_config_from_args(args) -> firms.EconomyConfig:
     return firms.EconomyConfig(**values)
 
 
-_PHASE_HEADER = "firm_id,x,y"
+_PHASE_HEADER = "firm_id,x,y"  # as _phasecsv writes it
 
 
 def _cmd_firms(args) -> int:
-    config = _economy_config_from_args(args)
-    grid = _grid_from_args(args)
-    records = firms.run(config)
-    series = ["t,entropy,rentier_fraction,std_x,bankruptcies,class_A,class_B,class_C\n"]
-    for rec in records:  # a degenerate sample fails here, before any output
-        h = phase.entropy(phase.bin_phase(rec.points, grid))
-        metrics = phase.tail_metrics(rec.points)
-        a, b, c = rec.class_counts
-        series.append(
-            f"{rec.t},{h!r},{metrics.rentier_fraction!r},"
-            f"{metrics.std_x!r},{rec.bankruptcies},{a},{b},{c}\n"
-        )
-    outdir = _outdir(args)
-    manifest = _Manifest("firms", dataclasses.asdict(config), config.seed)
+    from . import _phasecsv  # imported here: no other command uses the writer
 
+    config = _economy_config_from_args(args)
+    config.validate()  # here, so that a bad value starts no writer process
+    grid = _grid_from_args(args)
+    series = ["t,entropy,rentier_fraction,std_x,bankruptcies,class_A,class_B,class_C\n"]
+    steps, residuals = [], []
+    with _phasecsv.PhaseWriter() as writer:
+        # a degenerate sample or a step error fails in this loop, before any output
+        for rec in firms.records(config):
+            writer.send(rec.points)  # formatted by the writer while the next step runs
+            h = phase.entropy(phase.bin_phase(rec.points, grid))
+            metrics = phase.tail_metrics(rec.points)
+            a, b, c = rec.class_counts
+            series.append(
+                f"{rec.t},{h!r},{metrics.rentier_fraction!r},"
+                f"{metrics.std_x!r},{rec.bankruptcies},{a},{b},{c}\n"
+            )
+            steps.append(rec.t)
+            residuals.append(rec.conservation_residual)
+        outdir = _outdir(args)
+        manifest = _Manifest("firms", dataclasses.asdict(config), config.seed)
+        # strict: texts() then runs to its end, where the writer's exit status is checked
+        for t, text in zip(steps, writer.texts(), strict=True):
+            p = outdir / f"phase_t{t}.csv"
+            p.write_bytes(text)
+            manifest.add_output(p)
+    # written after the phase files, so a writer that fails at once leaves no output
     series_path = outdir / "series.csv"
     series_path.write_text("".join(series))
     manifest.add_output(series_path)
-    for rec in records:
-        p = outdir / f"phase_t{rec.t}.csv"
-        with open(p, "w") as fh:
-            fh.write(_PHASE_HEADER + "\n")
-            rows = enumerate(rec.points.tolist())
-            fh.write("".join([f"{i},{x!r},{y!r}\n" for i, (x, y) in rows]))
-        manifest.add_output(p)
-    manifest.payload["conservation_residuals"] = [
-        rec.conservation_residual for rec in records
-    ]
+    manifest.payload["conservation_residuals"] = residuals
     run_path = outdir / "run.json"
     _write_json(
         run_path,
         {
             "config": dataclasses.asdict(config),
             "seed": config.seed,
-            "final_conservation_residual": records[-1].conservation_residual,
+            "final_conservation_residual": residuals[-1],
         },
     )
     manifest.add_output(run_path)
@@ -282,7 +296,7 @@ def _cmd_firms(args) -> int:
         manifest.write(outdir)
     print(
         f"firms: {config.n_firms} firms x {config.n_steps} steps, "
-        f"final residual {records[-1].conservation_residual}"
+        f"final residual {residuals[-1]}"
     )
     return 0
 

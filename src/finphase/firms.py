@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -518,13 +519,19 @@ def step(state: EconomyState) -> StepRecord:
     return _record(state, points, tuple(counts.tolist()), int(bankrupt.size))
 
 
-def run(config: EconomyConfig) -> list[StepRecord]:
+def records(config: EconomyConfig) -> Iterator[StepRecord]:
     """Initialise and advance n_steps; deterministic given the seed.
 
-    Returns one record per step boundary, including the t = 0 snapshot.
+    Yields one record per step boundary, the t = 0 snapshot first, each
+    as soon as its step is done, so a caller can use and drop it while
+    the next one is made.
     """
     state = init_economy(config)
-    records = [initial_record(state)]
+    yield initial_record(state)
     for _ in range(config.n_steps):
-        records.append(step(state))
-    return records
+        yield step(state)
+
+
+def run(config: EconomyConfig) -> list[StepRecord]:
+    """All of ``records(config)``: one record per step boundary."""
+    return list(records(config))

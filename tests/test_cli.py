@@ -1,15 +1,22 @@
 """CLI: routing, exit codes, output formats, and reproducibility."""
 
 import json
+import os
 import platform
 import re
+import subprocess
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from finphase import _phasecsv, firms
 from finphase.cli import _write_json, dispatch, parse_config_file
-from finphase.errors import InvalidConfig
+from finphase.errors import InvalidConfig, MoneyOverflow
 from finphase.firms import EconomyConfig
 
 
@@ -277,6 +284,145 @@ class TestFirmsCommand:
         assert run_cli("firms", "--config", str(cfg), "--outdir", str(out)) == 1
         assert capsys.readouterr().err == "error: interest_rate must be finite, got nan\n"
         assert not out.exists()
+
+
+def phase_csv_oracle(points) -> bytes:
+    """A phase CSV as ``finphase firms`` formatted it in-process before the
+    writer process took over: the reference for the writer's texts."""
+    rows = enumerate(points.tolist())
+    return ("firm_id,x,y\n" + "".join([f"{i},{x!r},{y!r}\n" for i, (x, y) in rows])).encode()
+
+
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, 1e-05, 1e16, float(2**53 + 1),
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+phase_points = st.one_of(st.sampled_from([0, 1, 1000]), st.integers(2, 40)).flatmap(
+    lambda n: arrays(np.float64, (n, 2), elements=st.floats() | st.sampled_from(EDGE_FLOATS))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(phase_points, max_size=4))
+@example([])
+@example([np.array(EDGE_FLOATS).reshape(4, 2), np.empty((0, 2)), np.array([[1e-05, -0.0]])])
+@example([np.arange(2000.0).reshape(1000, 2) / 7 - 100, np.array(EDGE_FLOATS[::-1]).reshape(4, 2)])
+def test_writer_texts_equal_the_oracle(files):
+    with _phasecsv.PhaseWriter() as writer:  # a real writer process
+        for points in files:
+            writer.send(points)
+        texts = list(writer.texts())
+    assert texts == [phase_csv_oracle(points) for points in files]
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started through ``subprocess.Popen`` during the test."""
+    procs = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return procs
+
+
+def assert_reaped(proc):
+    assert proc.returncode is not None
+    with pytest.raises(ChildProcessError):  # not a child any more: waited for
+        os.waitpid(proc.pid, os.WNOHANG)
+
+
+SMALL_FIRMS = ["firms", "--firms", "5", "--workers", "20", "--steps", "4"]
+
+
+class TestPhaseWriter:
+    @pytest.mark.parametrize(
+        "script,size,message,outputs",
+        [
+            ("import sys\nsys.exit(3)\n", SMALL_FIRMS,
+             r"phase writer (stopped reading|output ended early) \(exit status 3\)", []),
+            # 101 steps of 16 kB: more than a pipe holds, so a send meets the exited writer
+            ("import sys\nsys.exit(3)\n",
+             ["firms", "--firms", "1000", "--workers", "2000", "--steps", "100"],
+             r"phase writer stopped reading \(exit status 3\)", []),
+            ("import sys\nsys.stdin.buffer.read()\n"
+             "sys.stdout.buffer.write((100).to_bytes(8, sys.byteorder) + b'abc')\n", SMALL_FIRMS,
+             r"phase writer output ended early \(exit status 0\)", []),
+            # every text intact, then a failure: the texts are written, then the run fails
+            ("import runpy, sys\nrunpy.run_path({real!r}, run_name='__main__')\nsys.exit(5)\n",
+             SMALL_FIRMS, r"phase writer failed \(exit status 5\)",
+             [f"phase_t{t}.csv" for t in range(5)]),
+        ],
+        ids=["exits_3", "exits_3_mid_run", "short_text", "exits_5_after_its_output"],
+    )
+    def test_failed_writer_exits_one(
+        self, tmp_path, capsys, monkeypatch, started, script, size, message, outputs
+    ):
+        path = tmp_path / "writer.py"
+        path.write_text(script.format(real=_phasecsv.SCRIPT))
+        monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+        out = tmp_path / "out"
+        assert run_cli(*size, "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {message}\n", err), err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.glob("*")) == sorted(outputs)
+        [proc] = started
+        assert_reaped(proc)
+
+    @pytest.mark.parametrize("error", [MoneyOverflow("deposit overflow"), KeyboardInterrupt()])
+    def test_run_failing_mid_simulation_writes_nothing_and_reaps_the_writer(
+        self, tmp_path, capsys, monkeypatch, started, error
+    ):
+        step = firms.step
+
+        def failing_step(state):
+            if state.t == 2:
+                raise error
+            return step(state)
+
+        monkeypatch.setattr(firms, "step", failing_step)
+        out = tmp_path / "out"
+        argv = [*SMALL_FIRMS, "--outdir", str(out)]
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == "error: deposit overflow\n"
+        assert not out.exists()
+        [proc] = started
+        assert_reaped(proc)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--firms", "x"],
+            ["--margin", "nan"],
+            ["--firms", "0"],
+            ["--grid", "0", "1", "0", "1", "1.5", "2"],
+            ["--config", "/no/such/economy.cfg"],
+        ],
+        ids=["usage", "non_finite", "config_value", "grid", "config_file"],
+    )
+    def test_usage_errors_start_no_writer(self, tmp_path, started, argv):
+        assert run_cli("firms", *argv, "--outdir", str(tmp_path / "out")) in (1, 2)
+        assert started == []
+
+    @pytest.mark.parametrize("own,child", [(4096, 2048), (2048, 4096)])
+    def test_manifest_peak_rss_covers_the_writer(self, tmp_path, monkeypatch, own, child):
+        import resource
+
+        maxrss = {resource.RUSAGE_SELF: own, resource.RUSAGE_CHILDREN: child}
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=maxrss[who])
+        )
+        assert run_cli(*SMALL_FIRMS, "--outdir", str(tmp_path), "--manifest") == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["peak_rss_mb"] == 4.0
 
 
 class TestAnalyzeCommand:

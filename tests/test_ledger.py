@@ -1,10 +1,15 @@
 """Ledger operations: conservation, inverses, errors, snapshots."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finphase import rng
+from finphase import firms, rng
 from finphase.errors import (
     FinphaseError,
     InsufficientFunds,
@@ -176,6 +181,53 @@ class TestAnnihilate:
             led.annihilate(agent)
         assert led.bank_equity == 500
         assert conservation_oracle(led) == 0
+
+
+class TestDistinctAgents:
+    """The duplicate checks of ``settle_many`` and ``annihilate_many``."""
+
+    @pytest.mark.parametrize("agents", [[0, 0], [1, 0, 1], [2, 1, 0, 2], [3, 3, 3]])
+    def test_settle_rejects_a_repeated_agent(self, agents):
+        led = make_ledger([10, 0, 0, 0])
+        zeros = [0] * len(agents)
+        with pytest.raises(ValueError, match="^settle_many takes each agent at most once$"):
+            led.settle_many(agents, zeros, zeros)
+
+    @pytest.mark.parametrize(
+        "bankrupt, posted",
+        [([], []), ([2], [2]), ([3, 1, 3, 0, 1], [0, 1, 3]), ([2, 2, 2], [2])],
+    )
+    def test_annihilate_posts_sorted_distinct_ids(self, monkeypatch, bankrupt, posted):
+        led = make_ledger([10, 20, 30, 40])
+        led.create_loan(3, 50)
+        commits = []
+        commit = Ledger._commit
+
+        def spy(self, idx, **deltas):
+            commits.append(idx.tolist())
+            commit(self, idx, **deltas)
+
+        monkeypatch.setattr(Ledger, "_commit", spy)
+        led.annihilate_many(bankrupt)
+        assert commits == [posted]
+        assert [led.account(a) for a in posted] == [Account(0, 0)] * len(posted)
+        assert led.conservation_residual() == 0
+
+    def test_a_firms_step_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma (~19 ms) on its first call; a fresh
+        # interpreter shows whether any posting of a step still reaches it.
+        code = (
+            "import sys\n"
+            "from finphase import firms\n"
+            "firms.run(firms.EconomyConfig(n_firms=30, n_workers=100, n_steps=3))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(firms.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False\n"
 
 
 class TestNetPosition:
