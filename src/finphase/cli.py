@@ -257,9 +257,10 @@ def _cmd_firms(args) -> int:
     grid = _grid_from_args(args)
     series = ["t,entropy,rentier_fraction,std_x,bankruptcies,class_A,class_B,class_C\n"]
     steps, residuals = [], []
+    timings = dict.fromkeys(firms.PHASES, 0.0) if args.manifest else None
     with _phasecsv.PhaseWriter() as writer:
         # a degenerate sample or a step error fails in this loop, before any output
-        for rec in firms.records(config):
+        for rec in firms.records(config, timings):
             writer.send(rec.points)  # formatted by the writer while the next step runs
             h = phase.entropy(phase.bin_phase(rec.points, grid))
             metrics = phase.tail_metrics(rec.points)
@@ -272,11 +273,20 @@ def _cmd_firms(args) -> int:
             residuals.append(rec.conservation_residual)
         outdir = _outdir(args)
         manifest = _Manifest("firms", dataclasses.asdict(config), config.seed)
-        # strict: texts() then runs to its end, where the writer's exit status is checked
-        for t, text in zip(steps, writer.texts(), strict=True):
-            p = outdir / f"phase_t{t}.csv"
-            p.write_bytes(text)
-            manifest.add_output(p)
+        written = []
+        try:
+            # strict: texts() then runs to its end, where the writer's exit status is checked
+            for t, text in zip(steps, writer.texts(), strict=True):
+                p = outdir / f"phase_t{t}.csv"
+                with open(p, "wb") as fh:
+                    written.append(p)  # from here on the file is this run's
+                    fh.write(text)
+        except BaseException:
+            for p in written:  # a failed run leaves no phase file behind
+                p.unlink(missing_ok=True)
+            raise
+    for p in written:
+        manifest.add_output(p)
     # written after the phase files, so a writer that fails at once leaves no output
     series_path = outdir / "series.csv"
     series_path.write_text("".join(series))
@@ -293,6 +303,7 @@ def _cmd_firms(args) -> int:
     )
     manifest.add_output(run_path)
     if args.manifest:
+        manifest.payload["phase_seconds"] = timings
         manifest.write(outdir)
     print(
         f"firms: {config.n_firms} firms x {config.n_steps} steps, "

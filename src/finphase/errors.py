@@ -15,10 +15,6 @@ class UnknownAgent(FinphaseError):
     """Agent id is not present in the ledger."""
 
 
-class SelfTransfer(FinphaseError):
-    """Transfer where payer and payee are the same agent."""
-
-
 class InsufficientFunds(FinphaseError):
     """Deposit too small to cover the requested amount."""
 

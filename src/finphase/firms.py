@@ -61,7 +61,7 @@ import numpy as np
 
 from . import rng
 from .errors import InsufficientFunds, InvalidConfig, MoneyOverflow
-from .ledger import MONEY_MAX, MONEY_MIN, Ledger, Money, _exact
+from .ledger import MONEY_MAX, MONEY_MIN, Ledger, Money, _total
 
 # The simulation step is the pay period ("the week"); annual rates are
 # converted with this documented constant.
@@ -251,7 +251,8 @@ def _inbound(target: np.ndarray, amount: np.ndarray, n: int) -> np.ndarray:
     """Per-firm sums of ``amount[k]`` sent to firm ``target[k]``, exact:
     int64 when the total fits the money range (then no partial sum can
     wrap), Python ints in an object column otherwise."""
-    amount = _exact(amount)
+    if _total(amount) > MONEY_MAX:
+        amount = amount.astype(object)
     sums = np.zeros(n, dtype=amount.dtype)
     np.add.at(sums, target, amount)
     return sums
@@ -397,22 +398,50 @@ def _invest(dep, debt, capital, last_profit, seller_of, rate: float, margin: flo
     return cls, dep_change, spent - repaid, capital + spent
 
 
-def step(state: EconomyState) -> StepRecord:
+# The phases of a step, in order; ``step`` adds the seconds of each to a
+# ``timings`` accumulator under these names.
+PHASES = ("wages", "consumption", "interest", "invest", "depreciation", "bankruptcy", "record")
+
+
+def step(state: EconomyState, timings: dict | None = None) -> StepRecord:
     """Advance one step in fixed order: wages, consumption, interest,
     classification + investment/repayment, depreciation, bankruptcy,
-    record. Returns the step's record.
+    record. Returns the step's record; with a ``timings`` dict, also adds
+    the seconds each phase took to ``timings[name]`` for each name in
+    PHASES.
 
-    Phases that are independent per firm are array operations, posted as
-    checked ledger batches (one per kind of posting). Owner consumption
-    and phase 4 are defined in firm-id order (a firm's deposit grows from
-    lower firms' purchases). They are evaluated exactly as array passes
-    to the fixed point that equals the in-order result (see
-    :func:`_owner_consumption`), raise what the in-order loop would
-    raise first, and post their net result as one batch. Everything is
-    posted to a copy of the ledger and built in new columns; the state
-    takes them only after the last phase, so a step that raises leaves
-    the state as it was.
+    Every flow is posted as dense per-agent change columns (firms
+    ``0 .. n-1``, then the workers) that the phase has already computed,
+    one checked :meth:`Ledger.post` per kind of posting: the wage loans,
+    then the wages; worker consumption; owner consumption; the interest
+    loans, then the interest; phase 4; the write-offs. Many-to-one flows
+    are summed exactly (:func:`_inbound`) before they are posted. Owner
+    consumption and phase 4 are defined in firm-id order (a firm's
+    deposit grows from lower firms' purchases). They are evaluated
+    exactly as array passes to the fixed point that equals the in-order
+    result (see :func:`_owner_consumption`) and raise what the in-order
+    loop would raise first. Everything is posted to a copy of the ledger
+    and built in new columns; the state takes them only after the last
+    phase, so a step that raises leaves the state as it was.
     """
+    phases = _phases(state)
+    if timings is None:
+        for item in phases:
+            pass
+        return item
+    from time import perf_counter as clock  # imported here: off unless timings are asked for
+
+    start = clock()
+    for name, item in zip(PHASES, phases, strict=True):
+        now = clock()
+        timings[name] = timings.get(name, 0.0) + (now - start)
+        start = now
+    return item
+
+
+def _phases(state: EconomyState):
+    """The body of :func:`step`: each bare ``yield`` ends a phase, in
+    PHASES order, and the last yields the record."""
     cfg = state.config
     n = cfg.n_firms
     ledger = state.ledger.copy()
@@ -427,12 +456,11 @@ def step(state: EconomyState) -> StepRecord:
     if wage > MONEY_MAX // max(int(employees.max(initial=0)), 1):
         raise MoneyOverflow("wage bill out of 64-bit range")
     wages_paid = wage * employees
-    short = wages_paid - dep[:n]
-    owing = np.flatnonzero(short > 0)
-    ledger.create_loan_many(owing, short[owing])
-    workers = n + np.arange(cfg.n_workers)
+    loans = np.maximum(wages_paid - dep[:n], 0)
+    ledger.post(loans, loans)
     if wage:
-        ledger.transfer_many(state.worker_firm, workers, np.full(cfg.n_workers, wage))
+        ledger.post(np.concatenate((-wages_paid, np.full(cfg.n_workers, wage))))
+    yield
 
     # (2) consumption: workers spend everything at their shop (a churn
     # fraction re-picks its shop uniformly first), then owners draw a
@@ -446,16 +474,17 @@ def step(state: EconomyState) -> StepRecord:
                 rng.derive(seed, t, _TAG_WORKER_TARGET), 0, cfg.n_workers, n
             )
             shops = np.where(churn_u < cfg.customer_churn, new_shops, shops)
-        paying = np.flatnonzero(dep[n:])
-        spend, at = dep[n:][paying], shops[paying]
-        ledger.transfer_many(workers[paying], at, spend)
-        np.add.at(receipts, at, spend)
+        spend = dep[n:]  # all of it: the view is read before the posting
+        receipts = _inbound(shops, spend, n)  # exact: a firm's total may exceed int64
+        ledger.post(np.concatenate((receipts, -spend)))
+        receipts = receipts.astype(np.int64, copy=False)  # posted, so in range
     frac = cfg.capitalist_consumption_fraction
     if frac > 0 and n > 1:
         shop_of = _other_firms(seed, t, _TAG_OWNER_TARGET, n)
-        draws, receipts = _owner_consumption(dep[:n], receipts, shop_of, frac)
-        owners = np.flatnonzero(draws)
-        ledger.transfer_many(owners, shop_of[owners], draws[owners])
+        draws, with_sales = _owner_consumption(dep[:n], receipts, shop_of, frac)
+        ledger.post(with_sales - receipts - draws)  # each term in [0, MONEY_MAX]
+        receipts = with_sales
+    yield
 
     # (3) interest on outstanding debt, paid into bank equity
     rate = cfg.interest_rate
@@ -465,11 +494,10 @@ def step(state: EconomyState) -> StepRecord:
         if not (due < 2.0**63).all():
             raise MoneyOverflow("interest due out of 64-bit range")
         interest_paid = due.astype(np.int64)
-        short = interest_paid - dep[:n]
-        owing = np.flatnonzero(short > 0)
-        ledger.create_loan_many(owing, short[owing])
-        payers = np.flatnonzero(interest_paid)
-        ledger.pay_to_bank_many(payers, interest_paid[payers])
+        loans = np.maximum(interest_paid - dep[:n], 0)
+        ledger.post(loans, loans)
+        ledger.post(-interest_paid, equity_change=_total(interest_paid))
+    yield
 
     # (4) classification, then investment (B) or repayment (C)
     seller_of = _other_firms(seed, t, _TAG_INVEST_TARGET, n) if n > 1 else None
@@ -477,20 +505,25 @@ def step(state: EconomyState) -> StepRecord:
         dep[:n], debt[:n], state.capital, state.last_profit, seller_of,
         rate, cfg.investment_margin,
     )
-    moved = np.flatnonzero(dep_change | debt_change)
-    ledger.settle_many(moved, dep_change[moved], debt_change[moved])
+    ledger.post(dep_change, debt_change)
     counts = np.bincount(cls, minlength=3)
+    yield
 
     # (5) depreciation: book-value write-down, no money moves
     dep_rate = cfg.depreciation
     if dep_rate > 0:
         capital -= (capital * dep_rate).astype(np.int64)
+    yield
 
     # (6) bankruptcy: net debt above capital stock wipes the account and
     # a fresh firm re-enters at the origin
-    bankrupt = np.flatnonzero(debt[:n] - dep[:n] > capital)
-    ledger.annihilate_many(bankrupt)
+    wiped = debt[:n] - dep[:n] > capital
+    lost_dep = np.where(wiped, dep[:n], 0)
+    lost_debt = np.where(wiped, debt[:n], 0)
+    ledger.post(-lost_dep, -lost_debt, equity_change=_total(lost_dep) - _total(lost_debt))
+    bankrupt = np.flatnonzero(wiped)
     capital[bankrupt] = cfg.initial_capital
+    yield
 
     # (7) profits, phase points, record
     net_debt = debt[:n] - dep[:n]  # 0 for the bankrupt firms
@@ -516,20 +549,21 @@ def step(state: EconomyState) -> StepRecord:
     state.prev_net_debt = net_debt
     state.worker_shop = shops
     state.t = t
-    return _record(state, points, tuple(counts.tolist()), int(bankrupt.size))
+    yield _record(state, points, tuple(counts.tolist()), int(bankrupt.size))
 
 
-def records(config: EconomyConfig) -> Iterator[StepRecord]:
+def records(config: EconomyConfig, timings: dict | None = None) -> Iterator[StepRecord]:
     """Initialise and advance n_steps; deterministic given the seed.
 
     Yields one record per step boundary, the t = 0 snapshot first, each
     as soon as its step is done, so a caller can use and drop it while
-    the next one is made.
+    the next one is made. ``timings``, if given, accumulates the seconds
+    of each phase over all steps (see :func:`step`).
     """
     state = init_economy(config)
     yield initial_record(state)
     for _ in range(config.n_steps):
-        yield step(state)
+        yield step(state) if timings is None else step(state, timings)
 
 
 def run(config: EconomyConfig) -> list[StepRecord]:

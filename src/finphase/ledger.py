@@ -12,22 +12,22 @@ repayment cancels such a pair, and bankruptcy annihilation wipes an account
 with the difference absorbed by bank equity (which may go negative).
 
 Storage is two int64 numpy columns, ``deposit`` and ``debt``, indexed by
-agent id, plus bank equity as a Python int. Every posting is a batch: the
-``*_many`` operations take equal-length columns of agent ids and amounts,
-the scalar operations are one-element batches, and ``settle_many`` posts
-the net result of a mix of transfers, loans and repayments, one row per
-agent. A batch is atomic. Its inputs (agent bounds, no self-transfer,
-amounts >= 0) and its result (no deposit or debt outside [0, MONEY_MAX],
-no equity outside the signed 64-bit range) are checked, vectorised,
-before anything is written, and the check is made on the batch's net
-effect per account: a payer may spend within a batch what it receives in
-the same batch. Because int64 wraps silently, each per-account net is
-summed in int64 only when the batch total fits the money range (then no
-partial sum can wrap), and in Python ints otherwise, and every range
-check compares against the headroom (``MONEY_MAX - dep``) instead of
-forming the sum first. A batch costs O(batch size), apart from the rare
-one whose total exceeds MONEY_MAX, which sums in an object column of all
-agents.
+agent id, plus bank equity as a Python int. There is one posting
+primitive, :meth:`Ledger.post`: signed change columns for agents
+``0 .. k-1`` (a prefix; the firm economy puts its firms first) and a
+change of bank equity. Transfers, loans, repayments, interest paid to the
+bank and write-offs are all such columns, the caller netting every flow
+of a kind into one entry per agent. A posting must conserve money, summed
+exactly: in int64 only when ``max|x| * k`` fits the money range, so that
+no partial sum can wrap, and in Python ints otherwise. It is atomic:
+every resulting deposit and debt is compared against its headroom
+(``-dep`` and ``MONEY_MAX - dep``) instead of being formed first, the
+equity is range-checked, and nothing is written unless every check
+passes. A payer may therefore spend within a posting what it receives in
+the same posting. Columns are int64, or object (Python ints) where a
+change is too wide for int64. A posting costs O(k): a few vectorised
+passes over views of the first k rows, no gathers, and one in-place add
+per column.
 
 Concurrency: a Ledger has a single writer; read-only queries are safe
 concurrently when nothing is mutating.
@@ -45,7 +45,6 @@ from .errors import (
     MoneyOverflow,
     NoSuchDebt,
     ParseError,
-    SelfTransfer,
     UnknownAgent,
 )
 
@@ -83,38 +82,16 @@ def _money(values) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _signed(values) -> np.ndarray:
-    """Signed changes as an int64 column, or MoneyOverflow."""
-    arr = _column(values, "changes")
-    if arr.size and arr.dtype != np.int64 and not MONEY_MIN <= arr.min() <= arr.max() <= MONEY_MAX:
-        raise MoneyOverflow("change out of 64-bit money range")
-    return arr.astype(np.int64, copy=False)
-
-
-def _total(amount: np.ndarray) -> int:
-    """Exact sum of a non-negative int64 column, as a Python int."""
-    if amount.size == 0:
+def _total(column: np.ndarray) -> int:
+    """Exact sum of an integer column, as a Python int: in int64 when
+    ``max|x| * size`` fits the money range (then no partial sum can wrap),
+    else in Python ints."""
+    if column.size == 0:
         return 0
-    if int(amount.max()) <= MONEY_MAX // amount.size:
-        return int(amount.sum())  # no partial sum can exceed the total
-    return sum(amount.tolist())
-
-
-def _exact(amount: np.ndarray) -> np.ndarray:
-    """``amount``, widened to Python ints (object dtype) if its total is
-    above MONEY_MAX: only then can a per-agent sum of it wrap int64."""
-    if amount.size == 0 or int(amount.max()) <= MONEY_MAX // amount.size:
-        return amount  # the total is at most size * max: no sum needed
-    return amount if _total(amount) <= MONEY_MAX else amount.astype(object)
-
-
-def _firsts(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of each run of equal values in a sorted
-    column. (``np.unique`` finds the same, but its first call imports
-    ``numpy.ma``, ~19 ms, into every process that posts a batch.)"""
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return first
+    if column.dtype != object:
+        if max(int(column.max()), -int(column.min())) <= MONEY_MAX // column.size:
+            return int(column.sum())  # no partial sum can wrap
+    return sum(map(int, column.tolist()))
 
 
 class Ledger:
@@ -127,7 +104,7 @@ class Ledger:
     as bank equity, i.e. as the bank's reserve).
     """
 
-    __slots__ = ("_dep", "_debt", "_net", "_bank_equity", "_base_money")
+    __slots__ = ("_dep", "_debt", "_bank_equity", "_base_money")
 
     def __init__(
         self,
@@ -146,7 +123,6 @@ class Ledger:
                 raise ValueError("initial_deposits length != n_agents")
             self._dep = _money(list(initial_deposits))
         self._debt = np.zeros(n_agents, dtype=np.int64)
-        self._net = np.zeros(n_agents, dtype=np.int64)  # see _commit
         self._base_money = base_money
         self._bank_equity = base_money - _total(self._dep)
         if self._bank_equity < MONEY_MIN:
@@ -216,150 +192,57 @@ class Ledger:
         """
         return _total(self._dep) - _total(self._debt) + self._bank_equity - self._base_money
 
-    # -- batch checking and posting -------------------------------------------
+    # -- posting ---------------------------------------------------------------
 
-    def _agents(self, agents) -> np.ndarray:
-        idx = _column(agents, "agent ids")
-        n = len(self._dep)
-        # viewed as uint64 a negative id is larger than any valid one
-        if idx.size and not (idx.dtype == np.int64 and int(idx.view(np.uint64).max()) < n):
-            bad = [a for a in idx.tolist() if not 0 <= a < n]
-            if bad:
-                raise UnknownAgent(f"no agent {bad[0]} in ledger of {n}")
-        return idx.astype(np.intp, copy=False)
+    def post(self, dep_change, debt_change=None, equity_change: Money = 0) -> None:
+        """Add ``dep_change[i]`` to agent i's deposit and ``debt_change[i]``
+        to its debt for every i in the column, and ``equity_change`` to bank
+        equity. A column covers agents ``0 .. k-1``, a prefix of the ledger
+        (firms come first, so a column of firms is shorter than one that
+        reaches the workers); an omitted column changes nothing.
 
-    def _pair(self, agents, amount):
-        agents, amount = self._agents(agents), _money(amount)
-        if len(agents) != len(amount):
-            raise ValueError("agent and amount lengths differ")
-        return agents, amount
-
-    def _commit(self, idx, dep_delta=None, debt_delta=None, equity_delta: Money = 0) -> None:
-        """Post one batch: ``dep_delta[k]`` and ``debt_delta[k]`` are added
-        to agent ``idx[k]`` (repeated ids sum) and ``equity_delta`` to bank
-        equity. Every resulting value is range-checked before anything is
-        written.
-
-        Work is O(batch): per-agent nets accumulate in ``_net``, a column
-        that is all zero between batches and is cleared again at the
-        batch's own rows. A wide batch (object-dtype Python-int deltas,
-        see :func:`_exact`) sums in a fresh object column instead.
+        The posting must conserve money: sum(dep_change) - sum(debt_change)
+        + equity_change == 0, summed exactly. It is atomic: every resulting
+        deposit and debt must lie in [0, MONEY_MAX] and the equity in the
+        signed 64-bit range, each compared against its headroom, and a
+        failure names the lowest failing agent and writes nothing.
         """
-        writes = []
-        for col, delta, verb, short_error in (
-            (self._dep, dep_delta, "holds", InsufficientFunds),
-            (self._debt, debt_delta, "owes", NoSuchDebt),
+        n = len(self._dep)
+        equity_change = int(equity_change)
+        columns = []
+        total = equity_change
+        for col, change, sign, verb, short_error in (
+            (self._dep, dep_change, 1, "holds", InsufficientFunds),
+            (self._debt, debt_change, -1, "owes", NoSuchDebt),
         ):
-            if delta is None:
+            if change is None:
                 continue
-            net = self._net if delta.dtype == np.int64 else np.zeros(len(col), dtype=object)
-            np.add.at(net, idx, delta)
-            change = net[idx]
-            net[idx] = 0
-            cur = col[idx]
+            change = _column(change, "changes")
+            if len(change) > n:
+                raise UnknownAgent(f"no agent {n} in ledger of {n}")
+            if change.dtype != np.int64 and change.dtype != object:
+                wide = not np.can_cast(change.dtype, np.int64)
+                change = change.astype(object if wide else np.int64)
+            columns.append((col[: len(change)], change, verb, short_error))
+            total += sign * _total(change)
+        if total != 0:
+            raise ValueError("posting does not conserve money")
+        for cur, change, verb, short_error in columns:
             short = change < -cur
             if short.any():
-                k = int(np.argmax(short))
-                raise short_error(f"agent {idx[k]} {verb} {cur[k]}, batch takes {-change[k]}")
+                i = int(np.argmax(short))
+                raise short_error(f"agent {i} {verb} {cur[i]}, batch takes {-int(change[i])}")
             over = change > MONEY_MAX - cur
             if over.any():
-                k = int(np.argmax(over))
-                raise MoneyOverflow(f"balance of agent {idx[k]} would exceed 64-bit range")
-            writes.append((col, cur + change))
-        new_equity = self._bank_equity + equity_delta
+                raise MoneyOverflow(
+                    f"balance of agent {int(np.argmax(over))} would exceed 64-bit range"
+                )
+        new_equity = self._bank_equity + equity_change
         if not MONEY_MIN <= new_equity <= MONEY_MAX:
             raise MoneyOverflow(f"bank equity {new_equity} out of 64-bit range")
-        for col, new in writes:
-            col[idx] = new  # a repeated id gets the same value each time
+        for cur, change, _, _ in columns:
+            cur += change.astype(np.int64, copy=False)  # in range: checked above
         self._bank_equity = new_equity
-
-    # -- batch operations -------------------------------------------------------
-
-    def transfer_many(self, src, dst, amount) -> None:
-        """Move ``amount[k]`` of deposit from ``src[k]`` to ``dst[k]`` for
-        every k, zero-sum; checked on each account's net change."""
-        src, dst = self._agents(src), self._agents(dst)
-        amount = _money(amount)
-        if not len(src) == len(dst) == len(amount):
-            raise ValueError("src, dst and amount lengths differ")
-        same = src == dst
-        if same.any():
-            raise SelfTransfer(f"agent {src[np.argmax(same)]} cannot transfer to itself")
-        amount = _exact(amount)
-        self._commit(np.concatenate((dst, src)), dep_delta=np.concatenate((amount, -amount)))
-
-    def create_loan_many(self, borrower, amount) -> None:
-        """Create deposit/debt pairs: borrowers' net positions are unchanged."""
-        borrower, amount = self._pair(borrower, amount)
-        amount = _exact(amount)
-        self._commit(borrower, dep_delta=amount, debt_delta=amount)
-
-    def repay_many(self, borrower, amount) -> None:
-        """Cancel deposit/debt pairs; exact inverse of create_loan_many."""
-        borrower, amount = self._pair(borrower, amount)
-        amount = -_exact(amount)
-        self._commit(borrower, dep_delta=amount, debt_delta=amount)
-
-    def pay_to_bank_many(self, agent, amount) -> None:
-        """Move deposits into bank equity (e.g. interest)."""
-        agent, amount = self._pair(agent, amount)
-        self._commit(agent, dep_delta=-_exact(amount), equity_delta=_total(amount))
-
-    def settle_many(self, agent, dep_change, debt_change) -> None:
-        """Apply signed deposit and debt changes, one row per distinct
-        agent: the net result of a sequence of transfers, loans and
-        repayments, posted as one batch. The changes must leave
-        sum(deposit - debt) unchanged (equal totals), so money is only
-        moved, lent or repaid, never created.
-        """
-        agent = self._agents(agent)
-        dep_change, debt_change = _signed(dep_change), _signed(debt_change)
-        if not len(agent) == len(dep_change) == len(debt_change):
-            raise ValueError("agent and change lengths differ")
-        if not _firsts(np.sort(agent)).all():
-            raise ValueError("settle_many takes each agent at most once")
-        if sum(dep_change.tolist()) != sum(debt_change.tolist()):
-            raise ValueError("deposit and debt changes differ in total: money would not be conserved")
-        self._commit(agent, dep_delta=dep_change, debt_delta=debt_change)
-
-    def annihilate_many(self, bankrupt) -> None:
-        """Write off accounts: deposit and debt both go to zero.
-
-        The net write-off sum(deposit - debt) lands on bank equity, which
-        may go negative; an agent listed twice is written off once.
-        """
-        idx = np.sort(self._agents(bankrupt))
-        idx = idx[_firsts(idx)]
-        dep, debt = self._dep[idx], self._debt[idx]
-        delta = sum((dep - debt).tolist())
-        self._commit(idx, dep_delta=-dep, debt_delta=-debt, equity_delta=delta)
-
-    # -- scalar operations: one-element batches --------------------------------
-
-    def transfer(self, src: AgentId, dst: AgentId, amount: Money) -> None:
-        """Move ``amount`` of deposit from ``src`` to ``dst`` (zero-sum)."""
-        self.transfer_many([src], [dst], [amount])
-
-    def create_loan(self, borrower: AgentId, amount: Money) -> None:
-        """Create a deposit/debt pair: the borrower's net position is unchanged."""
-        self.create_loan_many([borrower], [amount])
-
-    def repay_loan(self, borrower: AgentId, amount: Money) -> None:
-        """Cancel a deposit/debt pair; exact inverse of create_loan."""
-        self.repay_many([borrower], [amount])
-
-    def annihilate(self, bankrupt: AgentId) -> None:
-        """Write off one account; see :meth:`annihilate_many`."""
-        self.annihilate_many([bankrupt])
-
-    def pay_to_bank(self, agent: AgentId, amount: Money) -> None:
-        """Move deposit from an agent into bank equity (e.g. interest)."""
-        self.pay_to_bank_many([agent], [amount])
-
-    def pay_from_bank(self, agent: AgentId, amount: Money) -> None:
-        """Move bank equity into an agent's deposit; equity may go negative."""
-        agent, amount = self._pair([agent], [amount])
-        self._commit(agent, dep_delta=amount, equity_delta=-_total(amount))
 
     # -- snapshots -----------------------------------------------------------
 
@@ -371,7 +254,6 @@ class Ledger:
         """A ledger on the given int64 columns, unchecked."""
         led = cls.__new__(cls)
         led._dep, led._debt = dep, debt
-        led._net = np.zeros(len(dep), dtype=np.int64)
         led._bank_equity, led._base_money = equity, base
         return led
 

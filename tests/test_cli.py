@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import types
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,24 @@ class TestFirmsCommand:
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
         assert 1.0 < manifest["peak_rss_mb"] < 1e5
+        seconds = manifest["phase_seconds"]
+        assert list(seconds) == [
+            "wages", "consumption", "interest", "invest", "depreciation", "bankruptcy", "record",
+        ]
+        assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
+        started = datetime.fromisoformat(manifest["started"])
+        finished = datetime.fromisoformat(manifest["finished"])
+        assert sum(seconds.values()) <= (finished - started).total_seconds()
+
+    def test_phase_timings_leave_the_outputs_unchanged(self, tmp_path):
+        argv = ["firms", "--firms", "20", "--workers", "100", "--steps", "3"]
+        assert run_cli(*argv, "--outdir", str(tmp_path / "a")) == 0
+        assert run_cli(*argv, "--outdir", str(tmp_path / "b"), "--manifest") == 0
+        for path in sorted((tmp_path / "a").iterdir()):
+            assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+        assert {p.name for p in (tmp_path / "b").iterdir()} - {
+            p.name for p in (tmp_path / "a").iterdir()
+        } == {"manifest.json"}
 
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "economy.cfg"
@@ -351,10 +370,9 @@ class TestPhaseWriter:
             ("import sys\nsys.stdin.buffer.read()\n"
              "sys.stdout.buffer.write((100).to_bytes(8, sys.byteorder) + b'abc')\n", SMALL_FIRMS,
              r"phase writer output ended early \(exit status 0\)", []),
-            # every text intact, then a failure: the texts are written, then the run fails
+            # every text intact, then a failure: the phase files written are deleted
             ("import runpy, sys\nrunpy.run_path({real!r}, run_name='__main__')\nsys.exit(5)\n",
-             SMALL_FIRMS, r"phase writer failed \(exit status 5\)",
-             [f"phase_t{t}.csv" for t in range(5)]),
+             SMALL_FIRMS, r"phase writer failed \(exit status 5\)", []),
         ],
         ids=["exits_3", "exits_3_mid_run", "short_text", "exits_5_after_its_output"],
     )
@@ -370,6 +388,24 @@ class TestPhaseWriter:
         assert re.fullmatch(f"error: {message}\n", err), err
         assert "Traceback" not in err
         assert sorted(p.name for p in out.glob("*")) == sorted(outputs)
+        [proc] = started
+        assert_reaped(proc)
+
+    def test_unwritable_phase_file_removes_the_ones_written(self, tmp_path, capsys, started):
+        # phase_t3.csv is a link to a directory: the run writes t0-t2, fails
+        # on t3, and deletes its own files but nothing that was there before
+        out = tmp_path / "out"
+        (out / "kept").mkdir(parents=True)
+        (out / "kept" / "notes.txt").write_text("kept\n")
+        (out / "phase_t3.csv").symlink_to("kept", target_is_directory=True)
+        (out / "phase_t5.csv").write_text("an older run's\n")
+        assert run_cli(*SMALL_FIRMS, "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \[Errno 21\] Is a directory: '.*phase_t3\.csv'\n", err), err
+        assert sorted(os.listdir(out)) == ["kept", "phase_t3.csv", "phase_t5.csv"]
+        assert (out / "phase_t3.csv").is_symlink()
+        assert os.listdir(out / "kept") == ["notes.txt"]
+        assert (out / "phase_t5.csv").read_text() == "an older run's\n"
         [proc] = started
         assert_reaped(proc)
 

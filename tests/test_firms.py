@@ -202,6 +202,18 @@ class TestTransactionalStep:
             step(state)
         assert snapshot(state) == before
 
+    def test_receipts_are_summed_exactly_before_they_are_posted(self):
+        # Four workers paid MONEY_MAX // 2 each all shop at firm 0: its
+        # receipts total 2 * MONEY_MAX - 2, which wraps in int64, so summed
+        # there the posting would not conserve money instead of overflowing.
+        config = EconomyConfig(n_firms=2, n_workers=4, wage=MONEY_MAX // 2)
+        state = init_economy(config)
+        state.worker_shop = np.zeros(4, dtype=np.int64)
+        before = snapshot(state)
+        with pytest.raises(MoneyOverflow, match="^balance of agent 0 would exceed 64-bit range$"):
+            step(state)
+        assert snapshot(state) == before
+
     def test_step_after_success_commits(self):
         state = init_economy(small_config())
         before = snapshot(state)
@@ -224,8 +236,11 @@ class TestInvestmentSettlement:
             depreciation=0.0, capitalist_consumption_fraction=0.0,
         )
         state = init_economy(config)
-        state.ledger.pay_from_bank(lender, MONEY_MAX - 2010)
-        state.ledger.create_loan(lender, 2000)
+        change = np.zeros(2, dtype=np.int64)
+        change[lender] = MONEY_MAX - 2010
+        state.ledger.post(change, equity_change=-(MONEY_MAX - 2010))  # paid by the bank
+        change[lender] = 2000
+        state.ledger.post(change, change)  # a loan
         state.last_profit[1 - lender] = 1000
         return state
 
@@ -257,8 +272,8 @@ class TestExactRecord:
             depreciation=0.0, capitalist_consumption_fraction=0.0,
         )
         state = init_economy(config)
-        state.ledger.create_loan(1, a)
-        state.ledger.transfer(1, 0, a)
+        state.ledger.post([0, a], [0, a])  # firm 1 borrows a
+        state.ledger.post([a, -a])  # and pays it to firm 0
         state.capital = np.array([3, 2**62], dtype=np.int64)
         state.prev_net_debt = np.array([2**63 - 1, -(2**62)], dtype=np.int64)
         assert float(-a) / 3.0 != -a / 3  # float64 division would differ
@@ -514,12 +529,12 @@ class TestOrderDependentPhases:
         )
         state = init_economy(config)
         dep, debt = _column(data.draw, n, _money), _column(data.draw, n, _money)
-        firm_ids = np.arange(n)
         try:
             initial = [*np.maximum(dep - debt, 0).tolist(), *[0] * n_workers]
             ledger = Ledger(n + n_workers, config.base_money, initial)
-            ledger.create_loan_many(firm_ids, debt)
-            ledger.pay_to_bank_many(firm_ids, np.maximum(debt - dep, 0))
+            ledger.post(debt, debt)  # loans
+            paid = np.maximum(debt - dep, 0)
+            ledger.post(-paid, equity_change=sum(paid.tolist()))  # paid to the bank
         except MoneyOverflow:
             reject()  # not a representable starting ledger
         state.ledger = ledger

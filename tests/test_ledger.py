@@ -1,10 +1,16 @@
-"""Ledger operations: conservation, inverses, errors, snapshots."""
+"""Ledger postings: conservation, inverses, errors, snapshots.
+
+Each kind of flow is a dense change column given to ``Ledger.post``, as
+the firm economy builds them; the helpers below build them for one row
+(``transfer``, ``create_loan``, ...) or net several rows exactly (``net``).
+"""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +22,6 @@ from finphase.errors import (
     MoneyOverflow,
     NoSuchDebt,
     ParseError,
-    SelfTransfer,
     UnknownAgent,
 )
 from finphase.ledger import MONEY_MAX, Account, Ledger
@@ -28,76 +33,146 @@ def make_ledger(deposits, base_money=10**6):
     return Ledger(len(deposits), base_money, deposits)
 
 
+# -- postings as the firm economy builds them: dense change columns --------
+
+
+def column(values):
+    """A change column: int64, or Python ints (object) where a value is
+    too wide for int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def net(*rows):
+    """Rows of (agent, change) summed exactly into one dense column for
+    agents 0 .. the highest agent named."""
+    out = [0] * (max((a for a, _ in rows), default=-1) + 1)
+    for agent, change in rows:
+        out[agent] += change
+    return column(out)
+
+
+def transfer(led, src, dst, amount):
+    led.post(net((src, -amount), (dst, amount)))
+
+
+def create_loan(led, agent, amount):
+    change = net((agent, amount))
+    led.post(change, change)
+
+
+def repay_loan(led, agent, amount):
+    change = net((agent, -amount))
+    led.post(change, change)
+
+
+def pay_to_bank(led, agent, amount):
+    led.post(net((agent, -amount)), equity_change=amount)
+
+
+def pay_from_bank(led, agent, amount):
+    led.post(net((agent, amount)), equity_change=-amount)
+
+
+def annihilate(led, *agents):
+    """Write off the listed accounts (a repeat counts once), as the
+    bankruptcy phase does: masked columns, the net on bank equity."""
+    wiped = np.isin(np.arange(led.n_agents), agents)
+    dep = np.where(wiped, led.deposits, 0)
+    debt = np.where(wiped, led.debts, 0)
+    led.post(-dep, -debt, equity_change=sum(dep.tolist()) - sum(debt.tolist()))
+
+
 class TestTransfer:
     def test_zero_amount_is_identity(self):
         led = make_ledger([100, 200])
-        led.transfer(0, 1, 0)
+        transfer(led, 0, 1, 0)
         assert led.account(0) == Account(100, 0)
         assert led.account(1) == Account(200, 0)
 
     def test_inverse_pair_restores_ledger(self):
         led = make_ledger([100, 200])
-        led.transfer(0, 1, 70)
-        led.transfer(1, 0, 70)
+        transfer(led, 0, 1, 70)
+        transfer(led, 1, 0, 70)
         assert led.account(0) == Account(100, 0)
         assert led.account(1) == Account(200, 0)
 
     def test_moves_exactly_amount(self):
         led = make_ledger([100, 200])
-        led.transfer(0, 1, 30)
+        transfer(led, 0, 1, 30)
         assert led.account(0).deposit == 70
         assert led.account(1).deposit == 230
         assert conservation_oracle(led) == 0
 
     def test_insufficient_funds(self):
         led = make_ledger([10, 0])
-        with pytest.raises(InsufficientFunds):
-            led.transfer(0, 1, 11)
+        with pytest.raises(InsufficientFunds, match="^agent 0 holds 10, batch takes 11$"):
+            transfer(led, 0, 1, 11)
         # failed op must not partially apply
         assert led.account(0) == Account(10, 0)
 
-    def test_self_transfer_rejected(self):
+    def test_self_transfer_nets_to_nothing(self):
+        # a column has one entry per agent: paying oneself is a zero change
         led = make_ledger([10, 10])
-        with pytest.raises(SelfTransfer):
-            led.transfer(1, 1, 1)
+        assert net((1, -1), (1, 1)).tolist() == [0, 0]
+        transfer(led, 1, 1, 1)
+        assert [led.account(i) for i in (0, 1)] == [Account(10, 0)] * 2
 
     def test_unknown_agent(self):
         led = make_ledger([10, 10])
+        with pytest.raises(UnknownAgent, match="^no agent 2 in ledger of 2$"):
+            transfer(led, 0, 2, 1)
+        with pytest.raises(UnknownAgent, match="^no agent 2 in ledger of 2$"):
+            led.post([0, 0], [0, 0, 0])
         with pytest.raises(UnknownAgent):
-            led.transfer(0, 2, 1)
-        with pytest.raises(UnknownAgent):
-            led.transfer(-1, 0, 1)
+            led.deposit(-1)
+        assert led.deposits.tolist() == [10, 10]
 
     def test_negative_amount_rejected(self):
+        with pytest.raises(ValueError, match="^amount must be >= 0, got -5$"):
+            make_ledger([10, -5])
         led = make_ledger([10, 10])
-        with pytest.raises(ValueError):
-            led.transfer(0, 1, -5)
+        with pytest.raises(ValueError, match="^posting does not conserve money$"):
+            led.post([-5, -5])  # a payment of -5 to agent 1 that agent 0 also makes
+        assert led.deposits.tolist() == [10, 10]
 
     def test_million_random_transfers_conserve(self):
-        # Summation oracle checked every 1e5 events.
+        # 1e6 random transfers in ten netted batches of 1e5, the summation
+        # oracle checked after each. Each transfer is capped at its payer's
+        # deposit at the batch's start divided by the payer's transfers in
+        # the batch, so no payer can overdraw.
         n = 10_000
         led = Ledger(n, 10**10, [1000] * n)
-        payers = rng.randint_block(1, 0, 10**6, n).tolist()
-        offsets = rng.randint_block(2, 0, 10**6, n - 1).tolist()
-        amounts = rng.randint_block(3, 0, 10**6, 500).tolist()
-        for k, (p, off, a) in enumerate(zip(payers, offsets, amounts)):
-            q = (p + 1 + off) % n
-            have = led.deposit(p)
-            led.transfer(p, q, a if a <= have else have)
-            if (k + 1) % 10**5 == 0:
-                assert conservation_oracle(led) == 0
+        payers = rng.randint_block(1, 0, 10**6, n)
+        offsets = rng.randint_block(2, 0, 10**6, n - 1)
+        amounts = rng.randint_block(3, 0, 10**6, 500)
+        payees = (payers + 1 + offsets) % n
+        batch = 10**5
+        for start in range(0, 10**6, batch):
+            p, q = payers[start : start + batch], payees[start : start + batch]
+            times = np.bincount(p, minlength=n)
+            cap = led.deposits[p] // times[p]
+            amount = np.minimum(amounts[start : start + batch], cap)
+            change = np.zeros(n, dtype=np.int64)
+            np.add.at(change, q, amount)
+            np.subtract.at(change, p, amount)
+            led.post(change)
+            assert conservation_oracle(led) == 0
+        assert int(led.deposits.sum()) == 1000 * n
         assert conservation_oracle(led) == 0
 
 
 class TestCreateLoan:
     def test_zero_is_identity(self):
         led = make_ledger([5, 5])
-        led.create_loan(0, 0)
+        create_loan(led, 0, 0)
         assert led.account(0) == Account(5, 0)
 
     def test_asset_liability_pair_cancels(self):
         led = make_ledger([0, 0])
-        led.create_loan(0, 100)
+        create_loan(led, 0, 100)
         assert led.account(0) == Account(100, 100)
         assert led.net_position(0) == 0
         assert conservation_oracle(led) == 0
@@ -105,41 +180,41 @@ class TestCreateLoan:
     def test_loan_sequences_conserve(self):
         led = make_ledger([10, 20, 30])
         for agent, amount in [(0, 7), (1, 0), (2, 1000), (0, 3)]:
-            led.create_loan(agent, amount)
+            create_loan(led, agent, amount)
             assert conservation_oracle(led) == 0
 
     def test_overflow_is_hard_error(self):
         led = make_ledger([0, 0], base_money=0)
-        led.create_loan(0, MONEY_MAX - 10)
-        with pytest.raises(MoneyOverflow):
-            led.create_loan(0, 11)
+        create_loan(led, 0, MONEY_MAX - 10)
+        with pytest.raises(MoneyOverflow, match="^balance of agent 0 would exceed 64-bit range$"):
+            create_loan(led, 0, 11)
         assert led.account(0) == Account(MONEY_MAX - 10, MONEY_MAX - 10)
 
 
 class TestRepayLoan:
     def test_repay_inverts_loan(self):
         led = make_ledger([50, 0])
-        led.create_loan(0, 200)
-        led.repay_loan(0, 200)
+        create_loan(led, 0, 200)
+        repay_loan(led, 0, 200)
         assert led.account(0) == Account(50, 0)
 
     def test_zero_repay_is_identity(self):
         led = make_ledger([50, 0])
-        led.repay_loan(0, 0)
+        repay_loan(led, 0, 0)
         assert led.account(0) == Account(50, 0)
 
     def test_no_such_debt(self):
         led = make_ledger([50, 0])
-        led.create_loan(0, 10)
-        with pytest.raises(NoSuchDebt):
-            led.repay_loan(0, 11)
+        create_loan(led, 0, 10)
+        with pytest.raises(NoSuchDebt, match="^agent 0 owes 10, batch takes 11$"):
+            repay_loan(led, 0, 11)
 
     def test_insufficient_funds_on_repay(self):
         led = make_ledger([0, 0])
-        led.create_loan(0, 10)
-        led.transfer(0, 1, 5)
+        create_loan(led, 0, 10)
+        transfer(led, 0, 1, 5)
         with pytest.raises(InsufficientFunds):
-            led.repay_loan(0, 6)
+            repay_loan(led, 0, 6)
 
     def test_random_interleavings_conserve(self):
         led = make_ledger([100] * 5)
@@ -148,20 +223,20 @@ class TestRepayLoan:
         kinds = rng.randint_block(9, 0, 200, 2).tolist()
         for agent, amount, kind in zip(agents, amounts, kinds):
             if kind == 0:
-                led.create_loan(agent, amount)
+                create_loan(led, agent, amount)
             else:
                 a = led.account(agent)
-                led.repay_loan(agent, min(amount, a.deposit, a.debt))
+                repay_loan(led, agent, min(amount, a.deposit, a.debt))
             assert conservation_oracle(led) == 0
 
 
 class TestAnnihilate:
     def test_writeoff_hits_bank_equity(self):
         led = make_ledger([0, 0], base_money=1000)
-        led.create_loan(0, 100)
-        led.transfer(0, 1, 90)  # deposit 10, debt 100
+        create_loan(led, 0, 100)
+        transfer(led, 0, 1, 90)  # deposit 10, debt 100
         before = led.bank_equity
-        led.annihilate(0)
+        annihilate(led, 0)
         assert led.account(0) == Account(0, 0)
         assert led.bank_equity == before + (10 - 100)
         assert conservation_oracle(led) == 0
@@ -169,29 +244,43 @@ class TestAnnihilate:
     def test_empty_account_is_noop(self):
         led = make_ledger([0, 0], base_money=7)
         before = led.bank_equity
-        led.annihilate(0)
+        annihilate(led, 0)
         assert led.bank_equity == before
         assert led.account(0) == Account(0, 0)
 
     def test_annihilate_everyone_restores_base_money(self):
         led = make_ledger([10, 20, 30], base_money=500)
-        led.create_loan(0, 99)
-        led.transfer(0, 2, 40)
+        create_loan(led, 0, 99)
+        transfer(led, 0, 2, 40)
         for agent in range(3):
-            led.annihilate(agent)
+            annihilate(led, agent)
         assert led.bank_equity == 500
         assert conservation_oracle(led) == 0
 
 
 class TestDistinctAgents:
-    """The duplicate checks of ``settle_many`` and ``annihilate_many``."""
+    """A column holds one change per agent: repeated agents are netted
+    into their entry, exactly, before the one posting."""
 
     @pytest.mark.parametrize("agents", [[0, 0], [1, 0, 1], [2, 1, 0, 2], [3, 3, 3]])
-    def test_settle_rejects_a_repeated_agent(self, agents):
-        led = make_ledger([10, 0, 0, 0])
-        zeros = [0] * len(agents)
-        with pytest.raises(ValueError, match="^settle_many takes each agent at most once$"):
-            led.settle_many(agents, zeros, zeros)
+    def test_rows_of_a_repeated_agent_net_into_one_entry(self, agents):
+        # Each row lends 2**62 (the repeats' sums pass MONEY_MAX, so they
+        # overflow and are summed in Python ints) or 1000 (they fit).
+        for amount in (2**62, 1000):
+            led = make_ledger([10, 0, 0, 0])
+            rows = np.full(len(agents), amount, dtype=np.int64)
+            change = firms._inbound(np.array(agents), rows, led.n_agents)
+            sequential = led.copy()
+            try:
+                for agent in agents:
+                    create_loan(sequential, agent, amount)
+            except MoneyOverflow as exc:
+                with pytest.raises(MoneyOverflow, match=f"^{exc}$"):
+                    led.post(change, change)
+                assert _state(led) == _state(make_ledger([10, 0, 0, 0]))
+            else:
+                led.post(change, change)
+                assert _state(led) == _state(sequential)
 
     @pytest.mark.parametrize(
         "bankrupt, posted",
@@ -199,17 +288,21 @@ class TestDistinctAgents:
     )
     def test_annihilate_posts_sorted_distinct_ids(self, monkeypatch, bankrupt, posted):
         led = make_ledger([10, 20, 30, 40])
-        led.create_loan(3, 50)
-        commits = []
-        commit = Ledger._commit
+        create_loan(led, 3, 50)
+        before = led.copy()
+        columns = []
+        post = Ledger.post
 
-        def spy(self, idx, **deltas):
-            commits.append(idx.tolist())
-            commit(self, idx, **deltas)
+        def spy(self, dep_change, debt_change=None, equity_change=0):
+            columns.append((dep_change, debt_change, equity_change))
+            post(self, dep_change, debt_change, equity_change)
 
-        monkeypatch.setattr(Ledger, "_commit", spy)
-        led.annihilate_many(bankrupt)
-        assert commits == [posted]
+        monkeypatch.setattr(Ledger, "post", spy)
+        annihilate(led, *bankrupt)
+        [(dep, debt, equity)] = columns  # one posting
+        assert np.flatnonzero(dep).tolist() == posted  # each account once
+        assert np.flatnonzero(debt).tolist() == [a for a in posted if a == 3]  # the debtor
+        assert equity == sum(before.net_position(a) for a in posted)
         assert [led.account(a) for a in posted] == [Account(0, 0)] * len(posted)
         assert led.conservation_residual() == 0
 
@@ -237,31 +330,31 @@ class TestNetPosition:
 
     def test_unchanged_by_loan(self):
         led = Ledger(3, 100)
-        led.create_loan(1, 50)
+        create_loan(led, 1, 50)
         assert led.net_position(1) == 0
 
     def test_signed_arithmetic(self):
         led = make_ledger([30, 0])
-        led.create_loan(0, 100)
-        led.transfer(0, 1, 100)  # deposit 30, debt 100
+        create_loan(led, 0, 100)
+        transfer(led, 0, 1, 100)  # deposit 30, debt 100
         assert led.net_position(0) == -70
 
 
 class TestBankFlows:
     def test_pay_to_bank(self):
         led = make_ledger([100, 0], base_money=50)
-        led.pay_to_bank(0, 40)
+        pay_to_bank(led, 0, 40)
         assert led.deposit(0) == 60
         assert conservation_oracle(led) == 0
 
     def test_pay_to_bank_insufficient(self):
         led = make_ledger([10, 0])
         with pytest.raises(InsufficientFunds):
-            led.pay_to_bank(0, 11)
+            pay_to_bank(led, 0, 11)
 
     def test_pay_from_bank_can_go_negative(self):
         led = Ledger(2, 10)
-        led.pay_from_bank(0, 25)
+        pay_from_bank(led, 0, 25)
         assert led.deposit(0) == 25
         assert led.bank_equity == -15
         assert conservation_oracle(led) == 0
@@ -273,11 +366,14 @@ class TestConservationResidual:
         assert make_ledger([1, 2, 3]).conservation_residual() == 0
 
     def test_after_each_single_op(self):
-        for op in ("transfer", "create_loan", "repay_loan", "annihilate"):
+        ops = {
+            transfer: (0, 1, 5), create_loan: (0, 5), repay_loan: (0, 5), annihilate: (0,),
+            pay_to_bank: (0, 5), pay_from_bank: (1, 5),
+        }
+        for op, args in ops.items():
             led = make_ledger([100, 100])
-            led.create_loan(0, 10)
-            getattr(led, op)(*{"transfer": (0, 1, 5), "create_loan": (0, 5),
-                               "repay_loan": (0, 5), "annihilate": (0,)}[op])
+            create_loan(led, 0, 10)
+            op(led, *args)
             assert led.conservation_residual() == 0
             assert conservation_oracle(led) == 0
 
@@ -285,7 +381,7 @@ class TestConservationResidual:
 class TestSnapshots:
     def test_csv_roundtrip(self, tmp_path):
         led = make_ledger([5, 0, 17], base_money=999)
-        led.create_loan(1, 4)
+        create_loan(led, 1, 4)
         path = tmp_path / "snap.csv"
         led.write_csv(path)
         text = path.read_text()
@@ -321,7 +417,7 @@ class TestSnapshots:
     def test_copy_is_independent(self):
         led = make_ledger([10, 10])
         clone = led.copy()
-        led.transfer(0, 1, 5)
+        transfer(led, 0, 1, 5)
         assert clone.account(0) == Account(10, 0)
 
 
@@ -335,7 +431,7 @@ def test_base_money_is_immutable():
 
 def test_queries_reject_unknown_agents():
     led = Ledger(2, 1000)
-    for call in (led.net_position, led.annihilate, led.account, led.deposit):
+    for call in (led.net_position, led.debt, led.account, led.deposit):
         with pytest.raises(UnknownAgent):
             call(2)
 
@@ -358,18 +454,18 @@ def test_random_operation_sequences_preserve_conservation(ops, deposits):
     equity_before = led.bank_equity
     for kind, a, b, amount in ops:
         if kind == "transfer" and a != b:
-            led.transfer(a, b, min(amount, led.deposit(a)))
+            transfer(led, a, b, min(amount, led.deposit(a)))
         elif kind == "loan":
-            led.create_loan(a, amount)
+            create_loan(led, a, amount)
         elif kind == "repay":
             acct = led.account(a)
-            led.repay_loan(a, min(amount, acct.deposit, acct.debt))
+            repay_loan(led, a, min(amount, acct.deposit, acct.debt))
         elif kind == "annihilate":
-            led.annihilate(a)
+            annihilate(led, a)
         elif kind == "to_bank":
-            led.pay_to_bank(a, min(amount, led.deposit(a)))
+            pay_to_bank(led, a, min(amount, led.deposit(a)))
         elif kind == "from_bank":
-            led.pay_from_bank(a, amount)
+            pay_from_bank(led, a, amount)
     assert conservation_oracle(led) == 0
     assert led.conservation_residual() == 0
     for i in range(5):
@@ -391,8 +487,8 @@ def test_transfer_antisymmetry(start, x, others):
     amount = min(x, start)
     led1 = Ledger(6, 10**10, [start, start] + others)
     led2 = Ledger(6, 10**10, [start, start] + others)
-    led1.transfer(0, 1, amount)
-    led2.transfer(1, 0, amount)
+    transfer(led1, 0, 1, amount)
+    transfer(led2, 1, 0, amount)
     net1 = sorted(led1.net_position(i) for i in range(6))
     net2 = sorted(led2.net_position(i) for i in range(6))
     assert net1 == net2
@@ -403,12 +499,12 @@ def test_transfer_antisymmetry(start, x, others):
 def test_loan_then_repay_is_identity(deposit, amount):
     led = Ledger(2, 10**13, [deposit, 0])
     before = (led.account(0), led.account(1), led.bank_equity)
-    led.create_loan(0, amount)
-    led.repay_loan(0, amount)
+    create_loan(led, 0, amount)
+    repay_loan(led, 0, amount)
     assert (led.account(0), led.account(1), led.bank_equity) == before
 
 
-# --- batch postings ----------------------------------------------------------
+# --- netted postings -----------------------------------------------------------
 
 def _state(led):
     return list(led.accounts()), led.bank_equity
@@ -419,15 +515,26 @@ def _state(led):
 _amount = st.one_of(st.integers(0, 1000), st.integers(2**61, MONEY_MAX))
 _agent = st.integers(0, 4)
 
-# kind -> (row strategy, scalar method, batch method)
+# kind -> (row strategy, one-row posting, the rows' netted columns)
 _BATCHES = {
-    "transfer": (st.tuples(_agent, _agent, _amount), "transfer", "transfer_many"),
-    "loan": (st.tuples(_agent, _amount), "create_loan", "create_loan_many"),
-    "repay": (st.tuples(_agent, _amount), "repay_loan", "repay_many"),
-    "to_bank": (st.tuples(_agent, _amount), "pay_to_bank", "pay_to_bank_many"),
-    "annihilate": (st.tuples(_agent), "annihilate", "annihilate_many"),
+    "transfer": (
+        st.tuples(_agent, _agent, _amount), transfer,
+        lambda rows: ([x for s, d, a in rows for x in ((s, -a), (d, a))], None, 0),
+    ),
+    "loan": (
+        st.tuples(_agent, _amount), create_loan,
+        lambda rows: (rows, rows, 0),
+    ),
+    "repay": (
+        st.tuples(_agent, _amount), repay_loan,
+        lambda rows: ([(i, -a) for i, a in rows], [(i, -a) for i, a in rows], 0),
+    ),
+    "to_bank": (
+        st.tuples(_agent, _amount), pay_to_bank,
+        lambda rows: ([(i, -a) for i, a in rows], None, sum(a for _, a in rows)),
+    ),
+    "annihilate": (st.tuples(_agent), annihilate, None),
 }
-_ARITY = {"transfer": 3, "loan": 2, "repay": 2, "to_bank": 2, "annihilate": 1}
 
 
 @st.composite
@@ -441,8 +548,8 @@ def _batch_case(draw):
 
 
 def _reference(kind, rows, led):
-    """The postings one at a time on Python ints, with the list-backed
-    ledger's checks; None if one fails."""
+    """The rows one at a time on Python ints, each checked as a single
+    posting is; None if one fails."""
     dep = [a.deposit for _, a in led.accounts()]
     debt = [a.debt for _, a in led.accounts()]
     equity = led.bank_equity
@@ -450,7 +557,7 @@ def _reference(kind, rows, led):
         i, amount = row[0], row[-1]
         if kind == "transfer":
             j = row[1]
-            if i == j or dep[i] < amount or dep[j] + amount > MONEY_MAX:
+            if i != j and (dep[i] < amount or dep[j] + amount > MONEY_MAX):
                 return None
             dep[i] -= amount
             dep[j] += amount
@@ -484,27 +591,32 @@ def test_batch_equals_sequential_scalar_ops(case):
     if base - sum(deposits) < -(2**63) or max(map(sum, zip(deposits, loans))) > MONEY_MAX:
         return  # not a representable starting ledger
     led = Ledger(5, base, deposits)
-    led.create_loan_many(range(5), loans)
-    _, scalar, batch = _BATCHES[kind]
+    led.post(loans, loans)
+    _, one_row, netted = _BATCHES[kind]
     before = _state(led)
     expected = _reference(kind, rows, led)
 
     sequential = led.copy()
     try:
         for row in rows:
-            getattr(sequential, scalar)(*row)
+            one_row(sequential, *row)
         assert _state(sequential) == expected
     except (FinphaseError, ValueError):
         assert expected is None
 
     batched = led.copy()
-    columns = [[row[i] for row in rows] for i in range(_ARITY[kind])]
     try:
-        getattr(batched, batch)(*columns)
+        if netted is None:
+            annihilate(batched, *(row[0] for row in rows))
+        else:
+            dep_rows, debt_rows, equity = netted(rows)
+            batched.post(
+                net(*dep_rows), None if debt_rows is None else net(*debt_rows), equity
+            )
         assert batched.conservation_residual() == 0
         assert conservation_oracle(batched) == 0
     except (FinphaseError, ValueError):
-        assert _state(batched) == before  # a rejected batch writes nothing
+        assert _state(batched) == before  # a rejected posting writes nothing
         assert expected is None  # only a failing sequence may be rejected
     else:
         if expected is not None:
@@ -515,62 +627,71 @@ class TestBatchEdges:
     def test_two_large_inflows_overflow_without_wrapping(self):
         led = Ledger(3, MONEY_MAX, [1, 2**62, 2**62])
         before = _state(led)
-        with pytest.raises(MoneyOverflow):
-            led.transfer_many([1, 2], [0, 0], [2**62, 2**62])
+        # two 2**62 payments to agent 0 sum to 2**63 in Python ints
+        inflow = firms._inbound(np.array([0, 0]), np.full(2, 2**62), 3)
+        assert inflow.tolist() == [2**63, 0, 0]
+        with pytest.raises(MoneyOverflow, match="^balance of agent 0 would exceed"):
+            led.post(inflow - np.array([0, 2**62, 2**62]))
         assert _state(led) == before
-        with pytest.raises(MoneyOverflow):
-            led.create_loan_many([0, 0], [2**62, 2**62])
+        with pytest.raises(MoneyOverflow, match="^balance of agent 0 would exceed"):
+            led.post(inflow, inflow)
         assert _state(led) == before
 
     def test_balances_reach_money_max_exactly(self):
         led = Ledger(3, MONEY_MAX, [0, 0, 10])
-        led.create_loan_many([0], [MONEY_MAX])
-        led.transfer_many([0, 2], [1, 1], [MONEY_MAX - 10, 10])
-        led.pay_to_bank_many([1], [0])
+        create_loan(led, 0, MONEY_MAX)
+        led.post(net((0, -(MONEY_MAX - 10)), (2, -10), (1, MONEY_MAX)))
+        pay_to_bank(led, 1, 0)
         assert _state(led)[0] == [(0, (10, MONEY_MAX)), (1, (MONEY_MAX, 0)), (2, (0, 0))]
         assert led.conservation_residual() == 0
 
     def test_batch_total_above_int64_sums_exactly(self):
-        # three 2**62 transfers round a ring: the batch total is 3 * 2**62,
-        # every net change and every balance fits
+        # a column whose max |x| times its length passes MONEY_MAX: its
+        # conservation sum is made in Python ints, and every balance fits
         led = Ledger(3, MONEY_MAX, [2**62, 2**62, 0])
         sequential = led.copy()
-        for src, dst in ((0, 2), (1, 0), (2, 1)):
-            sequential.transfer(src, dst, 2**62)
-        led.transfer_many([0, 1, 2], [2, 0, 1], [2**62] * 3)
+        transfer(sequential, 0, 2, 2**62)
+        transfer(sequential, 1, 2, 2**62 - 1)
+        change = np.array([-(2**62), -(2**62 - 1), MONEY_MAX])
+        led.post(change)
         assert _state(led) == _state(sequential)
         assert led.conservation_residual() == 0
+        with pytest.raises(ValueError, match="^posting does not conserve money$"):
+            led.post(np.array([MONEY_MAX, MONEY_MAX, 2]))  # sums to 0 in int64
 
     def test_bank_equity_overflow_rejects_whole_batch(self):
         led = Ledger(2, MONEY_MAX)
-        led.create_loan_many([0, 1], [10, 10])
+        create_loan(led, 0, 10)
+        create_loan(led, 1, 10)
         before = _state(led)
-        with pytest.raises(MoneyOverflow):
-            led.pay_to_bank_many([0, 1], [1, 1])
+        with pytest.raises(MoneyOverflow, match=f"^bank equity {2**63 + 1} out of 64-bit range$"):
+            led.post([-1, -1], equity_change=2)
         assert _state(led) == before
 
     def test_spend_what_the_batch_brings_in(self):
         led = make_ledger([0, 50, 0])
-        led.transfer_many([1, 0], [0, 2], [50, 50])
+        led.post(net((1, -50), (0, 50), (0, -50), (2, 50)))
         assert [led.deposit(i) for i in range(3)] == [0, 0, 50]
 
     def test_mismatched_lengths_and_bad_inputs(self):
         led = make_ledger([10, 10])
-        with pytest.raises(ValueError):
-            led.transfer_many([0], [1, 1], [1])
         with pytest.raises(UnknownAgent):
-            led.create_loan_many([0, 2], [1, 1])
-        with pytest.raises(SelfTransfer):
-            led.transfer_many([0, 1], [1, 1], [1, 1])
+            led.post([-1, 0, 1])  # longer than the ledger
+        with pytest.raises(TypeError):
+            led.post([[-1, 1]])
+        with pytest.raises(TypeError):
+            led.post([-1.0, 1.0])
         with pytest.raises(MoneyOverflow):
-            led.pay_to_bank_many([0], [2**63])
+            led.post(column([2**63, 0]), equity_change=-(2**63))
+        with pytest.raises(ValueError):
+            led.post([0, 1], [1, 1])
         assert _state(led) == _state(make_ledger([10, 10]))
 
     def test_rejected_batch_leaves_no_partial_sums_behind(self):
         led = make_ledger([10, 0, 0])
-        with pytest.raises(InsufficientFunds):
-            led.transfer_many([0, 1], [1, 2], [10, 11])  # agent 1 nets -1
-        led.transfer_many([0], [2], [4])
+        with pytest.raises(InsufficientFunds, match="^agent 1 holds 0, batch takes 1$"):
+            led.post([-10, -1, 11])  # agent 1 nets -1
+        transfer(led, 0, 2, 4)
         assert [led.deposit(i) for i in range(3)] == [6, 0, 4]
         assert led.conservation_residual() == 0
 
@@ -579,22 +700,25 @@ class TestBatchEdges:
         dep = led.deposits
         with pytest.raises(ValueError):
             dep[0] = 99
-        led.transfer(0, 1, 4)
+        transfer(led, 0, 1, 4)
         assert dep.tolist() == [6, 4]
-        led.create_loan(1, 3)
+        create_loan(led, 1, 3)
         assert led.debts.tolist() == [0, 3]
 
 
 class TestSettle:
+    """Phase 4 posts the net result of loans, purchases and repayments
+    as one pair of columns."""
+
     def test_equals_the_gross_postings(self):
         # agent 1 borrows 30 and pays it to agent 0, which repays 25
         led = make_ledger([20, 0, 5])
-        led.create_loan(0, 25)
+        create_loan(led, 0, 25)
         gross = led.copy()
-        gross.create_loan(1, 30)
-        gross.transfer(1, 0, 30)
-        gross.repay_loan(0, 25)
-        led.settle_many([0, 1], [30 - 25, 0], [-25, 30])
+        create_loan(gross, 1, 30)
+        transfer(gross, 1, 0, 30)
+        repay_loan(gross, 0, 25)
+        led.post([30 - 25, 0], [-25, 30])
         assert _state(led) == _state(gross)
         assert conservation_oracle(led) == 0
 
@@ -602,31 +726,31 @@ class TestSettle:
         # Agent 0 holds MONEY_MAX - 10 and owes 2000. Receiving 1000
         # before repaying would overflow; the net result fits.
         led = Ledger(2, MONEY_MAX, [MONEY_MAX - 2010, 0])
-        led.create_loan(0, 2000)
+        create_loan(led, 0, 2000)
         gross = led.copy()
-        gross.create_loan(1, 1000)
+        create_loan(gross, 1, 1000)
         with pytest.raises(MoneyOverflow):
-            gross.transfer(1, 0, 1000)
-        led.settle_many([0, 1], [1000 - 2000, 0], [-2000, 1000])
+            transfer(gross, 1, 0, 1000)
+        led.post([1000 - 2000, 0], [-2000, 1000])
         assert _state(led)[0] == [(0, (MONEY_MAX - 1010, 0)), (1, (0, 1000))]
         assert led.conservation_residual() == 0
 
     @pytest.mark.parametrize(
         "agents, dep_change, debt_change, error",
         [
-            ([0, 0], [1, -1], [0, 0], ValueError),  # repeated agent
+            ([0, 0], [1, 1], [0, 0], ValueError),  # a repeated agent's rows create money
             ([0], [5], [4], ValueError),  # would create money
             ([0, 1], [-16, 16], [0, 0], InsufficientFunds),
             ([0, 1], [-5, 0], [-6, 1], NoSuchDebt),
             ([0, 1], [MONEY_MAX, 0], [0, MONEY_MAX], MoneyOverflow),
             ([0], [2**63], [2**63], MoneyOverflow),  # change beyond int64
-            ([0], [1, 2], [3], ValueError),
+            ([0, 1], [1, 2], [3, 1], ValueError),  # totals differ by one
         ],
     )
     def test_rejected_settlement_writes_nothing(self, agents, dep_change, debt_change, error):
         led = make_ledger([10, 0], base_money=MONEY_MAX)
-        led.create_loan(0, 5)
+        create_loan(led, 0, 5)
         before = _state(led)
         with pytest.raises(error):
-            led.settle_many(agents, dep_change, debt_change)
+            led.post(net(*zip(agents, dep_change)), net(*zip(agents, debt_change)))
         assert _state(led) == before
