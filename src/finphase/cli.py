@@ -158,7 +158,8 @@ class _Manifest:
     def add_output(self, path: Path) -> None:
         self.payload["outputs"].append(path.name)
 
-    def write(self, outdir: Path) -> None:
+    def text(self) -> str:
+        """The manifest as JSON text, stamped with the finish time."""
         import resource  # Unix only; needed only when a manifest is asked for
 
         # ru_maxrss is in KiB on Linux and in bytes on macOS
@@ -172,7 +173,7 @@ class _Manifest:
             numpy=np.__version__,
             peak_rss_mb=rss / (2**20 if sys.platform == "darwin" else 2**10),
         )
-        _write_json(outdir / "manifest.json", self.payload)
+        return f"{_json(self.payload)}\n"
 
 
 # --- subcommands --------------------------------------------------------------
@@ -216,7 +217,7 @@ def _cmd_exchange(args) -> int:
     manifest.add_output(wealth_path)
     manifest.add_output(fit_path)
     if args.manifest:
-        manifest.write(outdir)
+        (outdir / "manifest.json").write_text(manifest.text())
     print(
         f"exchange: {args.agents} agents, {args.events} events, "
         f"temperature {fit.temperature:.6g}, KS {fit.ks_statistic:.6g}"
@@ -274,37 +275,34 @@ def _cmd_firms(args) -> int:
         outdir = _outdir(args)
         manifest = _Manifest("firms", dataclasses.asdict(config), config.seed)
         written = []
+
+        def emit(path: Path, data: bytes) -> None:
+            with open(path, "wb") as fh:
+                written.append(path)  # from here on the file is this run's
+                fh.write(data)
+
         try:
             # strict: texts() then runs to its end, where the writer's exit status is checked
             for t, text in zip(steps, writer.texts(), strict=True):
-                p = outdir / f"phase_t{t}.csv"
-                with open(p, "wb") as fh:
-                    written.append(p)  # from here on the file is this run's
-                    fh.write(text)
+                emit(outdir / f"phase_t{t}.csv", text)
+            # written after the phase files, so a writer that fails at once leaves no output
+            emit(outdir / "series.csv", "".join(series).encode())
+            run = {
+                "config": dataclasses.asdict(config),
+                "seed": config.seed,
+                "final_conservation_residual": residuals[-1],
+            }
+            emit(outdir / "run.json", f"{_json(run)}\n".encode())
+            if args.manifest:
+                for p in written:
+                    manifest.add_output(p)
+                manifest.payload["conservation_residuals"] = residuals
+                manifest.payload["phase_seconds"] = timings
+                emit(outdir / "manifest.json", manifest.text().encode())
         except BaseException:
-            for p in written:  # a failed run leaves no phase file behind
+            for p in written:  # a failed run leaves none of its files behind
                 p.unlink(missing_ok=True)
             raise
-    for p in written:
-        manifest.add_output(p)
-    # written after the phase files, so a writer that fails at once leaves no output
-    series_path = outdir / "series.csv"
-    series_path.write_text("".join(series))
-    manifest.add_output(series_path)
-    manifest.payload["conservation_residuals"] = residuals
-    run_path = outdir / "run.json"
-    _write_json(
-        run_path,
-        {
-            "config": dataclasses.asdict(config),
-            "seed": config.seed,
-            "final_conservation_residual": residuals[-1],
-        },
-    )
-    manifest.add_output(run_path)
-    if args.manifest:
-        manifest.payload["phase_seconds"] = timings
-        manifest.write(outdir)
     print(
         f"firms: {config.n_firms} firms x {config.n_steps} steps, "
         f"final residual {residuals[-1]}"

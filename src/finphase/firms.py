@@ -61,7 +61,7 @@ import numpy as np
 
 from . import rng
 from .errors import InsufficientFunds, InvalidConfig, MoneyOverflow
-from .ledger import MONEY_MAX, MONEY_MIN, Ledger, Money, _total
+from .ledger import MONEY_MAX, MONEY_MIN, Ledger, Money, _sums, _total
 
 # The simulation step is the pay period ("the week"); annual rates are
 # converted with this documented constant.
@@ -247,28 +247,6 @@ _EXACT = 2**52
 _BELOW_2_63 = float(2**63 - 1024)
 
 
-def _inbound(target: np.ndarray, amount: np.ndarray, n: int) -> np.ndarray:
-    """Per-firm sums of ``amount[k]`` sent to firm ``target[k]``, exact:
-    int64 when the total fits the money range (then no partial sum can
-    wrap), Python ints in an object column otherwise."""
-    if _total(amount) > MONEY_MAX:
-        amount = amount.astype(object)
-    sums = np.zeros(n, dtype=amount.dtype)
-    np.add.at(sums, target, amount)
-    return sums
-
-
-def _at_turn(base: np.ndarray, inbound: np.ndarray):
-    """``base + inbound`` as int64, and where it exceeds MONEY_MAX.
-
-    There MONEY_MAX stands in for the sum: that deposit left the money
-    range before the firm's turn, so the in-order loop raised earlier and
-    the value only has to be some deterministic int64.
-    """
-    over = inbound > MONEY_MAX - base
-    return np.where(over, MONEY_MAX, base + inbound).astype(np.int64, copy=False), over
-
-
 def _first_overflow(base, early, target, amount, taken, end: int):
     """The first turn below ``end`` at which a firm deposit leaves the
     money range, or None if none does.
@@ -286,8 +264,7 @@ def _first_overflow(base, early, target, amount, taken, end: int):
 
     def fails(m: int) -> bool:
         done = ids < m
-        inflow = _inbound(target, np.where(done, amount, 0), len(base))
-        peak = inflow - np.where(done, taken, 0) > MONEY_MAX - base
+        _, peak = _sums(base - np.where(done, taken, 0), target, np.where(done, amount, 0))
         return bool((early & done).any() or peak.any())
 
     if not fails(end):
@@ -322,18 +299,17 @@ def _owner_consumption(dep, receipts, shop_of, frac: float):
     n = len(dep)
     lower = np.flatnonzero(shop_of > np.arange(n))  # paid before the shop's turn
     ahead = shop_of[lower]
-    inbound = np.zeros(n, dtype=np.int64)
+    paid = np.zeros(len(lower), dtype=np.int64)
     for _ in range(n + 1):
-        at_turn, over = _at_turn(dep, inbound)
+        at_turn, over = _sums(dep, ahead, paid)
         product = at_turn * frac  # float64, truncated below: int(deposit * frac)
         draws = np.minimum(product, _BELOW_2_63).astype(np.int64)
-        new = _inbound(ahead, draws[lower], n)
-        if np.array_equal(new, inbound):
+        if np.array_equal(draws[lower], paid):
             break
-        inbound = new
-    sales = _inbound(shop_of, draws, n)
+        paid = draws[lower]
     short = (product >= 2.0**63) | (draws > at_turn)
-    if short.any() or over.any() or (sales - draws > MONEY_MAX - dep).any():
+    _, past = _sums(dep - draws, shop_of, draws)  # the deposits after the last turn
+    if short.any() or over.any() or past.any():
         first = int(np.argmax(short)) if short.any() else n
         turn = _first_overflow(dep, over, shop_of, draws, draws, first)
         if turn is not None:
@@ -341,9 +317,10 @@ def _owner_consumption(dep, receipts, shop_of, frac: float):
         raise InsufficientFunds(
             f"firm {first} holds {at_turn[first]}, draws {int(product[first])}"
         )
-    if (sales > MONEY_MAX - receipts).any():
+    with_sales, wide = _sums(receipts, shop_of, draws)
+    if wide.any():
         raise MoneyOverflow("receipts out of 64-bit range")
-    return draws, (receipts + sales).astype(np.int64, copy=False)
+    return draws, with_sales
 
 
 def _invest(dep, debt, capital, last_profit, seller_of, rate: float, margin: float):
@@ -373,29 +350,27 @@ def _invest(dep, debt, capital, last_profit, seller_of, rate: float, margin: flo
     target = np.arange(n) if seller_of is None else seller_of
     lower = np.flatnonzero(target > np.arange(n))
     ahead = target[lower]
-    inbound = np.zeros(n, dtype=np.int64)
+    paid = np.zeros(len(lower), dtype=np.int64)
     for _ in range(n + 1):
-        at_turn, over = _at_turn(dep, inbound)
+        at_turn, over = _sums(dep, ahead, paid)
         cls = classify(lp, np.maximum(debt - at_turn, 0) * rate, profit_rate, annual_rate, margin)
         # Capital goods change hands at cost: the sale adds to the seller's
         # cash but carries no margin, so it does not enter the seller's
         # profit. Only consumption sales do.
         spent = np.where(may_buy & (cls == FirmClass.B_VOLUNTARY_BORROWER), lp, 0)
-        new = _inbound(ahead, spent[lower], n)
-        if np.array_equal(new, inbound):
+        if np.array_equal(spent[lower], paid):
             break
-        inbound = new
+        paid = spent[lower]
     repaid = np.where(cls == FirmClass.C_VOLUNTARY_LENDER, np.minimum(at_turn, debt), 0)
-    sales = _inbound(target, spent, n)
+    after, past = _sums(dep - repaid, target, spent)  # the deposits after the last turn
     # a buyer's loan passes through its deposit before it pays the seller
     early = over | (at_turn > MONEY_MAX - spent) | (debt > MONEY_MAX - spent)
-    if early.any() or (sales - repaid > MONEY_MAX - dep).any():
+    if early.any() or past.any():
         turn = _first_overflow(dep, early, target, spent, repaid, n)
         raise MoneyOverflow(f"loan to firm {turn} out of 64-bit range")
     if (capital > MONEY_MAX - spent).any():
         raise MoneyOverflow("capital out of 64-bit range")
-    dep_change = (sales - repaid).astype(np.int64, copy=False)
-    return cls, dep_change, spent - repaid, capital + spent
+    return cls, after - dep, spent - repaid, capital + spent
 
 
 # The phases of a step, in order; ``step`` adds the seconds of each to a
@@ -415,7 +390,8 @@ def step(state: EconomyState, timings: dict | None = None) -> StepRecord:
     one checked :meth:`Ledger.post` per kind of posting: the wage loans,
     then the wages; worker consumption; owner consumption; the interest
     loans, then the interest; phase 4; the write-offs. Many-to-one flows
-    are summed exactly (:func:`_inbound`) before they are posted. Owner
+    are summed exactly, folded with each firm's own deposit and outflow
+    (:func:`ledger._sums`), and a flagged sum is an overflow. Owner
     consumption and phase 4 are defined in firm-id order (a firm's
     deposit grows from lower firms' purchases). They are evaluated
     exactly as array passes to the fixed point that equals the in-order
@@ -475,9 +451,13 @@ def _phases(state: EconomyState):
             )
             shops = np.where(churn_u < cfg.customer_churn, new_shops, shops)
         spend = dep[n:]  # all of it: the view is read before the posting
-        receipts = _inbound(shops, spend, n)  # exact: a firm's total may exceed int64
+        after, over = _sums(dep[:n], shops, spend)  # the firms' deposits after the sales
+        if over.any():  # raised as the posting would: its column could not hold the sum
+            raise MoneyOverflow(
+                f"balance of agent {int(np.argmax(over))} would exceed 64-bit range"
+            )
+        receipts = after - dep[:n]
         ledger.post(np.concatenate((receipts, -spend)))
-        receipts = receipts.astype(np.int64, copy=False)  # posted, so in range
     frac = cfg.capitalist_consumption_fraction
     if frac > 0 and n > 1:
         shop_of = _other_firms(seed, t, _TAG_OWNER_TARGET, n)

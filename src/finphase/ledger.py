@@ -13,21 +13,26 @@ with the difference absorbed by bank equity (which may go negative).
 
 Storage is two int64 numpy columns, ``deposit`` and ``debt``, indexed by
 agent id, plus bank equity as a Python int. There is one posting
-primitive, :meth:`Ledger.post`: signed change columns for agents
+primitive, :meth:`Ledger.post`: signed int64 change columns for agents
 ``0 .. k-1`` (a prefix; the firm economy puts its firms first) and a
 change of bank equity. Transfers, loans, repayments, interest paid to the
 bank and write-offs are all such columns, the caller netting every flow
 of a kind into one entry per agent. A posting must conserve money, summed
-exactly: in int64 only when ``max|x| * k`` fits the money range, so that
-no partial sum can wrap, and in Python ints otherwise. It is atomic:
-every resulting deposit and debt is compared against its headroom
-(``-dep`` and ``MONEY_MAX - dep``) instead of being formed first, the
-equity is range-checked, and nothing is written unless every check
-passes. A payer may therefore spend within a posting what it receives in
-the same posting. Columns are int64, or object (Python ints) where a
-change is too wide for int64. A posting costs O(k): a few vectorised
+exactly. It is atomic: every resulting deposit and debt is compared
+against its headroom (``-dep`` and ``MONEY_MAX - dep``) instead of being
+formed first, the equity is range-checked, and nothing is written unless
+every check passes. A payer may therefore spend within a posting what it
+receives in the same posting. A posting costs O(k): a few vectorised
 passes over views of the first k rows, no gathers, and one in-place add
 per column.
+
+Money is int64 throughout, and one kernel sums it exactly. Each value
+splits into two limbs, ``x == (hi << 31) + lo`` with ``0 <= lo < 2**31``
+and ``-2**32 <= hi < 2**32``, and each limb is summed in int64: fewer
+than 2**31 terms keep ``|sum(hi)| < 2**63`` and ``sum(lo) < 2**62``, so
+no partial sum can wrap. :func:`_total` sums a column into a Python int;
+:func:`_sums` sums rows into per-agent int64 totals and flags the totals
+that leave the int64 range.
 
 Concurrency: a Ledger has a single writer; read-only queries are safe
 concurrently when nothing is mutating.
@@ -36,7 +41,7 @@ concurrently when nothing is mutating.
 from __future__ import annotations
 
 import csv
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,49 +54,42 @@ from .errors import (
 )
 
 Money = int
-AgentId = int
 
 MONEY_MAX = 2**63 - 1
 MONEY_MIN = -(2**63)
 
-
-class Account(NamedTuple):
-    """Deposit/debt pair for one agent; both sides are always >= 0."""
-
-    deposit: Money
-    debt: Money
-
-
-def _column(values, what: str) -> np.ndarray:
-    """A 1-d integer array; Python ints beyond int64 stay exact (object)."""
-    arr = np.asarray(values)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuO"):
-        raise TypeError(f"{what} must be a column of integers, got {arr.dtype} {arr.shape}")
-    return arr
-
-
-def _money(values) -> np.ndarray:
-    """Amounts as an int64 column; negative amounts are a ValueError and
-    amounts above MONEY_MAX a MoneyOverflow."""
-    arr = _column(values, "amounts")
-    if arr.size:
-        if arr.min() < 0:
-            raise ValueError(f"amount must be >= 0, got {arr.min()}")
-        if arr.dtype != np.int64 and arr.max() > MONEY_MAX:
-            raise MoneyOverflow(f"amount {arr.max()} exceeds 64-bit money range")
-    return arr.astype(np.int64, copy=False)
+_LO = 2**31 - 1  # the low limb's bits
 
 
 def _total(column: np.ndarray) -> int:
-    """Exact sum of an integer column, as a Python int: in int64 when
-    ``max|x| * size`` fits the money range (then no partial sum can wrap),
-    else in Python ints."""
-    if column.size == 0:
-        return 0
-    if column.dtype != object:
-        if max(int(column.max()), -int(column.min())) <= MONEY_MAX // column.size:
-            return int(column.sum())  # no partial sum can wrap
-    return sum(map(int, column.tolist()))
+    """Exact sum of an int64 column, as a Python int."""
+    return (int((column >> 31).sum()) << 31) + int((column & _LO).sum())
+
+
+def _sums(start: np.ndarray, target: np.ndarray, amount: np.ndarray):
+    """``start[i]`` plus every ``amount[k]`` with ``target[k] == i``, summed
+    exactly for each i: the int64 sums, and a mask of the sums outside the
+    int64 range (whose entries in the sums are not meaningful)."""
+    hi, lo = start >> 31, start & _LO
+    np.add.at(hi, target, amount >> 31)
+    np.add.at(lo, target, amount & _LO)
+    hi += lo >> 31
+    return (hi << 31) + (lo & _LO), (hi < -(2**32)) | (hi >= 2**32)
+
+
+def _column(values, what: str) -> np.ndarray:
+    """``values`` as a 1-d int64 array: an integer outside the int64 range
+    is a MoneyOverflow, a column of anything but integers a TypeError."""
+    arr = np.asarray(values)
+    # integers beyond int64 make numpy pick uint64, float64 or object
+    maybe_wide = arr.ndim == 1 and arr.dtype.kind in "ufO"
+    if maybe_wide and all(isinstance(v, (int, np.integer)) for v in values):
+        wide = [v for v in values if not MONEY_MIN <= v <= MONEY_MAX]
+        if wide:
+            raise MoneyOverflow(f"{what} {wide[0]} exceeds 64-bit money range")
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise TypeError(f"{what}s must be a column of integers, got {arr.dtype} {arr.shape}")
+    return arr.astype(np.int64, copy=False)
 
 
 class Ledger:
@@ -121,7 +119,9 @@ class Ledger:
         else:
             if len(initial_deposits) != n_agents:
                 raise ValueError("initial_deposits length != n_agents")
-            self._dep = _money(list(initial_deposits))
+            self._dep = _column(list(initial_deposits), "amount")
+            if n_agents and self._dep.min() < 0:
+                raise ValueError(f"amount must be >= 0, got {self._dep.min()}")
         self._debt = np.zeros(n_agents, dtype=np.int64)
         self._base_money = base_money
         self._bank_equity = base_money - _total(self._dep)
@@ -159,31 +159,6 @@ class Ledger:
         view.flags.writeable = False
         return view
 
-    def _check_agent(self, agent: AgentId) -> None:
-        if not 0 <= agent < len(self._dep):
-            raise UnknownAgent(f"no agent {agent} in ledger of {len(self._dep)}")
-
-    def account(self, agent: AgentId) -> Account:
-        self._check_agent(agent)
-        return Account(int(self._dep[agent]), int(self._debt[agent]))
-
-    def deposit(self, agent: AgentId) -> Money:
-        self._check_agent(agent)
-        return int(self._dep[agent])
-
-    def debt(self, agent: AgentId) -> Money:
-        self._check_agent(agent)
-        return int(self._debt[agent])
-
-    def net_position(self, agent: AgentId) -> Money:
-        """deposit - debt (signed)."""
-        self._check_agent(agent)
-        return int(self._dep[agent]) - int(self._debt[agent])
-
-    def accounts(self) -> Iterator[tuple[AgentId, Account]]:
-        for i, (d, b) in enumerate(zip(self._dep.tolist(), self._debt.tolist())):
-            yield i, Account(d, b)
-
     def conservation_residual(self) -> Money:
         """sum(deposit - debt) + bank_equity - base_money; must be 0.
 
@@ -199,7 +174,8 @@ class Ledger:
         to its debt for every i in the column, and ``equity_change`` to bank
         equity. A column covers agents ``0 .. k-1``, a prefix of the ledger
         (firms come first, so a column of firms is shorter than one that
-        reaches the workers); an omitted column changes nothing.
+        reaches the workers); an omitted column changes nothing. A column
+        holds integers in the int64 range: a wider one is a MoneyOverflow.
 
         The posting must conserve money: sum(dep_change) - sum(debt_change)
         + equity_change == 0, summed exactly. It is atomic: every resulting
@@ -217,12 +193,9 @@ class Ledger:
         ):
             if change is None:
                 continue
-            change = _column(change, "changes")
+            change = _column(change, "change")
             if len(change) > n:
                 raise UnknownAgent(f"no agent {n} in ledger of {n}")
-            if change.dtype != np.int64 and change.dtype != object:
-                wide = not np.can_cast(change.dtype, np.int64)
-                change = change.astype(object if wide else np.int64)
             columns.append((col[: len(change)], change, verb, short_error))
             total += sign * _total(change)
         if total != 0:
@@ -241,7 +214,7 @@ class Ledger:
         if not MONEY_MIN <= new_equity <= MONEY_MAX:
             raise MoneyOverflow(f"bank equity {new_equity} out of 64-bit range")
         for cur, change, _, _ in columns:
-            cur += change.astype(np.int64, copy=False)  # in range: checked above
+            cur += change  # in range: checked above
         self._bank_equity = new_equity
 
     # -- snapshots -----------------------------------------------------------

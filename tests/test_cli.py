@@ -409,6 +409,18 @@ class TestPhaseWriter:
         [proc] = started
         assert_reaped(proc)
 
+    @pytest.mark.parametrize("name", ["series.csv", "run.json", "manifest.json"])
+    def test_unwritable_later_file_removes_every_file_written(self, tmp_path, capsys, name):
+        # every phase file is written before the directory in the way of a
+        # later output fails the run; none of them is left behind
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run_cli(*SMALL_FIRMS, "--outdir", str(out), "--manifest") == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: \[Errno 21\] Is a directory: '.*{re.escape(name)}'\n", err), err
+        assert os.listdir(out) == [name]
+        assert os.listdir(out / name) == []
+
     @pytest.mark.parametrize("error", [MoneyOverflow("deposit overflow"), KeyboardInterrupt()])
     def test_run_failing_mid_simulation_writes_nothing_and_reaps_the_writer(
         self, tmp_path, capsys, monkeypatch, started, error

@@ -45,17 +45,16 @@ def records_equal(a, b):
 class TestInitEconomy:
     def test_all_firms_at_origin_with_zero_balances(self):
         state = init_economy(small_config())
-        for i in range(50):
-            assert state.ledger.account(i).deposit == 0
-            assert state.ledger.account(i).debt == 0
-            assert state.capital[i] == state.config.initial_capital
+        assert state.ledger.deposits[:50].tolist() == [0] * 50
+        assert state.ledger.debts[:50].tolist() == [0] * 50
+        assert state.capital.tolist() == [state.config.initial_capital] * 50
         rec = initial_record(state)
         assert (rec.points == 0.0).all()
 
     def test_documented_split_hundred_firms(self):
         # the per-agent split is zero: the whole base money is bank reserve
         state = init_economy(EconomyConfig(n_firms=100, base_money=10**8))
-        assert all(state.ledger.deposit(i) == 0 for i in range(100))
+        assert state.ledger.deposits[:100].tolist() == [0] * 100
         assert state.ledger.bank_equity == 10**8
 
     def test_conservation_at_t0(self):
@@ -142,14 +141,15 @@ class TestStep:
         # sum of net-position changes over all agents plus the bank's
         # equity change is zero across any step
         state = init_economy(small_config())
-        n_total = state.config.n_firms + state.config.n_workers
+
+        def net_positions(ledger):
+            return [d - b for d, b in zip(ledger.deposits.tolist(), ledger.debts.tolist())]
+
         for _ in range(5):
-            before = [state.ledger.net_position(i) for i in range(n_total)]
+            before = net_positions(state.ledger)
             equity_before = state.ledger.bank_equity
             step(state)
-            delta = sum(
-                state.ledger.net_position(i) - before[i] for i in range(n_total)
-            )
+            delta = sum(after - b for after, b in zip(net_positions(state.ledger), before))
             assert delta + (state.ledger.bank_equity - equity_before) == 0
 
     def test_replacement_firm_reenters_at_origin(self):
@@ -178,7 +178,8 @@ def snapshot(state):
     """Everything a step may change, as plain Python values."""
     return (
         state.t,
-        list(state.ledger.accounts()),
+        state.ledger.deposits.tolist(),
+        state.ledger.debts.tolist(),
         state.ledger.bank_equity,
         state.capital.tolist(),
         state.last_profit.tolist(),
@@ -249,7 +250,8 @@ class TestInvestmentSettlement:
         rec = step(state)
         assert rec.class_counts == (0, 1, 1)
         assert rec.conservation_residual == 0
-        assert list(state.ledger.accounts()) == [(0, (MONEY_MAX - 1010, 0)), (1, (0, 1000))]
+        assert state.ledger.deposits.tolist() == [MONEY_MAX - 1010, 0]
+        assert state.ledger.debts.tolist() == [0, 1000]
         assert state.capital.tolist() == [3000, 4000]
 
     def test_purchase_before_the_repayment_overflows(self):

@@ -1,4 +1,5 @@
-"""Ledger postings: conservation, inverses, errors, snapshots.
+"""Ledger postings: conservation, inverses, errors, snapshots, and the
+exact summation kernel behind them.
 
 Each kind of flow is a dense change column given to ``Ledger.post``, as
 the firm economy builds them; the helpers below build them for one row
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finphase import firms, rng
@@ -24,7 +25,7 @@ from finphase.errors import (
     ParseError,
     UnknownAgent,
 )
-from finphase.ledger import MONEY_MAX, Account, Ledger
+from finphase.ledger import MONEY_MAX, MONEY_MIN, Ledger, _sums, _total
 
 from conftest import conservation_oracle
 
@@ -36,13 +37,23 @@ def make_ledger(deposits, base_money=10**6):
 # -- postings as the firm economy builds them: dense change columns --------
 
 
+def account(led, agent):
+    """An agent's (deposit, debt), as Python ints."""
+    return int(led.deposits[agent]), int(led.debts[agent])
+
+
+def net_position(led, agent):
+    deposit, debt = account(led, agent)
+    return deposit - debt
+
+
 def column(values):
-    """A change column: int64, or Python ints (object) where a value is
-    too wide for int64."""
+    """A change column: int64, or the list of Python ints itself where a
+    value is too wide for int64 (a posting rejects it)."""
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
-        return np.array(values, dtype=object)
+        return list(values)
 
 
 def net(*rows):
@@ -89,21 +100,20 @@ class TestTransfer:
     def test_zero_amount_is_identity(self):
         led = make_ledger([100, 200])
         transfer(led, 0, 1, 0)
-        assert led.account(0) == Account(100, 0)
-        assert led.account(1) == Account(200, 0)
+        assert account(led, 0) == (100, 0)
+        assert account(led, 1) == (200, 0)
 
     def test_inverse_pair_restores_ledger(self):
         led = make_ledger([100, 200])
         transfer(led, 0, 1, 70)
         transfer(led, 1, 0, 70)
-        assert led.account(0) == Account(100, 0)
-        assert led.account(1) == Account(200, 0)
+        assert account(led, 0) == (100, 0)
+        assert account(led, 1) == (200, 0)
 
     def test_moves_exactly_amount(self):
         led = make_ledger([100, 200])
         transfer(led, 0, 1, 30)
-        assert led.account(0).deposit == 70
-        assert led.account(1).deposit == 230
+        assert led.deposits.tolist() == [70, 230]
         assert conservation_oracle(led) == 0
 
     def test_insufficient_funds(self):
@@ -111,14 +121,14 @@ class TestTransfer:
         with pytest.raises(InsufficientFunds, match="^agent 0 holds 10, batch takes 11$"):
             transfer(led, 0, 1, 11)
         # failed op must not partially apply
-        assert led.account(0) == Account(10, 0)
+        assert account(led, 0) == (10, 0)
 
     def test_self_transfer_nets_to_nothing(self):
         # a column has one entry per agent: paying oneself is a zero change
         led = make_ledger([10, 10])
         assert net((1, -1), (1, 1)).tolist() == [0, 0]
         transfer(led, 1, 1, 1)
-        assert [led.account(i) for i in (0, 1)] == [Account(10, 0)] * 2
+        assert [account(led, i) for i in (0, 1)] == [(10, 0)] * 2
 
     def test_unknown_agent(self):
         led = make_ledger([10, 10])
@@ -126,8 +136,6 @@ class TestTransfer:
             transfer(led, 0, 2, 1)
         with pytest.raises(UnknownAgent, match="^no agent 2 in ledger of 2$"):
             led.post([0, 0], [0, 0, 0])
-        with pytest.raises(UnknownAgent):
-            led.deposit(-1)
         assert led.deposits.tolist() == [10, 10]
 
     def test_negative_amount_rejected(self):
@@ -168,13 +176,13 @@ class TestCreateLoan:
     def test_zero_is_identity(self):
         led = make_ledger([5, 5])
         create_loan(led, 0, 0)
-        assert led.account(0) == Account(5, 0)
+        assert account(led, 0) == (5, 0)
 
     def test_asset_liability_pair_cancels(self):
         led = make_ledger([0, 0])
         create_loan(led, 0, 100)
-        assert led.account(0) == Account(100, 100)
-        assert led.net_position(0) == 0
+        assert account(led, 0) == (100, 100)
+        assert net_position(led, 0) == 0
         assert conservation_oracle(led) == 0
 
     def test_loan_sequences_conserve(self):
@@ -188,7 +196,7 @@ class TestCreateLoan:
         create_loan(led, 0, MONEY_MAX - 10)
         with pytest.raises(MoneyOverflow, match="^balance of agent 0 would exceed 64-bit range$"):
             create_loan(led, 0, 11)
-        assert led.account(0) == Account(MONEY_MAX - 10, MONEY_MAX - 10)
+        assert account(led, 0) == (MONEY_MAX - 10, MONEY_MAX - 10)
 
 
 class TestRepayLoan:
@@ -196,12 +204,12 @@ class TestRepayLoan:
         led = make_ledger([50, 0])
         create_loan(led, 0, 200)
         repay_loan(led, 0, 200)
-        assert led.account(0) == Account(50, 0)
+        assert account(led, 0) == (50, 0)
 
     def test_zero_repay_is_identity(self):
         led = make_ledger([50, 0])
         repay_loan(led, 0, 0)
-        assert led.account(0) == Account(50, 0)
+        assert account(led, 0) == (50, 0)
 
     def test_no_such_debt(self):
         led = make_ledger([50, 0])
@@ -225,8 +233,7 @@ class TestRepayLoan:
             if kind == 0:
                 create_loan(led, agent, amount)
             else:
-                a = led.account(agent)
-                repay_loan(led, agent, min(amount, a.deposit, a.debt))
+                repay_loan(led, agent, min(amount, *account(led, agent)))
             assert conservation_oracle(led) == 0
 
 
@@ -237,7 +244,7 @@ class TestAnnihilate:
         transfer(led, 0, 1, 90)  # deposit 10, debt 100
         before = led.bank_equity
         annihilate(led, 0)
-        assert led.account(0) == Account(0, 0)
+        assert account(led, 0) == (0, 0)
         assert led.bank_equity == before + (10 - 100)
         assert conservation_oracle(led) == 0
 
@@ -246,7 +253,7 @@ class TestAnnihilate:
         before = led.bank_equity
         annihilate(led, 0)
         assert led.bank_equity == before
-        assert led.account(0) == Account(0, 0)
+        assert account(led, 0) == (0, 0)
 
     def test_annihilate_everyone_restores_base_money(self):
         led = make_ledger([10, 20, 30], base_money=500)
@@ -264,21 +271,26 @@ class TestDistinctAgents:
 
     @pytest.mark.parametrize("agents", [[0, 0], [1, 0, 1], [2, 1, 0, 2], [3, 3, 3]])
     def test_rows_of_a_repeated_agent_net_into_one_entry(self, agents):
-        # Each row lends 2**62 (the repeats' sums pass MONEY_MAX, so they
-        # overflow and are summed in Python ints) or 1000 (they fit).
+        # Each row lends 2**62 (the repeats' sums pass MONEY_MAX, so the
+        # kernel flags them) or 1000 (they fit).
         for amount in (2**62, 1000):
             led = make_ledger([10, 0, 0, 0])
             rows = np.full(len(agents), amount, dtype=np.int64)
-            change = firms._inbound(np.array(agents), rows, led.n_agents)
+            change, over = _sums(np.zeros(led.n_agents, dtype=np.int64), np.array(agents), rows)
+            exact = [agents.count(a) * amount for a in range(led.n_agents)]
+            assert over.tolist() == [s > MONEY_MAX for s in exact]
+            assert change[~over].tolist() == [s for s in exact if s <= MONEY_MAX]
             sequential = led.copy()
             try:
                 for agent in agents:
                     create_loan(sequential, agent, amount)
-            except MoneyOverflow as exc:
-                with pytest.raises(MoneyOverflow, match=f"^{exc}$"):
-                    led.post(change, change)
+            except MoneyOverflow:
+                assert over.any()  # only a flagged sum fails one row at a time
+                with pytest.raises(MoneyOverflow):
+                    led.post(column(exact), column(exact))
                 assert _state(led) == _state(make_ledger([10, 0, 0, 0]))
             else:
+                assert not over.any()
                 led.post(change, change)
                 assert _state(led) == _state(sequential)
 
@@ -302,8 +314,8 @@ class TestDistinctAgents:
         [(dep, debt, equity)] = columns  # one posting
         assert np.flatnonzero(dep).tolist() == posted  # each account once
         assert np.flatnonzero(debt).tolist() == [a for a in posted if a == 3]  # the debtor
-        assert equity == sum(before.net_position(a) for a in posted)
-        assert [led.account(a) for a in posted] == [Account(0, 0)] * len(posted)
+        assert equity == sum(net_position(before, a) for a in posted)
+        assert [account(led, a) for a in posted] == [(0, 0)] * len(posted)
         assert led.conservation_residual() == 0
 
     def test_a_firms_step_does_not_import_numpy_ma(self):
@@ -326,25 +338,25 @@ class TestDistinctAgents:
 class TestNetPosition:
     def test_fresh_account_zero(self):
         led = Ledger(3, 100)
-        assert led.net_position(0) == 0
+        assert net_position(led, 0) == 0
 
     def test_unchanged_by_loan(self):
         led = Ledger(3, 100)
         create_loan(led, 1, 50)
-        assert led.net_position(1) == 0
+        assert net_position(led, 1) == 0
 
     def test_signed_arithmetic(self):
         led = make_ledger([30, 0])
         create_loan(led, 0, 100)
         transfer(led, 0, 1, 100)  # deposit 30, debt 100
-        assert led.net_position(0) == -70
+        assert net_position(led, 0) == -70
 
 
 class TestBankFlows:
     def test_pay_to_bank(self):
         led = make_ledger([100, 0], base_money=50)
         pay_to_bank(led, 0, 40)
-        assert led.deposit(0) == 60
+        assert int(led.deposits[0]) == 60
         assert conservation_oracle(led) == 0
 
     def test_pay_to_bank_insufficient(self):
@@ -355,7 +367,7 @@ class TestBankFlows:
     def test_pay_from_bank_can_go_negative(self):
         led = Ledger(2, 10)
         pay_from_bank(led, 0, 25)
-        assert led.deposit(0) == 25
+        assert int(led.deposits[0]) == 25
         assert led.bank_equity == -15
         assert conservation_oracle(led) == 0
 
@@ -388,8 +400,7 @@ class TestSnapshots:
         assert text.startswith("agent_id,deposit,debt\n")
         assert "#bank_equity," in text and "#base_money,999" in text
         clone = Ledger.read_csv(path)
-        assert list(clone.accounts()) == list(led.accounts())
-        assert clone.bank_equity == led.bank_equity
+        assert _state(clone) == _state(led)
         assert clone.base_money == led.base_money
 
     @pytest.mark.parametrize(
@@ -418,7 +429,7 @@ class TestSnapshots:
         led = make_ledger([10, 10])
         clone = led.copy()
         transfer(led, 0, 1, 5)
-        assert clone.account(0) == Account(10, 0)
+        assert account(clone, 0) == (10, 0)
 
 
 def test_base_money_is_immutable():
@@ -430,10 +441,12 @@ def test_base_money_is_immutable():
 
 
 def test_queries_reject_unknown_agents():
+    # the columns hold exactly the ledger's agents: no read reaches past them
     led = Ledger(2, 1000)
-    for call in (led.net_position, led.debt, led.account, led.deposit):
-        with pytest.raises(UnknownAgent):
-            call(2)
+    for col in (led.deposits, led.debts):
+        assert len(col) == 2
+        with pytest.raises(IndexError):
+            col[2]
 
 
 # --- property tests ---------------------------------------------------------
@@ -450,29 +463,26 @@ _op = st.tuples(
 @given(st.lists(_op, max_size=60), st.lists(st.integers(0, 10**6), min_size=5, max_size=5))
 def test_random_operation_sequences_preserve_conservation(ops, deposits):
     led = Ledger(5, 10**9, deposits)
-    net_before = [led.net_position(i) for i in range(5)]
+    net_before = [net_position(led, i) for i in range(5)]
     equity_before = led.bank_equity
     for kind, a, b, amount in ops:
         if kind == "transfer" and a != b:
-            transfer(led, a, b, min(amount, led.deposit(a)))
+            transfer(led, a, b, min(amount, int(led.deposits[a])))
         elif kind == "loan":
             create_loan(led, a, amount)
         elif kind == "repay":
-            acct = led.account(a)
-            repay_loan(led, a, min(amount, acct.deposit, acct.debt))
+            repay_loan(led, a, min(amount, *account(led, a)))
         elif kind == "annihilate":
             annihilate(led, a)
         elif kind == "to_bank":
-            pay_to_bank(led, a, min(amount, led.deposit(a)))
+            pay_to_bank(led, a, min(amount, int(led.deposits[a])))
         elif kind == "from_bank":
             pay_from_bank(led, a, amount)
     assert conservation_oracle(led) == 0
     assert led.conservation_residual() == 0
-    for i in range(5):
-        acct = led.account(i)
-        assert acct.deposit >= 0 and acct.debt >= 0
+    assert min(led.deposits) >= 0 and min(led.debts) >= 0
     # discrete momentum conservation over the whole window
-    delta_net = sum(led.net_position(i) - net_before[i] for i in range(5))
+    delta_net = sum(net_position(led, i) - net_before[i] for i in range(5))
     assert delta_net + (led.bank_equity - equity_before) == 0
 
 
@@ -489,8 +499,8 @@ def test_transfer_antisymmetry(start, x, others):
     led2 = Ledger(6, 10**10, [start, start] + others)
     transfer(led1, 0, 1, amount)
     transfer(led2, 1, 0, amount)
-    net1 = sorted(led1.net_position(i) for i in range(6))
-    net2 = sorted(led2.net_position(i) for i in range(6))
+    net1 = sorted(net_position(led1, i) for i in range(6))
+    net2 = sorted(net_position(led2, i) for i in range(6))
     assert net1 == net2
 
 
@@ -498,16 +508,54 @@ def test_transfer_antisymmetry(start, x, others):
 @given(st.integers(0, 10**12), st.integers(0, 10**9))
 def test_loan_then_repay_is_identity(deposit, amount):
     led = Ledger(2, 10**13, [deposit, 0])
-    before = (led.account(0), led.account(1), led.bank_equity)
+    before = (account(led, 0), account(led, 1), led.bank_equity)
     create_loan(led, 0, amount)
     repay_loan(led, 0, amount)
-    assert (led.account(0), led.account(1), led.bank_equity) == before
+    assert (account(led, 0), account(led, 1), led.bank_equity) == before
+
+
+# --- the exact summation kernel ------------------------------------------------
+
+# Small values, the limb boundary 2**31 +- 1, 2**62 and the int64 ends.
+_EDGES = sorted(
+    {sign * v for v in (0, 1, 2**31 - 1, 2**31 + 1, 2**62, MONEY_MAX) for sign in (1, -1)}
+    | {MONEY_MIN}
+)
+
+
+@st.composite
+def _kernel_case(draw):
+    """A start column and up to a few thousand rows of (target, amount),
+    drawn from a few of the edges: some cases keep every sum in range,
+    others overflow in either direction."""
+    n = draw(st.integers(1, 6))
+    pool = np.array(draw(st.lists(st.sampled_from(_EDGES), min_size=1, max_size=4)))
+    k = draw(st.one_of(st.integers(0, 8), st.integers(0, 3000)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return gen.choice(pool, n), gen.integers(0, n, k), gen.choice(pool, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_case())
+# the gross inflow passes MONEY_MAX, and the start (the payee's own
+# outflow) brings the sum back into range: not an overflow
+@example((np.array([-MONEY_MAX, 0]), np.zeros(3, dtype=np.int64), np.full(3, 2**62)))
+def test_sums_match_python_ints(case):
+    start, target, amount = case
+    exact = start.tolist()
+    for t, a in zip(target.tolist(), amount.tolist()):
+        exact[t] += a
+    sums, over = _sums(start, target, amount)
+    assert over.tolist() == [not MONEY_MIN <= s <= MONEY_MAX for s in exact]
+    assert sums[~over].tolist() == [s for s in exact if MONEY_MIN <= s <= MONEY_MAX]
+    for col in (start, amount):
+        assert _total(col) == sum(map(int, col))
 
 
 # --- netted postings -----------------------------------------------------------
 
 def _state(led):
-    return list(led.accounts()), led.bank_equity
+    return led.deposits.tolist(), led.debts.tolist(), led.bank_equity
 
 
 # Mixed scales: small amounts exercise the ordinary checks, amounts in
@@ -550,9 +598,7 @@ def _batch_case(draw):
 def _reference(kind, rows, led):
     """The rows one at a time on Python ints, each checked as a single
     posting is; None if one fails."""
-    dep = [a.deposit for _, a in led.accounts()]
-    debt = [a.debt for _, a in led.accounts()]
-    equity = led.bank_equity
+    dep, debt, equity = _state(led)
     for row in rows:
         i, amount = row[0], row[-1]
         if kind == "transfer":
@@ -581,7 +627,7 @@ def _reference(kind, rows, led):
             if not -(2**63) <= equity <= MONEY_MAX:
                 return None
             dep[i] = debt[i] = 0
-    return [(k, (d, b)) for k, (d, b) in enumerate(zip(dep, debt))], equity
+    return dep, debt, equity
 
 
 @settings(max_examples=400, deadline=None)
@@ -627,14 +673,22 @@ class TestBatchEdges:
     def test_two_large_inflows_overflow_without_wrapping(self):
         led = Ledger(3, MONEY_MAX, [1, 2**62, 2**62])
         before = _state(led)
-        # two 2**62 payments to agent 0 sum to 2**63 in Python ints
-        inflow = firms._inbound(np.array([0, 0]), np.full(2, 2**62), 3)
-        assert inflow.tolist() == [2**63, 0, 0]
-        with pytest.raises(MoneyOverflow, match="^balance of agent 0 would exceed"):
-            led.post(inflow - np.array([0, 2**62, 2**62]))
+        # two 2**62 payments to agent 0 sum to 2**63, which int64 wraps to
+        # -2**63: the kernel flags the sum instead
+        inflow, over = _sums(np.zeros(3, dtype=np.int64), np.array([0, 0]), np.full(2, 2**62))
+        assert over.tolist() == [True, False, False]
+        assert inflow[1:].tolist() == [0, 0]
+        # as does the deposit it lands on, and the payers' net change fits
+        start = led.deposits - np.array([0, 2**62, 2**62])
+        after, over = _sums(start, np.array([0, 0]), np.full(2, 2**62))
+        assert over.tolist() == [True, False, False]
+        assert after[1:].tolist() == [0, 0]
+        # the exact sums do not fit a change column: the posting writes nothing
+        with pytest.raises(MoneyOverflow, match=f"^change {2**63} exceeds 64-bit money range$"):
+            led.post(column([2**63, -(2**62), -(2**62)]))
         assert _state(led) == before
-        with pytest.raises(MoneyOverflow, match="^balance of agent 0 would exceed"):
-            led.post(inflow, inflow)
+        with pytest.raises(MoneyOverflow, match=f"^change {2**63} exceeds 64-bit money range$"):
+            led.post(column([2**63, 0, 0]), column([2**63, 0, 0]))
         assert _state(led) == before
 
     def test_balances_reach_money_max_exactly(self):
@@ -642,12 +696,13 @@ class TestBatchEdges:
         create_loan(led, 0, MONEY_MAX)
         led.post(net((0, -(MONEY_MAX - 10)), (2, -10), (1, MONEY_MAX)))
         pay_to_bank(led, 1, 0)
-        assert _state(led)[0] == [(0, (10, MONEY_MAX)), (1, (MONEY_MAX, 0)), (2, (0, 0))]
+        assert _state(led)[:2] == ([10, MONEY_MAX, 0], [MONEY_MAX, 0, 0])
         assert led.conservation_residual() == 0
 
     def test_batch_total_above_int64_sums_exactly(self):
-        # a column whose max |x| times its length passes MONEY_MAX: its
-        # conservation sum is made in Python ints, and every balance fits
+        # a column whose max |x| times its length passes MONEY_MAX, so that
+        # a plain int64 sum could wrap: its conservation sum is exact, and
+        # every balance fits
         led = Ledger(3, MONEY_MAX, [2**62, 2**62, 0])
         sequential = led.copy()
         transfer(sequential, 0, 2, 2**62)
@@ -671,7 +726,7 @@ class TestBatchEdges:
     def test_spend_what_the_batch_brings_in(self):
         led = make_ledger([0, 50, 0])
         led.post(net((1, -50), (0, 50), (0, -50), (2, 50)))
-        assert [led.deposit(i) for i in range(3)] == [0, 0, 50]
+        assert [int(led.deposits[i]) for i in range(3)] == [0, 0, 50]
 
     def test_mismatched_lengths_and_bad_inputs(self):
         led = make_ledger([10, 10])
@@ -683,6 +738,13 @@ class TestBatchEdges:
             led.post([-1.0, 1.0])
         with pytest.raises(MoneyOverflow):
             led.post(column([2**63, 0]), equity_change=-(2**63))
+        # integers beyond int64 make numpy pick float64 for a mixed list
+        with pytest.raises(MoneyOverflow, match=f"^change {2**63} exceeds 64-bit money range$"):
+            led.post([2**63, -1])
+        for deposits in ([2**63, 0], [2**63], [0, MONEY_MIN - 1]):
+            wide = max(deposits, key=abs)
+            with pytest.raises(MoneyOverflow, match=f"^amount {wide} exceeds 64-bit money range$"):
+                Ledger(len(deposits), 10, deposits)
         with pytest.raises(ValueError):
             led.post([0, 1], [1, 1])
         assert _state(led) == _state(make_ledger([10, 10]))
@@ -692,7 +754,7 @@ class TestBatchEdges:
         with pytest.raises(InsufficientFunds, match="^agent 1 holds 0, batch takes 1$"):
             led.post([-10, -1, 11])  # agent 1 nets -1
         transfer(led, 0, 2, 4)
-        assert [led.deposit(i) for i in range(3)] == [6, 0, 4]
+        assert [int(led.deposits[i]) for i in range(3)] == [6, 0, 4]
         assert led.conservation_residual() == 0
 
     def test_column_views_are_read_only_and_follow_postings(self):
@@ -732,7 +794,7 @@ class TestSettle:
         with pytest.raises(MoneyOverflow):
             transfer(gross, 1, 0, 1000)
         led.post([1000 - 2000, 0], [-2000, 1000])
-        assert _state(led)[0] == [(0, (MONEY_MAX - 1010, 0)), (1, (0, 1000))]
+        assert _state(led)[:2] == ([MONEY_MAX - 1010, 0], [0, 1000])
         assert led.conservation_residual() == 0
 
     @pytest.mark.parametrize(
