@@ -1,34 +1,51 @@
-"""The phase-CSV writer of ``finphase firms``: a second process that
-formats each step's phase points as CSV text while the simulation goes
-on, so formatting runs on another core instead of after the last step.
+"""The phase-CSV helper: a second process that formats the phase CSVs of
+``finphase firms`` and parses those of ``finphase analyze``, so that
+work runs on another core while the command's own process goes on.
 
-The CLI holds a ``PhaseWriter``, which starts this file as
-``python -I -S _phasecsv.py``. As a script it imports only the standard
-library (no numpy, no finphase), so it starts in a few tens of
-milliseconds. The protocol, one frame per phase file, in order:
+The CLI holds a ``PhaseWriter`` or a ``PhaseReader``, each of which
+starts this file as ``python -I -S _phasecsv.py [parse ENCODING]``. As a
+script it imports only the standard library (no numpy, no finphase), so
+it starts in a few tens of milliseconds. Either way the helper reads all
+of its input before it writes anything, so neither side can block the
+other on a full pipe, and then writes one frame per file, in order: a
+length as 8 bytes, then that many bytes.
+
+Format (``firms``), one frame per phase file:
 
 - on its stdin, the row count as 8 bytes, then the rows' x, y as
   float64 pairs: the bytes of an (n, 2) float64 array;
-- on its stdout, once stdin has ended, the text's length as 8 bytes,
-  then the text.
-
-Integers and floats are in the machine's byte order: both ends run on
-the same machine. The writer reads all of its input before it writes
-anything, so neither side can block the other on a full pipe. It spools
-the texts to an anonymous temporary file, so no process holds every
-file's text at once.
+- on its stdout, the text. The helper spools the texts to an anonymous
+  temporary file, so no process holds every file's text at once.
 
 Each text is the ``firm_id,x,y`` header and one ``i,x,y`` row per point,
 with x and y as ``repr`` gives them: the shortest decimal that reads
 back to the same float, the same on every run.
+
+Parse (``analyze``), one frame per path:
+
+- on its stdin, each path's length as 8 bytes, then the path's bytes;
+- on its stdout, the file's x, y values as float64 pairs, parsed by
+  ``parse_rows`` after decoding the file with ENCODING: the main
+  process's ``io.text_encoding(None)``, so the helper decodes as the
+  main process's ``open(path)`` does (``-I`` ignores ``PYTHONUTF8``).
+  A file that cannot be read, decoded or parsed gets the length
+  ``NOT_PARSED`` and no bytes: the helper never builds an error, the
+  main process parses that file itself and reports it. The main
+  process also checks that the values are finite, with numpy, and
+  parses a file that fails that itself. Each frame is parsed and
+  written in turn, so neither side holds more than one file.
+
+Integers and floats are in the machine's byte order: both ends run on
+the same machine.
 """
 
 import sys
 
 HEADER = "firm_id,x,y"
-SCRIPT = __file__  # what PhaseWriter runs
-_SIZE = 8  # bytes of a row count or a text length
+SCRIPT = __file__  # what the helper processes run
+_SIZE = 8  # bytes of a row count, a path or text length, or a frame length
 _ROW = 16  # bytes of one (x, y) float64 pair
+NOT_PARSED = (1 << 8 * _SIZE) - 1  # the frame length of a file the reader did not parse
 # Pipe size asked for on Linux (the default is 64 KiB): 1 MiB holds the
 # first ~60 steps of 1000 firms, so the simulation does not wait for the
 # writer to start, and the texts come back in fewer, larger reads.
@@ -47,20 +64,72 @@ def format_rows(data: bytes) -> bytes:
     return f"{HEADER}\n{''.join(rows)}".encode()
 
 
+def parse_rows(body: str):
+    """x0, y0, x1, y1, ... of the rows of a phase CSV after its header, as
+    an ``array('d')``, or None if a non-blank row does not have three
+    fields or its x or y is not a number for ``float``. Rows are
+    stripped, blank ones skipped, and the ids not read; the values may
+    be infinite or NaN.
+
+    The text is parsed whole, so the cost per row is C calls, not Python
+    statements.
+    """
+    # imported here: the writer does without, and under -S array costs
+    # ~5 ms of start-up (it imports collections.abc)
+    from array import array
+
+    rows = list(filter(None, map(str.strip, body.split("\n"))))
+    n = len(rows)
+    if n == 0:
+        return array("d")
+    # Joined with ",\n", the rows split into fields where each newline
+    # starts a field. Every row has three fields exactly when there are
+    # 3n fields and all n - 1 newlines start one of the ids, fields[3k].
+    fields = ",\n".join(rows).split(",")
+    if len(fields) != 3 * n or "".join(fields[::3]).count("\n") != n - 1:
+        return None
+    del fields[::3]  # x0, y0, x1, y1, ... remain
+    try:
+        return array("d", list(map(float, fields)))
+    except ValueError:
+        return None
+
+
+def _parse_file(path: bytes, encoding: str):
+    """The values of the phase CSV at ``path`` as ``parse_rows`` gives
+    them, or None if it cannot be read or has no header."""
+    try:
+        with open(path, encoding=encoding) as fh:
+            text = fh.read()
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    header, _, body = text.partition("\n")
+    if header.strip() != HEADER:
+        return None
+    return parse_rows(body)
+
+
+def _read_frames(stdin, unit: str, size):
+    """The data of each frame of ``stdin`` until it ends: a count n as 8
+    bytes, then ``size(n)`` bytes."""
+    while head := stdin.read(_SIZE):
+        if len(head) != _SIZE:
+            raise ValueError("input ended inside a frame's count")
+        n = int.from_bytes(head, sys.byteorder)
+        data = stdin.read(size(n))
+        if len(data) != size(n):
+            raise ValueError(f"input ended inside a frame of {n} {unit}")
+        yield data
+
+
 def main(stdin, stdout) -> None:
     """Read every frame of points from ``stdin``, then write one frame of
     text per frame read to ``stdout``, in order."""
-    import tempfile  # imported here: the CLI imports this module for PhaseWriter alone
+    import tempfile  # imported here: the CLI imports this module for its classes alone
 
     sizes = []
     with tempfile.TemporaryFile() as spool:
-        while head := stdin.read(_SIZE):
-            if len(head) != _SIZE:
-                raise ValueError("input ended inside a row count")
-            n = int.from_bytes(head, sys.byteorder)
-            data = stdin.read(n * _ROW)
-            if len(data) != n * _ROW:
-                raise ValueError(f"input ended inside a frame of {n} rows")
+        for data in _read_frames(stdin, "rows", lambda n: n * _ROW):
             text = format_rows(data)
             spool.write(text)
             sizes.append(len(text))
@@ -71,27 +140,37 @@ def main(stdin, stdout) -> None:
     stdout.flush()
 
 
-class PhaseWriter:
-    """The writer process, as the CLI sees it: ``send`` each phase file's
-    points as soon as they exist, then iterate ``texts()`` for the files'
-    texts in the same order.
+def parse_main(stdin, stdout, encoding: str) -> None:
+    """Read every path from ``stdin``, then write one frame of values per
+    path to ``stdout``, in order."""
+    for path in list(_read_frames(stdin, "path bytes", int)):
+        values = _parse_file(path, encoding)
+        if values is None:
+            stdout.write(_uint(NOT_PARSED))
+        else:
+            stdout.write(_uint(len(values) * values.itemsize))
+            stdout.write(values)
+    stdout.flush()
+
+
+class _Helper:
+    """A helper process, run as this file with ``args``.
 
     Use it in a ``with`` block: on leaving it the process is killed if
     it is still running and always reaped, so no exit path, an
-    exception or KeyboardInterrupt included, leaves it behind. A writer
+    exception or KeyboardInterrupt included, leaves it behind. A helper
     that exits early or non-zero, or a frame that ends early, is an
-    OSError naming the phase writer.
+    OSError naming the helper.
     """
 
-    def __init__(self) -> None:
-        import subprocess  # imported here: only ``finphase firms`` starts a process
+    def __init__(self, *args: str) -> None:
+        import subprocess  # imported here: only the phase commands start a process
 
         self._proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", SCRIPT],
+            [sys.executable, "-I", "-S", SCRIPT, *args],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
         )
-        self._sent = 0
         if sys.platform == "linux":
             import fcntl
 
@@ -101,55 +180,114 @@ class PhaseWriter:
                 except OSError:  # above the system's limit: the default size works too
                     pass
 
-    def __enter__(self) -> "PhaseWriter":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         proc = self._proc
         if proc.returncode is None:
-            proc.kill()  # the run failed part-way: its texts are not wanted
+            proc.kill()  # the run failed part-way: its output is not wanted
         for pipe in (proc.stdin, proc.stdout):
             try:
                 pipe.close()
-            except OSError:  # flushing input to a writer that has exited
+            except OSError:  # flushing input to a helper that has exited
                 pass
         proc.wait()
 
     def _failed(self, what: str) -> OSError:
         self._proc.kill()
-        return OSError(f"phase writer {what} (exit status {self._proc.wait()})")
+        return OSError(f"{self.name} {what} (exit status {self._proc.wait()})")
 
-    def send(self, points) -> None:
-        """Queue one phase file: ``points`` is an (n, 2) float64 array."""
+    def _write(self, data: bytes) -> None:
         try:
-            self._proc.stdin.write(_uint(len(points)))
-            self._proc.stdin.write(points.tobytes())
+            self._proc.stdin.write(data)
         except BrokenPipeError:
             raise self._failed("stopped reading") from None
-        self._sent += 1
 
-    def texts(self):
-        """Yield the text of each file sent, in order, once all are sent."""
+    def _exited(self) -> None:
+        if self._proc.wait() != 0:
+            raise self._failed("failed")
+
+    def _frames(self, count: int):
+        """Close the helper's input, then return an iterator over ``count``
+        frames of its output: the bytes of each, or None for a
+        ``NOT_PARSED`` frame. The helper's exit status is checked before
+        the last frame is given, so no output of a failed helper is used."""
         try:
             self._proc.stdin.close()
         except BrokenPipeError:
             raise self._failed("stopped reading") from None
+        if count == 0:
+            self._exited()
+        return self._output(count)
+
+    def _output(self, count: int):
         out = self._proc.stdout
-        for _ in range(self._sent):
+        for k in range(count):
             head = out.read(_SIZE)
             size = int.from_bytes(head, sys.byteorder)
-            text = out.read(size) if len(head) == _SIZE else b""
-            if len(head) != _SIZE or len(text) != size:
-                raise self._failed("output ended early")
-            yield text
-        if self._proc.wait() != 0:
-            raise self._failed("failed")
+            if size == NOT_PARSED:
+                data = None
+            else:
+                data = out.read(size) if len(head) == _SIZE else b""
+                if len(head) != _SIZE or len(data) != size:
+                    raise self._failed("output ended early")
+            if k == count - 1:
+                self._exited()
+            yield data
+
+
+class PhaseWriter(_Helper):
+    """The format helper, as ``finphase firms`` sees it: ``send`` each
+    phase file's points as soon as they exist, then iterate ``texts()``
+    for the files' texts in the same order."""
+
+    name = "phase writer"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._sent = 0
+
+    def send(self, points) -> None:
+        """Queue one phase file: ``points`` is an (n, 2) float64 array."""
+        self._write(_uint(len(points)))
+        self._write(points.tobytes())
+        self._sent += 1
+
+    def texts(self):
+        """The text of each file sent, in order, once all are sent."""
+        return self._frames(self._sent)
+
+
+class PhaseReader(_Helper):
+    """The parse helper, as ``finphase analyze`` sees it: ``values(paths)``
+    hands it every path at once and returns an iterator over the files'
+    x, y float64 pairs as bytes, in order, with None for a file the
+    helper did not parse."""
+
+    name = "phase reader"
+
+    def __init__(self) -> None:
+        import io
+
+        super().__init__("parse", io.text_encoding(None))
+
+    def values(self, paths):
+        import os
+
+        for path in map(os.fsencode, paths):
+            self._write(_uint(len(path)) + path)
+        return self._frames(len(paths))
 
 
 if __name__ == "__main__":
+    parse = sys.argv[1:2] == ["parse"]
     try:
-        main(sys.stdin.buffer, sys.stdout.buffer)
+        if parse:
+            parse_main(sys.stdin.buffer, sys.stdout.buffer, sys.argv[2])
+        else:
+            main(sys.stdin.buffer, sys.stdout.buffer)
     except KeyboardInterrupt:  # Ctrl-C reaches the whole process group; the CLI reports it
         sys.exit(130)
     except (OSError, ValueError) as exc:
-        sys.exit(f"phase writer: {exc}")
+        sys.exit(f"{(PhaseReader if parse else PhaseWriter).name}: {exc}")

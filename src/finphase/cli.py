@@ -6,8 +6,11 @@ config and seed (seeds default to 0, never to the clock), and all data
 outputs are written with full-precision repr formatting so identical runs
 are byte-identical. ``firms`` has its phase CSVs formatted by a second
 process (``_phasecsv``) while its simulation runs; this process writes
-them once the last step is done. Exit codes: 0 success, 1 domain error
-(message on stderr, never a stack trace), 2 usage error.
+them once the last step is done. ``analyze`` has every other file parsed
+by the same helper while it parses the rest. A run that fails removes
+the output files it wrote. Exit codes: 0 success, 1 domain error
+(message on stderr, never a stack trace), 2 usage error. Each
+subcommand imports its own modules, so no run pays for the others'.
 
 Config files are plain ``key = value`` lines with ``#`` comments; CLI
 flags override file values, and unknown keys are hard errors. The default
@@ -18,6 +21,7 @@ current directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, exchange, firms, interest, macro, phase, sectors
+from . import __version__, phase
 from .errors import FinphaseError, InvalidConfig, ParseError
 
 ENV_OUTDIR = "FINPHASE_OUTDIR"
@@ -56,6 +60,30 @@ def _write_json(path: Path, payload) -> None:
     text = _json(payload)  # serialise before the file is created
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+class _Outputs:
+    """The output files of one run. Use it in a ``with`` block and write
+    each file with ``emit``: if the block fails, every file emitted is
+    removed again, so a failed run leaves none of its files behind.
+    Files it did not write, such as one it could not open, are left
+    alone."""
+
+    def __init__(self) -> None:
+        self.written: list[Path] = []
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def emit(self, path, data: bytes) -> None:
+        with open(path, "wb") as fh:
+            self.written.append(Path(path))  # from here on the file is this run's
+            fh.write(data)
+
+    def __exit__(self, exc_type, *_) -> None:
+        if exc_type is not None:
+            for path in self.written:
+                path.unlink(missing_ok=True)
 
 
 _GRID_FIELDS = ("XMIN", "XMAX", "YMIN", "YMAX", "NX", "NY")
@@ -179,19 +207,18 @@ class _Manifest:
 # --- subcommands --------------------------------------------------------------
 
 
-_RULE_NAMES = {
-    "pairsplit": exchange.RULE_UNIFORM_PAIR_SPLIT,
-    "fixed": exchange.RULE_FIXED_AMOUNT,
-}
+_RULE_NAMES = ("pairsplit", "fixed")
 
 
 def _cmd_exchange(args) -> int:
-    rule = _RULE_NAMES[args.rule]
+    from . import exchange
+
+    rules = {"pairsplit": exchange.RULE_UNIFORM_PAIR_SPLIT, "fixed": exchange.RULE_FIXED_AMOUNT}
     config = exchange.ExchangeConfig(
         n_agents=args.agents,
         initial_money=args.initial_money,
         n_events=args.events,
-        rule=rule,
+        rule=rules[args.rule],
         fixed_amount=args.amount,
         seed=args.seed,
     )
@@ -200,24 +227,19 @@ def _cmd_exchange(args) -> int:
     outdir = _outdir(args)
     manifest = _Manifest("exchange", dataclasses.asdict(config), args.seed)
 
-    wealth_path = outdir / "wealth.csv"
-    with open(wealth_path, "w") as fh:
-        fh.write("agent_id,money\n")
-        for i, m in enumerate(wealth.money):
-            fh.write(f"{i},{m}\n")
-    fit_path = outdir / "fit.json"
-    _write_json(
-        fit_path,
-        {
-            "temperature": fit.temperature,
-            "ks_statistic": fit.ks_statistic,
-            "total_money": wealth.total(),
-        },
-    )
-    manifest.add_output(wealth_path)
-    manifest.add_output(fit_path)
-    if args.manifest:
-        (outdir / "manifest.json").write_text(manifest.text())
+    fit_json = {
+        "temperature": fit.temperature,
+        "ks_statistic": fit.ks_statistic,
+        "total_money": wealth.total(),
+    }
+    with _Outputs() as outputs:
+        rows = "".join([f"{i},{m}\n" for i, m in enumerate(wealth.money)])
+        outputs.emit(outdir / "wealth.csv", f"agent_id,money\n{rows}".encode())
+        outputs.emit(outdir / "fit.json", f"{_json(fit_json)}\n".encode())
+        if args.manifest:
+            for path in outputs.written:
+                manifest.add_output(path)
+            outputs.emit(outdir / "manifest.json", manifest.text().encode())
     print(
         f"exchange: {args.agents} agents, {args.events} events, "
         f"temperature {fit.temperature:.6g}, KS {fit.ks_statistic:.6g}"
@@ -226,6 +248,8 @@ def _cmd_exchange(args) -> int:
 
 
 def _economy_config_from_args(args) -> firms.EconomyConfig:
+    from . import firms
+
     values = {}
     if args.config:
         values.update(parse_config_file(args.config, firms.EconomyConfig))
@@ -247,11 +271,8 @@ def _economy_config_from_args(args) -> firms.EconomyConfig:
     return firms.EconomyConfig(**values)
 
 
-_PHASE_HEADER = "firm_id,x,y"  # as _phasecsv writes it
-
-
 def _cmd_firms(args) -> int:
-    from . import _phasecsv  # imported here: no other command uses the writer
+    from . import _phasecsv, firms
 
     config = _economy_config_from_args(args)
     config.validate()  # here, so that a bad value starts no writer process
@@ -274,40 +295,36 @@ def _cmd_firms(args) -> int:
             residuals.append(rec.conservation_residual)
         outdir = _outdir(args)
         manifest = _Manifest("firms", dataclasses.asdict(config), config.seed)
-        written = []
-
-        def emit(path: Path, data: bytes) -> None:
-            with open(path, "wb") as fh:
-                written.append(path)  # from here on the file is this run's
-                fh.write(data)
-
-        try:
+        with _Outputs() as outputs:
             # strict: texts() then runs to its end, where the writer's exit status is checked
             for t, text in zip(steps, writer.texts(), strict=True):
-                emit(outdir / f"phase_t{t}.csv", text)
+                outputs.emit(outdir / f"phase_t{t}.csv", text)
             # written after the phase files, so a writer that fails at once leaves no output
-            emit(outdir / "series.csv", "".join(series).encode())
+            outputs.emit(outdir / "series.csv", "".join(series).encode())
             run = {
                 "config": dataclasses.asdict(config),
                 "seed": config.seed,
                 "final_conservation_residual": residuals[-1],
             }
-            emit(outdir / "run.json", f"{_json(run)}\n".encode())
+            outputs.emit(outdir / "run.json", f"{_json(run)}\n".encode())
             if args.manifest:
-                for p in written:
-                    manifest.add_output(p)
+                for path in outputs.written:
+                    manifest.add_output(path)
                 manifest.payload["conservation_residuals"] = residuals
                 manifest.payload["phase_seconds"] = timings
-                emit(outdir / "manifest.json", manifest.text().encode())
-        except BaseException:
-            for p in written:  # a failed run leaves none of its files behind
-                p.unlink(missing_ok=True)
-            raise
+                outputs.emit(outdir / "manifest.json", manifest.text().encode())
     print(
         f"firms: {config.n_firms} firms x {config.n_steps} steps, "
         f"final residual {residuals[-1]}"
     )
     return 0
+
+
+def _points(values) -> np.ndarray | None:
+    """The (n, 2) float64 points of x, y pairs given as bytes or an
+    ``array('d')``, or None if one of them is not finite."""
+    points = np.frombuffer(values).reshape(-1, 2)
+    return points if np.isfinite(points).all() else None
 
 
 def _read_phase_csv(path) -> np.ndarray:
@@ -316,33 +333,25 @@ def _read_phase_csv(path) -> np.ndarray:
     not read); blank lines are skipped. Anything else is a ParseError
     naming the file and the line.
 
-    The file is parsed whole, so the cost per row is C calls, not Python
-    statements. Only a file that fails a check is walked line by line, to
-    find the line to name.
+    The rows are parsed whole by ``_phasecsv.parse_rows``, the function
+    the phase reader runs on the files it parses, so both processes
+    accept the same files. Only a file that fails a check is walked line
+    by line, to find the line to name; a file whose values from the
+    phase reader are missing or not finite is read again here, which
+    raises its error.
     """
+    from . import _phasecsv
+
     with open(path) as fh:
         text = fh.read()
     header, _, body = text.partition("\n")
-    if header.strip() != _PHASE_HEADER:
-        raise ParseError(1, f"{path}: expected the header {_PHASE_HEADER!r}, got {header!r}")
-    rows = list(filter(None, map(str.strip, body.split("\n"))))
-    n = len(rows)
-    if n == 0:
-        return np.empty((0, 2))
-    # Joined with ",\n", the rows split into fields where each newline
-    # starts a field. Every row has three fields exactly when there are
-    # 3n fields and all n - 1 newlines start one of the ids, fields[3k].
-    fields = ",\n".join(rows).split(",")
-    if len(fields) == 3 * n and "".join(fields[::3]).count("\n") == n - 1:
-        del fields[::3]  # x0, y0, x1, y1, ... remain
-        try:
-            points = np.fromiter(map(float, fields), float, 2 * n).reshape(n, 2)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(points).all():
-                return points
-    raise _phase_row_error(path, text.split("\n"))
+    if header.strip() != _phasecsv.HEADER:
+        raise ParseError(1, f"{path}: expected the header {_phasecsv.HEADER!r}, got {header!r}")
+    values = _phasecsv.parse_rows(body)
+    points = None if values is None else _points(values)
+    if points is None:
+        raise _phase_row_error(path, text.split("\n"))
+    return points
 
 
 def _phase_row_error(path, lines) -> ParseError:
@@ -364,40 +373,54 @@ def _phase_row_error(path, lines) -> ParseError:
 
 
 def _cmd_analyze(args) -> int:
+    from . import _phasecsv
+
     grid = _grid_from_args(args)
+    files = args.files
     report = {}
     # Binning is per point, so the histogram of all files is the sum of
     # the per-file ones; no file's points are kept past its own turn.
     counts = np.zeros((grid.nx, grid.ny), dtype=np.int64)
     total = out_of_range = 0
-    for name in args.files:
-        points = _read_phase_csv(name)
-        hist = phase.bin_phase(points, grid)
-        counts += hist.counts
-        total += hist.total
-        out_of_range += hist.out_of_range
-        metrics = phase.tail_metrics(points)
-        report[Path(name).name] = {
-            "entropy": phase.entropy(hist),
-            "rentier_fraction": metrics.rentier_fraction,
-            "mean_x": metrics.mean_x,
-            "std_x": metrics.std_x,
-            "skew_x": metrics.skew_x,
-            "points": hist.total,
-            "out_of_range": hist.out_of_range,
-        }
+    with contextlib.ExitStack() as stack:
+        # The phase reader parses the odd-indexed files while this process
+        # parses the even-indexed ones; one file is not worth a process.
+        if len(files) > 1:
+            parsed = stack.enter_context(_phasecsv.PhaseReader()).values(files[1::2])
+        for k, name in enumerate(files):
+            values = next(parsed) if k % 2 else None
+            points = None if values is None else _points(values)
+            if points is None:
+                points = _read_phase_csv(name)
+            hist = phase.bin_phase(points, grid)
+            counts += hist.counts
+            total += hist.total
+            out_of_range += hist.out_of_range
+            metrics = phase.tail_metrics(points)
+            report[Path(name).name] = {
+                "entropy": phase.entropy(hist),
+                "rentier_fraction": metrics.rentier_fraction,
+                "mean_x": metrics.mean_x,
+                "std_x": metrics.std_x,
+                "skew_x": metrics.skew_x,
+                "points": hist.total,
+                "out_of_range": hist.out_of_range,
+            }
     text = _json(report)  # a non-finite metric fails here, before any output
-    if args.hist_out:
-        combined = phase.PhaseHistogram(grid, counts, total, out_of_range)
-        phase.write_histogram_csv(combined, args.hist_out)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
+    with _Outputs() as outputs:
+        if args.hist_out:
+            combined = phase.PhaseHistogram(grid, counts, total, out_of_range)
+            outputs.emit(args.hist_out, phase.histogram_csv(combined).encode())
+        if args.out:
+            outputs.emit(args.out, f"{text}\n".encode())
+    if not args.out:
         print(text)
     return 0
 
 
 def _cmd_macro(args) -> int:
+    from . import macro
+
     scale = 100.0 if args.percent else 1.0
     unit = "%" if args.percent else ""
     if args.cagr:
@@ -458,6 +481,8 @@ def _cmd_macro(args) -> int:
 
 
 def _cmd_interest(args) -> int:
+    from . import interest
+
     model = interest.ReserveRiskModel(
         banker_capital=args.capital,
         reserves=args.reserves,
@@ -476,6 +501,8 @@ def _cmd_interest(args) -> int:
 
 
 def _cmd_reserves(args) -> int:
+    from . import interest
+
     params = interest.ReserveFlowParams(B0=args.b0, G=args.g, Tx=args.tax, S=args.sales)
     path_points = interest.reserve_path(params, args.dt, args.steps)
     out = Path(args.out) if args.out else _outdir(args) / "reserves.csv"
@@ -488,6 +515,8 @@ def _cmd_reserves(args) -> int:
 
 
 def _cmd_sectors(args) -> int:
+    from . import sectors
+
     if args.file:
         table = sectors.load_sectors(args.file)
     else:
@@ -555,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=int, default=10000)
     p.add_argument("--initial-money", type=int, default=1000)
     p.add_argument("--events", type=int, default=10**7)
-    p.add_argument("--rule", choices=list(_RULE_NAMES), default="pairsplit")
+    p.add_argument("--rule", choices=_RULE_NAMES, default="pairsplit")
     p.add_argument("--amount", type=int, default=1, help="amount for the fixed rule")
     p.set_defaults(func=_cmd_exchange)
 

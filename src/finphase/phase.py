@@ -137,16 +137,17 @@ def tail_metrics(points: ArrayLike) -> TailMetrics:
     )
 
 
-def write_histogram_csv(hist: PhaseHistogram, path) -> None:
-    """Dump the count grid with a ``#key,value`` metadata header."""
+def histogram_csv(hist: PhaseHistogram) -> str:
+    """The count grid as CSV text with a ``#key,value`` metadata header."""
     g = hist.grid
-    with open(path, "w") as fh:
-        fh.write(f"#x_min,{g.x_min!r}\n#x_max,{g.x_max!r}\n")
-        fh.write(f"#y_min,{g.y_min!r}\n#y_max,{g.y_max!r}\n")
-        fh.write(f"#nx,{g.nx}\n#ny,{g.ny}\n")
-        fh.write(f"#total,{hist.total}\n#out_of_range,{hist.out_of_range}\n")
-        for row in hist.counts:
-            fh.write(",".join(str(int(c)) for c in row) + "\n")
+    rows = [",".join(str(int(c)) for c in row) + "\n" for row in hist.counts]
+    return (
+        f"#x_min,{g.x_min!r}\n#x_max,{g.x_max!r}\n"
+        f"#y_min,{g.y_min!r}\n#y_max,{g.y_max!r}\n"
+        f"#nx,{g.nx}\n#ny,{g.ny}\n"
+        f"#total,{hist.total}\n#out_of_range,{hist.out_of_range}\n"
+        + "".join(rows)
+    )
 
 
 # ``#key,value`` metadata of a histogram CSV, with the type of each value.
@@ -158,7 +159,7 @@ _COUNT_MAX = int(np.iinfo(np.int64).max)
 
 
 def read_histogram_csv(path) -> PhaseHistogram:
-    """Inverse of :func:`write_histogram_csv`.
+    """Inverse of :func:`histogram_csv`, read from a file.
 
     A missing, repeated or unknown ``#`` key, a bad metadata value, a
     non-integer or negative count, a row of the wrong width, the wrong

@@ -1,5 +1,6 @@
 """CLI: routing, exit codes, output formats, and reproducibility."""
 
+import io
 import json
 import os
 import platform
@@ -15,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from finphase import _phasecsv, firms
+from finphase import _phasecsv, firms, phase
 from finphase.cli import _write_json, dispatch, parse_config_file
-from finphase.errors import InvalidConfig, MoneyOverflow
+from finphase.errors import DegenerateSample, InvalidConfig, MoneyOverflow
 from finphase.firms import EconomyConfig
 
 
@@ -218,6 +219,16 @@ class TestExchangeCommand:
         assert code == 2
         assert "invalid choice: 'fraction'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_unwritable_fit_removes_the_wealth_file(self, tmp_path, capsys):
+        out = tmp_path / "ex"
+        (out / "fit.json").mkdir(parents=True)
+        argv = ["--agents", "10", "--initial-money", "5", "--events", "10", "--outdir", str(out)]
+        assert run_cli("exchange", *argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \[Errno 21\] Is a directory: '.*fit\.json'\n", err), err
+        assert os.listdir(out) == ["fit.json"]
+        assert os.listdir(out / "fit.json") == []
 
 
 class TestFirmsCommand:
@@ -591,6 +602,158 @@ class TestAnalyzeCommand:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
         assert not out.exists() and not hist.exists()
+
+
+GOOD_PHASE_CSV = "firm_id,x,y\n0,0.5,0.1\n1,-0.3,0.2\n"
+TWO_POINTS = [[0.5, 0.1], [-2.0, 0.25]]
+# A phase CSV and what ``analyze`` makes of it: its points, or the line
+# and message of the error ``error: line N: <file>: <message>``.
+ANALYZE_INPUTS = {
+    "underscore": (b"0,1_0,0.1\n1,-2,0.25\n", [[10.0, 0.1], [-2.0, 0.25]]),
+    "spaces_and_plus": (b"0, +1.5 ,0.1\n1,-2,0.25\n", [[1.5, 0.1], [-2.0, 0.25]]),
+    "leading_point": (b"0,.5,0.1\n1,-2,.25\n", TWO_POINTS),
+    "exponent": (b"0,1e-3,0.1\n1,-2E0,0.25\n", [[0.001, 0.1], [-2.0, 0.25]]),
+    "full_width_digit": ("0,\uff11,0.1\n1,-2,0.25\n".encode(), [[1.0, 0.1], [-2.0, 0.25]]),
+    "hex_float": (b"0,0.5,0.1\n1,0x1p3,0.25\n", (3, "x and y must be numbers, got '1,0x1p3,0.25'")),
+    "nan": (b"0,0.5,0.1\n1,nan,0.25\n", (3, "non-finite phase point")),
+    "id_abc": (b"abc,0.5,0.1\n1,-2,0.25\n", TWO_POINTS),
+    "crlf": (b"0,0.5,0.1\r\n1,-2,0.25\r\n", TWO_POINTS),
+    "blank_lines_and_tabs": (b"\n\t0,\t0.5,0.1\t\n \n\n1,-2,0.25\n\n", TWO_POINTS),
+    "trailing_comma": (b"0,0.5,0.1\n1,-2,0.25,\n", (3, "expected 3 fields, got 4")),
+    "non_utf8_byte": (b"0\xff,0.5,0.1\n1,-2,0.25\n", None),  # as this process decodes it
+}
+
+
+def phase_files(tmp_path, n):
+    """``n`` good phase CSVs in ``tmp_path``, as argument strings."""
+    paths = [tmp_path / f"phase_t{t}.csv" for t in range(n)]
+    for path in paths:
+        path.write_text(GOOD_PHASE_CSV)
+    return list(map(str, paths))
+
+
+class TestAnalyzeInputs:
+    @pytest.mark.parametrize("index", [0, 1], ids=["main_process", "phase_reader"])
+    @pytest.mark.parametrize("name", list(ANALYZE_INPUTS))
+    def test_accepted_inputs_are_pinned(self, tmp_path, capsys, monkeypatch, name, index):
+        # file 0 is parsed by the command's own process, file 1 by the phase reader
+        rows, want = ANALYZE_INPUTS[name]
+        path = tmp_path / "input" / "phase_t1.csv"
+        path.parent.mkdir()
+        path.write_bytes(b"firm_id,x,y\n" + rows)
+        files = phase_files(tmp_path, 1)
+        files.insert(index, str(path))
+        if want is None:
+            try:
+                path.read_text()  # decoded as open(path) decodes it
+            except UnicodeDecodeError as exc:
+                want = str(exc)
+            else:
+                want = TWO_POINTS
+        binned = []
+        bin_phase = phase.bin_phase
+        monkeypatch.setattr(
+            phase, "bin_phase", lambda points, grid: binned.append(points.tolist()) or bin_phase(points, grid)
+        )
+        out, hist = tmp_path / "r.json", tmp_path / "h.csv"
+        code = run_cli("analyze", *files, "--out", str(out), "--hist-out", str(hist))
+        err = capsys.readouterr().err
+        if isinstance(want, list):
+            assert (code, err) == (0, "")
+            assert binned[index] == want
+        else:
+            assert code == 1
+            message = want if isinstance(want, str) else f"line {want[0]}: {path}: {want[1]}"
+            assert err == f"error: {message}\n"
+            assert not out.exists() and not hist.exists()
+
+    def test_first_bad_file_in_argument_order_is_reported(self, tmp_path, capsys):
+        # a missing file at index 1 (the phase reader's) and a malformed one at index 2
+        good, missing, bad = (tmp_path / f"phase_t{t}.csv" for t in range(3))
+        good.write_text(GOOD_PHASE_CSV)
+        bad.write_text("firm_id,x,y\n0,0.3\n1,0.2,0.1\n")
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", str(good), str(missing), str(bad), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not out.exists()
+
+    def test_unwritable_report_removes_the_histogram(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        (out / "r.json").mkdir(parents=True)
+        files = phase_files(tmp_path, 2)
+        argv = ["--out", str(out / "r.json"), "--hist-out", str(out / "h.csv")]
+        assert run_cli("analyze", *files, *argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \[Errno 21\] Is a directory: '.*r\.json'\n", err), err
+        assert os.listdir(out) == ["r.json"]
+        assert os.listdir(out / "r.json") == []
+
+
+class TestPhaseReader:
+    @pytest.mark.parametrize(
+        "script,message",
+        [
+            ("import sys\nsys.exit(3)\n",
+             r"phase reader (stopped reading|output ended early) \(exit status 3\)"),
+            ("import sys\nsys.stdin.buffer.read()\n"
+             "sys.stdout.buffer.write((100).to_bytes(8, sys.byteorder) + b'abc')\n",
+             r"phase reader output ended early \(exit status 0\)"),
+            # every frame intact, then a failure: no output is written
+            ("import runpy, sys\nrunpy.run_path({real!r}, run_name='__main__')\nsys.exit(5)\n",
+             r"phase reader failed \(exit status 5\)"),
+        ],
+        ids=["exits_3", "short_frame", "exits_5_after_its_output"],
+    )
+    def test_failed_reader_exits_one(self, tmp_path, capsys, monkeypatch, started, script, message):
+        path = tmp_path / "reader.py"
+        path.write_text(script.format(real=_phasecsv.SCRIPT))
+        monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["--out", str(out / "r.json"), "--hist-out", str(out / "h.csv")]
+        assert run_cli("analyze", *phase_files(tmp_path, 4), *argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {message}\n", err), err
+        assert os.listdir(out) == []
+        [proc] = started
+        assert_reaped(proc)
+
+    @pytest.mark.parametrize("error", [DegenerateSample("binning failed"), KeyboardInterrupt()])
+    def test_run_failing_mid_analysis_writes_nothing_and_reaps_the_reader(
+        self, tmp_path, capsys, monkeypatch, started, error
+    ):
+        bin_phase = phase.bin_phase
+        calls = []
+
+        def failing_bin_phase(points, grid):
+            calls.append(1)
+            if len(calls) == 2:  # the first file the reader parsed
+                raise error
+            return bin_phase(points, grid)
+
+        monkeypatch.setattr(phase, "bin_phase", failing_bin_phase)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["analyze", *phase_files(tmp_path, 4), "--out", str(out / "r.json"),
+                "--hist-out", str(out / "h.csv")]
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == "error: binning failed\n"
+        assert os.listdir(out) == []
+        [proc] = started
+        assert_reaped(proc)
+
+    def test_one_file_starts_no_reader(self, tmp_path, started):
+        assert run_cli("analyze", *phase_files(tmp_path, 1), "--out", str(tmp_path / "r.json")) == 0
+        assert started == []
+
+    def test_reader_decodes_as_this_process(self, tmp_path, started):
+        assert run_cli("analyze", *phase_files(tmp_path, 2), "--out", str(tmp_path / "r.json")) == 0
+        [proc] = started
+        assert proc.args[-2:] == ["parse", io.text_encoding(None)]
 
 
 class TestInterestAndReserves:

@@ -15,9 +15,9 @@ from finphase.phase import (
     PhaseHistogram,
     bin_phase,
     entropy,
+    histogram_csv,
     read_histogram_csv,
     tail_metrics,
-    write_histogram_csv,
 )
 
 UNIT_GRID = GridSpec(0.0, 1.0, 0.0, 1.0, 10, 10)
@@ -222,7 +222,7 @@ class TestHistogramCsv:
         ys = rng.uniform_block(6, 0, 1000)
         hist = bin_phase(np.column_stack([xs, ys]), UNIT_GRID)
         path = tmp_path / "hist.csv"
-        write_histogram_csv(hist, path)
+        path.write_text(histogram_csv(hist))
         back = read_histogram_csv(path)
         assert back.grid == hist.grid
         assert (back.counts == hist.counts).all()
