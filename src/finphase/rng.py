@@ -110,15 +110,3 @@ def redraw_below(seed: int, offset: int, bound: int) -> int:
         k += 1
     return z % bound
 
-
-def normal_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Standard normal draws via Box-Muller on stream uniforms.
-
-    Consumes outputs ``2*start .. 2*(start+count)-1`` of the underlying
-    stream, so blocks indexed by ``start`` never overlap.
-    """
-    u1 = uniform_block(seed, 2 * start, count)
-    u2 = uniform_block(seed, 2 * start + count, count)
-    # Guard log(0): the stream never emits exactly 1.0, but may emit 0.0.
-    u1 = np.where(u1 > 0.0, u1, 2.0 ** -53)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

@@ -6,6 +6,7 @@ import os
 import platform
 import re
 import subprocess
+import sys
 import types
 from datetime import datetime
 from pathlib import Path
@@ -470,6 +471,38 @@ class TestPhaseWriter:
     def test_usage_errors_start_no_writer(self, tmp_path, started, argv):
         assert run_cli("firms", *argv, "--outdir", str(tmp_path / "out")) in (1, 2)
         assert started == []
+
+    @pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="no memfd here")
+    def test_writer_does_not_import_tempfile(self, tmp_path, monkeypatch, started):
+        # the writer spools into a memfd; tempfile would add ~19 ms to its start
+        path = tmp_path / "writer.py"
+        path.write_text(
+            f"import runpy, sys\nrunpy.run_path({_phasecsv.SCRIPT!r}, run_name='__main__')\n"
+            "sys.exit(7 if 'tempfile' in sys.modules else 0)\n"
+        )
+        monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+        points = np.arange(6.0).reshape(3, 2)
+        with _phasecsv.PhaseWriter() as writer:
+            writer.send(points)
+            assert list(writer.texts()) == [phase_csv_oracle(points)]  # exit status 0
+        [proc] = started
+        assert_reaped(proc)
+
+    @pytest.mark.parametrize("memfd", ["as_is", "refused", "missing"])
+    def test_every_spool_gives_the_same_texts(self, monkeypatch, memfd):
+        if memfd == "refused":
+            def refused(name):
+                raise OSError(38, "Function not implemented")
+
+            monkeypatch.setattr(os, "memfd_create", refused, raising=False)
+        elif memfd == "missing":
+            monkeypatch.delattr(os, "memfd_create", raising=False)
+        files = [np.arange(6.0).reshape(3, 2) / 7, np.empty((0, 2))]
+        stdin = io.BytesIO(b"".join(len(p).to_bytes(8, sys.byteorder) + p.tobytes() for p in files))
+        stdout = io.BytesIO()
+        _phasecsv.main(stdin, stdout)
+        texts = [phase_csv_oracle(p) for p in files]
+        assert stdout.getvalue() == b"".join(len(t).to_bytes(8, sys.byteorder) + t for t in texts)
 
     @pytest.mark.parametrize("own,child", [(4096, 2048), (2048, 4096)])
     def test_manifest_peak_rss_covers_the_writer(self, tmp_path, monkeypatch, own, child):

@@ -1,7 +1,12 @@
 """Exchange kinetics: conservation, determinism, Gibbs-Boltzmann fit."""
 
 import math
+import os
 import statistics
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -170,6 +175,102 @@ class TestRunExchange:
         )
         w = run_exchange(cfg)
         assert w.total() == 0
+
+
+# config() runs 80 rounds of 500 agents: 20 blocks of 4 rounds
+ROUNDS_PER_BLOCK = 4
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Every thread started during the test, on a process with 2 CPUs and
+    blocks of ``ROUNDS_PER_BLOCK`` rounds."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(exchange, "_BLOCK", ROUNDS_PER_BLOCK * 500)
+    return started
+
+
+def patch_stream_calls(monkeypatch, on_call):
+    """Call ``on_call(tag, k)`` before the ``k``-th (from 1) call of
+    ``rng.u64_block`` on the pair-split stream ``tag`` (``_TAG_MATCH``
+    or ``_TAG_SPLIT``) of seed 0."""
+    u64_block = rng.u64_block
+    tags = {rng.derive(0, tag): tag for tag in (exchange._TAG_MATCH, exchange._TAG_SPLIT)}
+    calls = dict.fromkeys(tags.values(), 0)
+
+    def patched(seed, start, count):
+        if seed in tags:
+            calls[tags[seed]] += 1
+            on_call(tags[seed], calls[tags[seed]])
+        return u64_block(seed, start, count)
+
+    monkeypatch.setattr(rng, "u64_block", patched)
+
+
+class TestPairSplitThreads:
+    def test_error_on_the_second_thread_reaches_the_caller(self, monkeypatch, threads):
+        before = threading.active_count()
+        raised_on = []
+
+        def on_call(tag, k):
+            # block 0's keys are sorted inline, blocks 1 and 2 on threads
+            if tag == exchange._TAG_MATCH and k == 3:
+                raised_on.append(threading.current_thread())
+                raise MemoryError("keys")
+
+        patch_stream_calls(monkeypatch, on_call)
+        with pytest.raises(MemoryError, match="^keys$"):
+            run_exchange(config())
+        assert raised_on == [threads[1]]
+        assert not any(t.is_alive() for t in threads)
+        assert threading.active_count() == before
+
+    def test_interrupt_on_the_calling_thread_joins_the_second(self, monkeypatch, threads):
+        before = threading.active_count()
+
+        def on_call(tag, k):
+            if tag == exchange._TAG_MATCH and k > 1:
+                time.sleep(0.2)  # the thread outlives the interrupt unless it is joined
+            if tag == exchange._TAG_SPLIT and k == 3:
+                assert threading.current_thread() is threading.main_thread()
+                raise KeyboardInterrupt
+
+        patch_stream_calls(monkeypatch, on_call)
+        with pytest.raises(KeyboardInterrupt):
+            run_exchange(config())
+        assert len(threads) == 3  # blocks 1, 2 and 3
+        assert not any(t.is_alive() for t in threads)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["one_cpu", "no_affinity_call"])
+    def test_one_cpu_starts_no_thread(self, monkeypatch, threads, affinity):
+        threaded = run_exchange(config()).money
+        assert len(threads) == 80 // ROUNDS_PER_BLOCK - 1
+        threads.clear()
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert run_exchange(config()).money == threaded
+        assert threads == []
+
+    def test_import_loads_no_executor(self):
+        src = os.path.dirname(os.path.dirname(exchange.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import finphase.exchange; "
+            "print('concurrent.futures' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+        assert out.stdout == "False\n", out.stderr
 
 
 class TestFitExponential:

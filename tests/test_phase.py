@@ -20,6 +20,8 @@ from finphase.phase import (
     tail_metrics,
 )
 
+from conftest import normal_block
+
 UNIT_GRID = GridSpec(0.0, 1.0, 0.0, 1.0, 10, 10)
 
 
@@ -166,8 +168,8 @@ class TestEntropy:
 
     def test_refinement_never_decreases_entropy(self):
         # doubling nx, ny splits each bin: grouping can only add entropy
-        xs = rng.normal_block(21, 0, 20_000) * 0.15 + 0.5
-        ys = rng.normal_block(22, 0, 20_000) * 0.15 + 0.5
+        xs = normal_block(21, 0, 20_000) * 0.15 + 0.5
+        ys = normal_block(22, 0, 20_000) * 0.15 + 0.5
         pts = np.column_stack([xs, ys])
         for nx, ny in [(5, 5), (10, 10), (20, 20), (25, 50)]:
             coarse = GridSpec(0.0, 1.0, 0.0, 1.0, nx, ny)
@@ -206,7 +208,7 @@ class TestTailMetrics:
         assert m.skew_x < 0
 
     def test_matches_numpy_moments(self):
-        xs = rng.normal_block(77, 0, 5000)
+        xs = normal_block(77, 0, 5000)
         m = tail_metrics([(float(x), 0.0) for x in xs])
         assert m.mean_x == pytest.approx(float(xs.mean()), abs=1e-12)
         assert m.std_x == pytest.approx(float(xs.std()), abs=1e-12)

@@ -4,6 +4,8 @@ import numpy as np
 
 from finphase import rng
 
+from conftest import normal_block
+
 
 def test_blocks_are_deterministic():
     a = rng.u64_block(42, 0, 1000)
@@ -68,11 +70,11 @@ def test_randint_is_unbiased_for_bounds_near_2_64():
 
 
 def test_normal_block_moments():
-    z = rng.normal_block(11, 0, 200_000)
+    z = normal_block(11, 0, 200_000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
     # block indexing must not overlap
-    z2 = rng.normal_block(11, 200_000, 200_000)
+    z2 = normal_block(11, 200_000, 200_000)
     assert abs(np.corrcoef(z, z2)[0, 1]) < 0.01
 
 
