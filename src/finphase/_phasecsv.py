@@ -1,6 +1,8 @@
 """The phase-CSV helper: a second process that formats the phase CSVs of
 ``finphase firms`` and parses those of ``finphase analyze``, so that
 work runs on another core while the command's own process goes on.
+``analyze`` parses its other files with this module's ``parse_file``,
+so both processes accept the same files.
 
 The CLI holds a ``PhaseWriter`` or a ``PhaseReader``, each of which
 starts this file as ``python -I -S _phasecsv.py [parse ENCODING]``. As a
@@ -25,15 +27,14 @@ Parse (``analyze``), one frame per path:
 
 - on its stdin, each path's length as 8 bytes, then the path's bytes;
 - on its stdout, the file's x, y values as float64 pairs, parsed by
-  ``parse_rows`` after decoding the file with ENCODING: the main
-  process's ``io.text_encoding(None)``, so the helper decodes as the
-  main process's ``open(path)`` does (``-I`` ignores ``PYTHONUTF8``).
-  A file that cannot be read, decoded or parsed gets the length
-  ``NOT_PARSED`` and no bytes: the helper never builds an error, the
-  main process parses that file itself and reports it. The main
-  process also checks that the values are finite, with numpy, and
-  parses a file that fails that itself. Each frame is parsed and
-  written in turn, so neither side holds more than one file.
+  ``parse_file`` with ENCODING: the main process's
+  ``io.text_encoding(None)``, so the helper decodes as the main
+  process's ``open(path)`` does (``-I`` ignores ``PYTHONUTF8``). A file
+  that cannot be read, decoded or parsed gets the length ``NOT_PARSED``
+  and no bytes: the helper never builds an error, the main process
+  reports it. The main process also checks that the values are finite,
+  with numpy. Each frame is parsed and written in turn, so neither side
+  holds more than one file.
 
 Integers and floats are in the machine's byte order: both ends run on
 the same machine.
@@ -95,9 +96,10 @@ def parse_rows(body: str):
         return None
 
 
-def _parse_file(path: bytes, encoding: str):
+def parse_file(path, encoding=None):
     """The values of the phase CSV at ``path`` as ``parse_rows`` gives
-    them, or None if it cannot be read or has no header."""
+    them, or None if it cannot be read or decoded with ``encoding`` or
+    has no header."""
     try:
         with open(path, encoding=encoding) as fh:
             text = fh.read()
@@ -156,7 +158,7 @@ def parse_main(stdin, stdout, encoding: str) -> None:
     """Read every path from ``stdin``, then write one frame of values per
     path to ``stdout``, in order."""
     for path in list(_read_frames(stdin, "path bytes", int)):
-        values = _parse_file(path, encoding)
+        values = parse_file(path, encoding)
         if values is None:
             stdout.write(_uint(NOT_PARSED))
         else:

@@ -7,10 +7,11 @@ outputs are written with full-precision repr formatting so identical runs
 are byte-identical. ``firms`` has its phase CSVs formatted by a second
 process (``_phasecsv``) while its simulation runs; this process writes
 them once the last step is done. ``analyze`` has every other file parsed
-by the same helper while it parses the rest. A run that fails removes
-the output files it wrote. Exit codes: 0 success, 1 domain error
-(message on stderr, never a stack trace), 2 usage error. Each
-subcommand imports its own modules, so no run pays for the others'.
+by the same helper while it parses the rest with the helper's own
+``parse_file``. Every output file is written through ``_Outputs``, so a
+run that fails removes the files it wrote. Exit codes: 0 success, 1
+domain error (message on stderr, never a stack trace), 2 usage error.
+Each subcommand imports its own modules, so no run pays for the others'.
 
 Config files are plain ``key = value`` lines with ``#`` comments; CLI
 flags override file values, and unknown keys are hard errors. The default
@@ -54,12 +55,6 @@ def _json(payload) -> str:
     """Strict JSON text: a NaN or infinity raises ValueError instead of
     being written as a token JSON does not have."""
     return json.dumps(payload, indent=2, allow_nan=False)
-
-
-def _write_json(path: Path, payload) -> None:
-    text = _json(payload)  # serialise before the file is created
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 class _Outputs:
@@ -327,35 +322,17 @@ def _points(values) -> np.ndarray | None:
     return points if np.isfinite(points).all() else None
 
 
-def _read_phase_csv(path) -> np.ndarray:
-    """The (n, 2) float64 points of a phase CSV: the ``firm_id,x,y`` header,
-    then one ``firm_id,x,y`` row per line with finite x and y (the id is
-    not read); blank lines are skipped. Anything else is a ParseError
-    naming the file and the line.
-
-    The rows are parsed whole by ``_phasecsv.parse_rows``, the function
-    the phase reader runs on the files it parses, so both processes
-    accept the same files. Only a file that fails a check is walked line
-    by line, to find the line to name; a file whose values from the
-    phase reader are missing or not finite is read again here, which
-    raises its error.
-    """
+def _phase_error(path) -> ParseError:
+    """The ParseError of a phase CSV that ``_phasecsv.parse_file`` did not
+    parse or whose values are not all finite: a wrong header, else the
+    first malformed row. The file is read again, so one that cannot be
+    read or decoded raises its OSError or UnicodeDecodeError here."""
     from . import _phasecsv
 
     with open(path) as fh:
-        text = fh.read()
-    header, _, body = text.partition("\n")
-    if header.strip() != _phasecsv.HEADER:
-        raise ParseError(1, f"{path}: expected the header {_phasecsv.HEADER!r}, got {header!r}")
-    values = _phasecsv.parse_rows(body)
-    points = None if values is None else _points(values)
-    if points is None:
-        raise _phase_row_error(path, text.split("\n"))
-    return points
-
-
-def _phase_row_error(path, lines) -> ParseError:
-    """The ParseError for the first malformed row of a phase CSV."""
+        lines = fh.read().split("\n")
+    if lines[0].strip() != _phasecsv.HEADER:
+        return ParseError(1, f"{path}: expected the header {_phasecsv.HEADER!r}, got {lines[0]!r}")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -384,14 +361,15 @@ def _cmd_analyze(args) -> int:
     total = out_of_range = 0
     with contextlib.ExitStack() as stack:
         # The phase reader parses the odd-indexed files while this process
-        # parses the even-indexed ones; one file is not worth a process.
+        # parses the even-indexed ones, with the same function; one file
+        # is not worth a process.
         if len(files) > 1:
             parsed = stack.enter_context(_phasecsv.PhaseReader()).values(files[1::2])
         for k, name in enumerate(files):
-            values = next(parsed) if k % 2 else None
+            values = next(parsed) if k % 2 else _phasecsv.parse_file(name)
             points = None if values is None else _points(values)
             if points is None:
-                points = _read_phase_csv(name)
+                raise _phase_error(name)
             hist = phase.bin_phase(points, grid)
             counts += hist.counts
             total += hist.total
@@ -460,7 +438,8 @@ def _cmd_macro(args) -> int:
             r_star = macro.equilibrium_rate(g_L, g_P, d, lam)
             g_req = macro.required_productivity(reference, lam, g_L, d)
             lines.append(f"{year},{r_star!r},{g_req!r}\n")
-        Path(args.out).write_text("".join(lines))
+        with _Outputs() as outputs:
+            outputs.emit(args.out, "".join(lines).encode())
         print(f"macro: wrote {len(rows)} rows to {args.out}")
         return 0
     if None in (args.gL, args.gP, args.d, args.lambda_):
@@ -472,10 +451,9 @@ def _cmd_macro(args) -> int:
             args.r0, args.gL, args.gP, args.d, args.lambda_, args.dt, args.steps
         )
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write("t,R\n")
-                for t, v in zip(series.t, series.value):
-                    fh.write(f"{t!r},{v!r}\n")
+            rows = "".join([f"{t!r},{v!r}\n" for t, v in zip(series.t, series.value)])
+            with _Outputs() as outputs:
+                outputs.emit(args.out, f"t,R\n{rows}".encode())
         print(f"R({series.t[-1]:.12g}) = {series.value[-1] * scale:.12g}{unit}")
     return 0
 
@@ -494,7 +472,8 @@ def _cmd_interest(args) -> int:
     rate = interest.min_interest_rate(model, args.loan)
     payload = {"p_e": p_e, "expected_cost": cost, "min_rate": rate}
     if args.out:
-        _write_json(Path(args.out), payload)
+        with _Outputs() as outputs:
+            outputs.emit(args.out, f"{_json(payload)}\n".encode())
     else:
         print(_json(payload))
     return 0
@@ -506,10 +485,9 @@ def _cmd_reserves(args) -> int:
     params = interest.ReserveFlowParams(B0=args.b0, G=args.g, Tx=args.tax, S=args.sales)
     path_points = interest.reserve_path(params, args.dt, args.steps)
     out = Path(args.out) if args.out else _outdir(args) / "reserves.csv"
-    with open(out, "w") as fh:
-        fh.write("t,B\n")
-        for t, b in path_points:
-            fh.write(f"{t!r},{b!r}\n")
+    rows = "".join([f"{t!r},{b!r}\n" for t, b in path_points])
+    with _Outputs() as outputs:
+        outputs.emit(out, f"t,B\n{rows}".encode())
     print(f"reserves: wrote {len(path_points)} samples to {out}")
     return 0
 
@@ -544,7 +522,8 @@ def _cmd_sectors(args) -> int:
             "balances": dict(result.table.entries),
         }
     if args.out:
-        _write_json(Path(args.out), payload)
+        with _Outputs() as outputs:
+            outputs.emit(args.out, f"{_json(payload)}\n".encode())
     else:
         print(_json(payload))
     return 0

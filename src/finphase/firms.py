@@ -56,6 +56,7 @@ import enum
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -400,18 +401,12 @@ def step(state: EconomyState, timings: dict | None = None) -> StepRecord:
     and built in new columns; the state takes them only after the last
     phase, so a step that raises leaves the state as it was.
     """
-    phases = _phases(state)
-    if timings is None:
-        for item in phases:
-            pass
-        return item
-    from time import perf_counter as clock  # imported here: off unless timings are asked for
-
-    start = clock()
-    for name, item in zip(PHASES, phases, strict=True):
-        now = clock()
-        timings[name] = timings.get(name, 0.0) + (now - start)
-        start = now
+    start = perf_counter()
+    for name, item in zip(PHASES, _phases(state), strict=True):
+        if timings is not None:
+            now = perf_counter()
+            timings[name] = timings.get(name, 0.0) + (now - start)
+            start = now
     return item
 
 

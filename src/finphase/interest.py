@@ -86,6 +86,7 @@ def reserve_path(
     """B(t) = B0 + (G - Tx - S) * t sampled at t = k*dt, k = 0..n.
 
     The law is exactly linear, so the path carries no integration error.
+    A path that leaves the finite float range is an InvalidConfig.
     """
     if not dt > 0:
         raise InvalidConfig(f"dt must be > 0, got {dt}")
@@ -94,4 +95,11 @@ def reserve_path(
     if n < 0:
         raise ValueError("n must be >= 0")
     flow = params.G - params.Tx - params.S
-    return [(k * dt, params.B0 + flow * (k * dt)) for k in range(n + 1)]
+    try:
+        path = [(k * dt, params.B0 + flow * (k * dt)) for k in range(n + 1)]
+    except OverflowError:  # an amount too large for a float
+        path = None
+    # |B - B0| and t grow with k: the last sample is the largest
+    if path is None or not all(map(math.isfinite, path[-1])):
+        raise InvalidConfig(f"B(t) leaves the finite range by t = {n * dt!r}")
+    return path

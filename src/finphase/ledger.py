@@ -40,18 +40,11 @@ concurrently when nothing is mutating.
 
 from __future__ import annotations
 
-import csv
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InsufficientFunds,
-    MoneyOverflow,
-    NoSuchDebt,
-    ParseError,
-    UnknownAgent,
-)
+from .errors import InsufficientFunds, MoneyOverflow, NoSuchDebt, UnknownAgent
 
 Money = int
 
@@ -217,8 +210,6 @@ class Ledger:
             cur += change  # in range: checked above
         self._bank_equity = new_equity
 
-    # -- snapshots -----------------------------------------------------------
-
     def copy(self) -> "Ledger":
         return Ledger._of(self._dep.copy(), self._debt.copy(), self._bank_equity, self._base_money)
 
@@ -228,58 +219,4 @@ class Ledger:
         led = cls.__new__(cls)
         led._dep, led._debt = dep, debt
         led._bank_equity, led._base_money = equity, base
-        return led
-
-    def write_csv(self, path) -> None:
-        """Dump ``agent_id,deposit,debt`` rows plus equity/base trailers."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["agent_id", "deposit", "debt"])
-            for i, (d, b) in enumerate(zip(self._dep.tolist(), self._debt.tolist())):
-                writer.writerow([i, d, b])
-            fh.write(f"#bank_equity,{self._bank_equity}\n")
-            fh.write(f"#base_money,{self._base_money}\n")
-
-    @classmethod
-    def read_csv(cls, path) -> "Ledger":
-        """Rebuild a ledger from :meth:`write_csv` output.
-
-        Each row must be ``agent_id,deposit,debt`` for the next agent id
-        with both balances in [0, MONEY_MAX], the base money in that range
-        and the bank equity in the signed 64-bit range, and the bank equity
-        must leave a zero conservation residual; anything else is a
-        ParseError naming the line.
-        """
-        rows: list[list[Money]] = []  # [deposit, debt] per agent
-        trailers: dict[str, tuple[int, Money]] = {}
-        lowest = {"#bank_equity": MONEY_MIN, "#base_money": 0}
-        with open(path, newline="") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("agent_id"):
-                    continue
-                key, *fields = line.split(",")
-                try:
-                    values = [int(v) for v in fields]
-                except ValueError:
-                    values = []  # malformed, reported below
-                n = len(rows)
-                if key in lowest and len(values) == 1:
-                    ok = lowest[key] <= values[0] <= MONEY_MAX
-                    trailers[key] = (lineno, values[0])
-                else:
-                    ok = key == str(n) and len(values) == 2
-                    ok = ok and 0 <= min(values) <= max(values) <= MONEY_MAX
-                    rows.append(values)
-                if not ok:
-                    want = f"'{n},deposit,debt' or a trailer, in range"
-                    raise ParseError(lineno, f"{path}: expected {want}; got {line!r}")
-        if len(trailers) != 2:
-            raise ValueError("snapshot missing #bank_equity/#base_money trailers")
-        (lineno, equity), (_, base) = trailers["#bank_equity"], trailers["#base_money"]
-        cols = np.array(rows, dtype=np.int64).reshape(-1, 2).T.copy()
-        led = cls._of(cols[0], cols[1], equity, base)
-        residual = led.conservation_residual()
-        if residual:
-            raise ParseError(lineno, f"{path}: bank equity leaves conservation residual {residual}")
         return led

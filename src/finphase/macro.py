@@ -1,9 +1,10 @@
 """Closed-form macro model: average profit rate, its dynamic equilibrium,
-logistic time evolution, required productivity growth, net resource and
-emission rates, and compound-growth utilities.
+logistic time evolution, required productivity growth, and compound
+growth.
 
 All rates are dimensionless fractions per year (never percent); pure
-functions throughout.
+functions throughout. A parameter or a result that is not finite is an
+InvalidConfig naming it.
 """
 
 from __future__ import annotations
@@ -13,22 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateSample, InvalidConfig
-
-
-@dataclass(frozen=True)
-class MacroParams:
-    """Aggregate parameters: surplus fraction rho, labour flow L
-    (person-hours/year), labour-time to reproduce the capital stock K
-    (person-hours), growth rates g_L and g_P (/year), depreciation d
-    (/year), and investment/profit ratio lambda_."""
-
-    rho: float
-    L: float
-    K: float
-    g_L: float
-    g_P: float
-    d: float
-    lambda_: float
 
 
 @dataclass(frozen=True)
@@ -51,12 +36,14 @@ def _require_finite(names: str, *values: float) -> None:
             raise InvalidConfig(f"{name} must be finite, got {v}")
 
 
-def average_profit_rate(p: MacroParams) -> float:
-    """R = rho * L / K."""
-    if not p.K > 0:
-        raise InvalidConfig(f"K must be > 0, got {p.K}")
-    _require_finite("rho L K", p.rho, p.L, p.K)
-    return p.rho * p.L / p.K
+def average_profit_rate(rho: float, L: float, K: float) -> float:
+    """R = rho * L / K: surplus fraction rho, labour flow L (person-hours
+    per year), and the labour time K (person-hours) that reproduces the
+    capital stock."""
+    if not K > 0:
+        raise InvalidConfig(f"K must be > 0, got {K}")
+    _require_finite("rho L K", rho, L, K)
+    return rho * L / K
 
 
 def equilibrium_rate(g_L: float, g_P: float, d: float, lambda_: float) -> float:
@@ -65,7 +52,9 @@ def equilibrium_rate(g_L: float, g_P: float, d: float, lambda_: float) -> float:
     if not lambda_ > 0:
         raise InvalidConfig(f"lambda must be > 0, got {lambda_}")
     _require_finite("g_L g_P d lambda", g_L, g_P, d, lambda_)
-    return (g_L + g_P + d) / lambda_
+    r_star = (g_L + g_P + d) / lambda_
+    _require_finite("R*", r_star)
+    return r_star
 
 
 def required_productivity(
@@ -75,14 +64,9 @@ def required_productivity(
 
     Exact algebraic inverse of :func:`equilibrium_rate`; may be negative.
     """
-    return lambda_ * R_target - (g_L + d)
-
-
-def net_rate(growth: float, offset: float) -> float:
-    """growth - offset: relative depletion rate of a resource stock
-    (g_N - g_beta) or relative emission rate (g_E - g_alpha); positive
-    means the stock is being depleted / the pollution level is rising."""
-    return growth - offset
+    g_P = lambda_ * R_target - (g_L + d)
+    _require_finite("g_P_required", g_P)
+    return g_P
 
 
 def profit_rate_trajectory(
@@ -123,6 +107,8 @@ def profit_rate_trajectory(
         k3 = f(r + 0.5 * dt * k2)
         k4 = f(r + dt * k3)
         r = r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(r):
+            raise InvalidConfig(f"R leaves the finite range at step {k + 1}, got {r}")
         ts.append((k + 1) * dt)
         values.append(r)
     return RateSeries(tuple(ts), tuple(values))
@@ -144,4 +130,12 @@ def cagr(t: Sequence[float], levels: Sequence[float]) -> float:
             raise InvalidConfig(f"levels must be > 0, got {v}")
         _require_finite("levels", v)
     span = t[-1] - t[0]
-    return math.exp(math.log(levels[-1] / levels[0]) / span) - 1.0
+    ratio = levels[-1] / levels[0]
+    # where the ratio underflows to 0, the difference of the logs
+    log_ratio = math.log(ratio) if ratio > 0 else math.log(levels[-1]) - math.log(levels[0])
+    try:
+        growth = math.exp(log_ratio / span) - 1.0
+    except OverflowError:
+        growth = math.inf
+    _require_finite("cagr", growth)
+    return growth

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DegenerateSample, ParseError
+from .errors import DegenerateSample
 
 
 # Default window: covers the bankruptcy wall at x = 1 plus a long
@@ -149,74 +149,3 @@ def histogram_csv(hist: PhaseHistogram) -> str:
         + "".join(rows)
     )
 
-
-# ``#key,value`` metadata of a histogram CSV, with the type of each value.
-_HIST_META = {
-    "x_min": float, "x_max": float, "y_min": float, "y_max": float,
-    "nx": int, "ny": int, "total": int, "out_of_range": int,
-}
-_COUNT_MAX = int(np.iinfo(np.int64).max)
-
-
-def read_histogram_csv(path) -> PhaseHistogram:
-    """Inverse of :func:`histogram_csv`, read from a file.
-
-    A missing, repeated or unknown ``#`` key, a bad metadata value, a
-    non-integer or negative count, a row of the wrong width, the wrong
-    number of rows, or counts that do not sum to ``total - out_of_range``
-    is a ParseError naming the line (the last line for what is missing).
-    """
-    meta: dict[str, tuple[int, str]] = {}
-    rows: list[tuple[int, str]] = []
-    last = 1
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            last = lineno
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(",")
-                if key not in _HIST_META or key in meta:
-                    raise ParseError(lineno, f"{path}: unknown or repeated key {key!r}")
-                meta[key] = (lineno, value)
-            else:
-                rows.append((lineno, line))
-    values = {}
-    for key, kind in _HIST_META.items():
-        if key not in meta:
-            raise ParseError(last, f"{path}: missing #{key} line")
-        lineno, text = meta[key]
-        try:
-            values[key] = kind(text)
-        except ValueError:
-            raise ParseError(
-                lineno, f"{path}: #{key} must be {kind.__name__}, got {text!r}"
-            ) from None
-    try:
-        grid = GridSpec(*(values[k] for k in ("x_min", "x_max", "y_min", "y_max", "nx", "ny")))
-    except ValueError as exc:
-        raise ParseError(meta["x_min"][0], f"{path}: {exc}") from None
-    if len(rows) != grid.nx:
-        raise ParseError(last, f"{path}: expected {grid.nx} count rows, got {len(rows)}")
-    counts = np.zeros((grid.nx, grid.ny), dtype=np.int64)
-    in_range = 0
-    for i, (lineno, line) in enumerate(rows):
-        fields = [f.strip() for f in line.split(",")]
-        # at most 19 digits: longer strings are past int64 (and int() of
-        # thousands of digits raises)
-        row = [int(f) for f in fields if f.isdecimal() and len(f) <= 19]
-        if not len(row) == len(fields) == grid.ny or max(row) > _COUNT_MAX:
-            raise ParseError(
-                lineno, f"{path}: expected {grid.ny} non-negative integer counts, got {line!r}"
-            )
-        counts[i] = row
-        in_range += sum(row)
-    total, out_of_range = values["total"], values["out_of_range"]
-    if not 0 <= out_of_range <= total or in_range != total - out_of_range:
-        raise ParseError(
-            last,
-            f"{path}: counts sum to {in_range}, but total is {total} "
-            f"with {out_of_range} out of range",
-        )
-    return PhaseHistogram(grid, counts, total, out_of_range)

@@ -36,9 +36,6 @@ class SectorTable:
                 return value
         raise UnknownSector(f"no sector named {sector!r}")
 
-    def sectors(self) -> tuple:
-        return tuple(name for name, _ in self.entries)
-
 
 @dataclass(frozen=True)
 class BalanceReport:
@@ -100,18 +97,6 @@ def load_sectors(path) -> SectorTable:
     if len(entries) < 2:
         raise ParseError(len(lines) or 1, "need at least 2 sector rows")
     return SectorTable(period, scale, tuple(entries))
-
-
-def dump_sectors(table: SectorTable, path) -> None:
-    """Inverse of :func:`load_sectors`; round-trips bit-exactly."""
-    with open(path, "w", newline="") as fh:
-        if table.period:
-            fh.write(f"#period,{table.period}\n")
-        if table.scale:
-            fh.write(f"#scale,{table.scale}\n")
-        fh.write("sector,balance\n")
-        for name, value in table.entries:
-            fh.write(f"{name},{value}\n")
 
 
 def check_zero_sum(table: SectorTable, tolerance: Money = 0) -> BalanceReport:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from finphase import _phasecsv, firms, phase
-from finphase.cli import _write_json, dispatch, parse_config_file
+from finphase.cli import _json, _Outputs, dispatch, parse_config_file
 from finphase.errors import DegenerateSample, InvalidConfig, MoneyOverflow
 from finphase.firms import EconomyConfig
 
@@ -48,8 +48,9 @@ class TestDispatch:
 
     def test_json_output_rejects_non_finite_numbers(self, tmp_path):
         path = tmp_path / "out.json"
-        with pytest.raises(ValueError):
-            _write_json(path, {"mean_x": float("nan")})
+        with pytest.raises(ValueError), _Outputs() as outputs:
+            outputs.emit(path, _json({"mean_x": float("nan")}).encode())
+        assert outputs.written == []  # raised before the file was opened
         assert not path.exists()
 
     def test_missing_file_exits_one(self, capsys):
@@ -176,10 +177,23 @@ BAD_GRIDS = [
          "need >= 2 points"),
         (["exchange", "--agents", "2", "--initial-money", str(2**62), "--events", "10",
           "--outdir", "{out}"], "total money n_agents \\* initial_money must be <= "),
+        # finite inputs whose results overflow
+        (["macro", "--gL", "1", "--gP", "1", "--d", "1", "--lambda", "1e-320"],
+         "R\\* must be finite, got inf"),
+        (["macro", "--table", "{overflow_table}", "--out", "{out}/t.csv"],
+         "R\\* must be finite, got inf"),
+        (["macro", "--gL", "0.02", "--gP", "0.03", "--d", "0.1", "--lambda", "0.6", "--r0",
+          "1e200", "--dt", "1", "--steps", "2", "--out", "{out}/r.csv"],
+         "R leaves the finite range at step 1, got -inf"),
+        (["reserves", "--b0", str(2**63 - 1), "--g", str(2**63 - 1), "--tax", "0", "--sales", "0",
+          "--dt", "1e300", "--steps", "2", "--out", "{out}/r.csv"],
+         "B\\(t\\) leaves the finite range by t = 2e\\+300"),
+        (["macro", "--cagr", "{steep}"], "cagr must be finite, got inf"),
     ]
     + [(cmd + ["--grid", *grid], message) for cmd in (FIRMS, ANALYZE) for grid, message in BAD_GRIDS],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
-         "one_firm", "exchange_total_money"]
+         "one_firm", "exchange_total_money", "r_star_overflow", "table_r_star_overflow",
+         "trajectory_overflow", "reserves_overflow", "cagr_overflow"]
     + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze") for case in ("nx", "extent", "bins")],
 )
 def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message):
@@ -187,11 +201,16 @@ def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message
     levels.write_text("t,level\n0,1.0\n1,nan\n")
     table = tmp_path / "params.csv"
     table.write_text("year,g_L,g_P,d,lambda\n1964,0.02,0.03,inf,0.60\n")
+    overflow_table = tmp_path / "overflow.csv"
+    overflow_table.write_text("year,g_L,g_P,d,lambda\n2000,1,1,1,1e-320\n")
+    steep = tmp_path / "steep.csv"
+    steep.write_text("t,level\n0,1\n1e-10,1e10\n")
     phase_csv = tmp_path / "phase_t1.csv"
     phase_csv.write_text("firm_id,x,y\n0,0.5,0.0\n1,-0.5,0.1\n")
     out = tmp_path / "out"
     out.mkdir()
-    argv = [a.format(out=out, levels=levels, table=table, phase=phase_csv) for a in argv]
+    files = {"levels": levels, "table": table, "overflow_table": overflow_table, "steep": steep}
+    argv = [a.format(out=out, phase=phase_csv, **files) for a in argv]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert re.match(f"error: {message}", err), err

@@ -1,5 +1,7 @@
 """Reserve-excursion risk pricing and the linear reserve path."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -160,3 +162,20 @@ class TestReservePath:
             reserve_path(ReserveFlowParams(B0=0, G=0, Tx=0, S=0), float("nan"), 3)
         with pytest.raises(InvalidConfig, match="^dt must be finite"):
             reserve_path(ReserveFlowParams(B0=0, G=0, Tx=0, S=0), float("inf"), 3)
+
+    @pytest.mark.parametrize(
+        "params,dt,n,t_end",
+        [
+            # float overflow of flow * t, at the last sample only
+            (ReserveFlowParams(B0=2**63 - 1, G=2**63 - 1, Tx=0, S=0), 1e300, 2, "2e+300"),
+            # t itself overflows
+            (ReserveFlowParams(B0=0, G=0, Tx=0, S=0), 1e308, 2, "inf"),
+            # an amount too large for a float
+            (ReserveFlowParams(B0=10**400, G=1, Tx=0, S=0), 1.0, 3, "3.0"),
+        ],
+        ids=["flow", "time", "wide_int"],
+    )
+    def test_leaving_the_finite_range(self, params, dt, n, t_end):
+        message = f"B(t) leaves the finite range by t = {t_end}"
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+            reserve_path(params, dt, n)

@@ -22,7 +22,6 @@ from finphase.errors import (
     InsufficientFunds,
     MoneyOverflow,
     NoSuchDebt,
-    ParseError,
     UnknownAgent,
 )
 from finphase.ledger import MONEY_MAX, MONEY_MIN, Ledger, _sums, _total
@@ -391,45 +390,21 @@ class TestConservationResidual:
 
 
 class TestSnapshots:
-    def test_csv_roundtrip(self, tmp_path):
-        led = make_ledger([5, 0, 17], base_money=999)
-        create_loan(led, 1, 4)
-        path = tmp_path / "snap.csv"
-        led.write_csv(path)
-        text = path.read_text()
-        assert text.startswith("agent_id,deposit,debt\n")
-        assert "#bank_equity," in text and "#base_money,999" in text
-        clone = Ledger.read_csv(path)
-        assert _state(clone) == _state(led)
-        assert clone.base_money == led.base_money
-
-    @pytest.mark.parametrize(
-        "body,line,message",
-        [
-            ("0,5,0\n#bank_equity,-95\n#base_money,5\n", 3, "conservation residual -95"),
-            ("0,5,0\n#bank_equity,-9\n#base_money,-4\n", 4, "'#base_money,-4'"),
-            (f"#bank_equity,0\n#base_money,{2**63}\n", 3, "'#base_money,"),
-            (f"#bank_equity,{-(2**63) - 1}\n#base_money,0\n", 2, "'#bank_equity,"),
-            ("0,-5,0\n#bank_equity,5\n#base_money,0\n", 2, "'0,-5,0'"),
-            (f"0,{2**63},0\n#bank_equity,0\n#base_money,0\n", 2, "'0,"),
-            ("0,5\n#bank_equity,0\n#base_money,5\n", 2, "'0,5'"),
-            ("1,5,0\n#bank_equity,0\n#base_money,5\n", 2, "'1,5,0'"),
-            ("0,5,x\n#bank_equity,0\n#base_money,5\n", 2, "'0,5,x'"),
-            ("0,5,0\n#equity,0\n#base_money,5\n", 3, "'#equity,0'"),
-        ],
-    )
-    def test_read_csv_rejects_bad_snapshots(self, tmp_path, body, line, message):
-        path = tmp_path / "snap.csv"
-        path.write_text("agent_id,deposit,debt\n" + body)
-        with pytest.raises(ParseError, match=f"^line {line}: .*{message}") as exc:
-            Ledger.read_csv(path)
-        assert exc.value.line == line
-
     def test_copy_is_independent(self):
         led = make_ledger([10, 10])
         clone = led.copy()
         transfer(led, 0, 1, 5)
         assert account(clone, 0) == (10, 0)
+
+
+def test_importing_firms_does_not_load_csv():
+    # no ledger snapshot format: the firm economy needs no csv module
+    src = str(Path(firms.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, finphase.firms; print('csv' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
 
 
 def test_base_money_is_immutable():

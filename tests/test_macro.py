@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from finphase.errors import DegenerateSample, InvalidConfig
 from finphase.macro import (
-    MacroParams,
     average_profit_rate,
     cagr,
     equilibrium_rate,
-    net_rate,
     profit_rate_trajectory,
     required_productivity,
 )
@@ -28,25 +26,21 @@ def logistic_oracle(t, R0, g_L, g_P, d, lambda_):
 
 class TestAverageProfitRate:
     def test_arithmetic(self):
-        p = MacroParams(rho=0.5, L=100.0, K=500.0, g_L=0, g_P=0, d=0, lambda_=1)
-        assert average_profit_rate(p) == pytest.approx(0.10, abs=1e-15)
+        assert average_profit_rate(rho=0.5, L=100.0, K=500.0) == pytest.approx(0.10, abs=1e-15)
 
     def test_vanishes_with_rho(self):
-        p = MacroParams(rho=0.0, L=100.0, K=500.0, g_L=0, g_P=0, d=0, lambda_=1)
-        assert average_profit_rate(p) == 0.0
+        assert average_profit_rate(rho=0.0, L=100.0, K=500.0) == 0.0
 
     def test_homogeneous_in_L_and_K(self):
-        p1 = MacroParams(rho=0.3, L=70.0, K=350.0, g_L=0, g_P=0, d=0, lambda_=1)
-        p2 = MacroParams(rho=0.3, L=140.0, K=700.0, g_L=0, g_P=0, d=0, lambda_=1)
-        assert average_profit_rate(p1) == pytest.approx(average_profit_rate(p2))
+        assert average_profit_rate(0.3, 70.0, 350.0) == pytest.approx(
+            average_profit_rate(0.3, 140.0, 700.0)
+        )
 
     def test_nonpositive_capital(self):
-        p = MacroParams(rho=0.5, L=100.0, K=0.0, g_L=0, g_P=0, d=0, lambda_=1)
         with pytest.raises(InvalidConfig, match="^K must be > 0"):
-            average_profit_rate(p)
-        p = MacroParams(rho=0.5, L=100.0, K=float("inf"), g_L=0, g_P=0, d=0, lambda_=1)
+            average_profit_rate(0.5, 100.0, 0.0)
         with pytest.raises(InvalidConfig, match="^K must be finite, got inf$"):
-            average_profit_rate(p)
+            average_profit_rate(0.5, 100.0, float("inf"))
 
 
 class TestEquilibriumRate:
@@ -73,6 +67,13 @@ class TestEquilibriumRate:
         with pytest.raises(InvalidConfig, match="^d must be finite, got nan$"):
             equilibrium_rate(0.02, 0.03, float("nan"), 0.60)
 
+    def test_non_finite_result(self):
+        # finite parameters whose quotient overflows
+        with pytest.raises(InvalidConfig, match=r"^R\* must be finite, got inf$"):
+            equilibrium_rate(1.0, 1.0, 1.0, 1e-320)
+        with pytest.raises(InvalidConfig, match=r"^R\* must be finite, got inf$"):
+            equilibrium_rate(1e308, 1e308, 0.0, 1.0)
+
 
 class TestRequiredProductivity:
     def test_inverse_of_headline_example(self):
@@ -91,6 +92,12 @@ class TestRequiredProductivity:
             -0.02, abs=1e-12
         )
 
+    def test_non_finite_result(self):
+        with pytest.raises(InvalidConfig, match="^g_P_required must be finite, got inf$"):
+            required_productivity(1e308, 10.0, 0.02, 0.1)
+        with pytest.raises(InvalidConfig, match="^g_P_required must be finite, got -inf$"):
+            required_productivity(0.25, 0.6, 1e308, 1e308)
+
 
 @settings(max_examples=300, deadline=None)
 @given(
@@ -103,18 +110,6 @@ def test_inverse_property_randomized(g_L, g_P, d, lambda_):
     r_star = equilibrium_rate(g_L, g_P, d, lambda_)
     back = required_productivity(r_star, lambda_, g_L, d)
     assert back == pytest.approx(g_P, abs=1e-12)
-
-
-class TestNetRate:
-    def test_balanced(self):
-        assert net_rate(0.02, 0.02) == 0.0
-
-    def test_arithmetic(self):
-        assert net_rate(0.03, 0.01) == pytest.approx(0.02)
-
-    def test_sign(self):
-        assert net_rate(0.05, 0.01) > 0
-        assert net_rate(0.01, 0.05) < 0
 
 
 class TestTrajectory:
@@ -175,6 +170,14 @@ class TestTrajectory:
         with pytest.raises(InvalidConfig, match="^g_L must be finite"):
             profit_rate_trajectory(0.05, float("nan"), 0.03, 0.10, 0.60, 0.01, 10)
 
+    def test_leaving_the_finite_range_names_the_step(self):
+        # lambda * R0**2 overflows within the first step
+        with pytest.raises(InvalidConfig, match="^R leaves the finite range at step 1, got -inf$"):
+            profit_rate_trajectory(1e200, 0.02, 0.03, 0.10, 0.60, 1.0, 2)
+        # the first step lands near -1.9e152, the second overflows
+        with pytest.raises(InvalidConfig, match="^R leaves the finite range at step 2, got -inf$"):
+            profit_rate_trajectory(1e10, 0.02, 0.03, 0.10, 0.60, 1.0, 50)
+
 
 class TestRateSeries:
     def test_lengths_must_match(self):
@@ -226,3 +229,16 @@ class TestCagr:
             cagr([0, float("nan")], [1.0, 2.0])
         with pytest.raises(ValueError, match="^t must be finite"):
             cagr([0, float("inf")], [1.0, 2.0])
+
+    def test_non_finite_result(self):
+        # exp overflows (OverflowError), and the levels' ratio overflows (inf)
+        with pytest.raises(InvalidConfig, match="^cagr must be finite, got inf$"):
+            cagr([0, 1e-10], [1.0, 1e10])
+        with pytest.raises(InvalidConfig, match="^cagr must be finite, got inf$"):
+            cagr([0, 1], [1e-300, 1e300])
+
+    def test_ratio_underflow_is_finite(self):
+        assert cagr([0, 1], [1e300, 1e-300]) == -1.0
+        assert cagr([0, 1000], [1e300, 1e-300]) == pytest.approx(
+            math.exp(-600 * math.log(10) / 1000) - 1.0, rel=1e-12
+        )
