@@ -33,6 +33,10 @@ import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
+# finphase makes no BLAS call, so OpenBLAS's thread pool, started when
+# numpy is imported, would only cost CPU time; a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__, phase

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfig
-from .ledger import Money
+from .ledger import MONEY_MAX, MONEY_MIN, Money
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,12 @@ class ReserveRiskModel:
     mean_excursion: float = 0.0
 
     def __post_init__(self):
+        for name in ("banker_capital", "reserves"):
+            value = getattr(self, name)
+            if not MONEY_MIN <= value <= MONEY_MAX:  # beyond it, float(value) can overflow
+                raise InvalidConfig(
+                    f"{name} must be in the money range [{MONEY_MIN}, {MONEY_MAX}], got {value}"
+                )
         if not self.sigma > 0:
             raise InvalidConfig(f"sigma must be > 0, got {self.sigma}")
         if not math.isfinite(self.sigma):

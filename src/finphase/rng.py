@@ -48,9 +48,17 @@ def derive(seed: int, *tags: int) -> int:
     return state
 
 
-# Outputs are generated in slices of this many values, so the scratch
-# array and the slice being mixed stay in cache.
+# Outputs are generated in slices of this many values: the slice being
+# mixed, the scratch array and the counter table are 512 KiB each, so all
+# three stay in a 2 MiB L2 cache, and numpy's cost per call is small next
+# to a pass over 65536 values (on a Xeon with 2 MiB of L2 per core,
+# 8192-value slices took 5.8 ns a value against 4.8 ns here).
 _SLICE = 1 << 16
+# (i + 1) * GOLDEN for i in a slice: each slice's counters are this plus
+# one scalar offset. Built once, since a fresh 512 KiB table per call is
+# mostly page faults; read-only, since threads read it at the same time.
+_STRIDES = np.arange(1, _SLICE + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+_STRIDES.flags.writeable = False
 
 
 def u64_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -59,14 +67,10 @@ def u64_block(seed: int, start: int, count: int) -> np.ndarray:
         raise ValueError("count must be >= 0")
     out = np.empty(count, dtype=np.uint64)
     tmp = np.empty(min(count, _SLICE), dtype=np.uint64)
-    # (i + 1) * GOLDEN for i in a slice: each slice's counters are this
-    # plus one scalar offset.
-    strides = np.arange(1, len(tmp) + 1, dtype=np.uint64)
-    strides *= np.uint64(_GOLDEN)
     for lo in range(0, count, _SLICE):
         z = out[lo : lo + _SLICE]
         t = tmp[: len(z)]
-        np.add(strides[: len(z)], np.uint64((seed + (start + lo) * _GOLDEN) & _MASK), out=z)
+        np.add(_STRIDES[: len(z)], np.uint64((seed + (start + lo) * _GOLDEN) & _MASK), out=z)
         np.right_shift(z, 30, out=t)
         z ^= t
         z *= np.uint64(_MIX1)

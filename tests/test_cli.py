@@ -189,11 +189,20 @@ BAD_GRIDS = [
           "--dt", "1e300", "--steps", "2", "--out", "{out}/r.csv"],
          "B\\(t\\) leaves the finite range by t = 2e\\+300"),
         (["macro", "--cagr", "{steep}"], "cagr must be finite, got inf"),
+        # money too wide for int64, which a float conversion would overflow
+        (["interest", "--capital", str(10**400), "--reserves", "3", "--loan", "1",
+          "--sigma", "1", "--out", "{out}/i.json"],
+         "banker_capital must be in the money range \\[-9223372036854775808, "
+         "9223372036854775807\\], got 1(0){400}\n\\Z"),
+        (["interest", "--capital", "5", "--reserves", str(10**400), "--loan", "1",
+          "--sigma", "1", "--out", "{out}/i.json"],
+         "reserves must be in the money range \\[.*\\], got 1(0){400}\n\\Z"),
     ]
     + [(cmd + ["--grid", *grid], message) for cmd in (FIRMS, ANALYZE) for grid, message in BAD_GRIDS],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
          "one_firm", "exchange_total_money", "r_star_overflow", "table_r_star_overflow",
-         "trajectory_overflow", "reserves_overflow", "cagr_overflow"]
+         "trajectory_overflow", "reserves_overflow", "cagr_overflow", "capital_too_wide",
+         "reserves_too_wide"]
     + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze") for case in ("nx", "extent", "bins")],
 )
 def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message):
@@ -832,6 +841,38 @@ class TestInterestAndReserves:
         assert lines[0] == "t,B"
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == [100.0, 110.0, 120.0, 130.0, 140.0, 150.0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+class TestOpenBlasThreads:
+    """``import finphase.cli`` asks OpenBLAS for no thread pool unless the
+    caller chose a size."""
+
+    CODE = (
+        "import os, finphase.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+
+    def threads_and_setting(self, given):
+        src = str(Path(phase.__file__).resolve().parent.parent)
+        # OpenBLAS also reads these two when its own variable is unset
+        unset = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in unset}
+        env["PYTHONPATH"] = src
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        out = subprocess.run(
+            [sys.executable, "-c", self.CODE], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        threads, setting = out.stdout.split()
+        return int(threads), setting
+
+    def test_unset_leaves_one_thread(self):
+        assert self.threads_and_setting(None) == (1, "1")
+
+    def test_a_callers_value_is_kept(self):
+        assert self.threads_and_setting("2")[1] == "2"
 
 
 class TestSectorsCommand:

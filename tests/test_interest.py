@@ -99,6 +99,16 @@ class TestExcursionExceedance:
                 banker_capital=M, reserves=M, sigma=1.0, mean_excursion=float("-inf")
             )
 
+    @pytest.mark.parametrize("field", ["banker_capital", "reserves"])
+    def test_money_outside_int64(self, field):
+        money = {"banker_capital": M, "reserves": M}
+        for value in (2**63, 10**400):
+            message = f"^{field} must be in the money range .*, got {value}$"
+            with pytest.raises(InvalidConfig, match=message):
+                ReserveRiskModel(**{**money, field: value}, sigma=1.0)
+        edge = ReserveRiskModel(**{**money, field: 2**63 - 1}, sigma=1.0)
+        assert 0 <= expected_loan_cost(edge, 1) <= 2**63
+
 
 class TestMinInterestRate:
     def test_worked_example_rate(self):

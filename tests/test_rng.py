@@ -1,6 +1,11 @@
 """Deterministic stream generator: reproducibility and uniformity."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from finphase import rng
 
@@ -97,3 +102,53 @@ def test_block_matches_scalar_finalizer_across_slice_edges():
 def test_empty_block():
     block = rng.u64_block(3, 10, 0)
     assert block.dtype == np.uint64 and block.shape == (0,)
+
+
+def test_counter_table_is_read_only():
+    # threads read the one table at the same time, so nothing may write it
+    assert not rng._STRIDES.flags.writeable
+    with pytest.raises(ValueError):
+        rng._STRIDES[0] = 0
+    expected = np.arange(1, rng._SLICE + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    assert (rng._STRIDES == expected).all()
+
+
+def test_block_allocates_only_its_output_and_one_slice():
+    rng.u64_block(1, 0, 10)  # anything done once per process happens here
+    tracemalloc.start()
+    try:
+        out = rng.u64_block(1, 5, 3 * rng._SLICE + 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scratch slice is 8 * _SLICE bytes; a second table would be as much again
+    assert peak - out.nbytes < 8 * rng._SLICE + 4096
+
+
+def test_threads_on_overlapping_ranges_get_the_single_thread_result():
+    # more threads than cores, switching often, on ranges that share
+    # their slice edges and offsets
+    seed, count = 0xC0FFEE, 2 * rng._SLICE + 3
+    starts = [k * 12_345 for k in range(4)]
+    expected = [rng.u64_block(seed, start, count) for start in starts]
+    results = {}
+    barrier = threading.Barrier(len(starts))
+
+    def draw(i):
+        barrier.wait()
+        results[i] = [rng.u64_block(seed, starts[i], count) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(starts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, want in enumerate(expected):
+        assert len(results[i]) == 20
+        assert all((got == want).all() for got in results[i]), i
