@@ -358,6 +358,14 @@ def _cmd_analyze(args) -> int:
 
     grid = _grid_from_args(args)
     files = args.files
+    # The report is keyed by base name, so two inputs sharing one would
+    # leave one entry for both.
+    names = [Path(name).name for name in files]
+    seen = set()
+    for base in names:
+        if base in seen:
+            raise InvalidConfig(f"two inputs have the base name {base!r}; the report is keyed by it")
+        seen.add(base)
     report = {}
     # Binning is per point, so the histogram of all files is the sum of
     # the per-file ones; no file's points are kept past its own turn.
@@ -379,7 +387,7 @@ def _cmd_analyze(args) -> int:
             total += hist.total
             out_of_range += hist.out_of_range
             metrics = phase.tail_metrics(points)
-            report[Path(name).name] = {
+            report[names[k]] = {
                 "entropy": phase.entropy(hist),
                 "rentier_fraction": metrics.rentier_fraction,
                 "mean_x": metrics.mean_x,
@@ -654,11 +662,11 @@ def dispatch(argv) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidConfig(f"{name.rstrip('_')} must be finite, got {value}")
         return args.func(args)
-    except FinphaseError as exc:
+    except (FinphaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy names the allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -31,19 +31,17 @@ Every draw is read from a counter-mode stream at a fixed offset (round
 ``r`` uses keys ``r*n ..`` and splits ``r*(n//2) ..``), so the output does
 not depend on how many rounds are drawn per block.
 
-The pair-split rule runs on two threads where the process may use two
-CPUs or more: a second thread sorts the matchings of the next block of
-rounds (their keys never read the balances, and numpy releases the GIL
-while it draws and sorts them) while the calling thread splits the pairs
-of the current block. Every round still reads its keys and draws at the
-offsets above, so the output is the same whenever the second thread
-finishes. With one CPU the two threads would only take turns, so the
-matchings are sorted inline and no thread starts.
+The pair-split rule runs on two threads: one worker thread per run sorts
+the matchings of the next block of rounds (their keys never read the
+balances, and numpy releases the GIL while it draws and sorts them)
+while the calling thread splits the pairs of the current block. Every
+round still reads its keys and draws at the offsets above, so the output
+is the same whenever the worker finishes.
 """
 
 from __future__ import annotations
 
-import os
+import queue
 import threading
 from dataclasses import dataclass, field
 
@@ -63,15 +61,13 @@ _RULES = (RULE_UNIFORM_PAIR_SPLIT, RULE_FIXED_AMOUNT)
 _TAG_PAYER, _TAG_PAYEE, _TAG_SPLIT, _TAG_MATCH = 1, 2, 3, 4
 
 # Stream outputs drawn per block: matching keys for the pair-split rule
-# (at least one round), events for the fixed rule. With a second thread
-# the pair-split rule holds two blocks of keys at once, the one being
-# split and the next one being sorted: 2 x 2**17 keys are 2 MB. Without
-# one it draws blocks of 2 * _BLOCK keys, the same 2 MB; halving them
-# there only adds page faults (a 1e4 x 1e7 run on one CPU made 38.1k
-# minor faults against 3.5k and took 0.63 s against 0.54 s, the median of
-# 10 runs each). Larger blocks only raise peak memory (a 1e4-agent run
-# peaks at about 37 MB with one block of 2**18 keys and 55 MB with one
-# of 2**20, in the same time).
+# (at least one round), events for the fixed rule. The pair-split rule
+# holds two blocks of keys at once, the one being split and the next one
+# being sorted on the worker: 2 x 2**17 keys are 2 MB. Larger blocks
+# only raise peak memory, on one CPU too, where the two threads take
+# turns: pinned to one CPU, a 1e4 x 1e7 run took 0.62 s with 8.6k minor
+# faults, and 0.63 s with 14.5k faults and 4 MB more peak memory with
+# blocks of 2**18 keys (medians of 10 runs each).
 _BLOCK = 1 << 17
 
 
@@ -147,14 +143,14 @@ def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
     round of a run that is not a whole number of rounds splits its first
     pairs only.
 
-    Rounds run in blocks of ``_BLOCK // n``. With two CPUs or more, a
-    second thread computes the sorted keys of block ``b + 1`` while this
-    thread draws and applies the splits of block ``b``; the keys never
+    Rounds run in blocks of ``_BLOCK // n``. One worker thread per run
+    computes the sorted keys of each block in turn: this thread takes
+    block ``b``, asks for block ``b + 1`` and draws and applies the splits
+    of block ``b`` while the worker sorts the next one. The keys never
     read ``money`` and every round reads the stream at its own offsets,
-    so the result does not depend on when that thread finishes. The
-    thread is joined on every exit, and an exception it raises is raised
-    here. With one CPU the keys are sorted inline, in blocks of
-    ``2 * _BLOCK // n``, and no thread starts.
+    so the result does not depend on when the worker finishes. An
+    exception the worker raises is raised here, and the worker is stopped
+    and joined on every exit.
     """
     n = len(money)
     half = n // 2
@@ -164,9 +160,7 @@ def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
     s_split = rng.derive(seed, _TAG_SPLIT)
     whole, rest = divmod(n_events, half)
     rounds = whole + (rest > 0)
-    ahead = _cpus() > 1
-    # two blocks are in flight with the second thread, one without it
-    per_block = max(1, (_BLOCK if ahead else 2 * _BLOCK) // n)
+    per_block = max(1, _BLOCK // n)
 
     def matchings(r0: int) -> np.ndarray:
         """The perms of rounds ``r0 ..`` of one block, one row per round."""
@@ -178,17 +172,32 @@ def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
         keys &= low
         return keys.view(np.int64)  # agent ids < 2**63: same bits
 
+    # One block's start round goes in, its perms or the exception that
+    # computing them raised come out; None stops the worker.
+    requests, results = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def work() -> None:
+        while (r0 := requests.get()) is not None:
+            try:
+                results.put(matchings(r0))
+            except BaseException as exc:  # raised again on the calling thread
+                results.put(exc)
+
     # A pair's total is at most the run's, so a draw <= 2**64 - 1 - run
     # total is below every pair's rejection limit; only rounds with a draw
     # above it need the exact check.
     safe = ~np.uint64(int(money.sum()))
-    following = None  # the next block's perms, on the second thread
+    worker = threading.Thread(target=work)
+    worker.start()
     try:
+        if rounds:
+            requests.put(0)
         for r0 in range(0, rounds, per_block):
-            perm = matchings(r0) if following is None else following.result()
-            following = None
-            if ahead and r0 + per_block < rounds:
-                following = _Background(matchings, r0 + per_block)
+            perm = results.get()
+            if isinstance(perm, BaseException):
+                raise perm
+            if r0 + per_block < rounds:
+                requests.put(r0 + per_block)
             b = len(perm)
             draws = rng.u64_block(s_split, r0 * half, b * half).reshape(b, half)
             risky = (draws.max(axis=1) > safe).tolist()
@@ -204,40 +213,8 @@ def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
                 money[p] = keep
                 money[q] = total - keep
     finally:
-        if following is not None:  # the run failed: the thread's block is not wanted
-            following.join()
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Background:
-    """``fn(arg)`` computed on a new thread. ``result()`` waits for it and
-    returns its value, or raises the exception it raised."""
-
-    def __init__(self, fn, arg) -> None:
-        self._value = self._error = None
-        self._thread = threading.Thread(target=self._run, args=(fn, arg))
-        self._thread.start()
-
-    def _run(self, fn, arg) -> None:
-        try:
-            self._value = fn(arg)
-        except BaseException as exc:  # raised again on the waiting thread
-            self._error = exc
-
-    def join(self) -> None:
-        self._thread.join()
-
-    def result(self):
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
+        requests.put(None)
+        worker.join()
 
 
 def _redraw_biased(keep, draws, total, seed: int, offset: int) -> None:

@@ -144,7 +144,7 @@ class StepRecord:
 @dataclass
 class EconomyState:
     """Per-firm columns are int64 arrays indexed by firm id;
-    ``worker_firm`` and ``worker_shop`` are indexed by worker."""
+    ``worker_shop`` is indexed by worker."""
 
     config: EconomyConfig
     ledger: Ledger
@@ -152,7 +152,6 @@ class EconomyState:
     last_profit: np.ndarray  # previous step's profit per firm
     prev_net_debt: np.ndarray  # net debt at the previous step boundary
     employees: np.ndarray  # headcount per firm
-    worker_firm: np.ndarray  # employer per worker
     worker_shop: np.ndarray  # current shop per worker
     t: int = 0
 
@@ -212,7 +211,6 @@ def init_economy(config: EconomyConfig) -> EconomyState:
         last_profit=np.zeros(n, dtype=np.int64),
         prev_net_debt=np.zeros(n, dtype=np.int64),
         employees=np.bincount(worker_firm, minlength=n).astype(np.int64),
-        worker_firm=worker_firm,
         worker_shop=worker_shop,
     )
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from finphase import _phasecsv, firms, phase
+from finphase import _phasecsv, exchange, firms, phase
 from finphase.cli import _json, _Outputs, dispatch, parse_config_file
 from finphase.errors import DegenerateSample, InvalidConfig, MoneyOverflow
 from finphase.firms import EconomyConfig
@@ -52,6 +52,41 @@ class TestDispatch:
             outputs.emit(path, _json({"mean_x": float("nan")}).encode())
         assert outputs.written == []  # raised before the file was opened
         assert not path.exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exchange", "--agents", "1000000000", "--initial-money", "1", "--events", "10"],
+            ["firms", "--firms", "10", "--workers", "1000000000", "--steps", "1"],
+        ],
+        ids=["exchange", "firms"],
+    )
+    def test_out_of_memory_exits_one_with_message(self, tmp_path, argv):
+        import resource
+
+        def cap_address_space():  # sizes this large must never run uncapped
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        src = str(Path(phase.__file__).resolve().parent.parent)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "finphase.cli", *argv, "--outdir", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_address_space,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert re.fullmatch(r"error: \S.*\n", proc.stderr), proc.stderr
+        assert not out.exists()
+
+    def test_empty_memory_error_names_the_cause(self, tmp_path, monkeypatch, capsys):
+        def fail(config):
+            raise MemoryError
+
+        monkeypatch.setattr(exchange, "run_exchange", fail)
+        assert run_cli("exchange", "--events", "10", "--outdir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_one(self, capsys):
         assert run_cli("sectors", "check", "/no/such/file.csv") == 1
@@ -641,6 +676,24 @@ class TestAnalyzeCommand:
             reports.append((out.read_bytes(), hist.read_bytes()))
         assert reports[0] == reports[1]
         assert json.loads(reports[0][0])["phase_t1.csv"]["points"] == 3
+
+    @pytest.mark.parametrize("same_path", [False, True], ids=["two_dirs", "one_path_twice"])
+    def test_shared_base_name_is_rejected(self, tmp_path, capsys, started, same_path):
+        # the report is keyed by base name: one entry would stand for both files
+        dirs = [tmp_path / "r1", tmp_path / "r1" if same_path else tmp_path / "r2"]
+        for d in dirs:
+            d.mkdir(exist_ok=True)
+            (d / "phase_t3.csv").write_text(GOOD_PHASE_CSV)
+        out, hist = tmp_path / "metrics.json", tmp_path / "hist.csv"
+        argv = [str(d / "phase_t3.csv") for d in dirs]
+        assert run_cli("analyze", *argv, "--out", str(out), "--hist-out", str(hist)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: two inputs have the base name 'phase_t3.csv'; the report is keyed by it\n"
+        )
+        assert captured.out == ""
+        assert started == []  # rejected before the phase reader starts
+        assert not out.exists() and not hist.exists()
 
     def test_header_only_file_is_a_degenerate_sample(self, tmp_path, capsys):
         csv_path = tmp_path / "phase_t1.csv"

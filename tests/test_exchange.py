@@ -183,8 +183,8 @@ ROUNDS_PER_BLOCK = 4
 
 @pytest.fixture
 def threads(monkeypatch):
-    """Every thread started during the test, on a process with 2 CPUs and
-    blocks of ``ROUNDS_PER_BLOCK`` rounds."""
+    """Every thread started during the test, with blocks of
+    ``ROUNDS_PER_BLOCK`` rounds."""
     started = []
 
     class Recorded(threading.Thread):
@@ -193,7 +193,6 @@ def threads(monkeypatch):
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Recorded)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(exchange, "_BLOCK", ROUNDS_PER_BLOCK * 500)
     return started
 
@@ -221,7 +220,7 @@ class TestPairSplitThreads:
         raised_on = []
 
         def on_call(tag, k):
-            # block 0's keys are sorted inline, blocks 1 and 2 on threads
+            # every block's keys are sorted on the worker; this is block 2
             if tag == exchange._TAG_MATCH and k == 3:
                 raised_on.append(threading.current_thread())
                 raise MemoryError("keys")
@@ -229,7 +228,7 @@ class TestPairSplitThreads:
         patch_stream_calls(monkeypatch, on_call)
         with pytest.raises(MemoryError, match="^keys$"):
             run_exchange(config())
-        assert raised_on == [threads[1]]
+        assert raised_on == [threads[0]]
         assert not any(t.is_alive() for t in threads)
         assert threading.active_count() == before
 
@@ -238,7 +237,7 @@ class TestPairSplitThreads:
 
         def on_call(tag, k):
             if tag == exchange._TAG_MATCH and k > 1:
-                time.sleep(0.2)  # the thread outlives the interrupt unless it is joined
+                time.sleep(0.2)  # the worker outlives the interrupt unless it is joined
             if tag == exchange._TAG_SPLIT and k == 3:
                 assert threading.current_thread() is threading.main_thread()
                 raise KeyboardInterrupt
@@ -246,22 +245,41 @@ class TestPairSplitThreads:
         patch_stream_calls(monkeypatch, on_call)
         with pytest.raises(KeyboardInterrupt):
             run_exchange(config())
-        assert len(threads) == 3  # blocks 1, 2 and 3
+        assert len(threads) == 1  # the worker, the run's only thread
         assert not any(t.is_alive() for t in threads)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("affinity", [True, False], ids=["one_cpu", "no_affinity_call"])
-    def test_one_cpu_starts_no_thread(self, monkeypatch, threads, affinity):
-        threaded = run_exchange(config()).money
-        assert len(threads) == 80 // ROUNDS_PER_BLOCK - 1
-        threads.clear()
-        if affinity:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        else:
-            monkeypatch.delattr(os, "sched_getaffinity")
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}, None], ids=["one_cpu", "two_cpus", "no_affinity_call"])
+    def test_money_does_not_depend_on_cpus_or_timing(self, monkeypatch, threads, cpus):
+        before = threading.active_count()
+        expected = run_exchange(config()).money
+        pin = cpus == {0} and hasattr(os, "sched_setaffinity")
+        allowed = os.sched_getaffinity(0) if pin else None
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert run_exchange(config()).money == threaded
-        assert threads == []
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        interval = sys.getswitchinterval()
+        try:
+            if pin:
+                os.sched_setaffinity(0, {min(allowed)})  # the worker and this thread take turns
+            runs = [run_exchange(config()).money]
+            # a worker slower than the splits, with threads switching at every chance
+            patch_stream_calls(
+                monkeypatch,
+                lambda tag, k: time.sleep(0.005) if tag == exchange._TAG_MATCH else None,
+            )
+            sys.setswitchinterval(1e-6)
+            runs.append(run_exchange(config()).money)
+        finally:
+            sys.setswitchinterval(interval)
+            if pin:
+                os.sched_setaffinity(0, allowed)
+        assert runs == [expected, expected]
+        assert len(threads) == 3  # one per run
+        assert not any(t.is_alive() for t in threads)
+        assert threading.active_count() == before
 
     def test_import_loads_no_executor(self):
         src = os.path.dirname(os.path.dirname(exchange.__file__))
