@@ -457,7 +457,7 @@ def _cmd_macro(args) -> int:
     if None in (args.gL, args.gP, args.d, args.lambda_):
         raise InvalidConfig("macro needs --gL --gP --d --lambda (or --table/--cagr)")
     r_star = macro.equilibrium_rate(args.gL, args.gP, args.d, args.lambda_)
-    print(f"R* = {r_star * scale:.12g}{unit}")
+    report = [f"R* = {r_star * scale:.12g}{unit}"]  # printed once nothing can fail
     if args.r0 is not None:
         series = macro.profit_rate_trajectory(
             args.r0, args.gL, args.gP, args.d, args.lambda_, args.dt, args.steps
@@ -466,7 +466,8 @@ def _cmd_macro(args) -> int:
             rows = "".join([f"{t!r},{v!r}\n" for t, v in zip(series.t, series.value)])
             with _Outputs() as outputs:
                 outputs.emit(args.out, f"t,R\n{rows}".encode())
-        print(f"R({series.t[-1]:.12g}) = {series.value[-1] * scale:.12g}{unit}")
+        report.append(f"R({series.t[-1]:.12g}) = {series.value[-1] * scale:.12g}{unit}")
+    print("\n".join(report))
     return 0
 
 

@@ -34,14 +34,14 @@ class ReserveRiskModel:
                 raise InvalidConfig(
                     f"{name} must be in the money range [{MONEY_MIN}, {MONEY_MAX}], got {value}"
                 )
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not self.sigma > 0:
             raise InvalidConfig(f"sigma must be > 0, got {self.sigma}")
         if not math.isfinite(self.sigma):
             raise InvalidConfig(f"sigma must be finite, got {self.sigma}")
         if not math.isfinite(self.mean_excursion):
             raise InvalidConfig(f"mean_excursion must be finite, got {self.mean_excursion}")
-        if self.reserves < 0:
-            raise ValueError("reserves must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,14 @@ repayment cancels such a pair, and bankruptcy annihilation wipes an account
 with the difference absorbed by bank equity (which may go negative).
 
 Storage is two int64 numpy columns, ``deposit`` and ``debt``, indexed by
-agent id, plus bank equity as a Python int. There is one posting
-primitive, :meth:`Ledger.post`: signed int64 change columns for agents
-``0 .. k-1`` (a prefix; the firm economy puts its firms first) and a
-change of bank equity. Transfers, loans, repayments, interest paid to the
-bank and write-offs are all such columns, the caller netting every flow
-of a kind into one entry per agent. A posting must conserve money, summed
+agent id, plus bank equity as a Python int. A new ledger holds its whole
+base money as bank equity, and money enters and moves only through the
+one posting primitive, :meth:`Ledger.post`: signed change columns for
+agents ``0 .. k-1`` (a prefix; the firm economy puts its firms first),
+each a 1-d ``np.int64`` array and nothing else, and a change of bank
+equity. Transfers, loans, repayments, interest paid to the bank and
+write-offs are all such columns, the caller netting every flow of a kind
+into one entry per agent. A posting must conserve money, summed
 exactly. It is atomic: every resulting deposit and debt is compared
 against its headroom (``-dep`` and ``MONEY_MAX - dep``) instead of being
 formed first, the equity is range-checked, and nothing is written unless
@@ -39,8 +41,6 @@ concurrently when nothing is mutating.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,56 +70,25 @@ def _sums(start: np.ndarray, target: np.ndarray, amount: np.ndarray):
     return (hi << 31) + (lo & _LO), (hi < -(2**32)) | (hi >= 2**32)
 
 
-def _column(values, what: str) -> np.ndarray:
-    """``values`` as a 1-d int64 array: an integer outside the int64 range
-    is a MoneyOverflow, a column of anything but integers a TypeError."""
-    arr = np.asarray(values)
-    # integers beyond int64 make numpy pick uint64, float64 or object
-    maybe_wide = arr.ndim == 1 and arr.dtype.kind in "ufO"
-    if maybe_wide and all(isinstance(v, (int, np.integer)) for v in values):
-        wide = [v for v in values if not MONEY_MIN <= v <= MONEY_MAX]
-        if wide:
-            raise MoneyOverflow(f"{what} {wide[0]} exceeds 64-bit money range")
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-        raise TypeError(f"{what}s must be a column of integers, got {arr.dtype} {arr.shape}")
-    return arr.astype(np.int64, copy=False)
-
-
 class Ledger:
     """Complete account map of the single bank plus its equity.
 
     Agent ids are dense ``0 .. n_agents-1``. ``base_money`` is fixed at
-    construction; ``bank_equity`` is initialised to
-    ``base_money - sum(initial_deposits)`` so the conservation identity
-    holds from birth (with no initial deposits the whole base money sits
-    as bank equity, i.e. as the bank's reserve).
+    construction and starts as bank equity, i.e. as the bank's reserve,
+    so the conservation identity holds from birth; accounts are funded
+    by postings, such as ``post(deposits, equity_change=-total)``.
     """
 
     __slots__ = ("_dep", "_debt", "_bank_equity", "_base_money")
 
-    def __init__(
-        self,
-        n_agents: int,
-        base_money: Money,
-        initial_deposits: Optional[Sequence[Money]] = None,
-    ):
+    def __init__(self, n_agents: int, base_money: Money):
         if n_agents < 0:
             raise ValueError("n_agents must be >= 0")
         if not 0 <= base_money <= MONEY_MAX:
             raise MoneyOverflow(f"base_money {base_money} out of range")
-        if initial_deposits is None:
-            self._dep = np.zeros(n_agents, dtype=np.int64)
-        else:
-            if len(initial_deposits) != n_agents:
-                raise ValueError("initial_deposits length != n_agents")
-            self._dep = _column(list(initial_deposits), "amount")
-            if n_agents and self._dep.min() < 0:
-                raise ValueError(f"amount must be >= 0, got {self._dep.min()}")
+        self._dep = np.zeros(n_agents, dtype=np.int64)
         self._debt = np.zeros(n_agents, dtype=np.int64)
-        self._base_money = base_money
-        self._bank_equity = base_money - _total(self._dep)
-        if self._bank_equity < MONEY_MIN:
-            raise MoneyOverflow("initial deposits exceed representable equity")
+        self._bank_equity = self._base_money = base_money
 
     # -- queries -----------------------------------------------------------
 
@@ -168,7 +137,9 @@ class Ledger:
         equity. A column covers agents ``0 .. k-1``, a prefix of the ledger
         (firms come first, so a column of firms is shorter than one that
         reaches the workers); an omitted column changes nothing. A column
-        holds integers in the int64 range: a wider one is a MoneyOverflow.
+        is a 1-d ``np.int64`` array: anything else (a list, a uint64,
+        float or object array, a 2-d array) is a TypeError naming its type
+        and shape, raised before anything is written.
 
         The posting must conserve money: sum(dep_change) - sum(debt_change)
         + equity_change == 0, summed exactly. It is atomic: every resulting
@@ -186,7 +157,12 @@ class Ledger:
         ):
             if change is None:
                 continue
-            change = _column(change, "change")
+            if not isinstance(change, np.ndarray):
+                raise TypeError(f"changes must be 1-d int64 columns, got {type(change).__name__}")
+            if change.dtype != np.int64 or change.ndim != 1:
+                raise TypeError(
+                    f"changes must be 1-d int64 columns, got {change.dtype} {change.shape}"
+                )
             if len(change) > n:
                 raise UnknownAgent(f"no agent {n} in ledger of {n}")
             columns.append((col[: len(change)], change, verb, short_error))

@@ -3,7 +3,8 @@
 The conservation of borrowing and lending applies to whole economic
 sectors exactly as it does to individual agents: the sectoral balances
 must sum to zero. Balances are integer money in an explicit scale unit
-(e.g. billions) so the identity is checked exactly, never in floats.
+(e.g. billions), in the signed 64-bit money range, so the identity is
+checked exactly, never in floats.
 
 Pure functions over immutable tables; thread-safe.
 """
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import DuplicateSector, ParseError, UnknownSector
-from .ledger import Money
+from .errors import DuplicateSector, InvalidConfig, ParseError, UnknownSector
+from .ledger import MONEY_MAX, MONEY_MIN, Money
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,8 @@ class CounterfactualResult:
 
 def load_sectors(path) -> SectorTable:
     """Parse a ``sector,balance`` CSV with optional ``#period,`` and
-    ``#scale,`` metadata lines; malformed rows are hard errors."""
+    ``#scale,`` metadata lines; malformed rows and balances outside the
+    money range are hard errors."""
     period = ""
     scale = ""
     entries: list[tuple[str, Money]] = []
@@ -91,6 +93,11 @@ def load_sectors(path) -> SectorTable:
             value = int(parts[1])
         except ValueError:
             raise ParseError(lineno, f"balance {parts[1]!r} is not an integer")
+        if not MONEY_MIN <= value <= MONEY_MAX:
+            raise ParseError(
+                lineno,
+                f"balance must be in the money range [{MONEY_MIN}, {MONEY_MAX}], got {value}",
+            )
         entries.append((name, value))
     if not saw_header:
         raise ParseError(1, "missing 'sector,balance' header")
@@ -120,8 +127,13 @@ def counterfactual(
     """Set one sector's balance and report the aggregate adjustment the
     other sectors must absorb for the zero-sum identity to hold again
     (required_offset = -(new residual)); how that adjustment distributes
-    across sectors is deliberately not guessed."""
+    across sectors is deliberately not guessed. ``new_value`` must lie in
+    the money range."""
     table.balance(sector)  # raises UnknownSector
+    if not MONEY_MIN <= new_value <= MONEY_MAX:
+        raise InvalidConfig(
+            f"new_value must be in the money range [{MONEY_MIN}, {MONEY_MAX}], got {new_value}"
+        )
     entries = tuple(
         (name, new_value if name == sector else value)
         for name, value in table.entries

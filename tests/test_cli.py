@@ -232,12 +232,21 @@ BAD_GRIDS = [
         (["interest", "--capital", "5", "--reserves", str(10**400), "--loan", "1",
           "--sigma", "1", "--out", "{out}/i.json"],
          "reserves must be in the money range \\[.*\\], got 1(0){400}\n\\Z"),
+        (["interest", "--capital", "-5", "--reserves", "3", "--loan", "1", "--sigma", "1"],
+         "banker_capital must be >= 0\n\\Z"),
+        (["sectors", "what-if", "--sector", "Households", "--value", str(10**23)],
+         f"new_value must be in the money range \\[.*\\], got {10**23}\n\\Z"),
+        (["sectors", "check", "{wide_sectors}", "--out", "{out}/s.json"],
+         f"line 2: balance must be in the money range \\[.*\\], got {10**23 - 1}\n\\Z"),
+        (["macro", "--gL", "0.02", "--gP", "0.03", "--d", "0.1", "--lambda", "0.6",
+          "--r0", "0.1", "--steps", "-1"], "n must be >= 0\n\\Z"),
     ]
     + [(cmd + ["--grid", *grid], message) for cmd in (FIRMS, ANALYZE) for grid, message in BAD_GRIDS],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
          "one_firm", "exchange_total_money", "r_star_overflow", "table_r_star_overflow",
          "trajectory_overflow", "reserves_overflow", "cagr_overflow", "capital_too_wide",
-         "reserves_too_wide"]
+         "reserves_too_wide", "capital_negative", "sectors_value_too_wide",
+         "sectors_balance_too_wide", "trajectory_steps_negative"]
     + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze") for case in ("nx", "extent", "bins")],
 )
 def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message):
@@ -249,16 +258,22 @@ def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message
     overflow_table.write_text("year,g_L,g_P,d,lambda\n2000,1,1,1,1e-320\n")
     steep = tmp_path / "steep.csv"
     steep.write_text("t,level\n0,1\n1e-10,1e10\n")
+    wide_sectors = tmp_path / "wide.csv"
+    wide_sectors.write_text(f"sector,balance\nA,{10**23 - 1}\nB,{-(10**23 - 1)}\n")
     phase_csv = tmp_path / "phase_t1.csv"
     phase_csv.write_text("firm_id,x,y\n0,0.5,0.0\n1,-0.5,0.1\n")
     out = tmp_path / "out"
     out.mkdir()
-    files = {"levels": levels, "table": table, "overflow_table": overflow_table, "steep": steep}
+    files = {
+        "levels": levels, "table": table, "overflow_table": overflow_table, "steep": steep,
+        "wide_sectors": wide_sectors,
+    }
     argv = [a.format(out=out, phase=phase_csv, **files) for a in argv]
     assert run_cli(*argv) == 1
-    err = capsys.readouterr().err
-    assert re.match(f"error: {message}", err), err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert re.match(f"error: {message}", captured.err), captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert list(out.iterdir()) == []
 
 

@@ -274,8 +274,9 @@ class TestExactRecord:
             depreciation=0.0, capitalist_consumption_fraction=0.0,
         )
         state = init_economy(config)
-        state.ledger.post([0, a], [0, a])  # firm 1 borrows a
-        state.ledger.post([a, -a])  # and pays it to firm 0
+        loan = np.array([0, a], dtype=np.int64)
+        state.ledger.post(loan, loan)  # firm 1 borrows a
+        state.ledger.post(np.array([a, -a], dtype=np.int64))  # and pays it to firm 0
         state.capital = np.array([3, 2**62], dtype=np.int64)
         state.prev_net_debt = np.array([2**63 - 1, -(2**62)], dtype=np.int64)
         assert float(-a) / 3.0 != -a / 3  # float64 division would differ
@@ -532,8 +533,9 @@ class TestOrderDependentPhases:
         state = init_economy(config)
         dep, debt = _column(data.draw, n, _money), _column(data.draw, n, _money)
         try:
-            initial = [*np.maximum(dep - debt, 0).tolist(), *[0] * n_workers]
-            ledger = Ledger(n + n_workers, config.base_money, initial)
+            ledger = Ledger(n + n_workers, config.base_money)
+            initial = np.maximum(dep - debt, 0)
+            ledger.post(initial, equity_change=-sum(initial.tolist()))  # deposits
             ledger.post(debt, debt)  # loans
             paid = np.maximum(debt - dep, 0)
             ledger.post(-paid, equity_change=sum(paid.tolist()))  # paid to the bank

@@ -100,6 +100,15 @@ class TestExcursionExceedance:
             )
 
     @pytest.mark.parametrize("field", ["banker_capital", "reserves"])
+    def test_negative_money(self, field):
+        money = {"banker_capital": M, "reserves": M}
+        for value in (-1, -(2**63)):
+            with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+                ReserveRiskModel(**{**money, field: value}, sigma=1.0)
+        zero = ReserveRiskModel(**{**money, field: 0}, sigma=1.0)
+        assert expected_loan_cost(zero, 0) == 0.0
+
+    @pytest.mark.parametrize("field", ["banker_capital", "reserves"])
     def test_money_outside_int64(self, field):
         money = {"banker_capital": M, "reserves": M}
         for value in (2**63, 10**400):

@@ -30,7 +30,11 @@ from conftest import conservation_oracle
 
 
 def make_ledger(deposits, base_money=10**6):
-    return Ledger(len(deposits), base_money, deposits)
+    """A ledger whose agents hold ``deposits``, paid out of the bank's
+    equity in one posting."""
+    led = Ledger(len(deposits), base_money)
+    led.post(column(deposits), equity_change=-sum(deposits))
+    return led
 
 
 # -- postings as the firm economy builds them: dense change columns --------
@@ -47,12 +51,12 @@ def net_position(led, agent):
 
 
 def column(values):
-    """A change column: int64, or the list of Python ints itself where a
-    value is too wide for int64 (a posting rejects it)."""
+    """A change column: int64, or an object column where a value is too
+    wide for int64 (a posting rejects it as not int64)."""
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
-        return list(values)
+        return np.array(values, dtype=object)
 
 
 def net(*rows):
@@ -134,15 +138,16 @@ class TestTransfer:
         with pytest.raises(UnknownAgent, match="^no agent 2 in ledger of 2$"):
             transfer(led, 0, 2, 1)
         with pytest.raises(UnknownAgent, match="^no agent 2 in ledger of 2$"):
-            led.post([0, 0], [0, 0, 0])
+            led.post(column([0, 0]), column([0, 0, 0]))
         assert led.deposits.tolist() == [10, 10]
 
     def test_negative_amount_rejected(self):
-        with pytest.raises(ValueError, match="^amount must be >= 0, got -5$"):
+        # funding a negative deposit is a shortfall like any other posting
+        with pytest.raises(InsufficientFunds, match="^agent 1 holds 0, batch takes 5$"):
             make_ledger([10, -5])
         led = make_ledger([10, 10])
         with pytest.raises(ValueError, match="^posting does not conserve money$"):
-            led.post([-5, -5])  # a payment of -5 to agent 1 that agent 0 also makes
+            led.post(column([-5, -5]))  # a payment of -5 to agent 1 that agent 0 also makes
         assert led.deposits.tolist() == [10, 10]
 
     def test_million_random_transfers_conserve(self):
@@ -151,7 +156,7 @@ class TestTransfer:
         # deposit at the batch's start divided by the payer's transfers in
         # the batch, so no payer can overdraw.
         n = 10_000
-        led = Ledger(n, 10**10, [1000] * n)
+        led = make_ledger([1000] * n, 10**10)
         payers = rng.randint_block(1, 0, 10**6, n)
         offsets = rng.randint_block(2, 0, 10**6, n - 1)
         amounts = rng.randint_block(3, 0, 10**6, 500)
@@ -285,7 +290,7 @@ class TestDistinctAgents:
                     create_loan(sequential, agent, amount)
             except MoneyOverflow:
                 assert over.any()  # only a flagged sum fails one row at a time
-                with pytest.raises(MoneyOverflow):
+                with pytest.raises(TypeError):  # its exact sum is no int64 column
                     led.post(column(exact), column(exact))
                 assert _state(led) == _state(make_ledger([10, 0, 0, 0]))
             else:
@@ -437,7 +442,7 @@ _op = st.tuples(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_op, max_size=60), st.lists(st.integers(0, 10**6), min_size=5, max_size=5))
 def test_random_operation_sequences_preserve_conservation(ops, deposits):
-    led = Ledger(5, 10**9, deposits)
+    led = make_ledger(deposits, 10**9)
     net_before = [net_position(led, i) for i in range(5)]
     equity_before = led.bank_equity
     for kind, a, b, amount in ops:
@@ -470,8 +475,8 @@ def test_random_operation_sequences_preserve_conservation(ops, deposits):
 def test_transfer_antisymmetry(start, x, others):
     # equalise a and b, then a->b must mirror b->a up to relabeling
     amount = min(x, start)
-    led1 = Ledger(6, 10**10, [start, start] + others)
-    led2 = Ledger(6, 10**10, [start, start] + others)
+    led1 = make_ledger([start, start] + others, 10**10)
+    led2 = make_ledger([start, start] + others, 10**10)
     transfer(led1, 0, 1, amount)
     transfer(led2, 1, 0, amount)
     net1 = sorted(net_position(led1, i) for i in range(6))
@@ -482,7 +487,7 @@ def test_transfer_antisymmetry(start, x, others):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**12), st.integers(0, 10**9))
 def test_loan_then_repay_is_identity(deposit, amount):
-    led = Ledger(2, 10**13, [deposit, 0])
+    led = make_ledger([deposit, 0], 10**13)
     before = (account(led, 0), account(led, 1), led.bank_equity)
     create_loan(led, 0, amount)
     repay_loan(led, 0, amount)
@@ -611,8 +616,8 @@ def test_batch_equals_sequential_scalar_ops(case):
     kind, rows, deposits, loans, base = case
     if base - sum(deposits) < -(2**63) or max(map(sum, zip(deposits, loans))) > MONEY_MAX:
         return  # not a representable starting ledger
-    led = Ledger(5, base, deposits)
-    led.post(loans, loans)
+    led = make_ledger(deposits, base)
+    led.post(column(loans), column(loans))
     _, one_row, netted = _BATCHES[kind]
     before = _state(led)
     expected = _reference(kind, rows, led)
@@ -636,7 +641,7 @@ def test_batch_equals_sequential_scalar_ops(case):
             )
         assert batched.conservation_residual() == 0
         assert conservation_oracle(batched) == 0
-    except (FinphaseError, ValueError):
+    except (FinphaseError, ValueError, TypeError):  # TypeError: a net beyond int64
         assert _state(batched) == before  # a rejected posting writes nothing
         assert expected is None  # only a failing sequence may be rejected
     else:
@@ -646,7 +651,7 @@ def test_batch_equals_sequential_scalar_ops(case):
 
 class TestBatchEdges:
     def test_two_large_inflows_overflow_without_wrapping(self):
-        led = Ledger(3, MONEY_MAX, [1, 2**62, 2**62])
+        led = make_ledger([1, 2**62, 2**62], MONEY_MAX)
         before = _state(led)
         # two 2**62 payments to agent 0 sum to 2**63, which int64 wraps to
         # -2**63: the kernel flags the sum instead
@@ -658,16 +663,18 @@ class TestBatchEdges:
         after, over = _sums(start, np.array([0, 0]), np.full(2, 2**62))
         assert over.tolist() == [True, False, False]
         assert after[1:].tolist() == [0, 0]
-        # the exact sums do not fit a change column: the posting writes nothing
-        with pytest.raises(MoneyOverflow, match=f"^change {2**63} exceeds 64-bit money range$"):
+        # the exact sums do not fit an int64 column: the posting writes nothing
+        rejected = "^changes must be 1-d int64 columns, got "
+        with pytest.raises(TypeError, match=rf"{rejected}object \(3,\)$"):
             led.post(column([2**63, -(2**62), -(2**62)]))
         assert _state(led) == before
-        with pytest.raises(MoneyOverflow, match=f"^change {2**63} exceeds 64-bit money range$"):
-            led.post(column([2**63, 0, 0]), column([2**63, 0, 0]))
+        wide = np.array([2**63, 0, 0], dtype=np.uint64)
+        with pytest.raises(TypeError, match=rf"{rejected}uint64 \(3,\)$"):
+            led.post(wide, wide)
         assert _state(led) == before
 
     def test_balances_reach_money_max_exactly(self):
-        led = Ledger(3, MONEY_MAX, [0, 0, 10])
+        led = make_ledger([0, 0, 10], MONEY_MAX)
         create_loan(led, 0, MONEY_MAX)
         led.post(net((0, -(MONEY_MAX - 10)), (2, -10), (1, MONEY_MAX)))
         pay_to_bank(led, 1, 0)
@@ -678,7 +685,7 @@ class TestBatchEdges:
         # a column whose max |x| times its length passes MONEY_MAX, so that
         # a plain int64 sum could wrap: its conservation sum is exact, and
         # every balance fits
-        led = Ledger(3, MONEY_MAX, [2**62, 2**62, 0])
+        led = make_ledger([2**62, 2**62, 0], MONEY_MAX)
         sequential = led.copy()
         transfer(sequential, 0, 2, 2**62)
         transfer(sequential, 1, 2, 2**62 - 1)
@@ -695,7 +702,7 @@ class TestBatchEdges:
         create_loan(led, 1, 10)
         before = _state(led)
         with pytest.raises(MoneyOverflow, match=f"^bank equity {2**63 + 1} out of 64-bit range$"):
-            led.post([-1, -1], equity_change=2)
+            led.post(column([-1, -1]), equity_change=2)
         assert _state(led) == before
 
     def test_spend_what_the_batch_brings_in(self):
@@ -705,29 +712,32 @@ class TestBatchEdges:
 
     def test_mismatched_lengths_and_bad_inputs(self):
         led = make_ledger([10, 10])
+        rejected = "^changes must be 1-d int64 columns, got "
         with pytest.raises(UnknownAgent):
-            led.post([-1, 0, 1])  # longer than the ledger
-        with pytest.raises(TypeError):
-            led.post([[-1, 1]])
-        with pytest.raises(TypeError):
-            led.post([-1.0, 1.0])
-        with pytest.raises(MoneyOverflow):
-            led.post(column([2**63, 0]), equity_change=-(2**63))
-        # integers beyond int64 make numpy pick float64 for a mixed list
-        with pytest.raises(MoneyOverflow, match=f"^change {2**63} exceeds 64-bit money range$"):
+            led.post(column([-1, 0, 1]))  # longer than the ledger
+        with pytest.raises(TypeError, match=rf"{rejected}int64 \(1, 2\)$"):
+            led.post(column([[-1, 1]]))
+        with pytest.raises(TypeError, match=rf"{rejected}float64 \(2,\)$"):
+            led.post(np.array([-1.0, 1.0]))
+        with pytest.raises(TypeError, match=rf"{rejected}uint64 \(2,\)$"):
+            led.post(np.array([2**63, 0], dtype=np.uint64), equity_change=-(2**63))
+        # a list is no column, even one numpy could convert
+        with pytest.raises(TypeError, match=f"{rejected}list$"):
             led.post([2**63, -1])
+        # funding a fresh ledger with money beyond int64 writes nothing
         for deposits in ([2**63, 0], [2**63], [0, MONEY_MIN - 1]):
-            wide = max(deposits, key=abs)
-            with pytest.raises(MoneyOverflow, match=f"^amount {wide} exceeds 64-bit money range$"):
-                Ledger(len(deposits), 10, deposits)
+            funded = Ledger(len(deposits), 10)
+            with pytest.raises(TypeError, match=rf"{rejected}object \({len(deposits)},\)$"):
+                funded.post(column(deposits), equity_change=-sum(deposits))
+            assert _state(funded) == _state(Ledger(len(deposits), 10))
         with pytest.raises(ValueError):
-            led.post([0, 1], [1, 1])
+            led.post(column([0, 1]), column([1, 1]))
         assert _state(led) == _state(make_ledger([10, 10]))
 
     def test_rejected_batch_leaves_no_partial_sums_behind(self):
         led = make_ledger([10, 0, 0])
         with pytest.raises(InsufficientFunds, match="^agent 1 holds 0, batch takes 1$"):
-            led.post([-10, -1, 11])  # agent 1 nets -1
+            led.post(column([-10, -1, 11]))  # agent 1 nets -1
         transfer(led, 0, 2, 4)
         assert [int(led.deposits[i]) for i in range(3)] == [6, 0, 4]
         assert led.conservation_residual() == 0
@@ -755,20 +765,20 @@ class TestSettle:
         create_loan(gross, 1, 30)
         transfer(gross, 1, 0, 30)
         repay_loan(gross, 0, 25)
-        led.post([30 - 25, 0], [-25, 30])
+        led.post(column([30 - 25, 0]), column([-25, 30]))
         assert _state(led) == _state(gross)
         assert conservation_oracle(led) == 0
 
     def test_net_result_may_pass_through_money_max(self):
         # Agent 0 holds MONEY_MAX - 10 and owes 2000. Receiving 1000
         # before repaying would overflow; the net result fits.
-        led = Ledger(2, MONEY_MAX, [MONEY_MAX - 2010, 0])
+        led = make_ledger([MONEY_MAX - 2010, 0], MONEY_MAX)
         create_loan(led, 0, 2000)
         gross = led.copy()
         create_loan(gross, 1, 1000)
         with pytest.raises(MoneyOverflow):
             transfer(gross, 1, 0, 1000)
-        led.post([1000 - 2000, 0], [-2000, 1000])
+        led.post(column([1000 - 2000, 0]), column([-2000, 1000]))
         assert _state(led)[:2] == ([MONEY_MAX - 1010, 0], [0, 1000])
         assert led.conservation_residual() == 0
 
@@ -780,7 +790,7 @@ class TestSettle:
             ([0, 1], [-16, 16], [0, 0], InsufficientFunds),
             ([0, 1], [-5, 0], [-6, 1], NoSuchDebt),
             ([0, 1], [MONEY_MAX, 0], [0, MONEY_MAX], MoneyOverflow),
-            ([0], [2**63], [2**63], MoneyOverflow),  # change beyond int64
+            ([0], [2**63], [2**63], TypeError),  # change beyond int64: no int64 column
             ([0, 1], [1, 2], [3, 1], ValueError),  # totals differ by one
         ],
     )

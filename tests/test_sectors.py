@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finphase.errors import DuplicateSector, ParseError, UnknownSector
+from finphase.errors import DuplicateSector, InvalidConfig, ParseError, UnknownSector
+from finphase.ledger import MONEY_MAX, MONEY_MIN
 from finphase.sectors import (
     SectorTable,
     bundled_eurozone_2012q1,
@@ -60,6 +61,16 @@ class TestLoadSectors:
         with pytest.raises(ParseError) as err:
             load_sectors(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("wide", [MONEY_MAX + 1, MONEY_MIN - 1, 99999999999999999999999])
+    def test_balance_outside_int64_reports_line(self, tmp_path, wide):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"sector,balance\nA,{MONEY_MAX}\nB,{MONEY_MIN}\nC,{wide}\n")
+        message = f"^line 4: balance must be in the money range .*, got {wide}$"
+        with pytest.raises(ParseError, match=message):
+            load_sectors(path)
+        path.write_text(f"sector,balance\nA,{MONEY_MAX}\nB,{MONEY_MIN}\n")
+        assert load_sectors(path).entries == (("A", MONEY_MAX), ("B", MONEY_MIN))
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -126,6 +137,15 @@ class TestCounterfactual:
     def test_unknown_sector(self):
         with pytest.raises(UnknownSector):
             counterfactual(bundled_eurozone_2012q1(), "Mars", 0)
+
+    @pytest.mark.parametrize("wide", [MONEY_MAX + 1, MONEY_MIN - 1, 10**23])
+    def test_new_value_outside_int64(self, wide):
+        table = bundled_eurozone_2012q1()
+        message = f"^new_value must be in the money range .*, got {wide}$"
+        with pytest.raises(InvalidConfig, match=message):
+            counterfactual(table, "Households", wide)
+        for edge in (MONEY_MAX, MONEY_MIN):
+            assert counterfactual(table, "Households", edge).table.balance("Households") == edge
 
     @settings(max_examples=200, deadline=None)
     @given(
