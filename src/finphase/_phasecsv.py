@@ -30,10 +30,9 @@ Parse (``analyze``), one frame per path:
   ``parse_file`` with ENCODING: the main process's
   ``io.text_encoding(None)``, so the helper decodes as the main
   process's ``open(path)`` does (``-I`` ignores ``PYTHONUTF8``). A file
-  that cannot be read, decoded or parsed gets the length ``NOT_PARSED``
-  and no bytes: the helper never builds an error, the main process
-  reports it. The main process also checks that the values are finite,
-  with numpy. Each frame is parsed and written in turn, so neither side
+  that ``parse_file`` rejects gets the length ``NOT_PARSED`` and no
+  bytes: the main process parses it again, which raises the error it
+  reports. Each frame is parsed and written in turn, so neither side
   holds more than one file.
 
 Integers and floats are in the machine's byte order: both ends run on
@@ -65,50 +64,62 @@ def format_rows(data: bytes) -> bytes:
     return f"{HEADER}\n{''.join(rows)}".encode()
 
 
-def parse_rows(body: str):
-    """x0, y0, x1, y1, ... of the rows of a phase CSV after its header, as
-    an ``array('d')``, or None if a non-blank row does not have three
-    fields or its x or y is not a number for ``float``. Rows are
-    stripped, blank ones skipped, and the ids not read; the values may
-    be infinite or NaN.
+def parse_file(path, encoding=None):
+    """x0, y0, x1, y1, ... of the rows of the phase CSV at ``path``, all
+    finite, as an ``array('d')``. Rows are stripped, blank ones skipped,
+    and the ids not read. A file that cannot be read or decoded with
+    ``encoding`` raises its OSError or UnicodeDecodeError; a wrong header
+    or a malformed or non-finite row is a ValueError ``line N: <path>:
+    ...``, blank lines counted in N.
 
     The text is parsed whole, so the cost per row is C calls, not Python
-    statements.
+    statements; only a file that fails that pass is walked line by line,
+    for the first bad row.
     """
     # imported here: the writer does without, and under -S array costs
     # ~5 ms of start-up (it imports collections.abc)
     from array import array
+    from math import isfinite
 
+    with open(path, encoding=encoding) as fh:
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    if header.strip() != HEADER:
+        raise ValueError(f"line 1: {path}: expected the header {HEADER!r}, got {header!r}")
     rows = list(filter(None, map(str.strip, body.split("\n"))))
     n = len(rows)
-    if n == 0:
-        return array("d")
     # Joined with ",\n", the rows split into fields where each newline
     # starts a field. Every row has three fields exactly when there are
     # 3n fields and all n - 1 newlines start one of the ids, fields[3k].
     fields = ",\n".join(rows).split(",")
-    if len(fields) != 3 * n or "".join(fields[::3]).count("\n") != n - 1:
-        return None
-    del fields[::3]  # x0, y0, x1, y1, ... remain
-    try:
-        return array("d", list(map(float, fields)))
-    except ValueError:
-        return None
-
-
-def parse_file(path, encoding=None):
-    """The values of the phase CSV at ``path`` as ``parse_rows`` gives
-    them, or None if it cannot be read or decoded with ``encoding`` or
-    has no header."""
-    try:
-        with open(path, encoding=encoding) as fh:
-            text = fh.read()
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
-        return None
-    header, _, body = text.partition("\n")
-    if header.strip() != HEADER:
-        return None
-    return parse_rows(body)
+    if n == 0 or len(fields) == 3 * n and "".join(fields[::3]).count("\n") == n - 1:
+        del fields[::3]  # x0, y0, x1, y1, ... remain
+        try:
+            values = array("d", list(map(float, fields)))
+        except ValueError:
+            pass
+        else:
+            # a NaN or an infinity makes the sum non-finite, and so can
+            # finite values that overflow it: the walk below tells them apart
+            if isfinite(sum(values)):
+                return values
+    values = array("d")
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"line {lineno}: {path}: expected 3 fields, got {len(fields)}")
+        try:
+            x, y = float(fields[1]), float(fields[2])
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: {path}: x and y must be numbers, got {line.strip()!r}"
+            ) from None
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"line {lineno}: {path}: non-finite phase point")
+        values.extend((x, y))
+    return values  # finite, though their sum is not
 
 
 def _read_frames(stdin, unit: str, size):
@@ -158,8 +169,9 @@ def parse_main(stdin, stdout, encoding: str) -> None:
     """Read every path from ``stdin``, then write one frame of values per
     path to ``stdout``, in order."""
     for path in list(_read_frames(stdin, "path bytes", int)):
-        values = parse_file(path, encoding)
-        if values is None:
+        try:
+            values = parse_file(path, encoding)
+        except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
             stdout.write(_uint(NOT_PARSED))
         else:
             stdout.write(_uint(len(values) * values.itemsize))

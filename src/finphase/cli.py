@@ -8,7 +8,8 @@ are byte-identical. ``firms`` has its phase CSVs formatted by a second
 process (``_phasecsv``) while its simulation runs; this process writes
 them once the last step is done. ``analyze`` has every other file parsed
 by the same helper while it parses the rest with the helper's own
-``parse_file``. Every output file is written through ``_Outputs``, so a
+``parse_file``; a file the helper rejects it parses again, for the error
+to report. Every output file is written through ``_Outputs``, so a
 run that fails removes the files it wrote. Exit codes: 0 success, 1
 domain error (message on stderr, never a stack trace), 2 usage error.
 Each subcommand imports its own modules, so no run pays for the others'.
@@ -133,6 +134,13 @@ def _finite_floats(path, lineno: int, names, fields) -> list[float]:
     return values
 
 
+def _steps(args) -> int:
+    """``--steps``, which the integrators of ``macro`` and ``reserves`` take as ``n``."""
+    if args.steps < 0:
+        raise InvalidConfig("steps must be >= 0")
+    return args.steps
+
+
 def parse_config_file(path, config_cls):
     """Read ``key = value`` lines into a dict typed per the dataclass."""
     hints = typing.get_type_hints(config_cls)
@@ -221,10 +229,10 @@ def _cmd_exchange(args) -> int:
         fixed_amount=args.amount,
         seed=args.seed,
     )
+    manifest = _Manifest("exchange", dataclasses.asdict(config), args.seed)
     wealth = exchange.run_exchange(config)
     fit = exchange.fit_exponential(wealth)
     outdir = _outdir(args)
-    manifest = _Manifest("exchange", dataclasses.asdict(config), args.seed)
 
     fit_json = {
         "temperature": fit.temperature,
@@ -279,6 +287,7 @@ def _cmd_firms(args) -> int:
     series = ["t,entropy,rentier_fraction,std_x,bankruptcies,class_A,class_B,class_C\n"]
     steps, residuals = [], []
     timings = dict.fromkeys(firms.PHASES, 0.0) if args.manifest else None
+    manifest = _Manifest("firms", dataclasses.asdict(config), config.seed)
     with _phasecsv.PhaseWriter() as writer:
         # a degenerate sample or a step error fails in this loop, before any output
         for rec in firms.records(config, timings):
@@ -293,7 +302,6 @@ def _cmd_firms(args) -> int:
             steps.append(rec.t)
             residuals.append(rec.conservation_residual)
         outdir = _outdir(args)
-        manifest = _Manifest("firms", dataclasses.asdict(config), config.seed)
         with _Outputs() as outputs:
             # strict: texts() then runs to its end, where the writer's exit status is checked
             for t, text in zip(steps, writer.texts(), strict=True):
@@ -317,40 +325,6 @@ def _cmd_firms(args) -> int:
         f"final residual {residuals[-1]}"
     )
     return 0
-
-
-def _points(values) -> np.ndarray | None:
-    """The (n, 2) float64 points of x, y pairs given as bytes or an
-    ``array('d')``, or None if one of them is not finite."""
-    points = np.frombuffer(values).reshape(-1, 2)
-    return points if np.isfinite(points).all() else None
-
-
-def _phase_error(path) -> ParseError:
-    """The ParseError of a phase CSV that ``_phasecsv.parse_file`` did not
-    parse or whose values are not all finite: a wrong header, else the
-    first malformed row. The file is read again, so one that cannot be
-    read or decoded raises its OSError or UnicodeDecodeError here."""
-    from . import _phasecsv
-
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    if lines[0].strip() != _phasecsv.HEADER:
-        return ParseError(1, f"{path}: expected the header {_phasecsv.HEADER!r}, got {lines[0]!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            return ParseError(lineno, f"{path}: expected 3 fields, got {len(fields)}")
-        try:
-            x, y = float(fields[1]), float(fields[2])
-        except ValueError:
-            return ParseError(lineno, f"{path}: x and y must be numbers, got {line.strip()!r}")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return ParseError(lineno, f"{path}: non-finite phase point")
-    # not reached: the whole-file checks fail only on a row rejected above
-    return ParseError(len(lines), f"{path}: malformed phase rows")
 
 
 def _cmd_analyze(args) -> int:
@@ -378,10 +352,10 @@ def _cmd_analyze(args) -> int:
         if len(files) > 1:
             parsed = stack.enter_context(_phasecsv.PhaseReader()).values(files[1::2])
         for k, name in enumerate(files):
-            values = next(parsed) if k % 2 else _phasecsv.parse_file(name)
-            points = None if values is None else _points(values)
-            if points is None:
-                raise _phase_error(name)
+            values = next(parsed) if k % 2 else None
+            if values is None:  # this process's file, or one the reader rejected
+                values = _phasecsv.parse_file(name)  # raises the error of a bad file
+            points = np.frombuffer(values).reshape(-1, 2)
             hist = phase.bin_phase(points, grid)
             counts += hist.counts
             total += hist.total
@@ -460,7 +434,7 @@ def _cmd_macro(args) -> int:
     report = [f"R* = {r_star * scale:.12g}{unit}"]  # printed once nothing can fail
     if args.r0 is not None:
         series = macro.profit_rate_trajectory(
-            args.r0, args.gL, args.gP, args.d, args.lambda_, args.dt, args.steps
+            args.r0, args.gL, args.gP, args.d, args.lambda_, args.dt, _steps(args)
         )
         if args.out:
             rows = "".join([f"{t!r},{v!r}\n" for t, v in zip(series.t, series.value)])
@@ -496,7 +470,7 @@ def _cmd_reserves(args) -> int:
     from . import interest
 
     params = interest.ReserveFlowParams(B0=args.b0, G=args.g, Tx=args.tax, S=args.sales)
-    path_points = interest.reserve_path(params, args.dt, args.steps)
+    path_points = interest.reserve_path(params, args.dt, _steps(args))
     out = Path(args.out) if args.out else _outdir(args) / "reserves.csv"
     rows = "".join([f"{t!r},{b!r}\n" for t, b in path_points])
     with _Outputs() as outputs:

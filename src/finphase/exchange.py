@@ -139,7 +139,7 @@ def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
     with probability below n**2 / 2**(65 - b), far under sampling noise.
     Pair ``j`` is (perm[2j], perm[2j+1]); the first agent keeps
     ``draw % (total + 1)``, or its :func:`rng.redraw_below` when the draw
-    lies in the biased top range (see :func:`_redraw_biased`). The last
+    lies in the biased top range (see :func:`rng.unbiased_mod`). The last
     round of a run that is not a whole number of rounds splits its first
     pairs only.
 
@@ -207,25 +207,16 @@ def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
                 q = perm[j, 1 : 2 * k : 2]
                 # total money <= MONEY_MAX, so total + 1 fits in uint64
                 total = money[p] + money[q]
-                keep = draws[j, :k] % (total + np.uint64(1))
+                bound = total + np.uint64(1)
                 if risky[j]:
-                    _redraw_biased(keep, draws[j, :k], total, s_split, (r0 + j) * half)
+                    keep = rng.unbiased_mod(s_split, (r0 + j) * half, draws[j, :k], bound)
+                else:
+                    keep = draws[j, :k] % bound
                 money[p] = keep
                 money[q] = total - keep
     finally:
         requests.put(None)
         worker.join()
-
-
-def _redraw_biased(keep, draws, total, seed: int, offset: int) -> None:
-    """Replace, in place, each ``keep[i] = draws[i] % (total[i] + 1)`` whose
-    draw lies in the top ``2**64 % (total[i] + 1)`` values of the uint64
-    range, where the modulo is biased, by the :func:`rng.redraw_below` of
-    stream output ``offset + i``."""
-    bound = total + np.uint64(1)
-    # ~t % (t + 1) == 2**64 % (t + 1), the size of the biased range
-    for i in np.flatnonzero(draws > ~(~total % bound)).tolist():
-        keep[i] = rng.redraw_below(seed, offset + i, int(bound[i]))
 
 
 def _fixed_amount_events(config: ExchangeConfig) -> list:

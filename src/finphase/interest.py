@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfig
-from .ledger import MONEY_MAX, MONEY_MIN, Money
+from .ledger import Money, checked_money
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,8 @@ class ReserveRiskModel:
 
     def __post_init__(self):
         for name in ("banker_capital", "reserves"):
-            value = getattr(self, name)
-            if not MONEY_MIN <= value <= MONEY_MAX:  # beyond it, float(value) can overflow
-                raise InvalidConfig(
-                    f"{name} must be in the money range [{MONEY_MIN}, {MONEY_MAX}], got {value}"
-                )
-            if value < 0:
+            # outside the money range, float(value) can overflow
+            if checked_money(name, getattr(self, name), InvalidConfig) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not self.sigma > 0:
             raise InvalidConfig(f"sigma must be > 0, got {self.sigma}")

@@ -51,6 +51,14 @@ Money = int
 MONEY_MAX = 2**63 - 1
 MONEY_MIN = -(2**63)
 
+
+def checked_money(name: str, value: int, error=MoneyOverflow) -> Money:
+    """``value``, or ``error(message)`` naming ``name`` if it is outside the money range."""
+    if not MONEY_MIN <= value <= MONEY_MAX:
+        raise error(f"{name} must be in the money range [{MONEY_MIN}, {MONEY_MAX}], got {value}")
+    return value
+
+
 _LO = 2**31 - 1  # the low limb's bits
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DegenerateSample
+from .errors import DegenerateSample, InvalidConfig
 
 
 # Default window: covers the bankruptcy wall at x = 1 plus a long
@@ -116,25 +116,28 @@ def entropy(hist: PhaseHistogram) -> float:
 
 
 def tail_metrics(points: ArrayLike) -> TailMetrics:
-    """Sample statistics of the debt-ratio marginal {x} of (n, 2) points."""
+    """Sample statistics of the debt-ratio marginal {x} of (n, 2) points;
+    a moment that leaves the finite float range is an InvalidConfig
+    naming the first metric it makes non-finite."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 2:
         raise DegenerateSample(f"need >= 2 points, got {len(pts)}")
     x = pts[:, 0]
-    mean = float(x.mean())
-    centered = x - mean
-    m2 = float((centered**2).mean())
-    std = math.sqrt(m2)
-    if m2 > 0.0:
-        skew = float((centered**3).mean()) / m2**1.5
-    else:
-        skew = 0.0
-    return TailMetrics(
+    with np.errstate(all="ignore"):  # an overflow is reported below, by name
+        mean = x.mean()
+        centered = x - mean
+        m2 = (centered**2).mean()
+        skew = (centered**3).mean() / m2**1.5 if m2 > 0.0 else 0.0
+    metrics = TailMetrics(
         rentier_fraction=float((x < 0).sum()) / len(x),
-        mean_x=mean,
-        std_x=std,
-        skew_x=skew,
+        mean_x=float(mean),
+        std_x=math.sqrt(m2),
+        skew_x=float(skew),
     )
+    for name in ("mean_x", "std_x", "skew_x"):
+        if not math.isfinite(value := getattr(metrics, name)):
+            raise InvalidConfig(f"{name} must be finite, got {value}")
+    return metrics
 
 
 def histogram_csv(hist: PhaseHistogram) -> str:

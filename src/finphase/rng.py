@@ -92,11 +92,21 @@ def randint_block(seed: int, start: int, count: int, bound: int) -> np.ndarray:
     or its :func:`redraw_below` when it lies in the biased top range."""
     if bound <= 0:
         raise ValueError("bound must be > 0")
-    draws = u64_block(seed, start, count)
-    out = (draws % np.uint64(bound)).astype(np.int64)
-    # draw > 2**64 - 1 - 2**64 % bound: the draw is in the biased top range
-    for i in np.flatnonzero(draws > np.uint64(_MASK - (1 << 64) % bound)).tolist():
-        out[i] = redraw_below(seed, start + i, bound)
+    return unbiased_mod(seed, start, u64_block(seed, start, count), bound).astype(np.int64)
+
+
+def unbiased_mod(seed: int, start: int, draws: np.ndarray, bound) -> np.ndarray:
+    """``draws % bound`` as uint64, where ``draws`` are outputs ``start ..``
+    of stream ``seed`` and ``bound`` is one bound in [1, 2**64) or one per
+    draw: each draw in the biased top ``2**64 % bound`` values of the
+    uint64 range is replaced by the :func:`redraw_below` of its output."""
+    bound = np.asarray(bound, dtype=np.uint64)
+    out = draws % bound
+    # ~(b - 1) % b == 2**64 % b, so the biased draws are those above limit
+    limit = ~(~(bound - np.uint64(1)) % bound)
+    bounds = np.broadcast_to(bound, draws.shape)
+    for i in np.flatnonzero(draws > limit).tolist():
+        out[i] = redraw_below(seed, start + i, int(bounds[i]))
     return out
 
 

@@ -12,10 +12,11 @@ Pure functions over immutable tables; thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 from .errors import DuplicateSector, InvalidConfig, ParseError, UnknownSector
-from .ledger import MONEY_MAX, MONEY_MIN, Money
+from .ledger import Money, checked_money
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,7 @@ def load_sectors(path) -> SectorTable:
             value = int(parts[1])
         except ValueError:
             raise ParseError(lineno, f"balance {parts[1]!r} is not an integer")
-        if not MONEY_MIN <= value <= MONEY_MAX:
-            raise ParseError(
-                lineno,
-                f"balance must be in the money range [{MONEY_MIN}, {MONEY_MAX}], got {value}",
-            )
-        entries.append((name, value))
+        entries.append((name, checked_money("balance", value, partial(ParseError, lineno))))
     if not saw_header:
         raise ParseError(1, "missing 'sector,balance' header")
     if len(entries) < 2:
@@ -107,10 +103,11 @@ def load_sectors(path) -> SectorTable:
 
 
 def check_zero_sum(table: SectorTable, tolerance: Money = 0) -> BalanceReport:
-    """Sum the balances and report against the declared tolerance."""
+    """Sum the balances and report against the declared tolerance; a sum
+    outside the money range is a MoneyOverflow."""
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    residual = sum(value for _, value in table.entries)
+    residual = checked_money("residual", sum(value for _, value in table.entries))
     largest_surplus = max(table.entries, key=lambda e: e[1])[0]
     largest_deficit = min(table.entries, key=lambda e: e[1])[0]
     return BalanceReport(
@@ -128,19 +125,16 @@ def counterfactual(
     other sectors must absorb for the zero-sum identity to hold again
     (required_offset = -(new residual)); how that adjustment distributes
     across sectors is deliberately not guessed. ``new_value`` must lie in
-    the money range."""
+    the money range, and a required_offset outside it is a MoneyOverflow."""
     table.balance(sector)  # raises UnknownSector
-    if not MONEY_MIN <= new_value <= MONEY_MAX:
-        raise InvalidConfig(
-            f"new_value must be in the money range [{MONEY_MIN}, {MONEY_MAX}], got {new_value}"
-        )
+    checked_money("new_value", new_value, InvalidConfig)
     entries = tuple(
         (name, new_value if name == sector else value)
         for name, value in table.entries
     )
     new_table = SectorTable(table.period, table.scale, entries)
-    new_residual = sum(value for _, value in entries)
-    return CounterfactualResult(new_table, -new_residual)
+    offset = -sum(value for _, value in entries)
+    return CounterfactualResult(new_table, checked_money("required_offset", offset))
 
 
 def bundled_eurozone_2012q1() -> SectorTable:

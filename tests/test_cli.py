@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import types
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -239,14 +239,22 @@ BAD_GRIDS = [
         (["sectors", "check", "{wide_sectors}", "--out", "{out}/s.json"],
          f"line 2: balance must be in the money range \\[.*\\], got {10**23 - 1}\n\\Z"),
         (["macro", "--gL", "0.02", "--gP", "0.03", "--d", "0.1", "--lambda", "0.6",
-          "--r0", "0.1", "--steps", "-1"], "n must be >= 0\n\\Z"),
+          "--r0", "0.1", "--steps", "-1"], "steps must be >= 0\n\\Z"),
+        (["reserves", "--b0", "1", "--g", "1", "--tax", "1", "--sales", "1", "--steps", "-1",
+          "--outdir", "{out}"], "steps must be >= 0\n\\Z"),
+        # balances in the money range whose sum is not
+        (["sectors", "check", "{sum_sectors}", "--out", "{out}/s.json"],
+         f"residual must be in the money range \\[.*\\], got {2 * (2**63 - 1)}\n\\Z"),
+        (["sectors", "what-if", "{sum_sectors}", "--sector", "B", "--value", str(2**63 - 1)],
+         f"required_offset must be in the money range \\[.*\\], got {-2 * (2**63 - 1)}\n\\Z"),
     ]
     + [(cmd + ["--grid", *grid], message) for cmd in (FIRMS, ANALYZE) for grid, message in BAD_GRIDS],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
          "one_firm", "exchange_total_money", "r_star_overflow", "table_r_star_overflow",
          "trajectory_overflow", "reserves_overflow", "cagr_overflow", "capital_too_wide",
          "reserves_too_wide", "capital_negative", "sectors_value_too_wide",
-         "sectors_balance_too_wide", "trajectory_steps_negative"]
+         "sectors_balance_too_wide", "trajectory_steps_negative", "reserves_steps_negative",
+         "sectors_residual_too_wide", "sectors_offset_too_wide"]
     + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze") for case in ("nx", "extent", "bins")],
 )
 def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message):
@@ -260,13 +268,15 @@ def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message
     steep.write_text("t,level\n0,1\n1e-10,1e10\n")
     wide_sectors = tmp_path / "wide.csv"
     wide_sectors.write_text(f"sector,balance\nA,{10**23 - 1}\nB,{-(10**23 - 1)}\n")
+    sum_sectors = tmp_path / "sum.csv"
+    sum_sectors.write_text(f"sector,balance\nA,{2**63 - 1}\nB,{2**63 - 1}\n")
     phase_csv = tmp_path / "phase_t1.csv"
     phase_csv.write_text("firm_id,x,y\n0,0.5,0.0\n1,-0.5,0.1\n")
     out = tmp_path / "out"
     out.mkdir()
     files = {
         "levels": levels, "table": table, "overflow_table": overflow_table, "steep": steep,
-        "wide_sectors": wide_sectors,
+        "wide_sectors": wide_sectors, "sum_sectors": sum_sectors,
     }
     argv = [a.format(out=out, phase=phase_csv, **files) for a in argv]
     assert run_cli(*argv) == 1
@@ -393,6 +403,29 @@ class TestFirmsCommand:
         assert run_cli("firms", "--config", str(cfg), "--outdir", str(out)) == 1
         assert capsys.readouterr().err == "error: interest_rate must be finite, got nan\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "module, work, argv",
+    [
+        (exchange, "run_exchange", ["exchange", "--agents", "20", "--events", "100"]),
+        (firms, "records", ["firms", "--firms", "5", "--workers", "20", "--steps", "2"]),
+    ],
+    ids=["exchange", "firms"],
+)
+def test_manifest_started_is_stamped_before_the_work(tmp_path, monkeypatch, module, work, argv):
+    entered = []
+    real = getattr(module, work)
+
+    def timed(*args):
+        entered.append(datetime.now(timezone.utc))
+        return real(*args)
+
+    monkeypatch.setattr(module, work, timed)
+    assert run_cli(*argv, "--outdir", str(tmp_path), "--manifest") == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    [entry] = entered
+    assert datetime.fromisoformat(manifest["started"]) <= entry
 
 
 def phase_csv_oracle(points) -> bytes:
@@ -750,6 +783,9 @@ ANALYZE_INPUTS = {
     "blank_lines_and_tabs": (b"\n\t0,\t0.5,0.1\t\n \n\n1,-2,0.25\n\n", TWO_POINTS),
     "trailing_comma": (b"0,0.5,0.1\n1,-2,0.25,\n", (3, "expected 3 fields, got 4")),
     "non_utf8_byte": (b"0\xff,0.5,0.1\n1,-2,0.25\n", None),  # as this process decodes it
+    # finite values whose sum overflows: walked line by line, then accepted
+    "sum_overflow": (b"0,0.5,1e308\n1,-2,1e308\n2,0.1,0.1\n",
+                     [[0.5, 1e308], [-2.0, 1e308], [0.1, 0.1]]),
 }
 
 
@@ -816,6 +852,25 @@ class TestAnalyzeInputs:
         assert re.fullmatch(r"error: \[Errno 21\] Is a directory: '.*r\.json'\n", err), err
         assert os.listdir(out) == ["r.json"]
         assert os.listdir(out / "r.json") == []
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1e200,0.1\n1,-1e200,0.0\n2,0.3,0.2\n", "std_x must be finite, got inf"),
+        ("0,1e150,0.1\n1,-1e150,0.0\n2,0.3,0.2\n", "skew_x must be finite, got nan"),
+        ("0,0,0.1\n1,1e-110,0.0\n", "skew_x must be finite, got nan"),
+    ],
+    ids=["std_overflow", "skew_overflow", "skew_underflow"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_moment_is_named_without_warnings(tmp_path, capsys, rows, message):
+    # finite points whose moments leave the float range
+    csv_path = tmp_path / "phase_t1.csv"
+    csv_path.write_text(f"firm_id,x,y\n{rows}")
+    assert run_cli("analyze", str(csv_path), "--out", str(tmp_path / "r.json")) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert os.listdir(tmp_path) == ["phase_t1.csv"]
 
 
 class TestPhaseReader:

@@ -1,5 +1,6 @@
 """Exchange kinetics: conservation, determinism, Gibbs-Boltzmann fit."""
 
+import hashlib
 import math
 import os
 import statistics
@@ -148,6 +149,18 @@ class TestRunExchange:
             assert int(money[0]) + int(money[1]) == total
             below += int(money.min()) < 2**61
         assert abs(below / seeds - 2 / 3) < 0.018  # sigma 0.006
+
+    def test_split_near_int64_is_pinned(self):
+        # sha256 of the final balances of the 6000 runs above: a change to
+        # any split or redraw fails here
+        digest = hashlib.sha256()
+        for seed in range(6000):
+            money = np.array([3 * 2**61 - 1, 0], dtype=np.uint64)
+            exchange._pair_split_rounds(money, 1, seed)
+            digest.update(money.tobytes())
+        assert digest.hexdigest() == (
+            "f3ba7582361c48d927a7c5ec88d1f3b02d32ef1cab23ac9af80f083fe7f97f9e"
+        )
 
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfig):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finphase import rng
-from finphase.errors import DegenerateSample
+from finphase.errors import DegenerateSample, InvalidConfig
 from finphase.phase import (
     MAX_BINS,
     GridSpec,
@@ -215,6 +215,23 @@ class TestTailMetrics:
     def test_too_few_points(self):
         with pytest.raises(DegenerateSample, match="^need >= 2 points"):
             tail_metrics([(0.0, 0.0)])
+
+    @pytest.mark.parametrize(
+        "xs, message",
+        [
+            ([1e308, 1e308], "mean_x must be finite, got inf"),
+            ([1e200, -1e200, 0.3], "std_x must be finite, got inf"),
+            # m2 is finite but m2**1.5 overflows
+            ([1e150, -1e150, 0.3], "skew_x must be finite, got nan"),
+            # m2 > 0 but m2**1.5 underflows to 0
+            ([0.0, 1e-110], "skew_x must be finite, got nan"),
+        ],
+        ids=["mean", "std", "skew_overflow", "skew_underflow"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_moment_names_the_metric(self, xs, message):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            tail_metrics([(x, 0.0) for x in xs])
 
 
 class TestHistogramCsv:

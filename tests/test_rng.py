@@ -1,5 +1,6 @@
 """Deterministic stream generator: reproducibility and uniformity."""
 
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -72,6 +73,31 @@ def test_randint_is_unbiased_for_bounds_near_2_64():
         assert x[i] == int(sub[sub < np.uint64(2**64 - 2**62)][0]) % bound
     # offsets are stream offsets: a later start gives the same values
     assert (rng.randint_block(5, 40_000, 60_000, bound) == x[40_000:]).all()
+
+
+@pytest.mark.parametrize(
+    "bound, digest",
+    [
+        (3 * 2**61, "bc494d1a1d851a72658b0bad29b89e506dd269d0fae0db8d16ea8b8f360c53d1"),
+        (2**63 - 1, "322158db2737e2f8672c4983b3fa84cca068e85bb9c4522c2803f63968b14fb5"),
+        (7, "708a7ec7a6f081dd68db7c166622b29aafd63793f63218121dd22bcd73e2b4b0"),
+    ],
+)
+def test_randint_outputs_are_pinned(bound, digest):
+    # sha256 of the int64 outputs: a change to any draw or redraw fails here
+    x = rng.randint_block(5, 0, 100_000, bound)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+
+def test_unbiased_mod_takes_one_bound_per_draw():
+    draws = rng.u64_block(9, 100, 1000)
+    bounds = np.array([3 * 2**61, 7] * 500, dtype=np.uint64)
+    out = rng.unbiased_mod(9, 100, draws, bounds)
+    assert out.dtype == np.uint64
+    for bound in (3 * 2**61, 7):
+        mask = bounds == np.uint64(bound)
+        assert (out[mask] == rng.unbiased_mod(9, 100, draws, bound)[mask]).all()
+    assert (out != draws % bounds).any()  # some draws of bound 3 * 2**61 were redrawn
 
 
 def test_normal_block_moments():

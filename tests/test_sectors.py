@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finphase.errors import DuplicateSector, InvalidConfig, ParseError, UnknownSector
+from finphase.errors import DuplicateSector, InvalidConfig, MoneyOverflow, ParseError, UnknownSector
 from finphase.ledger import MONEY_MAX, MONEY_MIN
 from finphase.sectors import (
     SectorTable,
@@ -116,6 +116,17 @@ class TestCheckZeroSum:
             entries.append(("balancer", -sum(values)))
             assert check_zero_sum(table_of(entries)).residual == 0
 
+    @pytest.mark.parametrize("edge", [MONEY_MAX, MONEY_MIN])
+    def test_residual_outside_int64(self, edge):
+        # every balance is in the money range, their sum is not
+        message = f"^residual must be in the money range .*, got {2 * edge}$"
+        with pytest.raises(MoneyOverflow, match=message):
+            check_zero_sum(table_of([("A", edge), ("B", edge)]))
+
+    def test_residual_at_the_range_edges(self):
+        for edge in (MONEY_MAX, MONEY_MIN):
+            assert check_zero_sum(table_of([("A", edge), ("B", 0)])).residual == edge
+
     def test_permutation_invariance_and_merge_additivity(self):
         entries = [("A", 10), ("B", -4), ("C", 7), ("D", -13)]
         base = check_zero_sum(table_of(entries)).residual
@@ -144,8 +155,27 @@ class TestCounterfactual:
         message = f"^new_value must be in the money range .*, got {wide}$"
         with pytest.raises(InvalidConfig, match=message):
             counterfactual(table, "Households", wide)
-        for edge in (MONEY_MAX, MONEY_MIN):
-            assert counterfactual(table, "Households", edge).table.balance("Households") == edge
+        # the others sum to -48 and 122: each edge leaves the offset in range
+        for sector, edge in (("Households", MONEY_MAX), ("Govt", MONEY_MIN)):
+            assert counterfactual(table, sector, edge).table.balance(sector) == edge
+
+    @pytest.mark.parametrize(
+        "other, new_value, offset",
+        [(MONEY_MAX, MONEY_MAX, -2 * MONEY_MAX), (MONEY_MIN, 0, MONEY_MAX + 1),
+         (MONEY_MIN, MONEY_MIN, -2 * MONEY_MIN)],
+        ids=["minus_twice_max", "minus_min", "minus_twice_min"],
+    )
+    def test_required_offset_outside_int64(self, other, new_value, offset):
+        table = table_of([("A", other), ("B", 0)])
+        message = f"^required_offset must be in the money range .*, got {offset}$"
+        with pytest.raises(MoneyOverflow, match=message):
+            counterfactual(table, "B", new_value)
+
+    def test_required_offset_at_the_range_edges(self):
+        table = table_of([("A", MONEY_MIN + 1), ("B", 0)])
+        assert counterfactual(table, "B", 0).required_offset == MONEY_MAX
+        table = table_of([("A", MONEY_MAX), ("B", 0)])
+        assert counterfactual(table, "B", 1).required_offset == MONEY_MIN
 
     @settings(max_examples=200, deadline=None)
     @given(
