@@ -1,8 +1,8 @@
 """The phase-CSV helper: a second process that formats the phase CSVs of
 ``finphase firms`` and parses those of ``finphase analyze``, so that
 work runs on another core while the command's own process goes on.
-``analyze`` parses its other files with this module's ``parse_file``,
-so both processes accept the same files.
+``analyze`` parses the files the helper has not reached with this
+module's ``parse_file``, so both processes accept the same files.
 
 The CLI holds a ``PhaseWriter`` or a ``PhaseReader``, each of which
 starts this file as ``python -I -S _phasecsv.py [parse ENCODING]``. As a
@@ -27,13 +27,13 @@ Parse (``analyze``), one frame per path:
 
 - on its stdin, each path's length as 8 bytes, then the path's bytes;
 - on its stdout, the file's x, y values as float64 pairs, parsed by
-  ``parse_file`` with ENCODING: the main process's
-  ``io.text_encoding(None)``, so the helper decodes as the main
-  process's ``open(path)`` does (``-I`` ignores ``PYTHONUTF8``). A file
-  that ``parse_file`` rejects gets the length ``NOT_PARSED`` and no
-  bytes: the main process parses it again, which raises the error it
-  reports. Each frame is parsed and written in turn, so neither side
-  holds more than one file.
+  ``parse_file`` with ENCODING, the main process's
+  ``io.text_encoding(None)``, so both decode as ``open(path)`` does
+  there (``-I`` ignores ``PYTHONUTF8``). A file ``parse_file`` rejects
+  gets the length ``NOT_PARSED`` and no bytes, for the main process to
+  parse it again, which raises the error it reports. The main process
+  takes a frame only once all of it has come, parses files from the
+  back until then, and kills the helper where the two meet.
 
 Integers and floats are in the machine's byte order: both ends run on
 the same machine.
@@ -86,12 +86,12 @@ def parse_file(path, encoding=None):
     header, _, body = text.partition("\n")
     if header.strip() != HEADER:
         raise ValueError(f"line 1: {path}: expected the header {HEADER!r}, got {header!r}")
-    rows = list(filter(None, map(str.strip, body.split("\n"))))
-    n = len(rows)
-    # Joined with ",\n", the rows split into fields where each newline
-    # starts a field. Every row has three fields exactly when there are
-    # 3n fields and all n - 1 newlines start one of the ids, fields[3k].
-    fields = ",\n".join(rows).split(",")
+    rows = body.rstrip("\n")
+    n = rows.count("\n") + 1 if rows else 0
+    # With a comma before each newline, each newline starts a field. Every
+    # row has three fields exactly when there are 3n fields and all n - 1
+    # newlines start one of the ids, fields[3k]; blank rows fail this.
+    fields = rows.replace("\n", ",\n").split(",")
     if n == 0 or len(fields) == 3 * n and "".join(fields[::3]).count("\n") == n - 1:
         del fields[::3]  # x0, y0, x1, y1, ... remain
         try:
@@ -185,8 +185,8 @@ class _Helper:
     Use it in a ``with`` block: on leaving it the process is killed if
     it is still running and always reaped, so no exit path, an
     exception or KeyboardInterrupt included, leaves it behind. A helper
-    that exits early or non-zero, or a frame that ends early, is an
-    OSError naming the helper.
+    that exits early or non-zero on its own, or a frame that ends early,
+    is an OSError naming the helper.
     """
 
     def __init__(self, *args: str) -> None:
@@ -205,20 +205,23 @@ class _Helper:
                     fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
                 except OSError:  # above the system's limit: the default size works too
                     pass
+        self._frame = bytearray()  # what is read of the next output frame
+        self._need = _SIZE  # its length, as far as it is known
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, *_) -> None:
         proc = self._proc
         if proc.returncode is None:
-            proc.kill()  # the run failed part-way: its output is not wanted
+            proc.kill()  # its output is not wanted, or no more of it
         for pipe in (proc.stdin, proc.stdout):
             try:
                 pipe.close()
             except OSError:  # flushing input to a helper that has exited
                 pass
-        proc.wait()
+        if proc.wait() not in (0, -9) and exc_type is None:  # -9: the kill above
+            raise OSError(f"{self.name} failed (exit status {proc.returncode})")
 
     def _failed(self, what: str) -> OSError:
         self._proc.kill()
@@ -230,37 +233,37 @@ class _Helper:
         except BrokenPipeError:
             raise self._failed("stopped reading") from None
 
-    def _exited(self) -> None:
-        if self._proc.wait() != 0:
-            raise self._failed("failed")
-
-    def _frames(self, count: int):
-        """Close the helper's input, then return an iterator over ``count``
-        frames of its output: the bytes of each, or None for a
-        ``NOT_PARSED`` frame. The helper's exit status is checked before
-        the last frame is given, so no output of a failed helper is used."""
+    def _end_input(self) -> None:
         try:
             self._proc.stdin.close()
         except BrokenPipeError:
             raise self._failed("stopped reading") from None
-        if count == 0:
-            self._exited()
-        return self._output(count)
 
-    def _output(self, count: int):
-        out = self._proc.stdout
-        for k in range(count):
-            head = out.read(_SIZE)
-            size = int.from_bytes(head, sys.byteorder)
-            if size == NOT_PARSED:
-                data = None
-            else:
-                data = out.read(size) if len(head) == _SIZE else b""
-                if len(head) != _SIZE or len(data) != size:
-                    raise self._failed("output ended early")
-            if k == count - 1:
-                self._exited()
-            yield data
+    def ready(self) -> bool:
+        """Whether all of the next output frame is read, reading no further
+        than its end; on output set not to block, without waiting."""
+        import os
+
+        while (missing := self._need - len(self._frame)) > 0:
+            try:
+                data = os.read(self._proc.stdout.fileno(), missing)
+            except BlockingIOError:
+                return False
+            if not data:
+                raise self._failed("output ended early")
+            self._frame += data
+            if len(self._frame) == _SIZE:  # the head: the length of the rest
+                size = int.from_bytes(self._frame, sys.byteorder)
+                self._need += 0 if size == NOT_PARSED else size
+        return True
+
+    def take(self):
+        """The data of the frame ``ready`` found whole; None if NOT_PARSED."""
+        frame, self._frame, self._need = self._frame, bytearray(), _SIZE
+        if int.from_bytes(frame[:_SIZE], sys.byteorder) == NOT_PARSED:
+            return None
+        del frame[:_SIZE]
+        return frame
 
 
 class PhaseWriter(_Helper):
@@ -281,15 +284,22 @@ class PhaseWriter(_Helper):
         self._sent += 1
 
     def texts(self):
-        """The text of each file sent, in order, once all are sent."""
-        return self._frames(self._sent)
+        """The text of each file sent, in order, once all are sent; the
+        writer's exit status is checked after the last one."""
+        self._end_input()
+        for _ in range(self._sent):
+            self.ready()  # waits: this output blocks
+            yield self.take()
+        if self._proc.wait() != 0:
+            raise self._failed("failed")
 
 
 class PhaseReader(_Helper):
-    """The parse helper, as ``finphase analyze`` sees it: ``values(paths)``
-    hands it every path at once and returns an iterator over the files'
-    x, y float64 pairs as bytes, in order, with None for a file the
-    helper did not parse."""
+    """The parse helper, as ``finphase analyze`` sees it: ``send(paths)``
+    hands it every path at once. Each time ``ready()`` finds the next
+    file's frame whole, ``take()`` gives its x, y float64 pairs, or None
+    for a file the helper did not parse. Leaving the ``with`` block kills
+    it, as the command may have parsed the remaining files itself."""
 
     name = "phase reader"
 
@@ -298,12 +308,13 @@ class PhaseReader(_Helper):
 
         super().__init__("parse", io.text_encoding(None))
 
-    def values(self, paths):
+    def send(self, paths) -> None:
         import os
 
         for path in map(os.fsencode, paths):
             self._write(_uint(len(path)) + path)
-        return self._frames(len(paths))
+        self._end_input()
+        os.set_blocking(self._proc.stdout.fileno(), False)
 
 
 if __name__ == "__main__":

@@ -6,10 +6,10 @@ config and seed (seeds default to 0, never to the clock), and all data
 outputs are written with full-precision repr formatting so identical runs
 are byte-identical. ``firms`` has its phase CSVs formatted by a second
 process (``_phasecsv``) while its simulation runs; this process writes
-them once the last step is done. ``analyze`` has every other file parsed
-by the same helper while it parses the rest with the helper's own
-``parse_file``; a file the helper rejects it parses again, for the error
-to report. Every output file is written through ``_Outputs``, so a
+them once the last step is done. ``analyze`` has the same helper parse
+files from the front while it parses them from the back with ``parse_file``
+until the two meet; a file the helper rejects it parses again, for the
+error to report. Every output file is written through ``_Outputs``, so a
 run that fails removes the files it wrote. Exit codes: 0 success, 1
 domain error (message on stderr, never a stack trace), 2 usage error.
 Each subcommand imports its own modules, so no run pays for the others'.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -42,6 +43,10 @@ import numpy as np
 
 from . import __version__, phase
 from .errors import FinphaseError, InvalidConfig, ParseError
+
+# What is imported by now lives until exit; frozen, it is left out of every
+# collection, and the interpreter's exit takes ~6 ms instead of ~26 ms.
+gc.freeze()
 
 ENV_OUTDIR = "FINPHASE_OUTDIR"
 
@@ -340,39 +345,49 @@ def _cmd_analyze(args) -> int:
         if base in seen:
             raise InvalidConfig(f"two inputs have the base name {base!r}; the report is keyed by it")
         seen.add(base)
-    report = {}
     # Binning is per point, so the histogram of all files is the sum of
-    # the per-file ones; no file's points are kept past its own turn.
+    # the per-file ones; a file's points are dropped once it is summarised.
     counts = np.zeros((grid.nx, grid.ny), dtype=np.int64)
-    total = out_of_range = 0
-    with contextlib.ExitStack() as stack:
-        # The phase reader parses the odd-indexed files while this process
-        # parses the even-indexed ones, with the same function; one file
-        # is not worth a process.
-        if len(files) > 1:
-            parsed = stack.enter_context(_phasecsv.PhaseReader()).values(files[1::2])
-        for k, name in enumerate(files):
-            values = next(parsed) if k % 2 else None
-            if values is None:  # this process's file, or one the reader rejected
-                values = _phasecsv.parse_file(name)  # raises the error of a bad file
-            points = np.frombuffer(values).reshape(-1, 2)
-            hist = phase.bin_phase(points, grid)
-            counts += hist.counts
-            total += hist.total
-            out_of_range += hist.out_of_range
-            metrics = phase.tail_metrics(points)
-            report[names[k]] = {
-                "entropy": phase.entropy(hist),
-                "rentier_fraction": metrics.rentier_fraction,
-                "mean_x": metrics.mean_x,
-                "std_x": metrics.std_x,
-                "skew_x": metrics.skew_x,
-                "points": hist.total,
-                "out_of_range": hist.out_of_range,
-            }
-    text = _json(report)  # a non-finite metric fails here, before any output
+    entries = [None] * len(files)  # the report's, in argument order
+    errors = {}  # by file index: the first bad file's is raised
+    # The phase reader parses the files from the front; whenever none of its
+    # frames is waiting, this process parses the last file neither has taken,
+    # until the two meet. One file is not worth a process.
+    with _phasecsv.PhaseReader() if len(files) > 1 else contextlib.nullcontext() as reader:
+        if reader is not None:
+            reader.send(files)
+        front, back = 0, len(files)
+        while front < back:
+            if reader is not None and reader.ready():
+                k, values = front, reader.take()
+                front += 1
+            else:
+                back -= 1
+                k, values = back, None
+            try:
+                if values is None:  # this process's file, or one the reader rejected
+                    values = _phasecsv.parse_file(files[k])  # raises the error of a bad file
+                points = np.frombuffer(values).reshape(-1, 2)
+                hist = phase.bin_phase(points, grid)
+                counts += hist.counts
+                metrics = phase.tail_metrics(points)
+                entries[k] = {
+                    "entropy": phase.entropy(hist),
+                    "rentier_fraction": metrics.rentier_fraction,
+                    "mean_x": metrics.mean_x,
+                    "std_x": metrics.std_x,
+                    "skew_x": metrics.skew_x,
+                    "points": hist.total,
+                    "out_of_range": hist.out_of_range,
+                }
+            except (FinphaseError, OSError, ValueError, MemoryError) as exc:
+                errors[k] = exc  # raised unless a file before this one fails too
+    if errors:
+        raise errors[min(errors)]
+    text = _json(dict(zip(names, entries)))  # a non-finite metric fails here, before any output
     with _Outputs() as outputs:
         if args.hist_out:
+            total, out_of_range = (sum(e[key] for e in entries) for key in ("points", "out_of_range"))
             combined = phase.PhaseHistogram(grid, counts, total, out_of_range)
             outputs.emit(args.hist_out, phase.histogram_csv(combined).encode())
         if args.out:

@@ -127,7 +127,10 @@ def tail_metrics(points: ArrayLike) -> TailMetrics:
         mean = x.mean()
         centered = x - mean
         m2 = (centered**2).mean()
-        skew = (centered**3).mean() / m2**1.5 if m2 > 0.0 else 0.0
+        scale = m2**1.5
+        if 0.0 < m2 and scale < np.finfo(float).tiny:  # underflows: standardise first
+            centered, scale = centered / math.sqrt(m2), 1.0
+        skew = (centered**3).mean() / scale if m2 > 0.0 else 0.0
     metrics = TailMetrics(
         rentier_fraction=float((x < 0).sum()) / len(x),
         mean_x=float(mean),

@@ -2,11 +2,14 @@
 
 import io
 import json
+import math
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
+import time
 import types
 from datetime import datetime, timezone
 from pathlib import Path
@@ -789,6 +792,57 @@ ANALYZE_INPUTS = {
 }
 
 
+def reference_parse(path):
+    """What ``parse_file`` makes of the rows of ``path``, from a plain walk
+    over its lines: the x, y values, or the message of the error."""
+    values = []
+    lines = path.read_text().split("\n")  # newlines translated, as parse_file reads
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            return f"line {lineno}: {path}: expected 3 fields, got {len(fields)}"
+        try:
+            x, y = float(fields[1]), float(fields[2])
+        except ValueError:
+            return f"line {lineno}: {path}: x and y must be numbers, got {line.strip()!r}"
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return f"line {lineno}: {path}: non-finite phase point"
+        values += [x, y]
+    return values
+
+
+phase_fields = st.sampled_from(
+    ["0.5", "-2", "1_0", " 0.25 ", "1e-3", "1e308", "nan", "inf", "-inf", "", "abc", "0x1p3"]
+) | st.floats().map(repr)
+phase_lines = st.one_of(
+    st.tuples(st.just("7"), phase_fields, phase_fields).map(",".join),
+    st.tuples(st.just("7"), phase_fields).map(",".join),
+    st.tuples(st.just("7"), phase_fields, phase_fields, phase_fields).map(",".join),
+    st.sampled_from(["", " ", "\t", "  \t "]),
+)
+phase_bodies = st.tuples(
+    st.lists(st.tuples(phase_lines, st.sampled_from(["\n", "\r\n"])), max_size=8),
+    st.sampled_from(["", "\n", "\n\n", "\r\n", " \n"]),
+).map(lambda parts: "".join(line + end for line, end in parts[0]) + parts[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_bodies)
+@example("0,1_0,0.1\r\n\n \n1,-2,0.25\n\n")
+@example("0,0.5,1e308\n1,-2,1e308\n")
+@example("0,0.5\n1,-2,0.25,1\n")
+def test_parse_file_matches_a_line_by_line_reference(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("body") / "phase_t0.csv"
+    path.write_bytes(f"firm_id,x,y\n{body}".encode())
+    try:
+        got = _phasecsv.parse_file(path).tolist()
+    except ValueError as exc:
+        got = str(exc)
+    assert repr(got) == repr(reference_parse(path))  # repr: -0.0 and 0.0 differ
+
+
 def phase_files(tmp_path, n):
     """``n`` good phase CSVs in ``tmp_path``, as argument strings."""
     paths = [tmp_path / f"phase_t{t}.csv" for t in range(n)]
@@ -797,17 +851,40 @@ def phase_files(tmp_path, n):
     return list(map(str, paths))
 
 
+def reader_frames(paths):
+    """What a real phase reader makes of ``paths``, waiting for each
+    frame: the file's x, y pairs as a list, or None for a file it did not
+    parse."""
+    frames = []
+    with _phasecsv.PhaseReader() as reader:
+        reader.send(paths)
+        for _ in paths:
+            while not reader.ready():
+                time.sleep(0.001)
+            frame = reader.take()
+            frames.append(None if frame is None else np.frombuffer(frame).reshape(-1, 2).tolist())
+    return frames
+
+
+def distinct_phase_files(tmp_path, steps=6):
+    """The phase CSVs of a small firms run, all different, in step order."""
+    run = tmp_path / "run"
+    assert run_cli("firms", "--firms", "30", "--workers", "150", "--steps", str(steps),
+                   "--outdir", str(run)) == 0
+    return [str(run / f"phase_t{t}.csv") for t in range(steps + 1)]
+
+
 class TestAnalyzeInputs:
     @pytest.mark.parametrize("index", [0, 1], ids=["main_process", "phase_reader"])
     @pytest.mark.parametrize("name", list(ANALYZE_INPUTS))
     def test_accepted_inputs_are_pinned(self, tmp_path, capsys, monkeypatch, name, index):
-        # file 0 is parsed by the command's own process, file 1 by the phase reader
+        # each input is parsed by the command's own parse_file (index 0) and
+        # by a phase reader (index 1), and then by analyze, whichever
+        # process it reaches there
         rows, want = ANALYZE_INPUTS[name]
         path = tmp_path / "input" / "phase_t1.csv"
         path.parent.mkdir()
         path.write_bytes(b"firm_id,x,y\n" + rows)
-        files = phase_files(tmp_path, 1)
-        files.insert(index, str(path))
         if want is None:
             try:
                 path.read_text()  # decoded as open(path) decodes it
@@ -815,6 +892,18 @@ class TestAnalyzeInputs:
                 want = str(exc)
             else:
                 want = TWO_POINTS
+        message = want if isinstance(want, str) else f"line {want[0]}: {path}: {want[1]}"
+        if index:
+            # the reader passes a file it rejects back, to be parsed again for the error
+            assert reader_frames([str(path)]) == [want if isinstance(want, list) else None]
+        elif isinstance(want, list):
+            assert np.frombuffer(_phasecsv.parse_file(path)).reshape(-1, 2).tolist() == want
+        else:
+            with pytest.raises((OSError, ValueError)) as info:
+                _phasecsv.parse_file(path)
+            assert str(info.value) == message
+        files = phase_files(tmp_path, 1)
+        files.insert(index, str(path))
         binned = []
         bin_phase = phase.bin_phase
         monkeypatch.setattr(
@@ -825,15 +914,13 @@ class TestAnalyzeInputs:
         err = capsys.readouterr().err
         if isinstance(want, list):
             assert (code, err) == (0, "")
-            assert binned[index] == want
+            assert want in binned
         else:
-            assert code == 1
-            message = want if isinstance(want, str) else f"line {want[0]}: {path}: {want[1]}"
-            assert err == f"error: {message}\n"
+            assert (code, err) == (1, f"error: {message}\n")
             assert not out.exists() and not hist.exists()
 
     def test_first_bad_file_in_argument_order_is_reported(self, tmp_path, capsys):
-        # a missing file at index 1 (the phase reader's) and a malformed one at index 2
+        # a missing file at index 1 and a malformed one at index 2
         good, missing, bad = (tmp_path / f"phase_t{t}.csv" for t in range(3))
         good.write_text(GOOD_PHASE_CSV)
         bad.write_text("firm_id,x,y\n0,0.3\n1,0.2,0.1\n")
@@ -841,6 +928,15 @@ class TestAnalyzeInputs:
         assert run_cli("analyze", str(good), str(missing), str(bad), "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
         assert not out.exists()
+
+    def test_an_earlier_files_error_wins_whatever_its_kind(self, tmp_path, capsys):
+        # file 2, parsed first from the back, is malformed; file 0 parses
+        # but has one point, which is an error too, and comes first
+        files = phase_files(tmp_path, 3)
+        Path(files[0]).write_text("firm_id,x,y\n0,0.5,0.1\n")
+        Path(files[2]).write_text("firm_id,x,y\n0,0.3\n")
+        assert run_cli("analyze", *files) == 1
+        assert capsys.readouterr() == ("", "error: need >= 2 points, got 1\n")
 
     def test_unwritable_report_removes_the_histogram(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -859,7 +955,8 @@ class TestAnalyzeInputs:
     [
         ("0,1e200,0.1\n1,-1e200,0.0\n2,0.3,0.2\n", "std_x must be finite, got inf"),
         ("0,1e150,0.1\n1,-1e150,0.0\n2,0.3,0.2\n", "skew_x must be finite, got nan"),
-        ("0,0,0.1\n1,1e-110,0.0\n", "skew_x must be finite, got nan"),
+        # m2**1.5 underflows, but the skew of standardised values is 0: no error
+        ("0,0,0.1\n1,1e-110,0.0\n", None),
     ],
     ids=["std_overflow", "skew_overflow", "skew_underflow"],
 )
@@ -868,7 +965,13 @@ def test_overflowing_moment_is_named_without_warnings(tmp_path, capsys, rows, me
     # finite points whose moments leave the float range
     csv_path = tmp_path / "phase_t1.csv"
     csv_path.write_text(f"firm_id,x,y\n{rows}")
-    assert run_cli("analyze", str(csv_path), "--out", str(tmp_path / "r.json")) == 1
+    out = tmp_path / "r.json"
+    if message is None:
+        assert run_cli("analyze", str(csv_path), "--out", str(out)) == 0
+        assert capsys.readouterr() == ("", "")
+        assert json.loads(out.read_text())["phase_t1.csv"]["skew_x"] == 0.0
+        return
+    assert run_cli("analyze", str(csv_path), "--out", str(out)) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert os.listdir(tmp_path) == ["phase_t1.csv"]
 
@@ -892,6 +995,15 @@ class TestPhaseReader:
         path = tmp_path / "reader.py"
         path.write_text(script.format(real=_phasecsv.SCRIPT))
         monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+        parse_file = _phasecsv.parse_file
+
+        def after_the_reader(path, encoding=None):
+            # the command parses its own files only once the reader has
+            # exited, so the reader fails before the two meet
+            started[0].wait(timeout=60)
+            return parse_file(path, encoding)
+
+        monkeypatch.setattr(_phasecsv, "parse_file", after_the_reader)
         out = tmp_path / "out"
         out.mkdir()
         argv = ["--out", str(out / "r.json"), "--hist-out", str(out / "h.csv")]
@@ -911,7 +1023,7 @@ class TestPhaseReader:
 
         def failing_bin_phase(points, grid):
             calls.append(1)
-            if len(calls) == 2:  # the first file the reader parsed
+            if len(calls) == 2:  # a file before the meet, whichever process parsed it
                 raise error
             return bin_phase(points, grid)
 
@@ -938,6 +1050,60 @@ class TestPhaseReader:
         assert run_cli("analyze", *phase_files(tmp_path, 2), "--out", str(tmp_path / "r.json")) == 0
         [proc] = started
         assert proc.args[-2:] == ["parse", io.text_encoding(None)]
+
+    @pytest.mark.parametrize("reader", ["answers_at_once", "never_answers"])
+    def test_output_is_the_same_whoever_parses_each_file(
+        self, tmp_path, monkeypatch, started, reader
+    ):
+        files = distinct_phase_files(tmp_path)
+
+        def analyze(name):
+            out = tmp_path / name
+            out.mkdir()
+            argv = ["--out", str(out / "r.json"), "--hist-out", str(out / "h.csv")]
+            assert run_cli("analyze", *files, *argv) == 0
+            return (out / "r.json").read_bytes(), (out / "h.csv").read_bytes()
+
+        expected = analyze("expected")
+        own = []
+        parse_file = _phasecsv.parse_file
+        monkeypatch.setattr(
+            _phasecsv, "parse_file", lambda path, encoding=None: own.append(path) or parse_file(path, encoding)
+        )
+        if reader == "answers_at_once":  # each frame is waited for: the reader parses every file
+            ready = _phasecsv.PhaseReader.ready
+
+            def waiting(self):
+                while not ready(self):
+                    time.sleep(0.001)
+                return True
+
+            monkeypatch.setattr(_phasecsv.PhaseReader, "ready", waiting)
+        else:  # no frame ever comes: this process parses every file
+            path = tmp_path / "reader.py"
+            path.write_text("import time\ntime.sleep(600)\n")
+            monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+        assert analyze(reader) == expected
+        assert own == ([] if reader == "answers_at_once" else files[::-1])
+        proc = started[-1]
+        assert_reaped(proc)
+        if reader == "never_answers":
+            assert proc.returncode == -signal.SIGKILL  # killed where the two met
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_one_cpu_gives_the_same_bytes(self, tmp_path):
+        files = distinct_phase_files(tmp_path)
+        cpu = min(os.sched_getaffinity(0))
+        env = dict(os.environ, PYTHONPATH=str(Path(phase.__file__).resolve().parent.parent))
+        outputs = []
+        for pin in ("", f"os.sched_setaffinity(0, {{{cpu}}}); "):
+            out = tmp_path / f"out{len(outputs)}"
+            out.mkdir()
+            code = f"import os; {pin}from finphase.cli import main; main()"
+            argv = ["analyze", *files, "--out", str(out / "r.json"), "--hist-out", str(out / "h.csv")]
+            subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, timeout=120)
+            outputs.append(((out / "r.json").read_bytes(), (out / "h.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestInterestAndReserves:
@@ -996,6 +1162,19 @@ class TestOpenBlasThreads:
 
     def test_a_callers_value_is_kept(self):
         assert self.threads_and_setting("2")[1] == "2"
+
+
+def test_import_freezes_the_heap_and_cycles_are_still_collected():
+    code = (
+        "import gc, weakref, finphase.cli\n"
+        "assert gc.get_freeze_count() > 0, 'nothing frozen'\n"
+        "class Node: pass\n"
+        "node = Node(); node.self = node; ref = weakref.ref(node); del node\n"
+        "gc.collect()\n"
+        "assert ref() is None, 'a cycle made after the import was not collected'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(phase.__file__).resolve().parent.parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestSectorsCommand:

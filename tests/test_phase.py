@@ -223,15 +223,29 @@ class TestTailMetrics:
             ([1e200, -1e200, 0.3], "std_x must be finite, got inf"),
             # m2 is finite but m2**1.5 overflows
             ([1e150, -1e150, 0.3], "skew_x must be finite, got nan"),
-            # m2 > 0 but m2**1.5 underflows to 0
-            ([0.0, 1e-110], "skew_x must be finite, got nan"),
+            # m2 > 0 but m2**1.5 underflows to 0: the skew is taken from
+            # standardised values, and is finite
+            ([0.0, 1e-110], None),
         ],
         ids=["mean", "std", "skew_overflow", "skew_underflow"],
     )
     @pytest.mark.filterwarnings("error")
     def test_non_finite_moment_names_the_metric(self, xs, message):
+        if message is None:
+            assert tail_metrics([(x, 0.0) for x in xs]).skew_x == 0.0
+            return
         with pytest.raises(InvalidConfig, match=f"^{message}$"):
             tail_metrics([(x, 0.0) for x in xs])
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-110, 1e-150])
+    @pytest.mark.filterwarnings("error")
+    def test_skew_of_a_tiny_sample_is_the_skew_of_its_shape(self, scale):
+        # m2**1.5 underflows from a scale of about 1e-103, m2 itself only
+        # past 1e-154; in between the skew still does not depend on scale
+        xs = [0.0, 1.0, 1.0, 4.0]
+        want = tail_metrics([(x, 0.0) for x in xs]).skew_x
+        got = tail_metrics([(x * scale, 0.0) for x in xs]).skew_x
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestHistogramCsv:
