@@ -173,6 +173,17 @@ def parse_config_file(path, config_cls):
     return values
 
 
+def _config_from_args(config_cls, args, path=None):
+    """``config_cls`` built from the config file at ``path``, if any, with
+    each flag given (not None) over the field its ``dest`` names. The
+    config checks its fields as it is built."""
+    values = parse_config_file(path, config_cls) if path else {}
+    for field in dataclasses.fields(config_cls):
+        if (value := getattr(args, field.name)) is not None:
+            values[field.name] = value
+    return config_cls(**values)
+
+
 class _Manifest:
     """Reproducibility record: resolved config, seed, outputs, timing, and
     the Python and numpy versions and peak RSS of the run.
@@ -219,21 +230,12 @@ class _Manifest:
 # --- subcommands --------------------------------------------------------------
 
 
-_RULE_NAMES = ("pairsplit", "fixed")
-
-
 def _cmd_exchange(args) -> int:
     from . import exchange
 
     rules = {"pairsplit": exchange.RULE_UNIFORM_PAIR_SPLIT, "fixed": exchange.RULE_FIXED_AMOUNT}
-    config = exchange.ExchangeConfig(
-        n_agents=args.agents,
-        initial_money=args.initial_money,
-        n_events=args.events,
-        rule=rules[args.rule],
-        fixed_amount=args.amount,
-        seed=args.seed,
-    )
+    args.rule = rules[args.rule]
+    config = _config_from_args(exchange.ExchangeConfig, args)
     manifest = _Manifest("exchange", dataclasses.asdict(config), args.seed)
     wealth = exchange.run_exchange(config)
     fit = exchange.fit_exponential(wealth)
@@ -253,41 +255,16 @@ def _cmd_exchange(args) -> int:
                 manifest.add_output(path)
             outputs.emit(outdir / "manifest.json", manifest.text().encode())
     print(
-        f"exchange: {args.agents} agents, {args.events} events, "
+        f"exchange: {config.n_agents} agents, {config.n_events} events, "
         f"temperature {fit.temperature:.6g}, KS {fit.ks_statistic:.6g}"
     )
     return 0
 
 
-def _economy_config_from_args(args) -> firms.EconomyConfig:
-    from . import firms
-
-    values = {}
-    if args.config:
-        values.update(parse_config_file(args.config, firms.EconomyConfig))
-    overrides = {
-        "n_firms": args.firms,
-        "n_workers": args.workers,
-        "base_money": args.base_money,
-        "wage": args.wage,
-        "interest_rate": args.interest_rate,
-        "investment_margin": args.margin,
-        "depreciation": args.depreciation,
-        "capitalist_consumption_fraction": args.consumption,
-        "n_steps": args.steps,
-        "seed": args.seed,
-        "initial_capital": args.initial_capital,
-        "customer_churn": args.churn,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    return firms.EconomyConfig(**values)
-
-
 def _cmd_firms(args) -> int:
     from . import _phasecsv, firms
 
-    config = _economy_config_from_args(args)
-    config.validate()  # here, so that a bad value starts no writer process
+    config = _config_from_args(firms.EconomyConfig, args, args.config)
     grid = _grid_from_args(args)
     series = ["t,entropy,rentier_fraction,std_x,bankruptcies,class_A,class_B,class_C\n"]
     steps, residuals = [], []
@@ -336,6 +313,8 @@ def _cmd_analyze(args) -> int:
     from . import _phasecsv
 
     grid = _grid_from_args(args)
+    if args.out and args.hist_out and Path(args.out).resolve() == Path(args.hist_out).resolve():
+        raise InvalidConfig("--out and --hist-out name the same file")
     files = args.files
     # The report is keyed by base name, so two inputs sharing one would
     # leave one entry for both.
@@ -562,27 +541,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exchange", help="conservative random pairwise exchange")
     add_common(p)
-    p.add_argument("--agents", type=int, default=10000)
-    p.add_argument("--initial-money", type=int, default=1000)
-    p.add_argument("--events", type=int, default=10**7)
-    p.add_argument("--rule", choices=_RULE_NAMES, default="pairsplit")
-    p.add_argument("--amount", type=int, default=1, help="amount for the fixed rule")
+    # each flag sets the ExchangeConfig field its dest names
+    p.add_argument("--agents", dest="n_agents", type=int, default=10000)
+    p.add_argument("--initial-money", dest="initial_money", type=int, default=1000)
+    p.add_argument("--events", dest="n_events", type=int, default=10**7)
+    p.add_argument("--rule", dest="rule", choices=("pairsplit", "fixed"), default="pairsplit")
+    p.add_argument("--amount", dest="fixed_amount", type=int, default=1, help="amount for the fixed rule")
     p.set_defaults(func=_cmd_exchange)
 
     p = sub.add_parser("firms", help="firm/worker/bank phase-plane economy")
     add_common(p, seed_default=None)  # None: a config-file seed is not clobbered
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--firms", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--base-money", type=int, default=None)
-    p.add_argument("--wage", type=int, default=None)
-    p.add_argument("--interest-rate", type=float, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--depreciation", type=float, default=None)
-    p.add_argument("--consumption", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--initial-capital", type=int, default=None)
-    p.add_argument("--churn", type=float, default=None)
+    # each flag sets the EconomyConfig field its dest names; None: not given
+    p.add_argument("--firms", dest="n_firms", type=int)
+    p.add_argument("--workers", dest="n_workers", type=int)
+    p.add_argument("--base-money", dest="base_money", type=int)
+    p.add_argument("--wage", dest="wage", type=int)
+    p.add_argument("--interest-rate", dest="interest_rate", type=float)
+    p.add_argument("--margin", dest="investment_margin", type=float)
+    p.add_argument("--depreciation", dest="depreciation", type=float)
+    p.add_argument("--consumption", dest="capitalist_consumption_fraction", type=float)
+    p.add_argument("--steps", dest="n_steps", type=int)
+    p.add_argument("--initial-capital", dest="initial_capital", type=int)
+    p.add_argument("--churn", dest="customer_churn", type=float)
     add_grid(p)
     p.set_defaults(func=_cmd_firms)
 

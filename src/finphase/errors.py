@@ -2,6 +2,9 @@
 
 Every domain failure raises a subclass of :class:`FinphaseError` so the CLI
 can separate domain errors (exit 1) from usage errors (exit 2) and bugs.
+A bad value (a config field or flag, an agent or sector a table lacks) is an
+:class:`InvalidConfig` naming it, a bad input row (a sector listed twice) a
+:class:`ParseError` with its line; no class stands for one parameter.
 """
 
 
@@ -10,10 +13,6 @@ class FinphaseError(Exception):
 
 
 # --- ledger ---------------------------------------------------------------
-
-class UnknownAgent(FinphaseError):
-    """Agent id is not present in the ledger."""
-
 
 class InsufficientFunds(FinphaseError):
     """Deposit too small to cover the requested amount."""
@@ -39,7 +38,7 @@ class DegenerateSample(FinphaseError):
     histogram, too few points)."""
 
 
-# --- input files and sector tables ----------------------------------------
+# --- input files ----------------------------------------------------------
 
 class ParseError(FinphaseError):
     """Malformed input file; carries the 1-based line number."""
@@ -47,11 +46,3 @@ class ParseError(FinphaseError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class DuplicateSector(FinphaseError):
-    """Sector name appears more than once in one table."""
-
-
-class UnknownSector(FinphaseError):
-    """Named sector is not in the table."""

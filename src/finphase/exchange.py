@@ -80,7 +80,7 @@ class ExchangeConfig:
     fixed_amount: Money = 1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_agents < 2:
             raise InvalidConfig("n_agents must be >= 2")
         if self.initial_money < 0:
@@ -120,7 +120,6 @@ def run_exchange(config: ExchangeConfig) -> WealthVector:
     Balances never go negative: a fixed-rule payer with zero balance
     makes the event a no-op, which still counts as an event.
     """
-    config.validate()
     if config.rule == RULE_UNIFORM_PAIR_SPLIT:
         money = np.full(config.n_agents, config.initial_money, dtype=np.uint64)
         _pair_split_rounds(money, config.n_events, config.seed)

@@ -88,7 +88,8 @@ class EconomyConfig:
     interest_rate and depreciation are per step; investment_margin is the
     annual spread over the annualised interest rate that marks a firm as
     a voluntary borrower. ``initial_capital`` is the book value of a
-    fresh firm's equipment. Every float field must be finite.
+    fresh firm's equipment. Every float field must be finite; a config
+    that breaks a bound raises InvalidConfig when it is built.
     """
 
     n_firms: int = 1000
@@ -104,7 +105,7 @@ class EconomyConfig:
     initial_capital: Money = 3000
     customer_churn: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, value in asdict(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidConfig(f"{name} must be finite, got {value}")
@@ -112,8 +113,8 @@ class EconomyConfig:
             raise InvalidConfig("n_firms must be >= 1")
         if self.n_workers < 0:
             raise InvalidConfig("n_workers must be >= 0")
-        if self.base_money < 0:
-            raise InvalidConfig("base_money must be >= 0")
+        if not 0 <= self.base_money <= MONEY_MAX:
+            raise InvalidConfig("base_money must be in [0, 2**63 - 1]")
         if not 0 <= self.wage <= MONEY_MAX:
             raise InvalidConfig("wage must be in [0, 2**63 - 1]")
         if self.interest_rate < 0:
@@ -197,7 +198,6 @@ def init_economy(config: EconomyConfig) -> EconomyState:
     customer_churn fraction, which is what gives firms persistently
     different profitability.
     """
-    config.validate()
     n = config.n_firms
     ledger = Ledger(n + config.n_workers, config.base_money)
     worker_firm = np.arange(config.n_workers, dtype=np.int64) % n
@@ -536,7 +536,7 @@ def records(config: EconomyConfig, timings: dict | None = None) -> Iterator[Step
     state = init_economy(config)
     yield initial_record(state)
     for _ in range(config.n_steps):
-        yield step(state) if timings is None else step(state, timings)
+        yield step(state, timings)
 
 
 def run(config: EconomyConfig) -> list[StepRecord]:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientFunds, MoneyOverflow, NoSuchDebt, UnknownAgent
+from .errors import InsufficientFunds, InvalidConfig, MoneyOverflow, NoSuchDebt
 
 Money = int
 
@@ -172,7 +172,7 @@ class Ledger:
                     f"changes must be 1-d int64 columns, got {change.dtype} {change.shape}"
                 )
             if len(change) > n:
-                raise UnknownAgent(f"no agent {n} in ledger of {n}")
+                raise InvalidConfig(f"no agent {n} in ledger of {n}")
             columns.append((col[: len(change)], change, verb, short_error))
             total += sign * _total(change)
         if total != 0:

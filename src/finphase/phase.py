@@ -39,8 +39,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        inf = math.inf
-        if not (-inf < self.x_min < self.x_max < inf and -inf < self.y_min < self.y_max < inf):
+        # a finite, positive width also takes finite ends in order, and bin_phase divides by it
+        if not (0 < self.x_max - self.x_min < math.inf and 0 < self.y_max - self.y_min < math.inf):
             raise ValueError("grid extent must be finite and non-empty")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("bin counts must be >= 1")

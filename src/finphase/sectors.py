@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 
-from .errors import DuplicateSector, InvalidConfig, ParseError, UnknownSector
+from .errors import InvalidConfig, ParseError
 from .ledger import Money, checked_money
 
 
@@ -28,7 +28,7 @@ class SectorTable:
     def __post_init__(self):
         names = [name for name, _ in self.entries]
         if len(names) != len(set(names)):
-            raise DuplicateSector("sector names must be unique")
+            raise InvalidConfig("sector names must be unique")
         if len(names) < 2:
             raise ValueError("a sector table needs at least 2 sectors")
 
@@ -36,7 +36,7 @@ class SectorTable:
         for name, value in self.entries:
             if name == sector:
                 return value
-        raise UnknownSector(f"no sector named {sector!r}")
+        raise InvalidConfig(f"no sector named {sector!r}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def load_sectors(path) -> SectorTable:
         if not name:
             raise ParseError(lineno, "empty sector name")
         if name in seen:
-            raise DuplicateSector(f"sector {name!r} listed twice")
+            raise ParseError(lineno, f"sector {name!r} listed twice")
         seen.add(name)
         try:
             value = int(parts[1])
@@ -126,7 +126,7 @@ def counterfactual(
     (required_offset = -(new residual)); how that adjustment distributes
     across sectors is deliberately not guessed. ``new_value`` must lie in
     the money range, and a required_offset outside it is a MoneyOverflow."""
-    table.balance(sector)  # raises UnknownSector
+    table.balance(sector)  # raises InvalidConfig for an unknown sector
     checked_money("new_value", new_value, InvalidConfig)
     entries = tuple(
         (name, new_value if name == sector else value)

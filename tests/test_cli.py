@@ -1,5 +1,6 @@
 """CLI: routing, exit codes, output formats, and reproducibility."""
 
+import dataclasses
 import io
 import json
 import math
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from finphase import _phasecsv, exchange, firms, phase
-from finphase.cli import _json, _Outputs, dispatch, parse_config_file
+from finphase.cli import _json, _Outputs, build_parser, dispatch, parse_config_file
 from finphase.errors import DegenerateSample, InvalidConfig, MoneyOverflow
+from finphase.exchange import ExchangeConfig
 from finphase.firms import EconomyConfig
 
 
@@ -193,13 +195,16 @@ BAD_GRIDS = [
     (["0", "1", "0", "1", "1.5", "2"], "--grid NX must be an integer, got '1.5'"),
     (["0", "one", "0", "1", "2", "2"], "--grid XMAX must be a number, got 'one'"),
     (["0", "1", "0", "1", "100000", "100000"], "grid of 100000 x 100000 bins exceeds the limit"),
+    # finite ends whose width is inf; plain decimals, as argparse reads -1e308 as an option
+    ([f"{-1e308:f}", f"{1e308:f}", "-1", "1", "10", "10"],
+     "grid extent must be finite and non-empty"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (FIRMS + ["--margin", "nan"], "margin must be finite"),
+        (FIRMS + ["--margin", "nan"], "investment_margin must be finite, got nan\n\\Z"),
         (FIRMS + ["--interest-rate", "nan"], "interest_rate must be finite"),
         (FIRMS + ["--grid", "-10", "inf", "-1", "1", "10", "10"], "grid extent"),
         (MACRO + ["--gL", "nan", "--lambda", "0.6"], "gL must be finite"),
@@ -250,6 +255,9 @@ BAD_GRIDS = [
          f"residual must be in the money range \\[.*\\], got {2 * (2**63 - 1)}\n\\Z"),
         (["sectors", "what-if", "{sum_sectors}", "--sector", "B", "--value", str(2**63 - 1)],
          f"required_offset must be in the money range \\[.*\\], got {-2 * (2**63 - 1)}\n\\Z"),
+        (FIRMS + ["--base-money", str(2**63)], "base_money must be in \\[0, 2\\*\\*63 - 1\\]\n\\Z"),
+        # one file for both outputs: the report would overwrite the histogram
+        (ANALYZE[:-1] + ["{out}/../out/r.json"], "--out and --hist-out name the same file\n\\Z"),
     ]
     + [(cmd + ["--grid", *grid], message) for cmd in (FIRMS, ANALYZE) for grid, message in BAD_GRIDS],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
@@ -257,8 +265,10 @@ BAD_GRIDS = [
          "trajectory_overflow", "reserves_overflow", "cagr_overflow", "capital_too_wide",
          "reserves_too_wide", "capital_negative", "sectors_value_too_wide",
          "sectors_balance_too_wide", "trajectory_steps_negative", "reserves_steps_negative",
-         "sectors_residual_too_wide", "sectors_offset_too_wide"]
-    + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze") for case in ("nx", "extent", "bins")],
+         "sectors_residual_too_wide", "sectors_offset_too_wide", "base_money_too_wide",
+         "analyze_same_out"]
+    + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze")
+       for case in ("nx", "extent", "bins", "width")],
 )
 def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message):
     levels = tmp_path / "levels.csv"
@@ -409,6 +419,16 @@ class TestFirmsCommand:
 
 
 @pytest.mark.parametrize(
+    "command, config_cls", [("firms", EconomyConfig), ("exchange", ExchangeConfig)]
+)
+def test_every_config_field_has_a_flag(command, config_cls):
+    # the config is built from the flags by field name: a field without one
+    # would be an AttributeError at run time
+    args = build_parser().parse_args([command])
+    assert [f.name for f in dataclasses.fields(config_cls) if not hasattr(args, f.name)] == []
+
+
+@pytest.mark.parametrize(
     "module, work, argv",
     [
         (exchange, "run_exchange", ["exchange", "--agents", "20", "--events", "100"]),
@@ -553,10 +573,10 @@ class TestPhaseWriter:
     ):
         step = firms.step
 
-        def failing_step(state):
+        def failing_step(state, timings=None):
             if state.t == 2:
                 raise error
-            return step(state)
+            return step(state, timings)
 
         monkeypatch.setattr(firms, "step", failing_step)
         out = tmp_path / "out"
@@ -579,8 +599,9 @@ class TestPhaseWriter:
             ["--firms", "0"],
             ["--grid", "0", "1", "0", "1", "1.5", "2"],
             ["--config", "/no/such/economy.cfg"],
+            ["--base-money", str(2**63)],
         ],
-        ids=["usage", "non_finite", "config_value", "grid", "config_file"],
+        ids=["usage", "non_finite", "config_value", "grid", "config_file", "base_money"],
     )
     def test_usage_errors_start_no_writer(self, tmp_path, started, argv):
         assert run_cli("firms", *argv, "--outdir", str(tmp_path / "out")) in (1, 2)

@@ -20,9 +20,9 @@ from finphase import firms, rng
 from finphase.errors import (
     FinphaseError,
     InsufficientFunds,
+    InvalidConfig,
     MoneyOverflow,
     NoSuchDebt,
-    UnknownAgent,
 )
 from finphase.ledger import MONEY_MAX, MONEY_MIN, Ledger, _sums, _total
 
@@ -135,9 +135,9 @@ class TestTransfer:
 
     def test_unknown_agent(self):
         led = make_ledger([10, 10])
-        with pytest.raises(UnknownAgent, match="^no agent 2 in ledger of 2$"):
+        with pytest.raises(InvalidConfig, match="^no agent 2 in ledger of 2$"):
             transfer(led, 0, 2, 1)
-        with pytest.raises(UnknownAgent, match="^no agent 2 in ledger of 2$"):
+        with pytest.raises(InvalidConfig, match="^no agent 2 in ledger of 2$"):
             led.post(column([0, 0]), column([0, 0, 0]))
         assert led.deposits.tolist() == [10, 10]
 
@@ -713,7 +713,7 @@ class TestBatchEdges:
     def test_mismatched_lengths_and_bad_inputs(self):
         led = make_ledger([10, 10])
         rejected = "^changes must be 1-d int64 columns, got "
-        with pytest.raises(UnknownAgent):
+        with pytest.raises(InvalidConfig):
             led.post(column([-1, 0, 1]))  # longer than the ledger
         with pytest.raises(TypeError, match=rf"{rejected}int64 \(1, 2\)$"):
             led.post(column([[-1, 1]]))

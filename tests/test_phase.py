@@ -40,6 +40,17 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="finite"):
             GridSpec(0.0, 1.0, 0.0, bound, 10, 10)
 
+    def test_rejects_a_width_beyond_the_float_range(self):
+        # finite ends whose difference is inf would put every point in bin 0
+        with pytest.raises(ValueError, match="^grid extent must be finite and non-empty$"):
+            GridSpec(-1e308, 1e308, -1.0, 1.0, 10, 10)
+        with pytest.raises(ValueError, match="^grid extent must be finite and non-empty$"):
+            GridSpec(0.0, 1.0, -1e308, 1e308, 10, 10)
+        # a width that fits is binned as usual: x = 0 and 0.5 land in bin 5
+        wide = GridSpec(-1e307, 1e307, -1.0, 1.0, 10, 10)
+        points = [[-1e307, 0.0], [0.0, 0.0], [0.5, 0.0], [1e307, 0.0]]
+        assert bin_phase(points, wide).counts.sum(axis=1).tolist() == [1, 0, 0, 0, 0, 2, 0, 0, 0, 1]
+
     def test_rejects_zero_bins(self):
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 0, 10)

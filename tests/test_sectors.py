@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finphase.errors import DuplicateSector, InvalidConfig, MoneyOverflow, ParseError, UnknownSector
+from finphase.errors import InvalidConfig, MoneyOverflow, ParseError
 from finphase.ledger import MONEY_MAX, MONEY_MIN
 from finphase.sectors import (
     SectorTable,
@@ -52,7 +52,7 @@ class TestLoadSectors:
     def test_duplicate_sector(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("sector,balance\nA,1\nA,2\n")
-        with pytest.raises(DuplicateSector):
+        with pytest.raises(ParseError, match="^line 3: sector 'A' listed twice$"):
             load_sectors(path)
 
     def test_malformed_row_reports_line(self, tmp_path):
@@ -146,7 +146,7 @@ class TestCounterfactual:
         assert counterfactual(table, "Financial", 39).required_offset == 0
 
     def test_unknown_sector(self):
-        with pytest.raises(UnknownSector):
+        with pytest.raises(InvalidConfig, match="^no sector named 'Mars'$"):
             counterfactual(bundled_eurozone_2012q1(), "Mars", 0)
 
     @pytest.mark.parametrize("wide", [MONEY_MAX + 1, MONEY_MIN - 1, 10**23])
@@ -218,9 +218,9 @@ class TestSectorTable:
             table_of([("only", 1)])
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(DuplicateSector):
+        with pytest.raises(InvalidConfig, match="^sector names must be unique$"):
             table_of([("A", 1), ("A", 2)])
 
     def test_unknown_lookup(self):
-        with pytest.raises(UnknownSector):
+        with pytest.raises(InvalidConfig, match="^no sector named 'C'$"):
             table_of([("A", 1), ("B", 2)]).balance("C")
