@@ -1,23 +1,22 @@
 """Step outcomes at the edges of the money range, pinned.
 
 Each case is a seeded random economy of 1-4 firms and 0-6 workers whose
-balances, debts, profits and capital stocks are drawn from 0, small
+firm balances, debts, profits and capital stocks are drawn from 0, small
 values and values within 10**6 of MONEY_MAX, with edge wages, rates and
-consumption fractions. It is stepped twice (once if the first step
-raises). The outcome is a SHA-256 over both records and the whole state
-after them, or the step number, class and message of the error raised.
+consumption fractions. Households are one sector that saves nothing, so
+they hold no balance at a step boundary: only the firms' accounts are
+drawn. It is stepped twice (once if the first step raises). The outcome
+is a SHA-256 over both records and the whole state after them, or the
+step number, class and message of the error raised.
 
-``step_edges.json`` holds the outcomes captured from the step that
-posted index batches (rows of agent ids and amounts, netted with
-``np.add.at``) before it posted dense per-agent columns, so every
-overflow, shortfall and write-off at the edges still ends the same way.
-The one deliberate difference is in :data:`LOWEST_AGENT`. Print the
-current outcomes with ``PYTHONPATH=src python tests/test_step_edges.py``.
+``step_edges.json`` holds the outcomes captured from the step that kept
+one ledger account per worker (paid its wage, then emptied at its shop),
+so every overflow, shortfall and write-off at the edges still ends the
+same way with the households as one sector. Print the current outcomes
+with ``PYTHONPATH=src python tests/test_step_edges.py``.
 """
-
 import hashlib
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -30,12 +29,6 @@ from finphase.ledger import MONEY_MAX, MONEY_MIN, Ledger
 
 CASES = 400
 EXPECTED = Path(__file__).with_name("step_edges.json")
-
-# Cases where several firms overflow in the worker-consumption posting.
-# A posting's error names the lowest failing agent; the batch of rows
-# named the shop of the first paying worker. Only the agent id differs.
-LOWEST_AGENT = {148: 0, 185: 0, 231: 0, 312: 0, 323: 0, 350: 0}
-
 
 class _Draws:
     """A stream of draws from the package's own splitmix64, so the cases
@@ -75,16 +68,16 @@ def economy(case: int):
         seed=case,
     )
     state = init_economy(config)
-    agents = n + n_workers
     while True:  # until the balances leave a representable bank equity
-        dep = [draws.money() for _ in range(agents)]
-        debt = [draws.money() if draws.below(2) else 0 for _ in range(agents)]
+        dep = [draws.money() for _ in range(n)]
+        debt = [draws.money() if draws.below(2) else 0 for _ in range(n)]
         base = draws.pick([0, MONEY_MAX // 2, MONEY_MAX])
         equity = base - sum(dep) + sum(debt)
         if MONEY_MIN <= equity <= MONEY_MAX:
             break
     column = lambda values: np.array(values, dtype=np.int64)
-    state.ledger = Ledger._of(column(dep), column(debt), equity, base)
+    workers = [0] * (state.ledger.n_agents - n)  # the ledger's rows past the firms, if any
+    state.ledger = Ledger._of(column(dep + workers), column(debt + workers), equity, base)
     state.capital = column([draws.pick([1, 3000, draws.money() or 1]) for _ in range(n)])
     state.last_profit = column(
         [draws.pick([0, -draws.money(), draws.money()]) for _ in range(n)]
@@ -105,9 +98,9 @@ def outcome(state) -> str:
             (rec.t, rec.class_counts, rec.bankruptcies, rec.conservation_residual,
              rec.points.tobytes().hex())
         )
-    led = state.ledger
+    led, n = state.ledger, state.config.n_firms
     parts.append(
-        (state.t, led.deposits.tolist(), led.debts.tolist(), led.bank_equity,
+        (state.t, led.deposits[:n].tolist(), led.debts[:n].tolist(), led.bank_equity,
          state.capital.tolist(), state.last_profit.tolist(), state.prev_net_debt.tolist(),
          state.worker_shop.tolist())
     )
@@ -121,11 +114,7 @@ def expected():
 
 @pytest.mark.parametrize("case", range(CASES))
 def test_step_outcome_is_pinned(expected, case):
-    want = expected[str(case)]
-    if case in LOWEST_AGENT:
-        want, renamed = re.subn(r"agent \d+", f"agent {LOWEST_AGENT[case]}", want)
-        assert renamed == 1 and want != expected[str(case)]
-    assert outcome(economy(case)) == want
+    assert outcome(economy(case)) == expected[str(case)]
 
 
 if __name__ == "__main__":
