@@ -313,9 +313,12 @@ def _cmd_analyze(args) -> int:
     from . import _phasecsv
 
     grid = _grid_from_args(args)
-    if args.out and args.hist_out and Path(args.out).resolve() == Path(args.hist_out).resolve():
-        raise InvalidConfig("--out and --hist-out name the same file")
     files = args.files
+    # an output naming an input or the other output would overwrite it
+    taken = {Path(name).resolve(): "an input" for name in files}
+    for flag, name in (("--hist-out", args.hist_out), ("--out", args.out)):
+        if name and (other := taken.setdefault(Path(name).resolve(), flag)) != flag:
+            raise InvalidConfig(f"{flag} and {other} name the same file")
     # The report is keyed by base name, so two inputs sharing one would
     # leave one entry for both.
     names = [Path(name).name for name in files]

@@ -96,6 +96,8 @@ class ExchangeConfig:
             raise InvalidConfig(f"unknown exchange rule {self.rule!r}")
         if self.rule == RULE_FIXED_AMOUNT and self.fixed_amount < 0:
             raise InvalidConfig("fixed_amount must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfig("seed must be in [0, 2**64 - 1]")
 
 
 @dataclass

@@ -1,7 +1,7 @@
-"""Agent-based capitalist economy: firms, workers, and one bank.
+"""Agent-based capitalist economy: firms, households, and one bank.
 
-Firms pay wages (borrowing on any shortfall), workers spend everything
-they earn at the firm they shop at, indebted firms pay interest into bank
+Firms pay wages (borrowing on any shortfall), households spend every wage
+at the firms their workers shop at, indebted firms pay interest into bank
 equity, and firms then act on their situation: involuntary borrowers (A)
 have already had to borrow to stay in operation, voluntary borrowers (B)
 with profit rates well above the interest rate borrow to invest, and
@@ -28,10 +28,11 @@ stock. Starting from a point mass at the origin the population polarises:
 a head of leveraged producers pressed toward the bankruptcy wall at
 x = 1 and a lengthening rentier tail at x < 0.
 
-Money split at initialisation: all agents (firms and workers) start with
-zero balances and the entire base money sits as bank equity, i.e. as the
-bank's reserve; every circulating euro is endogenous credit money. This
-is what puts every firm exactly at the origin at t = 0 and lets a
+Households are one sector that saves nothing (wages in, consumption out,
+in the same step), so the ledger holds the firms only. Each firm starts
+with zero balances and the entire base money sits as bank equity, i.e.
+as the bank's reserve; every circulating euro is endogenous credit
+money. This puts every firm exactly at the origin at t = 0 and lets a
 post-bankruptcy replacement re-enter at the origin as well (its money
 endowment from bank equity is the initial per-firm endowment: zero).
 
@@ -131,6 +132,8 @@ class EconomyConfig:
             raise InvalidConfig("initial_capital must be in [1, 2**63 - 1]")
         if not 0 <= self.customer_churn <= 1:
             raise InvalidConfig("customer_churn must be in [0, 1]")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfig("seed must be in [0, 2**64 - 1]")
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,8 @@ class StepRecord:
 
 @dataclass
 class EconomyState:
-    """Per-firm columns are int64 arrays indexed by firm id;
-    ``worker_shop`` is indexed by worker."""
+    """Per-firm columns, the ledger's included, are indexed by firm id;
+    ``worker_shop``, where each worker's wage is spent, by worker."""
 
     config: EconomyConfig
     ledger: Ledger
@@ -191,7 +194,7 @@ def classify(
 
 
 def init_economy(config: EconomyConfig) -> EconomyState:
-    """Set up the ledger and firm book values; all firms at the origin.
+    """Set up the firms' ledger and book values; all firms at the origin.
 
     Each worker also draws, uniformly at random, the firm it shops at;
     this market niche persists across steps apart from the per-step
@@ -199,14 +202,13 @@ def init_economy(config: EconomyConfig) -> EconomyState:
     different profitability.
     """
     n = config.n_firms
-    ledger = Ledger(n + config.n_workers, config.base_money)
     worker_firm = np.arange(config.n_workers, dtype=np.int64) % n
     worker_shop = rng.randint_block(
         rng.derive(config.seed, 0, _TAG_WORKER_TARGET), 0, config.n_workers, n
     )
     return EconomyState(
         config=config,
-        ledger=ledger,
+        ledger=Ledger(n, config.base_money),
         capital=np.full(n, config.initial_capital, dtype=np.int64),
         last_profit=np.zeros(n, dtype=np.int64),
         prev_net_debt=np.zeros(n, dtype=np.int64),
@@ -384,11 +386,11 @@ def step(state: EconomyState, timings: dict | None = None) -> StepRecord:
     the seconds each phase took to ``timings[name]`` for each name in
     PHASES.
 
-    Every flow is posted as dense per-agent change columns (firms
-    ``0 .. n-1``, then the workers) that the phase has already computed,
-    one checked :meth:`Ledger.post` per kind of posting: the wage loans,
-    then the wages; worker consumption; owner consumption; the interest
-    loans, then the interest; phase 4; the write-offs. Many-to-one flows
+    Every flow is posted as a dense per-firm change column that the phase
+    has already computed, one checked :meth:`Ledger.post` per kind of
+    posting: the wage loans; the wages net of the households' spending;
+    owner consumption; the interest loans, then the interest; phase 4;
+    the write-offs. Many-to-one flows
     are summed exactly, folded with each firm's own deposit and outflow
     (:func:`ledger._sums`), and a flagged sum is an overflow. Owner
     consumption and phase 4 are defined in firm-id order (a firm's
@@ -420,41 +422,35 @@ def _phases(state: EconomyState):
     seed = cfg.seed
     wage = cfg.wage
 
-    # (1) wages, borrowing any shortfall
+    # (1) wages: borrow any shortfall; paid in (2), net of the sales
     employees = state.employees
     if wage > MONEY_MAX // max(int(employees.max(initial=0)), 1):
         raise MoneyOverflow("wage bill out of 64-bit range")
     wages_paid = wage * employees
-    loans = np.maximum(wages_paid - dep[:n], 0)
+    loans = np.maximum(wages_paid - dep, 0)
     ledger.post(loans, loans)
-    if wage:
-        ledger.post(np.concatenate((-wages_paid, np.full(cfg.n_workers, wage))))
     yield
 
-    # (2) consumption: workers spend everything at their shop (a churn
-    # fraction re-picks its shop uniformly first), then owners draw a
-    # fraction of their firm's deposit and spend it at a random other firm
+    # (2) consumption: each worker's wage is spent at its shop (a churn
+    # fraction re-picks its shop uniformly first), one wage per customer;
+    # then owners spend a fraction of their firm's deposit at another firm
     shops = state.worker_shop
-    receipts = np.zeros(n, dtype=np.int64)
-    if cfg.n_workers:
-        if cfg.customer_churn > 0:
-            churn_u = rng.uniform_block(rng.derive(seed, t, _TAG_CHURN), 0, cfg.n_workers)
-            new_shops = rng.randint_block(
-                rng.derive(seed, t, _TAG_WORKER_TARGET), 0, cfg.n_workers, n
-            )
-            shops = np.where(churn_u < cfg.customer_churn, new_shops, shops)
-        spend = dep[n:]  # all of it: the view is read before the posting
-        after, over = _sums(dep[:n], shops, spend)  # the firms' deposits after the sales
-        if over.any():  # raised as the posting would: its column could not hold the sum
-            raise MoneyOverflow(
-                f"balance of agent {int(np.argmax(over))} would exceed 64-bit range"
-            )
-        receipts = after - dep[:n]
-        ledger.post(np.concatenate((receipts, -spend)))
+    if cfg.customer_churn > 0:
+        churn_u = rng.uniform_block(rng.derive(seed, t, _TAG_CHURN), 0, cfg.n_workers)
+        new_shops = rng.randint_block(rng.derive(seed, t, _TAG_WORKER_TARGET), 0, cfg.n_workers, n)
+        shops = np.where(churn_u < cfg.customer_churn, new_shops, shops)
+    customers = np.bincount(shops, minlength=n)
+    most = MONEY_MAX // max(wage, 1)
+    receipts = np.minimum(customers, most) * wage
+    # wages out, sales in: it conserves money, each worker being one customer
+    over = (customers > most) | (receipts > MONEY_MAX - (dep - wages_paid))
+    if over.any():  # raised as the posting would, had its column held the sales
+        raise MoneyOverflow(f"balance of agent {int(np.argmax(over))} would exceed 64-bit range")
+    ledger.post(receipts - wages_paid)
     frac = cfg.capitalist_consumption_fraction
     if frac > 0 and n > 1:
         shop_of = _other_firms(seed, t, _TAG_OWNER_TARGET, n)
-        draws, with_sales = _owner_consumption(dep[:n], receipts, shop_of, frac)
+        draws, with_sales = _owner_consumption(dep, receipts, shop_of, frac)
         ledger.post(with_sales - receipts - draws)  # each term in [0, MONEY_MAX]
         receipts = with_sales
     yield
@@ -463,11 +459,11 @@ def _phases(state: EconomyState):
     rate = cfg.interest_rate
     interest_paid = np.zeros(n, dtype=np.int64)
     if rate > 0:
-        due = debt[:n] * rate  # float64 and truncated, exactly as int(debt * rate)
+        due = debt * rate  # float64 and truncated, exactly as int(debt * rate)
         if not (due < 2.0**63).all():
             raise MoneyOverflow("interest due out of 64-bit range")
         interest_paid = due.astype(np.int64)
-        loans = np.maximum(interest_paid - dep[:n], 0)
+        loans = np.maximum(interest_paid - dep, 0)
         ledger.post(loans, loans)
         ledger.post(-interest_paid, equity_change=_total(interest_paid))
     yield
@@ -475,8 +471,7 @@ def _phases(state: EconomyState):
     # (4) classification, then investment (B) or repayment (C)
     seller_of = _other_firms(seed, t, _TAG_INVEST_TARGET, n) if n > 1 else None
     cls, dep_change, debt_change, capital = _invest(
-        dep[:n], debt[:n], state.capital, state.last_profit, seller_of,
-        rate, cfg.investment_margin,
+        dep, debt, state.capital, state.last_profit, seller_of, rate, cfg.investment_margin
     )
     ledger.post(dep_change, debt_change)
     counts = np.bincount(cls, minlength=3)
@@ -490,16 +485,16 @@ def _phases(state: EconomyState):
 
     # (6) bankruptcy: net debt above capital stock wipes the account and
     # a fresh firm re-enters at the origin
-    wiped = debt[:n] - dep[:n] > capital
-    lost_dep = np.where(wiped, dep[:n], 0)
-    lost_debt = np.where(wiped, debt[:n], 0)
+    wiped = debt - dep > capital
+    lost_dep = np.where(wiped, dep, 0)
+    lost_debt = np.where(wiped, debt, 0)
     ledger.post(-lost_dep, -lost_debt, equity_change=_total(lost_dep) - _total(lost_debt))
     bankrupt = np.flatnonzero(wiped)
     capital[bankrupt] = cfg.initial_capital
     yield
 
     # (7) profits, phase points, record
-    net_debt = debt[:n] - dep[:n]  # 0 for the bankrupt firms
+    net_debt = debt - dep  # 0 for the bankrupt firms
     prev = state.prev_net_debt
     points = np.empty((n, 2))
     points[:, 0] = net_debt / capital

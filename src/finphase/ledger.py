@@ -14,18 +14,17 @@ with the difference absorbed by bank equity (which may go negative).
 Storage is two int64 numpy columns, ``deposit`` and ``debt``, indexed by
 agent id, plus bank equity as a Python int. A new ledger holds its whole
 base money as bank equity, and money enters and moves only through the
-one posting primitive, :meth:`Ledger.post`: signed change columns for
-agents ``0 .. k-1`` (a prefix; the firm economy puts its firms first),
-each a 1-d ``np.int64`` array and nothing else, and a change of bank
-equity. Transfers, loans, repayments, interest paid to the bank and
-write-offs are all such columns, the caller netting every flow of a kind
-into one entry per agent. A posting must conserve money, summed
-exactly. It is atomic: every resulting deposit and debt is compared
-against its headroom (``-dep`` and ``MONEY_MAX - dep``) instead of being
-formed first, the equity is range-checked, and nothing is written unless
-every check passes. A payer may therefore spend within a posting what it
-receives in the same posting. A posting costs O(k): a few vectorised
-passes over views of the first k rows, no gathers, and one in-place add
+one posting primitive, :meth:`Ledger.post`: signed change columns with
+one entry per agent, each a 1-d ``np.int64`` array and nothing else, and
+a change of bank equity. Transfers, loans, repayments, interest paid to
+the bank and write-offs are all such columns, the caller netting every
+flow of a kind into one entry per agent. A posting must conserve money,
+summed exactly. It is atomic: every resulting deposit and debt is
+compared against its headroom (``-dep`` and ``MONEY_MAX - dep``) instead
+of being formed first, the equity is range-checked, and nothing is
+written unless every check passes. A payer may therefore spend within a
+posting what it receives in the same posting. A posting costs O(n): a
+few vectorised passes over the columns, no gathers, and one in-place add
 per column.
 
 Money is int64 throughout, and one kernel sums it exactly. Each value
@@ -142,12 +141,12 @@ class Ledger:
     def post(self, dep_change, debt_change=None, equity_change: Money = 0) -> None:
         """Add ``dep_change[i]`` to agent i's deposit and ``debt_change[i]``
         to its debt for every i in the column, and ``equity_change`` to bank
-        equity. A column covers agents ``0 .. k-1``, a prefix of the ledger
-        (firms come first, so a column of firms is shorter than one that
-        reaches the workers); an omitted column changes nothing. A column
-        is a 1-d ``np.int64`` array: anything else (a list, a uint64,
-        float or object array, a 2-d array) is a TypeError naming its type
-        and shape, raised before anything is written.
+        equity. A column has one entry per agent, and one of another
+        length is an InvalidConfig naming both lengths; an omitted column
+        changes nothing. A column is a 1-d ``np.int64`` array: anything
+        else (a list, a uint64, float or object array, a 2-d array) is a
+        TypeError naming its type and shape. Either is raised before
+        anything is written.
 
         The posting must conserve money: sum(dep_change) - sum(debt_change)
         + equity_change == 0, summed exactly. It is atomic: every resulting
@@ -171,9 +170,9 @@ class Ledger:
                 raise TypeError(
                     f"changes must be 1-d int64 columns, got {change.dtype} {change.shape}"
                 )
-            if len(change) > n:
-                raise InvalidConfig(f"no agent {n} in ledger of {n}")
-            columns.append((col[: len(change)], change, verb, short_error))
+            if len(change) != n:
+                raise InvalidConfig(f"change column of {len(change)} for a ledger of {n} agents")
+            columns.append((col, change, verb, short_error))
             total += sign * _total(change)
         if total != 0:
             raise ValueError("posting does not conserve money")

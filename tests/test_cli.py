@@ -258,6 +258,18 @@ BAD_GRIDS = [
         (FIRMS + ["--base-money", str(2**63)], "base_money must be in \\[0, 2\\*\\*63 - 1\\]\n\\Z"),
         # one file for both outputs: the report would overwrite the histogram
         (ANALYZE[:-1] + ["{out}/../out/r.json"], "--out and --hist-out name the same file\n\\Z"),
+        # an output that names an input would overwrite it
+        (["analyze", "{phase}", "--out", "{out}/../phase_t1.csv"],
+         "--out and an input name the same file\n\\Z"),
+        (["analyze", "{phase}", "--hist-out", "{phase}"],
+         "--hist-out and an input name the same file\n\\Z"),
+        # seeds outside splitmix64's [0, 2**64 - 1], which would wrap onto another seed
+        (FIRMS + ["--seed", str(2**64)], "seed must be in \\[0, 2\\*\\*64 - 1\\]\n\\Z"),
+        (FIRMS + ["--seed", "-1"], "seed must be in \\[0, 2\\*\\*64 - 1\\]\n\\Z"),
+        (["exchange", "--seed", str(2**64), "--outdir", "{out}"],
+         "seed must be in \\[0, 2\\*\\*64 - 1\\]\n\\Z"),
+        (["exchange", "--seed", "-1", "--outdir", "{out}"],
+         "seed must be in \\[0, 2\\*\\*64 - 1\\]\n\\Z"),
     ]
     + [(cmd + ["--grid", *grid], message) for cmd in (FIRMS, ANALYZE) for grid, message in BAD_GRIDS],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
@@ -266,7 +278,9 @@ BAD_GRIDS = [
          "reserves_too_wide", "capital_negative", "sectors_value_too_wide",
          "sectors_balance_too_wide", "trajectory_steps_negative", "reserves_steps_negative",
          "sectors_residual_too_wide", "sectors_offset_too_wide", "base_money_too_wide",
-         "analyze_same_out"]
+         "analyze_same_out", "analyze_out_is_input", "analyze_hist_out_is_input",
+         "firms_seed_too_wide", "firms_seed_negative", "exchange_seed_too_wide",
+         "exchange_seed_negative"]
     + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze")
        for case in ("nx", "extent", "bins", "width")],
 )
@@ -298,6 +312,7 @@ def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert list(out.iterdir()) == []
+    assert phase_csv.read_text() == "firm_id,x,y\n0,0.5,0.0\n1,-0.5,0.1\n"
 
 
 class TestExchangeCommand:

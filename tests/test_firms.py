@@ -204,16 +204,31 @@ class TestTransactionalStep:
         assert snapshot(state) == before
 
     def test_receipts_are_summed_exactly_before_they_are_posted(self):
-        # Four workers paid MONEY_MAX // 2 each all shop at firm 0: its
-        # receipts total 2 * MONEY_MAX - 2, which wraps in int64, so summed
-        # there the posting would not conserve money instead of overflowing.
-        config = EconomyConfig(n_firms=2, n_workers=4, wage=MONEY_MAX // 2)
-        state = init_economy(config)
-        state.worker_shop = np.zeros(4, dtype=np.int64)
-        before = snapshot(state)
-        with pytest.raises(MoneyOverflow, match="^balance of agent 0 would exceed 64-bit range$"):
-            step(state)
-        assert snapshot(state) == before
+        wage = MONEY_MAX // 2
+        cases = [  # (firms, each worker's shop, deposits, the agent named)
+            # Four workers paid MONEY_MAX // 2 each all shop at firm 0: its
+            # receipts total 2 * MONEY_MAX - 2, which wraps in int64, so
+            # summed there the posting would not conserve money instead of
+            # overflowing.
+            (2, [0, 0, 0, 0], [0, 0], 0),
+            # One worker per firm. Firm 0's two customers bring in a wage
+            # more than it pays, one past its headroom; firm 1's three
+            # customers bring in more than int64 holds. The lowest is named.
+            (5, [0, 0, 1, 1, 1], [MONEY_MAX - wage + 1, 0, 0, 0, 0], 0),
+            # Only firm 1 passes its headroom.
+            (5, [0, 1, 1, 2, 3], [0, MONEY_MAX - wage + 1, 0, 0, 0], 1),
+        ]
+        for n_firms, shops, deposit, agent in cases:
+            config = EconomyConfig(n_firms=n_firms, n_workers=len(shops), wage=wage)
+            state = init_economy(config)
+            state.worker_shop = np.array(shops, dtype=np.int64)
+            state.ledger.post(np.array(deposit, dtype=np.int64), equity_change=-sum(deposit))
+            before = snapshot(state)
+            with pytest.raises(
+                MoneyOverflow, match=f"^balance of agent {agent} would exceed 64-bit range$"
+            ):
+                step(state)
+            assert snapshot(state) == before
 
     def test_step_after_success_commits(self):
         state = init_economy(small_config())
@@ -533,7 +548,7 @@ class TestOrderDependentPhases:
         state = init_economy(config)
         dep, debt = _column(data.draw, n, _money), _column(data.draw, n, _money)
         try:
-            ledger = Ledger(n + n_workers, config.base_money)
+            ledger = Ledger(n, config.base_money)
             initial = np.maximum(dep - debt, 0)
             ledger.post(initial, equity_change=-sum(initial.tolist()))  # deposits
             ledger.post(debt, debt)  # loans

@@ -59,35 +59,35 @@ def column(values):
         return np.array(values, dtype=object)
 
 
-def net(*rows):
-    """Rows of (agent, change) summed exactly into one dense column for
-    agents 0 .. the highest agent named."""
-    out = [0] * (max((a for a, _ in rows), default=-1) + 1)
+def net(led, *rows):
+    """Rows of (agent, change) summed exactly into one dense column with
+    an entry for each of the ledger's agents."""
+    out = [0] * led.n_agents
     for agent, change in rows:
         out[agent] += change
     return column(out)
 
 
 def transfer(led, src, dst, amount):
-    led.post(net((src, -amount), (dst, amount)))
+    led.post(net(led, (src, -amount), (dst, amount)))
 
 
 def create_loan(led, agent, amount):
-    change = net((agent, amount))
+    change = net(led, (agent, amount))
     led.post(change, change)
 
 
 def repay_loan(led, agent, amount):
-    change = net((agent, -amount))
+    change = net(led, (agent, -amount))
     led.post(change, change)
 
 
 def pay_to_bank(led, agent, amount):
-    led.post(net((agent, -amount)), equity_change=amount)
+    led.post(net(led, (agent, -amount)), equity_change=amount)
 
 
 def pay_from_bank(led, agent, amount):
-    led.post(net((agent, amount)), equity_change=-amount)
+    led.post(net(led, (agent, amount)), equity_change=-amount)
 
 
 def annihilate(led, *agents):
@@ -129,16 +129,22 @@ class TestTransfer:
     def test_self_transfer_nets_to_nothing(self):
         # a column has one entry per agent: paying oneself is a zero change
         led = make_ledger([10, 10])
-        assert net((1, -1), (1, 1)).tolist() == [0, 0]
+        assert net(led, (1, -1), (1, 1)).tolist() == [0, 0]
         transfer(led, 1, 1, 1)
         assert [account(led, i) for i in (0, 1)] == [(10, 0)] * 2
 
     def test_unknown_agent(self):
+        # a column reaching agent 2 of a two-agent ledger, or one stopping
+        # short of agent 1, is rejected before anything is written
         led = make_ledger([10, 10])
-        with pytest.raises(InvalidConfig, match="^no agent 2 in ledger of 2$"):
-            transfer(led, 0, 2, 1)
-        with pytest.raises(InvalidConfig, match="^no agent 2 in ledger of 2$"):
+        with pytest.raises(InvalidConfig, match="^change column of 3 for a ledger of 2 agents$"):
+            led.post(column([-1, 0, 1]))
+        with pytest.raises(InvalidConfig, match="^change column of 3 for a ledger of 2 agents$"):
             led.post(column([0, 0]), column([0, 0, 0]))
+        with pytest.raises(InvalidConfig, match="^change column of 1 for a ledger of 2 agents$"):
+            led.post(column([0]), equity_change=0)
+        with pytest.raises(InvalidConfig, match="^change column of 1 for a ledger of 2 agents$"):
+            led.post(column([0, 0]), column([0]))
         assert led.deposits.tolist() == [10, 10]
 
     def test_negative_amount_rejected(self):
@@ -637,7 +643,7 @@ def test_batch_equals_sequential_scalar_ops(case):
         else:
             dep_rows, debt_rows, equity = netted(rows)
             batched.post(
-                net(*dep_rows), None if debt_rows is None else net(*debt_rows), equity
+                net(led, *dep_rows), None if debt_rows is None else net(led, *debt_rows), equity
             )
         assert batched.conservation_residual() == 0
         assert conservation_oracle(batched) == 0
@@ -676,7 +682,7 @@ class TestBatchEdges:
     def test_balances_reach_money_max_exactly(self):
         led = make_ledger([0, 0, 10], MONEY_MAX)
         create_loan(led, 0, MONEY_MAX)
-        led.post(net((0, -(MONEY_MAX - 10)), (2, -10), (1, MONEY_MAX)))
+        led.post(net(led, (0, -(MONEY_MAX - 10)), (2, -10), (1, MONEY_MAX)))
         pay_to_bank(led, 1, 0)
         assert _state(led)[:2] == ([10, MONEY_MAX, 0], [MONEY_MAX, 0, 0])
         assert led.conservation_residual() == 0
@@ -707,14 +713,16 @@ class TestBatchEdges:
 
     def test_spend_what_the_batch_brings_in(self):
         led = make_ledger([0, 50, 0])
-        led.post(net((1, -50), (0, 50), (0, -50), (2, 50)))
+        led.post(net(led, (1, -50), (0, 50), (0, -50), (2, 50)))
         assert [int(led.deposits[i]) for i in range(3)] == [0, 0, 50]
 
     def test_mismatched_lengths_and_bad_inputs(self):
         led = make_ledger([10, 10])
         rejected = "^changes must be 1-d int64 columns, got "
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="^change column of 3 for a ledger of 2 agents$"):
             led.post(column([-1, 0, 1]))  # longer than the ledger
+        with pytest.raises(InvalidConfig, match="^change column of 1 for a ledger of 2 agents$"):
+            led.post(column([0]))  # shorter than the ledger
         with pytest.raises(TypeError, match=rf"{rejected}int64 \(1, 2\)$"):
             led.post(column([[-1, 1]]))
         with pytest.raises(TypeError, match=rf"{rejected}float64 \(2,\)$"):
@@ -765,7 +773,7 @@ class TestSettle:
         create_loan(gross, 1, 30)
         transfer(gross, 1, 0, 30)
         repay_loan(gross, 0, 25)
-        led.post(column([30 - 25, 0]), column([-25, 30]))
+        led.post(column([30 - 25, 0, 0]), column([-25, 30, 0]))
         assert _state(led) == _state(gross)
         assert conservation_oracle(led) == 0
 
@@ -799,5 +807,5 @@ class TestSettle:
         create_loan(led, 0, 5)
         before = _state(led)
         with pytest.raises(error):
-            led.post(net(*zip(agents, dep_change)), net(*zip(agents, debt_change)))
+            led.post(net(led, *zip(agents, dep_change)), net(led, *zip(agents, debt_change)))
         assert _state(led) == before

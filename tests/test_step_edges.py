@@ -76,8 +76,7 @@ def economy(case: int):
         if MONEY_MIN <= equity <= MONEY_MAX:
             break
     column = lambda values: np.array(values, dtype=np.int64)
-    workers = [0] * (state.ledger.n_agents - n)  # the ledger's rows past the firms, if any
-    state.ledger = Ledger._of(column(dep + workers), column(debt + workers), equity, base)
+    state.ledger = Ledger._of(column(dep), column(debt), equity, base)
     state.capital = column([draws.pick([1, 3000, draws.money() or 1]) for _ in range(n)])
     state.last_profit = column(
         [draws.pick([0, -draws.money(), draws.money()]) for _ in range(n)]
@@ -98,9 +97,9 @@ def outcome(state) -> str:
             (rec.t, rec.class_counts, rec.bankruptcies, rec.conservation_residual,
              rec.points.tobytes().hex())
         )
-    led, n = state.ledger, state.config.n_firms
+    led = state.ledger
     parts.append(
-        (state.t, led.deposits[:n].tolist(), led.debts[:n].tolist(), led.bank_equity,
+        (state.t, led.deposits.tolist(), led.debts.tolist(), led.bank_equity,
          state.capital.tolist(), state.last_profit.tolist(), state.prev_net_debt.tolist(),
          state.worker_shop.tolist())
     )
