@@ -1,27 +1,36 @@
 """The phase-CSV helper: a second process that formats the phase CSVs of
 ``finphase firms`` and parses those of ``finphase analyze``, so that
-work runs on another core while the command's own process goes on.
-``analyze`` parses the files the helper has not reached with this
-module's ``parse_file``, so both processes accept the same files.
+work runs on another core while the command's own process goes on. Once
+all of the input is sent, each command does the same work from the back
+(``format_rows``, ``parse_file``) while the helper goes on from the
+front, until the two meet: both processes run the same functions, so the
+output does not depend on which of them did which part.
 
 The CLI holds a ``PhaseWriter`` or a ``PhaseReader``, each of which
 starts this file as ``python -I -S _phasecsv.py [parse ENCODING]``. As a
 script it imports only the standard library (no numpy, no finphase), so
-it starts in a few tens of milliseconds. Either way the helper reads all
-of its input before it writes anything, so neither side can block the
-other on a full pipe, and then writes one frame per file, in order: a
+it starts in a few tens of milliseconds. Each frame it writes is a
 length as 8 bytes, then that many bytes.
 
-Format (``firms``), one frame per phase file:
+Format (``firms``):
 
-- on its stdin, the row count as 8 bytes, then the rows' x, y as
-  float64 pairs: the bytes of an (n, 2) float64 array;
-- on its stdout, the text. The helper spools the texts to an anonymous
-  file (a memfd on Linux), so no process holds every file's text at once.
+- on its stdin, one frame per phase file: the row count as 8 bytes, then
+  the rows' x, y as float64 pairs, the bytes of an (n, 2) float64 array;
+- on its stdout, one frame of text per chunk of ``CHUNK`` rows, in
+  order: a file of n rows has ceil(n / CHUNK) chunks, and one if it has
+  none. Before each chunk the writer reads whatever input has arrived,
+  without waiting for more. Until the input ends it spools the texts to
+  an anonymous file (a memfd on Linux), so neither side blocks the
+  other on a full pipe and no process holds every file's text at once;
+  then it writes the spooled texts, and each later chunk as soon as it
+  is formatted. The main process formats the chunks from the back
+  whenever none of the writer's is waiting, and where the two meet it
+  closes its end of the writer's output: the writer takes that as a
+  normal stop and exits 0.
 
-Each text is the ``firm_id,x,y`` header and one ``i,x,y`` row per point,
-with x and y as ``repr`` gives them: the shortest decimal that reads
-back to the same float, the same on every run.
+A file's text is the ``firm_id,x,y`` header and one ``i,x,y`` row per
+point, with x and y as ``repr`` gives them: the shortest decimal that
+reads back to the same float, the same on every run.
 
 Parse (``analyze``), one frame per path:
 
@@ -31,9 +40,10 @@ Parse (``analyze``), one frame per path:
   ``io.text_encoding(None)``, so both decode as ``open(path)`` does
   there (``-I`` ignores ``PYTHONUTF8``). A file ``parse_file`` rejects
   gets the length ``NOT_PARSED`` and no bytes, for the main process to
-  parse it again, which raises the error it reports. The main process
-  takes a frame only once all of it has come, parses files from the
-  back until then, and kills the helper where the two meet.
+  parse it again, which raises the error it reports. The reader reads
+  all of its input before it writes anything. The main process takes a
+  frame only once all of it has come, parses files from the back until
+  then, and kills the helper where the two meet.
 
 Integers and floats are in the machine's byte order: both ends run on
 the same machine.
@@ -46,6 +56,11 @@ SCRIPT = __file__  # what the helper processes run
 _SIZE = 8  # bytes of a row count, a path or text length, or a frame length
 _ROW = 16  # bytes of one (x, y) float64 pair
 NOT_PARSED = (1 << 8 * _SIZE) - 1  # the frame length of a file the reader did not parse
+# Rows a text frame holds: ~45 KB of text, formatted in ~3 ms on a 2-core
+# x86-64 host. That bounds the work both processes do at the meet and the
+# wait for the writer to stop, and keeps a frame well inside the pipe; a
+# 1000-firm file is one chunk.
+CHUNK = 1000
 # Pipe size asked for on Linux (the default is 64 KiB): 1 MiB holds the
 # first ~60 steps of 1000 firms, so the simulation does not wait for the
 # writer to start, and the texts come back in fewer, larger reads.
@@ -56,12 +71,16 @@ def _uint(n: int) -> bytes:
     return n.to_bytes(_SIZE, sys.byteorder)
 
 
-def format_rows(data: bytes) -> bytes:
-    """The phase CSV text of points given as bytes of (x, y) float64 pairs."""
-    values = memoryview(data).cast("d").tolist()
+def format_rows(data, start: int) -> bytes:
+    """The phase CSV text of the chunk of a file's points, given as bytes of
+    (x, y) float64 pairs, that starts at row ``start``: up to ``CHUNK``
+    rows, numbered from ``start``. The file's first chunk (``start`` 0)
+    is headed by the header."""
+    values = memoryview(data)[start * _ROW : (start + CHUNK) * _ROW].cast("d").tolist()
     xs, ys = values[0::2], values[1::2]
-    rows = [f"{i},{x!r},{y!r}\n" for i, x, y in zip(range(len(xs)), xs, ys)]
-    return f"{HEADER}\n{''.join(rows)}".encode()
+    rows = [f"{i},{x!r},{y!r}\n" for i, x, y in zip(range(start, start + len(xs)), xs, ys)]
+    head = "" if start else f"{HEADER}\n"
+    return f"{head}{''.join(rows)}".encode()
 
 
 def parse_file(path, encoding=None):
@@ -150,19 +169,71 @@ def _spool():
 
 
 def main(stdin, stdout) -> None:
-    """Read every frame of points from ``stdin``, then write one frame of
-    text per frame read to ``stdout``, in order."""
-    sizes = []
+    """Format each frame of points from ``stdin`` as text, ``CHUNK`` rows at
+    a time, and write one frame per chunk to ``stdout``, in order: spooled
+    until the input ends, then each as soon as it is formatted. A ``stdin``
+    with no file descriptor, such as a ``BytesIO``, is read whole at once."""
+    import os
+    import select
+
+    try:
+        fd = stdin.fileno()
+    except OSError:  # io.UnsupportedOperation
+        fd = None
+    received = bytearray()  # input not yet split into frames
+    frames = []  # the points of each frame read and not yet all formatted
+    start = 0  # the first row of frames[0] not yet formatted
+    ended = False
+    sizes = []  # of the texts spooled
+
+    def send(text) -> None:
+        stdout.write(_uint(len(text)))
+        stdout.write(text)
+        stdout.flush()  # for the command to take it now
+
     with _spool() as spool:
-        for data in _read_frames(stdin, "rows", lambda n: n * _ROW):
-            text = format_rows(data)
-            spool.write(text)
-            sizes.append(len(text))
-        spool.seek(0)
-        for size in sizes:
-            stdout.write(_uint(size))
-            stdout.write(spool.read(size))
-    stdout.flush()
+        while True:
+            # what has arrived; with nothing to format, wait for more
+            wait = not frames
+            while not ended and (fd is None or select.select([fd], [], [], None if wait else 0)[0]):
+                # 64 KiB a read: a 1 MiB buffer is a fresh mapping on every read,
+                # ~30 us more each on a 2-core x86-64 host
+                data = stdin.read() if fd is None else os.read(fd, 1 << 16)
+                ended = not data
+                received += data
+                wait = False
+            while len(received) >= _SIZE:
+                end = _SIZE + int.from_bytes(received[:_SIZE], sys.byteorder) * _ROW
+                if len(received) < end:
+                    break
+                frames.append(received[_SIZE:end])
+                del received[:end]
+            if ended and received:
+                n = int.from_bytes(received[:_SIZE], sys.byteorder)
+                raise ValueError(
+                    f"input ended inside a frame of {n} rows"
+                    if len(received) >= _SIZE
+                    else "input ended inside a frame's count"
+                )
+            if ended and sizes:  # the input has just ended: the spooled texts first
+                spool.seek(0)
+                for size in sizes:
+                    send(spool.read(size))
+                sizes = []
+            if not frames:
+                if ended:
+                    break
+                continue
+            text = format_rows(frames[0], start)
+            start += CHUNK
+            if start * _ROW >= len(frames[0]):  # the frame's last chunk
+                del frames[0]
+                start = 0
+            if ended:
+                send(text)
+            else:
+                spool.write(text)
+                sizes.append(len(text))
 
 
 def parse_main(stdin, stdout, encoding: str) -> None:
@@ -269,27 +340,66 @@ class _Helper:
 class PhaseWriter(_Helper):
     """The format helper, as ``finphase firms`` sees it: ``send`` each
     phase file's points as soon as they exist, then iterate ``texts()``
-    for the files' texts in the same order."""
+    for each file's index and text."""
 
     name = "phase writer"
 
     def __init__(self) -> None:
         super().__init__()
-        self._sent = 0
+        self._chunks = []  # the number of chunks of each file sent
+        # the points' bytes of each file sent, for this process to format
+        # from the back; the writer reaches the earlier half first, so those
+        # are not kept
+        self._points = []
 
     def send(self, points) -> None:
         """Queue one phase file: ``points`` is an (n, 2) float64 array."""
+        data = points.tobytes()
         self._write(_uint(len(points)))
-        self._write(points.tobytes())
-        self._sent += 1
+        self._write(data)
+        self._chunks.append(max(1, -(-len(points) // CHUNK)))
+        self._points.append(data)
+        if half := len(self._points) // 2:
+            self._points[half - 1] = None
 
     def texts(self):
-        """The text of each file sent, in order, once all are sent; the
-        writer's exit status is checked after the last one."""
+        """(k, text) of each file k sent, once all are sent, each as soon as
+        all of its text is formatted. The writer formats the chunks from
+        the front; whenever none of its texts is waiting, this process
+        formats the last chunk neither has taken, until the two meet. Then
+        it closes the writer's output, which stops the writer, and checks
+        the writer's exit status."""
+        import os
+        import select
+
         self._end_input()
-        for _ in range(self._sent):
-            self.ready()  # waits: this output blocks
-            yield self.take()
+        out = self._proc.stdout
+        os.set_blocking(out.fileno(), False)
+        # (file, chunk) of every chunk, in the writer's order
+        chunks = [(k, j) for k, n in enumerate(self._chunks) for j in range(n)]
+        texts = [[None] * n for n in self._chunks]
+        left = list(self._chunks)  # of each file, not yet formatted
+        front, back = 0, len(chunks)
+        while front < back:
+            # the writer's first text, which a writer that fails at once never
+            # sends, and any chunk this process has no points for, are waited for
+            if front == 0 or self._points[chunks[back - 1][0]] is None:
+                while not self.ready():
+                    select.select([out], [], [])
+            if self.ready():
+                k, j = chunks[front]
+                front += 1
+                texts[k][j] = self.take()
+            else:
+                back -= 1
+                k, j = chunks[back]
+                texts[k][j] = format_rows(self._points[k], j * CHUNK)
+            left[k] -= 1
+            if not left[k]:
+                pieces = texts[k]
+                yield k, pieces[0] if len(pieces) == 1 else b"".join(pieces)
+                texts[k] = self._points[k] = None
+        out.close()
         if self._proc.wait() != 0:
             raise self._failed("failed")
 
@@ -326,5 +436,10 @@ if __name__ == "__main__":
             main(sys.stdin.buffer, sys.stdout.buffer)
     except KeyboardInterrupt:  # Ctrl-C reaches the whole process group; the CLI reports it
         sys.exit(130)
+    except BrokenPipeError:  # the command closed the output where the two met: a normal stop
+        import os
+
+        # what the output still buffers goes nowhere at exit, with no warning
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (OSError, ValueError) as exc:
         sys.exit(f"{(PhaseReader if parse else PhaseWriter).name}: {exc}")

@@ -5,13 +5,16 @@ interest | reserves | sectors. Every run is deterministic given its
 config and seed (seeds default to 0, never to the clock), and all data
 outputs are written with full-precision repr formatting so identical runs
 are byte-identical. ``firms`` has its phase CSVs formatted by a second
-process (``_phasecsv``) while its simulation runs; this process writes
-them once the last step is done. ``analyze`` has the same helper parse
-files from the front while it parses them from the back with ``parse_file``
-until the two meet; a file the helper rejects it parses again, for the
-error to report. Every output file is written through ``_Outputs``, so a
-run that fails removes the files it wrote. Exit codes: 0 success, 1
-domain error (message on stderr, never a stack trace), 2 usage error.
+process (``_phasecsv``) while its simulation runs; after the last step
+this process formats the last chunks of rows with ``format_rows`` while
+the helper goes on with the first, until the two meet, and writes each
+file as soon as all of its text is done. ``analyze`` has the same helper
+parse files from the front while it parses them from the back with
+``parse_file`` until the two meet; a file the helper rejects it parses
+again, for the error to report. Every output file is written through
+``_Outputs``, so a run that fails removes the files it wrote. Exit codes:
+0 success, 1 domain error (message on stderr, never a stack trace), 2
+usage error.
 Each subcommand imports its own modules, so no run pays for the others'.
 
 Config files are plain ``key = value`` lines with ``#`` comments; CLI
@@ -284,10 +287,12 @@ def _cmd_firms(args) -> int:
             steps.append(rec.t)
             residuals.append(rec.conservation_residual)
         outdir = _outdir(args)
+        paths = [outdir / f"phase_t{t}.csv" for t in steps]
         with _Outputs() as outputs:
-            # strict: texts() then runs to its end, where the writer's exit status is checked
-            for t, text in zip(steps, writer.texts(), strict=True):
-                outputs.emit(outdir / f"phase_t{t}.csv", text)
+            # each file as soon as its text is done; the writer's exit status
+            # is checked after the last
+            for k, text in writer.texts():
+                outputs.emit(paths[k], text)
             # written after the phase files, so a writer that fails at once leaves no output
             outputs.emit(outdir / "series.csv", "".join(series).encode())
             run = {
@@ -297,7 +302,8 @@ def _cmd_firms(args) -> int:
             }
             outputs.emit(outdir / "run.json", f"{_json(run)}\n".encode())
             if args.manifest:
-                for path in outputs.written:
+                # the phase files in t order, not in the order they were written
+                for path in [*paths, *outputs.written[len(paths) :]]:
                     manifest.add_output(path)
                 manifest.payload["conservation_residuals"] = residuals
                 manifest.payload["phase_seconds"] = timings

@@ -202,7 +202,10 @@ def init_economy(config: EconomyConfig) -> EconomyState:
     different profitability.
     """
     n = config.n_firms
-    worker_firm = np.arange(config.n_workers, dtype=np.int64) % n
+    # worker i works at firm i % n: each firm employs n_workers // n, and
+    # the first n_workers % n firms one more
+    employees = np.full(n, config.n_workers // n, dtype=np.int64)
+    employees[: config.n_workers % n] += 1
     worker_shop = rng.randint_block(
         rng.derive(config.seed, 0, _TAG_WORKER_TARGET), 0, config.n_workers, n
     )
@@ -212,7 +215,7 @@ def init_economy(config: EconomyConfig) -> EconomyState:
         capital=np.full(n, config.initial_capital, dtype=np.int64),
         last_profit=np.zeros(n, dtype=np.int64),
         prev_net_debt=np.zeros(n, dtype=np.int64),
-        employees=np.bincount(worker_firm, minlength=n).astype(np.int64),
+        employees=employees,
         worker_shop=worker_shop,
     )
 

@@ -485,14 +485,16 @@ phase_points = st.one_of(st.sampled_from([0, 1, 1000]), st.integers(2, 40)).flat
 @settings(max_examples=40, deadline=None)
 @given(st.lists(phase_points, max_size=4))
 @example([])
+# files of several chunks: their chunks from the second on have no header
+@example([np.arange(5000.0).reshape(2500, 2) / 7, np.arange(2002.0).reshape(1001, 2) - 500])
 @example([np.array(EDGE_FLOATS).reshape(4, 2), np.empty((0, 2)), np.array([[1e-05, -0.0]])])
 @example([np.arange(2000.0).reshape(1000, 2) / 7 - 100, np.array(EDGE_FLOATS[::-1]).reshape(4, 2)])
 def test_writer_texts_equal_the_oracle(files):
     with _phasecsv.PhaseWriter() as writer:  # a real writer process
         for points in files:
             writer.send(points)
-        texts = list(writer.texts())
-    assert texts == [phase_csv_oracle(points) for points in files]
+        texts = dict(writer.texts())  # by file index, in the order they were done
+    assert [texts[k] for k in range(len(texts))] == [phase_csv_oracle(points) for points in files]
 
 
 @pytest.fixture
@@ -634,7 +636,7 @@ class TestPhaseWriter:
         points = np.arange(6.0).reshape(3, 2)
         with _phasecsv.PhaseWriter() as writer:
             writer.send(points)
-            assert list(writer.texts()) == [phase_csv_oracle(points)]  # exit status 0
+            assert list(writer.texts()) == [(0, phase_csv_oracle(points))]  # exit status 0
         [proc] = started
         assert_reaped(proc)
 
@@ -665,6 +667,147 @@ class TestPhaseWriter:
         assert run_cli(*SMALL_FIRMS, "--outdir", str(tmp_path), "--manifest") == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["peak_rss_mb"] == 4.0
+
+
+def firms_oracle(**fields) -> dict:
+    """The phase CSVs of a ``firms`` run, by file name, as
+    ``phase_csv_oracle`` formats them from the records in this process."""
+    config = EconomyConfig(**fields)
+    return {f"phase_t{rec.t}.csv": phase_csv_oracle(rec.points) for rec in firms.records(config)}
+
+
+def written_phase_files(out) -> dict:
+    return {p.name: p.read_bytes() for p in out.glob("phase_t*.csv")}
+
+
+MULTI_CHUNK = dict(n_firms=2500, n_workers=5000)  # three chunks a file
+MULTI_CHUNK_ARGV = ["firms", "--firms", "2500", "--workers", "5000"]
+
+
+@pytest.fixture
+def front_takes(monkeypatch):
+    """``front_takes(m)`` makes the command wait for each of the writer's
+    first m chunks, then take none: it formats every later chunk itself,
+    so the two meet at chunk m. ``m`` must cover the files whose points
+    the command does not keep."""
+
+    def limit(m):
+        ready, take = _phasecsv.PhaseWriter.ready, _phasecsv.PhaseWriter.take
+        taken = []
+
+        def waiting(self):
+            if len(taken) == m:
+                return False
+            while not ready(self):
+                time.sleep(0.001)
+            return True
+
+        def counted(self):
+            taken.append(True)
+            return take(self)
+
+        monkeypatch.setattr(_phasecsv.PhaseWriter, "ready", waiting)
+        monkeypatch.setattr(_phasecsv.PhaseWriter, "take", counted)
+        return taken
+
+    return limit
+
+
+class TestTwoEnds:
+    """The writer formats the chunks from the front, the command from the
+    back; wherever they meet, the files are the oracle's."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 6])
+    def test_real_writer_gives_the_oracle_texts(self, tmp_path, started, steps):
+        assert run_cli(*MULTI_CHUNK_ARGV, "--steps", str(steps), "--outdir", str(tmp_path)) == 0
+        assert written_phase_files(tmp_path) == firms_oracle(**MULTI_CHUNK, n_steps=steps)
+        [proc] = started
+        assert proc.returncode == 0
+        assert_reaped(proc)
+
+    def test_writer_sending_one_chunk_leaves_the_rest_to_the_command(
+        self, tmp_path, monkeypatch, started
+    ):
+        # a stand-in writer: the first chunk's text, then nothing until the
+        # command closes its end, which a poll of the output reports
+        path = tmp_path / "writer.py"
+        path.write_text(
+            "import runpy, select, sys\n"
+            f"real = runpy.run_path({_phasecsv.SCRIPT!r})\n"
+            "data = sys.stdin.buffer.read()\n"
+            "rows = int.from_bytes(data[:8], sys.byteorder)\n"
+            "text = real['format_rows'](data[8 : 8 + 16 * rows], 0)\n"
+            "sys.stdout.buffer.write(len(text).to_bytes(8, sys.byteorder) + text)\n"
+            "sys.stdout.buffer.flush()\n"
+            "poll = select.poll()\n"
+            "poll.register(sys.stdout, 0)\n"
+            "poll.poll()\n"
+        )
+        monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+        # three files: the command keeps the points of the last two, so it
+        # formats all three chunks of the second and the empty third
+        rng = np.random.default_rng(3)
+        files = [rng.normal(size=(1000, 2)), rng.normal(size=(2500, 2)), np.empty((0, 2))]
+        with _phasecsv.PhaseWriter() as writer:
+            for points in files:
+                writer.send(points)
+            texts = list(writer.texts())
+        assert [k for k, _ in texts] == [0, 2, 1]  # in the order they were done
+        assert dict(texts) == {k: phase_csv_oracle(points) for k, points in enumerate(files)}
+        [proc] = started
+        assert proc.returncode == 0
+        assert_reaped(proc)
+
+    def test_meet_inside_a_file_stops_the_writer_quietly(
+        self, tmp_path, capfd, monkeypatch, started, front_takes
+    ):
+        # 40 files of 3 chunks; the command keeps the points of files 20-39
+        # and takes chunks 0-60, so file 20's first chunk is the writer's and
+        # its other two the command's. The ~2 MB of later text does not fit
+        # in the pipe: the writer is still sending when the command closes
+        # its end, and the wrapper exits 0 only if the writer took that as
+        # its stop and sent the rest of its output to the null device.
+        path = tmp_path / "writer.py"
+        path.write_text(
+            "import os, runpy, sys\n"
+            f"runpy.run_path({_phasecsv.SCRIPT!r}, run_name='__main__')\n"
+            "sys.exit(0 if os.path.samestat(os.fstat(1), os.stat(os.devnull)) else 9)\n"
+        )
+        monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+        taken = front_takes(61)
+        assert run_cli(*MULTI_CHUNK_ARGV, "--steps", "39", "--outdir", str(tmp_path)) == 0
+        assert len(taken) == 61
+        assert written_phase_files(tmp_path) == firms_oracle(**MULTI_CHUNK, n_steps=39)
+        err = capfd.readouterr().err
+        assert err == "", err  # no BrokenPipeError, no "Exception ignored"
+        [proc] = started
+        assert proc.returncode == 0
+        assert_reaped(proc)
+
+    def test_manifest_lists_the_outputs_in_t_order(self, tmp_path, front_takes):
+        # the writer gives t0 and t1 and the command formats t4, t3, t2, in
+        # that order; the manifest lists them by t all the same
+        front_takes(2)
+        assert run_cli(*SMALL_FIRMS, "--outdir", str(tmp_path), "--manifest") == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == [
+            *(f"phase_t{t}.csv" for t in range(5)), "series.csv", "run.json",
+        ]
+        assert written_phase_files(tmp_path) == firms_oracle(n_firms=5, n_workers=20, n_steps=4)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_one_cpu_gives_the_same_bytes(self, tmp_path):
+        cpu = min(os.sched_getaffinity(0))
+        env = dict(os.environ, PYTHONPATH=str(Path(phase.__file__).resolve().parent.parent))
+        outputs = []
+        for pin in ("", f"os.sched_setaffinity(0, {{{cpu}}}); "):
+            out = tmp_path / f"out{len(outputs)}"
+            code = f"import os; {pin}from finphase.cli import main; main()"
+            argv = [*MULTI_CHUNK_ARGV, "--steps", "10", "--outdir", str(out)]
+            subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, timeout=120)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 13  # 11 phase files, series.csv and run.json
 
 
 class TestAnalyzeCommand:
