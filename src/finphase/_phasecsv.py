@@ -1,49 +1,43 @@
 """The phase-CSV helper: a second process that formats the phase CSVs of
 ``finphase firms`` and parses those of ``finphase analyze``, so that
-work runs on another core while the command's own process goes on. Once
-all of the input is sent, each command does the same work from the back
-(``format_rows``, ``parse_file``) while the helper goes on from the
-front, until the two meet: both processes run the same functions, so the
-output does not depend on which of them did which part.
+work runs on another core while the command's own process goes on.
 
 The CLI holds a ``PhaseWriter`` or a ``PhaseReader``, each of which
 starts this file as ``python -I -S _phasecsv.py [parse ENCODING]``. As a
 script it imports only the standard library (no numpy, no finphase), so
-it starts in a few tens of milliseconds. Each frame it writes is a
-length as 8 bytes, then that many bytes.
+it starts in a few tens of milliseconds.
 
-Format (``firms``):
+Every frame, in both directions, is a byte length as 8 bytes, then that
+many bytes. The command sends one frame per input and then ends its
+input. The helper (``main``) runs one loop: before each unit of work it
+reads whatever input has arrived, without waiting for more, and splits
+it into frames; it writes one frame per unit, in order. Until the input
+ends it spools them to an anonymous file (a memfd on Linux), so neither
+side blocks the other on a full pipe and no process holds every output
+at once; then it writes the spooled frames, and each later one as soon
+as it is done. The two helpers differ only in the work per input frame:
 
-- on its stdin, one frame per phase file: the row count as 8 bytes, then
-  the rows' x, y as float64 pairs, the bytes of an (n, 2) float64 array;
-- on its stdout, one frame of text per chunk of ``CHUNK`` rows, in
-  order: a file of n rows has ceil(n / CHUNK) chunks, and one if it has
-  none. Before each chunk the writer reads whatever input has arrived,
-  without waiting for more. Until the input ends it spools the texts to
-  an anonymous file (a memfd on Linux), so neither side blocks the
-  other on a full pipe and no process holds every file's text at once;
-  then it writes the spooled texts, and each later chunk as soon as it
-  is formatted. The main process formats the chunks from the back
-  whenever none of the writer's is waiting, and where the two meet it
-  closes its end of the writer's output: the writer takes that as a
-  normal stop and exits 0.
+- format (``firms``): the frame is a phase file's points, the bytes of
+  an (n, 2) float64 array, n being its length // 16. A unit is one chunk
+  of ``CHUNK`` rows, whose text ``format_rows`` makes: ceil(n / CHUNK)
+  units, and one if n is 0. A file's text is the ``firm_id,x,y`` header
+  and one ``i,x,y`` row per point, with x and y as ``repr`` gives them:
+  the shortest decimal that reads back to the same float.
+- parse (``analyze``): the frame is a path, and the unit the file's x, y
+  values as float64 pairs, parsed by ``parse_file`` with ENCODING, the
+  main process's ``io.text_encoding(None)``, so both decode as
+  ``open(path)`` does there (``-I`` ignores ``PYTHONUTF8``). A file
+  ``parse_file`` rejects gets the length ``NOT_PARSED`` and no bytes,
+  for the main process to parse it again, which raises the error it
+  reports.
 
-A file's text is the ``firm_id,x,y`` header and one ``i,x,y`` row per
-point, with x and y as ``repr`` gives them: the shortest decimal that
-reads back to the same float, the same on every run.
-
-Parse (``analyze``), one frame per path:
-
-- on its stdin, each path's length as 8 bytes, then the path's bytes;
-- on its stdout, the file's x, y values as float64 pairs, parsed by
-  ``parse_file`` with ENCODING, the main process's
-  ``io.text_encoding(None)``, so both decode as ``open(path)`` does
-  there (``-I`` ignores ``PYTHONUTF8``). A file ``parse_file`` rejects
-  gets the length ``NOT_PARSED`` and no bytes, for the main process to
-  parse it again, which raises the error it reports. The reader reads
-  all of its input before it writes anything. The main process takes a
-  frame only once all of it has come, parses files from the back until
-  then, and kills the helper where the two meet.
+Once all of its input is sent, the command meets the helper in the
+middle (``meet``): it takes the helper's units from the front, each once
+all of its frame has come, and otherwise does the last unit neither has
+taken with the same function, so the output does not depend on which
+process did which unit. Where the two meet it closes the writer's
+output, which the writer takes as a normal stop (exit 0), and kills the
+reader, whose unit, a whole file, is too long to wait for.
 
 Integers and floats are in the machine's byte order: both ends run on
 the same machine.
@@ -53,7 +47,7 @@ import sys
 
 HEADER = "firm_id,x,y"
 SCRIPT = __file__  # what the helper processes run
-_SIZE = 8  # bytes of a row count, a path or text length, or a frame length
+_SIZE = 8  # bytes of a frame's length
 _ROW = 16  # bytes of one (x, y) float64 pair
 NOT_PARSED = (1 << 8 * _SIZE) - 1  # the frame length of a file the reader did not parse
 # Rows a text frame holds: ~45 KB of text, formatted in ~3 ms on a 2-core
@@ -141,19 +135,6 @@ def parse_file(path, encoding=None):
     return values  # finite, though their sum is not
 
 
-def _read_frames(stdin, unit: str, size):
-    """The data of each frame of ``stdin`` until it ends: a count n as 8
-    bytes, then ``size(n)`` bytes."""
-    while head := stdin.read(_SIZE):
-        if len(head) != _SIZE:
-            raise ValueError("input ended inside a frame's count")
-        n = int.from_bytes(head, sys.byteorder)
-        data = stdin.read(size(n))
-        if len(data) != size(n):
-            raise ValueError(f"input ended inside a frame of {n} {unit}")
-        yield data
-
-
 def _spool():
     """An anonymous read-write binary file: a memfd where the system has
     them, else a temporary file (``tempfile`` takes ~19 ms to import, on
@@ -168,11 +149,30 @@ def _spool():
         return tempfile.TemporaryFile()
 
 
-def main(stdin, stdout) -> None:
-    """Format each frame of points from ``stdin`` as text, ``CHUNK`` rows at
-    a time, and write one frame per chunk to ``stdout``, in order: spooled
-    until the input ends, then each as soon as it is formatted. A ``stdin``
-    with no file descriptor, such as a ``BytesIO``, is read whole at once."""
+def _formatted(points):
+    """The format helper's output frames for one frame of points: the text
+    of each of its chunks."""
+    for start in range(0, max(1, len(points) // _ROW), CHUNK):
+        text = format_rows(points, start)
+        yield _uint(len(text)) + text
+
+
+def _parsed(path, encoding: str):
+    """The parse helper's output frame for one path: the file's values, or
+    the length NOT_PARSED."""
+    try:
+        values = parse_file(bytes(path), encoding)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        yield _uint(NOT_PARSED)
+    else:
+        yield _uint(len(values) * values.itemsize) + values.tobytes()
+
+
+def main(stdin, stdout, encoding=None) -> None:
+    """Run the format helper, or with ``encoding`` the parse helper: split
+    ``stdin`` into frames and write each one's output frames to ``stdout``,
+    in order, spooled until the input ends. A ``stdin`` with no file
+    descriptor, such as a ``BytesIO``, is read whole at once."""
     import os
     import select
 
@@ -181,20 +181,13 @@ def main(stdin, stdout) -> None:
     except OSError:  # io.UnsupportedOperation
         fd = None
     received = bytearray()  # input not yet split into frames
-    frames = []  # the points of each frame read and not yet all formatted
-    start = 0  # the first row of frames[0] not yet formatted
+    work = []  # the output frames still to come of each input frame
     ended = False
-    sizes = []  # of the texts spooled
-
-    def send(text) -> None:
-        stdout.write(_uint(len(text)))
-        stdout.write(text)
-        stdout.flush()  # for the command to take it now
-
     with _spool() as spool:
+        out = spool  # stdout once the input has ended
         while True:
-            # what has arrived; with nothing to format, wait for more
-            wait = not frames
+            # what has arrived; with nothing to do, wait for more
+            wait = not work
             while not ended and (fd is None or select.select([fd], [], [], None if wait else 0)[0]):
                 # 64 KiB a read: a 1 MiB buffer is a fresh mapping on every read,
                 # ~30 us more each on a 2-core x86-64 host
@@ -203,51 +196,35 @@ def main(stdin, stdout) -> None:
                 received += data
                 wait = False
             while len(received) >= _SIZE:
-                end = _SIZE + int.from_bytes(received[:_SIZE], sys.byteorder) * _ROW
+                end = _SIZE + int.from_bytes(received[:_SIZE], sys.byteorder)
                 if len(received) < end:
                     break
-                frames.append(received[_SIZE:end])
+                data = received[_SIZE:end]
                 del received[:end]
+                work.append(_formatted(data) if encoding is None else _parsed(data, encoding))
             if ended and received:
                 n = int.from_bytes(received[:_SIZE], sys.byteorder)
                 raise ValueError(
-                    f"input ended inside a frame of {n} rows"
+                    f"input ended inside a frame of {n} bytes"
                     if len(received) >= _SIZE
-                    else "input ended inside a frame's count"
+                    else "input ended inside a frame's length"
                 )
-            if ended and sizes:  # the input has just ended: the spooled texts first
+            if ended and out is spool:  # the input has just ended: the spooled frames first
                 spool.seek(0)
-                for size in sizes:
-                    send(spool.read(size))
-                sizes = []
-            if not frames:
+                while data := spool.read(1 << 16):
+                    stdout.write(data)
+                stdout.flush()
+                out = stdout
+            if not work:
                 if ended:
                     break
                 continue
-            text = format_rows(frames[0], start)
-            start += CHUNK
-            if start * _ROW >= len(frames[0]):  # the frame's last chunk
-                del frames[0]
-                start = 0
-            if ended:
-                send(text)
-            else:
-                spool.write(text)
-                sizes.append(len(text))
-
-
-def parse_main(stdin, stdout, encoding: str) -> None:
-    """Read every path from ``stdin``, then write one frame of values per
-    path to ``stdout``, in order."""
-    for path in list(_read_frames(stdin, "path bytes", int)):
-        try:
-            values = parse_file(path, encoding)
-        except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
-            stdout.write(_uint(NOT_PARSED))
-        else:
-            stdout.write(_uint(len(values) * values.itemsize))
-            stdout.write(values)
-    stdout.flush()
+            frame = next(work[0], None)
+            if frame is None:
+                del work[0]
+                continue
+            out.write(frame)
+            stdout.flush()  # for the command to take it now
 
 
 class _Helper:
@@ -261,6 +238,7 @@ class _Helper:
     """
 
     def __init__(self, *args: str) -> None:
+        import os
         import subprocess  # imported here: only the phase commands start a process
 
         self._proc = subprocess.Popen(
@@ -276,6 +254,7 @@ class _Helper:
                     fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
                 except OSError:  # above the system's limit: the default size works too
                     pass
+        os.set_blocking(self._proc.stdout.fileno(), False)  # for ready(), which never waits
         self._frame = bytearray()  # what is read of the next output frame
         self._need = _SIZE  # its length, as far as it is known
 
@@ -298,21 +277,21 @@ class _Helper:
         self._proc.kill()
         return OSError(f"{self.name} {what} (exit status {self._proc.wait()})")
 
-    def _write(self, data: bytes) -> None:
+    def _send(self, data) -> None:
+        """Send ``data`` to the helper as one frame; None ends its input."""
+        stdin = self._proc.stdin
         try:
-            self._proc.stdin.write(data)
-        except BrokenPipeError:
-            raise self._failed("stopped reading") from None
-
-    def _end_input(self) -> None:
-        try:
-            self._proc.stdin.close()
+            if data is None:
+                stdin.close()
+            else:
+                stdin.write(_uint(len(data)))
+                stdin.write(data)
         except BrokenPipeError:
             raise self._failed("stopped reading") from None
 
     def ready(self) -> bool:
         """Whether all of the next output frame is read, reading no further
-        than its end; on output set not to block, without waiting."""
+        than its end, without waiting."""
         import os
 
         while (missing := self._need - len(self._frame)) > 0:
@@ -337,6 +316,29 @@ class _Helper:
         return frame
 
 
+def meet(helper, n: int, wait=lambda front, last: False):
+    """(i, data) for each of ``n`` units, once each, the helper doing them
+    from the front and the caller from the back: ``data`` is the helper's
+    next frame, as ``take`` gives it, whenever all of it has come, and
+    otherwise None, for the caller to do the last unit neither has taken.
+    Where ``wait(front, last)`` is true, the caller may not do unit
+    ``last``, so the helper's unit ``front`` is waited for. With no helper
+    (None), every unit is the caller's."""
+    import select
+
+    front, back = 0, n
+    while front < back:
+        if helper is not None and wait(front, back - 1):
+            while not helper.ready():
+                select.select([helper._proc.stdout], [], [])
+        if helper is not None and helper.ready():
+            yield front, helper.take()
+            front += 1
+        else:
+            back -= 1
+            yield back, None
+
+
 class PhaseWriter(_Helper):
     """The format helper, as ``finphase firms`` sees it: ``send`` each
     phase file's points as soon as they exist, then iterate ``texts()``
@@ -355,8 +357,7 @@ class PhaseWriter(_Helper):
     def send(self, points) -> None:
         """Queue one phase file: ``points`` is an (n, 2) float64 array."""
         data = points.tobytes()
-        self._write(_uint(len(points)))
-        self._write(data)
+        self._send(data)
         self._chunks.append(max(1, -(-len(points) // CHUNK)))
         self._points.append(data)
         if half := len(self._points) // 2:
@@ -364,52 +365,39 @@ class PhaseWriter(_Helper):
 
     def texts(self):
         """(k, text) of each file k sent, once all are sent, each as soon as
-        all of its text is formatted. The writer formats the chunks from
-        the front; whenever none of its texts is waiting, this process
-        formats the last chunk neither has taken, until the two meet. Then
-        it closes the writer's output, which stops the writer, and checks
-        the writer's exit status."""
-        import os
-        import select
-
-        self._end_input()
-        out = self._proc.stdout
-        os.set_blocking(out.fileno(), False)
+        all of its chunks are formatted, at either end (``meet``). Then
+        closes the writer's output, which stops the writer, and checks the
+        writer's exit status."""
+        self._send(None)
         # (file, chunk) of every chunk, in the writer's order
         chunks = [(k, j) for k, n in enumerate(self._chunks) for j in range(n)]
         texts = [[None] * n for n in self._chunks]
         left = list(self._chunks)  # of each file, not yet formatted
-        front, back = 0, len(chunks)
-        while front < back:
-            # the writer's first text, which a writer that fails at once never
-            # sends, and any chunk this process has no points for, are waited for
-            if front == 0 or self._points[chunks[back - 1][0]] is None:
-                while not self.ready():
-                    select.select([out], [], [])
-            if self.ready():
-                k, j = chunks[front]
-                front += 1
-                texts[k][j] = self.take()
-            else:
-                back -= 1
-                k, j = chunks[back]
-                texts[k][j] = format_rows(self._points[k], j * CHUNK)
+
+        def wait(front, last):
+            # for the writer's first text, which a writer that fails at once
+            # never sends, and where this process has no points
+            return front == 0 or self._points[chunks[last][0]] is None
+
+        for i, text in meet(self, len(chunks), wait):
+            k, j = chunks[i]
+            texts[k][j] = format_rows(self._points[k], j * CHUNK) if text is None else text
             left[k] -= 1
             if not left[k]:
                 pieces = texts[k]
                 yield k, pieces[0] if len(pieces) == 1 else b"".join(pieces)
                 texts[k] = self._points[k] = None
-        out.close()
+        self._proc.stdout.close()
         if self._proc.wait() != 0:
             raise self._failed("failed")
 
 
 class PhaseReader(_Helper):
     """The parse helper, as ``finphase analyze`` sees it: ``send(paths)``
-    hands it every path at once. Each time ``ready()`` finds the next
-    file's frame whole, ``take()`` gives its x, y float64 pairs, or None
-    for a file the helper did not parse. Leaving the ``with`` block kills
-    it, as the command may have parsed the remaining files itself."""
+    hands it every path at once; ``meet`` then gives each file's x, y
+    float64 pairs, or None for a file the caller parses itself. Leaving
+    the ``with`` block kills it, as the command may have parsed the
+    remaining files itself."""
 
     name = "phase reader"
 
@@ -421,19 +409,15 @@ class PhaseReader(_Helper):
     def send(self, paths) -> None:
         import os
 
-        for path in map(os.fsencode, paths):
-            self._write(_uint(len(path)) + path)
-        self._end_input()
-        os.set_blocking(self._proc.stdout.fileno(), False)
+        for path in paths:
+            self._send(os.fsencode(path))
+        self._send(None)
 
 
 if __name__ == "__main__":
     parse = sys.argv[1:2] == ["parse"]
     try:
-        if parse:
-            parse_main(sys.stdin.buffer, sys.stdout.buffer, sys.argv[2])
-        else:
-            main(sys.stdin.buffer, sys.stdout.buffer)
+        main(sys.stdin.buffer, sys.stdout.buffer, sys.argv[2] if parse else None)
     except KeyboardInterrupt:  # Ctrl-C reaches the whole process group; the CLI reports it
         sys.exit(130)
     except BrokenPipeError:  # the command closed the output where the two met: a normal stop

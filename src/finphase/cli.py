@@ -4,14 +4,9 @@ One binary, subcommand style: exchange | firms | analyze | macro |
 interest | reserves | sectors. Every run is deterministic given its
 config and seed (seeds default to 0, never to the clock), and all data
 outputs are written with full-precision repr formatting so identical runs
-are byte-identical. ``firms`` has its phase CSVs formatted by a second
-process (``_phasecsv``) while its simulation runs; after the last step
-this process formats the last chunks of rows with ``format_rows`` while
-the helper goes on with the first, until the two meet, and writes each
-file as soon as all of its text is done. ``analyze`` has the same helper
-parse files from the front while it parses them from the back with
-``parse_file`` until the two meet; a file the helper rejects it parses
-again, for the error to report. Every output file is written through
+are byte-identical. ``firms`` formats its phase CSVs and ``analyze``
+parses them with the help of a second process that meets this one in
+the middle (``_phasecsv``). Every output file is written through
 ``_Outputs``, so a run that fails removes the files it wrote. Exit codes:
 0 success, 1 domain error (message on stderr, never a stack trace), 2
 usage error.
@@ -338,20 +333,11 @@ def _cmd_analyze(args) -> int:
     counts = np.zeros((grid.nx, grid.ny), dtype=np.int64)
     entries = [None] * len(files)  # the report's, in argument order
     errors = {}  # by file index: the first bad file's is raised
-    # The phase reader parses the files from the front; whenever none of its
-    # frames is waiting, this process parses the last file neither has taken,
-    # until the two meet. One file is not worth a process.
+    # one file is not worth a phase reader: this process parses it
     with _phasecsv.PhaseReader() if len(files) > 1 else contextlib.nullcontext() as reader:
         if reader is not None:
             reader.send(files)
-        front, back = 0, len(files)
-        while front < back:
-            if reader is not None and reader.ready():
-                k, values = front, reader.take()
-                front += 1
-            else:
-                back -= 1
-                k, values = back, None
+        for k, values in _phasecsv.meet(reader, len(files)):
             try:
                 if values is None:  # this process's file, or one the reader rejected
                     values = _phasecsv.parse_file(files[k])  # raises the error of a bad file

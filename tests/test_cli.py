@@ -626,11 +626,12 @@ class TestPhaseWriter:
 
     @pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="no memfd here")
     def test_writer_does_not_import_tempfile(self, tmp_path, monkeypatch, started):
-        # the writer spools into a memfd; tempfile would add ~19 ms to its start
+        # the writer spools into a memfd; tempfile would add ~19 ms to its
+        # start, and array, which only parse_file needs, ~5 ms
         path = tmp_path / "writer.py"
         path.write_text(
             f"import runpy, sys\nrunpy.run_path({_phasecsv.SCRIPT!r}, run_name='__main__')\n"
-            "sys.exit(7 if 'tempfile' in sys.modules else 0)\n"
+            "sys.exit(7 if {'tempfile', 'array'} & sys.modules.keys() else 0)\n"
         )
         monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
         points = np.arange(6.0).reshape(3, 2)
@@ -650,7 +651,7 @@ class TestPhaseWriter:
         elif memfd == "missing":
             monkeypatch.delattr(os, "memfd_create", raising=False)
         files = [np.arange(6.0).reshape(3, 2) / 7, np.empty((0, 2))]
-        stdin = io.BytesIO(b"".join(len(p).to_bytes(8, sys.byteorder) + p.tobytes() for p in files))
+        stdin = io.BytesIO(b"".join(p.nbytes.to_bytes(8, sys.byteorder) + p.tobytes() for p in files))
         stdout = io.BytesIO()
         _phasecsv.main(stdin, stdout)
         texts = [phase_csv_oracle(p) for p in files]
@@ -667,6 +668,40 @@ class TestPhaseWriter:
         assert run_cli(*SMALL_FIRMS, "--outdir", str(tmp_path), "--manifest") == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["peak_rss_mb"] == 4.0
+
+
+@pytest.mark.parametrize("source", ["bytes_io", "pipe"])
+@pytest.mark.parametrize(
+    "tail,message",
+    [
+        (b"\x10\x00\x00", "input ended inside a frame's length"),
+        ((16).to_bytes(8, sys.byteorder) + b"abc", "input ended inside a frame of 16 bytes"),
+    ],
+    ids=["in_length", "in_body"],
+)
+@pytest.mark.parametrize("helper", ["format", "parse"])
+def test_input_ending_inside_a_frame_is_an_error(tmp_path, helper, tail, message, source):
+    # one whole frame, which the helper does, and then the end of the input
+    # inside the next one: the error, and no output
+    if helper == "format":
+        whole, encoding = np.arange(4.0).tobytes(), None
+    else:
+        path = tmp_path / "phase_t0.csv"
+        path.write_text(GOOD_PHASE_CSV)
+        whole, encoding = os.fsencode(path), "utf-8"
+    data = len(whole).to_bytes(8, sys.byteorder) + whole + tail
+    if source == "pipe":  # read through select and os.read, as the helper process does
+        read, write = os.pipe()
+        os.write(write, data)
+        os.close(write)
+        stdin = open(read, "rb")
+    else:
+        stdin = io.BytesIO(data)
+    stdout = io.BytesIO()
+    with stdin, pytest.raises(ValueError) as info:
+        _phasecsv.main(stdin, stdout, encoding)
+    assert str(info.value) == message
+    assert stdout.getvalue() == b""
 
 
 def firms_oracle(**fields) -> dict:
@@ -735,8 +770,8 @@ class TestTwoEnds:
             "import runpy, select, sys\n"
             f"real = runpy.run_path({_phasecsv.SCRIPT!r})\n"
             "data = sys.stdin.buffer.read()\n"
-            "rows = int.from_bytes(data[:8], sys.byteorder)\n"
-            "text = real['format_rows'](data[8 : 8 + 16 * rows], 0)\n"
+            "size = int.from_bytes(data[:8], sys.byteorder)\n"
+            "text = real['format_rows'](data[8 : 8 + size], 0)\n"
             "sys.stdout.buffer.write(len(text).to_bytes(8, sys.byteorder) + text)\n"
             "sys.stdout.buffer.flush()\n"
             "poll = select.poll()\n"
