@@ -171,15 +171,11 @@ def _parsed(path, encoding: str):
 def main(stdin, stdout, encoding=None) -> None:
     """Run the format helper, or with ``encoding`` the parse helper: split
     ``stdin`` into frames and write each one's output frames to ``stdout``,
-    in order, spooled until the input ends. A ``stdin`` with no file
-    descriptor, such as a ``BytesIO``, is read whole at once."""
+    in order, spooled until the input ends."""
     import os
     import select
 
-    try:
-        fd = stdin.fileno()
-    except OSError:  # io.UnsupportedOperation
-        fd = None
+    fd = stdin.fileno()
     received = bytearray()  # input not yet split into frames
     work = []  # the output frames still to come of each input frame
     ended = False
@@ -188,10 +184,10 @@ def main(stdin, stdout, encoding=None) -> None:
         while True:
             # what has arrived; with nothing to do, wait for more
             wait = not work
-            while not ended and (fd is None or select.select([fd], [], [], None if wait else 0)[0]):
+            while not ended and select.select([fd], [], [], None if wait else 0)[0]:
                 # 64 KiB a read: a 1 MiB buffer is a fresh mapping on every read,
                 # ~30 us more each on a 2-core x86-64 host
-                data = stdin.read() if fd is None else os.read(fd, 1 << 16)
+                data = os.read(fd, 1 << 16)
                 ended = not data
                 received += data
                 wait = False

@@ -59,6 +59,25 @@ def _outdir(args) -> Path:
     return path
 
 
+def _distinct_outputs(inputs, outputs) -> None:
+    """Raise InvalidConfig if an output ``(flag, path)`` names an input or
+    an output before it, which writing it would overwrite. Existing files
+    are compared by identity, as ``os.path.samefile`` does, other paths
+    by where they resolve to; a path of None is no file."""
+
+    def key(path):
+        try:
+            st = os.stat(path)
+        except OSError:
+            return Path(path).resolve()
+        return st.st_dev, st.st_ino
+
+    taken = {key(path): "an input" for path in inputs if path is not None}
+    for flag, path in outputs:
+        if path and (other := taken.setdefault(key(path), flag)) != flag:
+            raise InvalidConfig(f"{flag} and {other} name the same file")
+
+
 def _json(payload) -> str:
     """Strict JSON text: a NaN or infinity raises ValueError instead of
     being written as a token JSON does not have."""
@@ -182,47 +201,32 @@ def _config_from_args(config_cls, args, path=None):
     return config_cls(**values)
 
 
-class _Manifest:
-    """Reproducibility record: resolved config, seed, outputs, timing, and
-    the Python and numpy versions and peak RSS of the run.
+def _manifest(subcommand: str, config: dict, started: str, outputs, **extra) -> bytes:
+    """A run's reproducibility record, as JSON text: its config and seed,
+    times, ``outputs`` by name, any ``extra`` fields, the Python and numpy
+    versions, and peak RSS: the larger of this process's and that of its
+    largest reaped child (``firms``'s phase-CSV writer, exited by now)."""
+    import resource  # Unix only; needed only when a manifest is asked for
 
-    Peak RSS is the larger of this process's and that of its largest
-    reaped child (``firms``'s phase-CSV writer), read when the manifest
-    is written, after the writer has exited.
-    """
-
-    def __init__(self, subcommand: str, config: dict, seed):
-        self.payload = {
-            "tool": "finphase",
-            "version": __version__,
-            "subcommand": subcommand,
-            "config": config,
-            "seed": seed,
-            "started": datetime.now(timezone.utc).isoformat(),
-            "finished": None,
-            "conservation_residuals": None,
-            "outputs": [],
-        }
-
-    def add_output(self, path: Path) -> None:
-        self.payload["outputs"].append(path.name)
-
-    def text(self) -> str:
-        """The manifest as JSON text, stamped with the finish time."""
-        import resource  # Unix only; needed only when a manifest is asked for
-
-        # ru_maxrss is in KiB on Linux and in bytes on macOS
-        rss = max(
-            resource.getrusage(who).ru_maxrss
-            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-        )
-        self.payload.update(
-            finished=datetime.now(timezone.utc).isoformat(),
-            python=platform.python_version(),
-            numpy=np.__version__,
-            peak_rss_mb=rss / (2**20 if sys.platform == "darwin" else 2**10),
-        )
-        return f"{_json(self.payload)}\n"
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    rss = max(resource.getrusage(w).ru_maxrss for w in who)
+    payload = {
+        "tool": "finphase",
+        "version": __version__,
+        "subcommand": subcommand,
+        "config": config,
+        "seed": config["seed"],
+        "started": started,
+        "finished": datetime.now(timezone.utc).isoformat(),
+        "conservation_residuals": None,
+        "outputs": [path.name for path in outputs],
+        **extra,  # a key above keeps its place
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "peak_rss_mb": rss / (2**20 if sys.platform == "darwin" else 2**10),
+    }
+    return f"{_json(payload)}\n".encode()
 
 
 # --- subcommands --------------------------------------------------------------
@@ -234,7 +238,7 @@ def _cmd_exchange(args) -> int:
     rules = {"pairsplit": exchange.RULE_UNIFORM_PAIR_SPLIT, "fixed": exchange.RULE_FIXED_AMOUNT}
     args.rule = rules[args.rule]
     config = _config_from_args(exchange.ExchangeConfig, args)
-    manifest = _Manifest("exchange", dataclasses.asdict(config), args.seed)
+    started = datetime.now(timezone.utc).isoformat()
     wealth = exchange.run_exchange(config)
     fit = exchange.fit_exponential(wealth)
     outdir = _outdir(args)
@@ -249,9 +253,8 @@ def _cmd_exchange(args) -> int:
         outputs.emit(outdir / "wealth.csv", f"agent_id,money\n{rows}".encode())
         outputs.emit(outdir / "fit.json", f"{_json(fit_json)}\n".encode())
         if args.manifest:
-            for path in outputs.written:
-                manifest.add_output(path)
-            outputs.emit(outdir / "manifest.json", manifest.text().encode())
+            text = _manifest("exchange", dataclasses.asdict(config), started, outputs.written)
+            outputs.emit(outdir / "manifest.json", text)
     print(
         f"exchange: {config.n_agents} agents, {config.n_events} events, "
         f"temperature {fit.temperature:.6g}, KS {fit.ks_statistic:.6g}"
@@ -267,7 +270,7 @@ def _cmd_firms(args) -> int:
     series = ["t,entropy,rentier_fraction,std_x,bankruptcies,class_A,class_B,class_C\n"]
     steps, residuals = [], []
     timings = dict.fromkeys(firms.PHASES, 0.0) if args.manifest else None
-    manifest = _Manifest("firms", dataclasses.asdict(config), config.seed)
+    started = datetime.now(timezone.utc).isoformat()
     with _phasecsv.PhaseWriter() as writer:
         # a degenerate sample or a step error fails in this loop, before any output
         for rec in firms.records(config, timings):
@@ -297,12 +300,13 @@ def _cmd_firms(args) -> int:
             }
             outputs.emit(outdir / "run.json", f"{_json(run)}\n".encode())
             if args.manifest:
-                # the phase files in t order, not in the order they were written
-                for path in [*paths, *outputs.written[len(paths) :]]:
-                    manifest.add_output(path)
-                manifest.payload["conservation_residuals"] = residuals
-                manifest.payload["phase_seconds"] = timings
-                outputs.emit(outdir / "manifest.json", manifest.text().encode())
+                text = _manifest(
+                    "firms", dataclasses.asdict(config), started,
+                    # the phase files in t order, not in the order they were written
+                    [*paths, *outputs.written[len(paths) :]],
+                    conservation_residuals=residuals, phase_seconds=timings,
+                )
+                outputs.emit(outdir / "manifest.json", text)
     print(
         f"firms: {config.n_firms} firms x {config.n_steps} steps, "
         f"final residual {residuals[-1]}"
@@ -315,11 +319,7 @@ def _cmd_analyze(args) -> int:
 
     grid = _grid_from_args(args)
     files = args.files
-    # an output naming an input or the other output would overwrite it
-    taken = {Path(name).resolve(): "an input" for name in files}
-    for flag, name in (("--hist-out", args.hist_out), ("--out", args.out)):
-        if name and (other := taken.setdefault(Path(name).resolve(), flag)) != flag:
-            raise InvalidConfig(f"{flag} and {other} name the same file")
+    _distinct_outputs(files, [("--hist-out", args.hist_out), ("--out", args.out)])
     # The report is keyed by base name, so two inputs sharing one would
     # leave one entry for both.
     names = [Path(name).name for name in files]
@@ -393,6 +393,7 @@ def _cmd_macro(args) -> int:
     if args.table:
         if args.out is None:
             raise InvalidConfig("--table needs --out for the result CSV")
+        _distinct_outputs([args.table], [("--out", args.out)])
         expected = ["year", "g_L", "g_P", "d", "lambda"]
         table = _csv_rows(args.table, len(expected))
         if table and table[0][1] != expected:
@@ -471,6 +472,7 @@ def _cmd_reserves(args) -> int:
 def _cmd_sectors(args) -> int:
     from . import sectors
 
+    _distinct_outputs([args.file], [("--out", args.out)])
     if args.file:
         table = sectors.load_sectors(args.file)
     else:
@@ -516,11 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"finphase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_default=0):
+    def add_common(p):
         p.add_argument("--outdir", default=None, help="output directory")
-        p.add_argument(
-            "--seed", type=int, default=seed_default, help="PRNG seed (default 0)"
-        )
+        # None: the config's seed, 0 unless a config file sets it
+        p.add_argument("--seed", type=int, default=None, help="PRNG seed (default 0)")
         p.add_argument(
             "--manifest", action="store_true", help="also write manifest.json"
         )
@@ -545,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exchange)
 
     p = sub.add_parser("firms", help="firm/worker/bank phase-plane economy")
-    add_common(p, seed_default=None)  # None: a config-file seed is not clobbered
+    add_common(p)
     p.add_argument("--config", default=None, help="key = value config file")
     # each flag sets the EconomyConfig field its dest names; None: not given
     p.add_argument("--firms", dest="n_firms", type=int)

@@ -94,8 +94,8 @@ class ExchangeConfig:
             raise InvalidConfig("n_events must be >= 0")
         if self.rule not in _RULES:
             raise InvalidConfig(f"unknown exchange rule {self.rule!r}")
-        if self.rule == RULE_FIXED_AMOUNT and self.fixed_amount < 0:
-            raise InvalidConfig("fixed_amount must be >= 0")
+        if self.rule == RULE_FIXED_AMOUNT and not 0 <= self.fixed_amount <= MONEY_MAX:
+            raise InvalidConfig("fixed_amount must be in [0, 2**63 - 1]")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must be in [0, 2**64 - 1]")
 

@@ -154,7 +154,6 @@ class EconomyState:
     ledger: Ledger
     capital: np.ndarray  # book value per firm
     last_profit: np.ndarray  # previous step's profit per firm
-    prev_net_debt: np.ndarray  # net debt at the previous step boundary
     employees: np.ndarray  # headcount per firm
     worker_shop: np.ndarray  # current shop per worker
     t: int = 0
@@ -214,7 +213,6 @@ def init_economy(config: EconomyConfig) -> EconomyState:
         ledger=Ledger(n, config.base_money),
         capital=np.full(n, config.initial_capital, dtype=np.int64),
         last_profit=np.zeros(n, dtype=np.int64),
-        prev_net_debt=np.zeros(n, dtype=np.int64),
         employees=employees,
         worker_shop=worker_shop,
     )
@@ -498,7 +496,7 @@ def _phases(state: EconomyState):
 
     # (7) profits, phase points, record
     net_debt = debt - dep  # 0 for the bankrupt firms
-    prev = state.prev_net_debt
+    prev = state.ledger.debts - state.ledger.deposits  # uncommitted: the last boundary's
     points = np.empty((n, 2))
     points[:, 0] = net_debt / capital
     points[:, 1] = (net_debt - prev) / capital  # may wrap; fixed up below
@@ -517,7 +515,6 @@ def _phases(state: EconomyState):
     state.ledger = ledger
     state.capital = capital
     state.last_profit = profit
-    state.prev_net_debt = net_debt
     state.worker_shop = shops
     state.t = t
     yield _record(state, points, tuple(counts.tolist()), int(bankrupt.size))

@@ -77,9 +77,6 @@ def bin_phase(points: ArrayLike, grid: GridSpec) -> PhaseHistogram:
     except the top edge of the last bin in each axis, which is inclusive."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     total = len(pts)
-    if total == 0:
-        counts = np.zeros((grid.nx, grid.ny), dtype=np.int64)
-        return PhaseHistogram(grid, counts, 0, 0)
     x = pts[:, 0]
     y = pts[:, 1]
     in_range = (

@@ -270,6 +270,16 @@ BAD_GRIDS = [
          "seed must be in \\[0, 2\\*\\*64 - 1\\]\n\\Z"),
         (["exchange", "--seed", "-1", "--outdir", "{out}"],
          "seed must be in \\[0, 2\\*\\*64 - 1\\]\n\\Z"),
+        (["exchange", "--rule", "fixed", "--amount", str(2**63), "--outdir", "{out}"],
+         "fixed_amount must be in \\[0, 2\\*\\*63 - 1\\]\n\\Z"),
+        # outputs naming an input, refused before it is read (it is no sectors
+        # file or parameter table): same path, and a hard link to it
+        (["sectors", "check", "{phase}", "--out", "{phase}"],
+         "--out and an input name the same file\n\\Z"),
+        (["macro", "--table", "{phase}", "--out", "{phase}"],
+         "--out and an input name the same file\n\\Z"),
+        (["analyze", "{phase}", "{steep}", "--out", "{link}"],
+         "--out and an input name the same file\n\\Z"),
     ]
     + [(cmd + ["--grid", *grid], message) for cmd in (FIRMS, ANALYZE) for grid, message in BAD_GRIDS],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
@@ -280,7 +290,8 @@ BAD_GRIDS = [
          "sectors_residual_too_wide", "sectors_offset_too_wide", "base_money_too_wide",
          "analyze_same_out", "analyze_out_is_input", "analyze_hist_out_is_input",
          "firms_seed_too_wide", "firms_seed_negative", "exchange_seed_too_wide",
-         "exchange_seed_negative"]
+         "exchange_seed_negative", "fixed_amount_too_wide", "sectors_out_is_input",
+         "macro_table_out_is_input", "analyze_out_is_linked_input"]
     + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze")
        for case in ("nx", "extent", "bins", "width")],
 )
@@ -299,11 +310,13 @@ def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message
     sum_sectors.write_text(f"sector,balance\nA,{2**63 - 1}\nB,{2**63 - 1}\n")
     phase_csv = tmp_path / "phase_t1.csv"
     phase_csv.write_text("firm_id,x,y\n0,0.5,0.0\n1,-0.5,0.1\n")
+    link = tmp_path / "link.json"
+    os.link(phase_csv, link)
     out = tmp_path / "out"
     out.mkdir()
     files = {
         "levels": levels, "table": table, "overflow_table": overflow_table, "steep": steep,
-        "wide_sectors": wide_sectors, "sum_sectors": sum_sectors,
+        "wide_sectors": wide_sectors, "sum_sectors": sum_sectors, "link": link,
     }
     argv = [a.format(out=out, phase=phase_csv, **files) for a in argv]
     assert run_cli(*argv) == 1
@@ -431,6 +444,25 @@ class TestFirmsCommand:
         assert run_cli("firms", "--config", str(cfg), "--outdir", str(out)) == 1
         assert capsys.readouterr().err == "error: interest_rate must be finite, got nan\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,seed,extra",
+    [
+        (["firms", "--firms", "5", "--workers", "20", "--steps", "2"], 0, ["phase_seconds"]),
+        (["exchange", "--agents", "20", "--events", "100"], 0, []),
+        (["exchange", "--agents", "20", "--events", "100", "--seed", "3"], 3, []),
+    ],
+)
+def test_manifest_fields_in_order(tmp_path, argv, seed, extra):
+    assert run_cli(*argv, "--outdir", str(tmp_path), "--manifest") == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest) == [
+        "tool", "version", "subcommand", "config", "seed", "started", "finished",
+        "conservation_residuals", "outputs", *extra, "python", "numpy", "peak_rss_mb",
+    ]
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["seed"] == manifest["config"]["seed"] == seed
 
 
 @pytest.mark.parametrize(
@@ -651,9 +683,12 @@ class TestPhaseWriter:
         elif memfd == "missing":
             monkeypatch.delattr(os, "memfd_create", raising=False)
         files = [np.arange(6.0).reshape(3, 2) / 7, np.empty((0, 2))]
-        stdin = io.BytesIO(b"".join(p.nbytes.to_bytes(8, sys.byteorder) + p.tobytes() for p in files))
+        read, write = os.pipe()  # the writer's input is a pipe
+        os.write(write, b"".join(p.nbytes.to_bytes(8, sys.byteorder) + p.tobytes() for p in files))
+        os.close(write)
         stdout = io.BytesIO()
-        _phasecsv.main(stdin, stdout)
+        with open(read, "rb") as stdin:
+            _phasecsv.main(stdin, stdout)
         texts = [phase_csv_oracle(p) for p in files]
         assert stdout.getvalue() == b"".join(len(t).to_bytes(8, sys.byteorder) + t for t in texts)
 
@@ -670,7 +705,7 @@ class TestPhaseWriter:
         assert manifest["peak_rss_mb"] == 4.0
 
 
-@pytest.mark.parametrize("source", ["bytes_io", "pipe"])
+@pytest.mark.parametrize("source", ["pipe"])  # the helpers' input is always one
 @pytest.mark.parametrize(
     "tail,message",
     [
@@ -689,14 +724,10 @@ def test_input_ending_inside_a_frame_is_an_error(tmp_path, helper, tail, message
         path = tmp_path / "phase_t0.csv"
         path.write_text(GOOD_PHASE_CSV)
         whole, encoding = os.fsencode(path), "utf-8"
-    data = len(whole).to_bytes(8, sys.byteorder) + whole + tail
-    if source == "pipe":  # read through select and os.read, as the helper process does
-        read, write = os.pipe()
-        os.write(write, data)
-        os.close(write)
-        stdin = open(read, "rb")
-    else:
-        stdin = io.BytesIO(data)
+    read, write = os.pipe()
+    os.write(write, len(whole).to_bytes(8, sys.byteorder) + whole + tail)
+    os.close(write)
+    stdin = open(read, "rb")
     stdout = io.BytesIO()
     with stdin, pytest.raises(ValueError) as info:
         _phasecsv.main(stdin, stdout, encoding)

@@ -183,7 +183,6 @@ def snapshot(state):
         state.ledger.bank_equity,
         state.capital.tolist(),
         state.last_profit.tolist(),
-        state.prev_net_debt.tolist(),
         state.worker_shop.tolist(),
     )
 
@@ -279,29 +278,48 @@ class TestInvestmentSettlement:
 
 class TestExactRecord:
     def test_division_beyond_float_precision(self):
-        # Two firms, no flows: firm 0 holds a deposit of a = 2**60 + 32
-        # lent to firm 1. The record must be Python's correctly rounded
-        # int / int even where int64 -> float64 rounds (a) or nd - prev
-        # overflows int64 (firm 0's y).
-        a = 2**60 + 32
+        # Four firms, no wages or interest. Firm 0 holds d = 3 * 2**61 at
+        # the boundary, spends all of it (fraction 1.0) and borrows its last
+        # profit b for capital goods: its net debt goes from -d to b. The
+        # record must be Python's correctly rounded int / int even where
+        # int64 -> float64 rounds (b) or b - (-d) overflows int64 (firm 0's y).
+        d, b = 3 * 2**61, 3 * 2**61 + 513
         config = EconomyConfig(
-            n_firms=2, n_workers=0, base_money=0, interest_rate=0.0,
-            depreciation=0.0, capitalist_consumption_fraction=0.0,
+            n_firms=4, n_workers=0, base_money=MONEY_MAX, interest_rate=0.0,
+            depreciation=0.0, capitalist_consumption_fraction=1.0, seed=4,
         )
+        # in step 1 firm 0 shops at firm 3, which passes the money on to
+        # firm 2, and buys from firm 1
+        assert firms._other_firms(4, 1, firms._TAG_OWNER_TARGET, 4).tolist() == [3, 2, 1, 2]
+        assert firms._other_firms(4, 1, firms._TAG_INVEST_TARGET, 4)[0] == 1
         state = init_economy(config)
-        loan = np.array([0, a], dtype=np.int64)
-        state.ledger.post(loan, loan)  # firm 1 borrows a
-        state.ledger.post(np.array([a, -a], dtype=np.int64))  # and pays it to firm 0
-        state.capital = np.array([3, 2**62], dtype=np.int64)
-        state.prev_net_debt = np.array([2**63 - 1, -(2**62)], dtype=np.int64)
-        assert float(-a) / 3.0 != -a / 3  # float64 division would differ
+        state.ledger.post(np.array([d, 0, 0, 0], dtype=np.int64), equity_change=-d)  # from the bank
+        state.last_profit[0] = b
+        k = 3000 + b  # firm 0's capital after the purchase
+        assert float(-b) / 3000.0 != -b / 3000  # float64 division would differ
+        assert b + d > MONEY_MAX
         rec = step(state)
         assert rec.bankruptcies == 0
         assert rec.points.tolist() == [
-            [-a / 3, (-a - (2**63 - 1)) / 3],
-            [a / 2**62, (a + 2**62) / 2**62],
+            [b / k, (b + d) / k],
+            [-b / 3000, -b / 3000],
+            [-d / 3000, -d / 3000],
+            [0.0, 0.0],
         ]
-        assert state.prev_net_debt.tolist() == [-a, a]
+        assert (state.ledger.debts - state.ledger.deposits).tolist() == [b, -b, -d, 0]
+
+    def test_change_is_measured_from_the_ledger(self):
+        # Two firms and no flows. Between the steps the bank pays firm 0
+        # 1000: its net debt is -1000 when step 2 begins and when it ends,
+        # so its y is 0.
+        config = EconomyConfig(
+            n_firms=2, n_workers=0, base_money=10**6, interest_rate=0.0,
+            depreciation=0.0, capitalist_consumption_fraction=0.0,
+        )
+        state = init_economy(config)
+        assert step(state).points.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        state.ledger.post(np.array([1000, 0], dtype=np.int64), equity_change=-1000)
+        assert step(state).points.tolist() == [[-1000 / 3000, 0.0], [0.0, 0.0]]
 
 
 class TestRun:

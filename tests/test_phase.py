@@ -96,7 +96,10 @@ class TestBinPhase:
     def test_empty_input_allowed(self):
         hist = bin_phase([], UNIT_GRID)
         assert hist.total == 0
+        assert hist.out_of_range == 0
         assert hist.counts.sum() == 0
+        assert hist.counts.dtype == np.int64
+        assert hist.counts.shape == (UNIT_GRID.nx, UNIT_GRID.ny)
 
     def test_uniform_points_within_binomial_band(self):
         # 1e5 uniform points on a 20x20 grid: all bins within 5 sigma

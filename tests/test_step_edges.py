@@ -12,10 +12,9 @@ step number, class and message of the error raised.
 The previous boundary's net debt is the ledger's, debts less deposits,
 as in every run; the draws once made for it are still made, so the
 draws after them are unchanged. ``step_edges.json`` holds the outcomes
-captured from the step that kept one ledger account per worker (paid
-its wage, then emptied at its shop), so every overflow, shortfall and
-write-off at the edges still ends the same way with the households as
-one sector. Print the current outcomes with
+captured from the step that still kept its own copy of that net debt,
+so every overflow, shortfall and write-off at the edges ends the same
+way now that the ledger is its only record. Print the current outcomes with
 ``PYTHONPATH=src python tests/test_step_edges.py``; when
 ``step_edges.json`` exists, how many of its ``ok`` hashes and error
 outcomes differ from them goes to stderr.
@@ -86,9 +85,8 @@ def economy(case: int):
     state.last_profit = column(
         [draws.pick([0, -draws.money(), draws.money()]) for _ in range(n)]
     )
-    for _ in range(n):
+    for _ in range(n):  # once the previous net debt; drawn to keep the later draws
         draws.pick([0, draws.money(), -draws.money()])
-    state.prev_net_debt = state.ledger.debts - state.ledger.deposits
     state.worker_shop = column([draws.below(n) for _ in range(n_workers)])
     return state
 
