@@ -40,7 +40,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__, phase
-from .errors import FinphaseError, InvalidConfig, ParseError
+from .errors import DegenerateSample, FinphaseError, InvalidConfig, ParseError
 
 # What is imported by now lives until exit; frozen, it is left out of every
 # collection, and the interpreter's exit takes ~6 ms instead of ~26 ms.
@@ -52,10 +52,10 @@ ENV_OUTDIR = "FINPHASE_OUTDIR"
 # --- helpers ----------------------------------------------------------------
 
 
-def _outdir(args) -> Path:
-    out = args.outdir or os.environ.get(ENV_OUTDIR) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+def _outdir(args, create: bool = True) -> Path:
+    path = Path(args.outdir or os.environ.get(ENV_OUTDIR) or ".")
+    if create:
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -76,6 +76,13 @@ def _distinct_outputs(inputs, outputs) -> None:
     for flag, path in outputs:
         if path and (other := taken.setdefault(key(path), flag)) != flag:
             raise InvalidConfig(f"{flag} and {other} name the same file")
+
+
+class _DecodeError(UnicodeDecodeError):
+    """A UnicodeDecodeError whose message starts with its file, ``path``."""
+
+    def __str__(self) -> str:
+        return f"{self.path}: {super().__str__()}"
 
 
 def _json(payload) -> str:
@@ -180,6 +187,8 @@ def parse_config_file(path, config_cls):
             value = value.strip()
             if key not in valid:
                 raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise InvalidConfig(f"{path}:{lineno}: key {key!r} given twice")
             caster = valid[key]
             try:
                 values[key] = caster(value) if caster is not str else value
@@ -267,8 +276,13 @@ def _cmd_firms(args) -> int:
 
     config = _config_from_args(firms.EconomyConfig, args, args.config)
     grid = _grid_from_args(args)
+    outdir = _outdir(args, create=False)  # made once the steps have run
+    paths = [outdir / f"phase_t{t}.csv" for t in range(config.n_steps + 1)]
+    if args.config:  # an output that names the config would overwrite it
+        names = ["series.csv", "run.json"] + ["manifest.json"] * args.manifest
+        _distinct_outputs([args.config], [(str(p), p) for p in paths + [outdir / n for n in names]])
     series = ["t,entropy,rentier_fraction,std_x,bankruptcies,class_A,class_B,class_C\n"]
-    steps, residuals = [], []
+    residuals = []
     timings = dict.fromkeys(firms.PHASES, 0.0) if args.manifest else None
     started = datetime.now(timezone.utc).isoformat()
     with _phasecsv.PhaseWriter() as writer:
@@ -282,10 +296,8 @@ def _cmd_firms(args) -> int:
                 f"{rec.t},{h!r},{metrics.rentier_fraction!r},"
                 f"{metrics.std_x!r},{rec.bankruptcies},{a},{b},{c}\n"
             )
-            steps.append(rec.t)
             residuals.append(rec.conservation_residual)
-        outdir = _outdir(args)
-        paths = [outdir / f"phase_t{t}.csv" for t in steps]
+        outdir.mkdir(parents=True, exist_ok=True)
         with _Outputs() as outputs:
             # each file as soon as its text is done; the writer's exit status
             # is checked after the last
@@ -354,6 +366,11 @@ def _cmd_analyze(args) -> int:
                     "points": hist.total,
                     "out_of_range": hist.out_of_range,
                 }
+            except (DegenerateSample, InvalidConfig) as exc:  # these do not name the file
+                errors[k] = type(exc)(f"{files[k]}: {exc}")
+            except UnicodeDecodeError as exc:  # nor does this, and its args are not its message
+                errors[k] = _DecodeError(*exc.args)
+                errors[k].path = files[k]
             except (FinphaseError, OSError, ValueError, MemoryError) as exc:
                 errors[k] = exc  # raised unless a file before this one fails too
     if errors:
@@ -404,11 +421,9 @@ def _cmd_macro(args) -> int:
         ]
         if not rows:
             raise InvalidConfig("table has no data rows")
-        reference = (
-            args.reference
-            if args.reference is not None
-            else macro.equilibrium_rate(rows[0][1], rows[0][2], rows[0][3], rows[0][4])
-        )
+        reference = args.reference
+        if reference is None:  # the first year's equilibrium rate
+            reference = macro.equilibrium_rate(*rows[0][1:])
         lines = ["year,R_star,g_P_required_vs_reference\n"]
         for year, g_L, g_P, d, lam in rows:  # every row is checked before the file opens
             r_star = macro.equilibrium_rate(g_L, g_P, d, lam)
@@ -438,12 +453,7 @@ def _cmd_macro(args) -> int:
 def _cmd_interest(args) -> int:
     from . import interest
 
-    model = interest.ReserveRiskModel(
-        banker_capital=args.capital,
-        reserves=args.reserves,
-        sigma=args.sigma,
-        mean_excursion=args.mean,
-    )
+    model = interest.ReserveRiskModel(args.capital, args.reserves, args.sigma, args.mean)
     p_e = interest.excursion_exceedance(model, args.loan)
     cost = interest.expected_loan_cost(model, args.loan)
     rate = interest.min_interest_rate(model, args.loan)
@@ -459,8 +469,8 @@ def _cmd_interest(args) -> int:
 def _cmd_reserves(args) -> int:
     from . import interest
 
-    params = interest.ReserveFlowParams(B0=args.b0, G=args.g, Tx=args.tax, S=args.sales)
-    path_points = interest.reserve_path(params, args.dt, _steps(args))
+    flows = args.b0, args.g, args.tax, args.sales
+    path_points = interest.reserve_path(*flows, args.dt, _steps(args))
     out = Path(args.out) if args.out else _outdir(args) / "reserves.csv"
     rows = "".join([f"{t!r},{b!r}\n" for t, b in path_points])
     with _Outputs() as outputs:

@@ -390,17 +390,17 @@ def step(state: EconomyState, timings: dict | None = None) -> StepRecord:
     Every flow is posted as a dense per-firm change column that the phase
     has already computed, one checked :meth:`Ledger.post` per kind of
     posting: the wage loans; the wages net of the households' spending;
-    owner consumption; the interest loans, then the interest; phase 4;
-    the write-offs. Many-to-one flows
-    are summed exactly, folded with each firm's own deposit and outflow
-    (:func:`ledger._sums`), and a flagged sum is an overflow. Owner
-    consumption and phase 4 are defined in firm-id order (a firm's
-    deposit grows from lower firms' purchases). They are evaluated
-    exactly as array passes to the fixed point that equals the in-order
-    result (see :func:`_owner_consumption`) and raise what the in-order
-    loop would raise first. Everything is posted to a copy of the ledger
-    and built in new columns; the state takes them only after the last
-    phase, so a step that raises leaves the state as it was.
+    owner consumption; the interest, with the loans that fund it; phase
+    4; the write-offs. Every rate, zero included, takes the same path.
+    Many-to-one flows are summed exactly, folded with each firm's own
+    deposit and outflow (:func:`ledger._sums`), and a flagged sum is an
+    overflow. Owner consumption and phase 4 are defined in firm-id order
+    (a firm's deposit grows from lower firms' purchases). They are
+    evaluated exactly as array passes to the fixed point that equals the
+    in-order result (see :func:`_owner_consumption`) and raise what the
+    in-order loop would raise first. Everything is posted to a copy of
+    the ledger and built in new columns; the state takes them only after
+    the last phase, so a step that raises leaves the state as it was.
     """
     start = perf_counter()
     for name, item in zip(PHASES, _phases(state), strict=True):
@@ -449,24 +449,21 @@ def _phases(state: EconomyState):
         raise MoneyOverflow(f"balance of agent {int(np.argmax(over))} would exceed 64-bit range")
     ledger.post(receipts - wages_paid)
     frac = cfg.capitalist_consumption_fraction
-    if frac > 0 and n > 1:
+    if n > 1:
         shop_of = _other_firms(seed, t, _TAG_OWNER_TARGET, n)
         draws, with_sales = _owner_consumption(dep, receipts, shop_of, frac)
         ledger.post(with_sales - receipts - draws)  # each term in [0, MONEY_MAX]
         receipts = with_sales
     yield
 
-    # (3) interest on outstanding debt, paid into bank equity
+    # (3) interest on outstanding debt, paid into bank equity (borrowed if short)
     rate = cfg.interest_rate
-    interest_paid = np.zeros(n, dtype=np.int64)
-    if rate > 0:
-        due = debt * rate  # float64 and truncated, exactly as int(debt * rate)
-        if not (due < 2.0**63).all():
-            raise MoneyOverflow("interest due out of 64-bit range")
-        interest_paid = due.astype(np.int64)
-        loans = np.maximum(interest_paid - dep, 0)
-        ledger.post(loans, loans)
-        ledger.post(-interest_paid, equity_change=_total(interest_paid))
+    due = debt * rate  # float64 and truncated, exactly as int(debt * rate)
+    if not (due < 2.0**63).all():
+        raise MoneyOverflow("interest due out of 64-bit range")
+    interest_paid = due.astype(np.int64)
+    loans = np.maximum(interest_paid - dep, 0)
+    ledger.post(loans - interest_paid, loans, equity_change=_total(interest_paid))
     yield
 
     # (4) classification, then investment (B) or repayment (C)
@@ -479,9 +476,7 @@ def _phases(state: EconomyState):
     yield
 
     # (5) depreciation: book-value write-down, no money moves
-    dep_rate = cfg.depreciation
-    if dep_rate > 0:
-        capital -= (capital * dep_rate).astype(np.int64)
+    capital -= (capital * cfg.depreciation).astype(np.int64)
     yield
 
     # (6) bankruptcy: net debt above capital stock wipes the account and

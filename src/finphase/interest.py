@@ -40,14 +40,6 @@ class ReserveRiskModel:
             raise InvalidConfig(f"mean_excursion must be finite, got {self.mean_excursion}")
 
 
-@dataclass(frozen=True)
-class ReserveFlowParams:
-    B0: Money  # initial private-bank reserves
-    G: Money  # government payments per year
-    Tx: Money  # tax payments per year
-    S: Money  # government security sales per year
-
-
 def gaussian_cdf(x: float, mean: float = 0.0, sigma: float = 1.0) -> float:
     """Phi((x - mean)/sigma) via the C library's erfc; absolute error is
     at the few-ulp level, far below the 1e-10 documented bound."""
@@ -83,9 +75,10 @@ def min_interest_rate(model: ReserveRiskModel, loan: Money) -> float:
 
 
 def reserve_path(
-    params: ReserveFlowParams, dt: float, n: int
+    b0: Money, g: Money, tax: Money, sales: Money, dt: float, n: int
 ) -> list[tuple[float, float]]:
-    """B(t) = B0 + (G - Tx - S) * t sampled at t = k*dt, k = 0..n.
+    """B(t) = b0 + (g - tax - sales) * t sampled at t = k*dt, k = 0..n, for
+    reserves b0 and yearly government payments, taxes and security sales.
 
     The law is exactly linear, so the path carries no integration error.
     A path that leaves the finite float range is an InvalidConfig.
@@ -96,9 +89,9 @@ def reserve_path(
         raise InvalidConfig(f"dt must be finite, got {dt}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    flow = params.G - params.Tx - params.S
+    flow = g - tax - sales
     try:
-        path = [(k * dt, params.B0 + flow * (k * dt)) for k in range(n + 1)]
+        path = [(k * dt, b0 + flow * (k * dt)) for k in range(n + 1)]
     except OverflowError:  # an amount too large for a float
         path = None
     # |B - B0| and t grow with k: the last sample is the largest

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from finphase import _phasecsv, exchange, firms, phase
+from finphase import _phasecsv, cli, exchange, firms, phase
 from finphase.cli import _json, _Outputs, build_parser, dispatch, parse_config_file
 from finphase.errors import DegenerateSample, InvalidConfig, MoneyOverflow
 from finphase.exchange import ExchangeConfig
@@ -280,6 +280,8 @@ BAD_GRIDS = [
          "--out and an input name the same file\n\\Z"),
         (["analyze", "{phase}", "{steep}", "--out", "{link}"],
          "--out and an input name the same file\n\\Z"),
+        (["firms", "--config", "{twice}", "--outdir", "{out}"],
+         ".*twice\\.cfg:3: key 'n_firms' given twice\n\\Z"),
     ]
     + [(cmd + ["--grid", *grid], message) for cmd in (FIRMS, ANALYZE) for grid, message in BAD_GRIDS],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
@@ -291,7 +293,7 @@ BAD_GRIDS = [
          "analyze_same_out", "analyze_out_is_input", "analyze_hist_out_is_input",
          "firms_seed_too_wide", "firms_seed_negative", "exchange_seed_too_wide",
          "exchange_seed_negative", "fixed_amount_too_wide", "sectors_out_is_input",
-         "macro_table_out_is_input", "analyze_out_is_linked_input"]
+         "macro_table_out_is_input", "analyze_out_is_linked_input", "config_key_twice"]
     + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze")
        for case in ("nx", "extent", "bins", "width")],
 )
@@ -312,11 +314,13 @@ def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message
     phase_csv.write_text("firm_id,x,y\n0,0.5,0.0\n1,-0.5,0.1\n")
     link = tmp_path / "link.json"
     os.link(phase_csv, link)
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("n_firms = 2\nn_workers = 10\nn_firms = 3\n")
     out = tmp_path / "out"
     out.mkdir()
     files = {
         "levels": levels, "table": table, "overflow_table": overflow_table, "steep": steep,
-        "wide_sectors": wide_sectors, "sum_sectors": sum_sectors, "link": link,
+        "wide_sectors": wide_sectors, "sum_sectors": sum_sectors, "link": link, "twice": twice,
     }
     argv = [a.format(out=out, phase=phase_csv, **files) for a in argv]
     assert run_cli(*argv) == 1
@@ -436,6 +440,39 @@ class TestFirmsCommand:
         assert run_cli("firms", "--config", str(cfg), "--outdir", str(out)) == 1
         assert "unknown key 'markup'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name,manifest",
+        [("run.json", False), ("phase_t1.csv", False), ("manifest.json", True), ("link", False)],
+    )
+    def test_config_is_never_an_output(self, tmp_path, capsys, started, name, manifest):
+        # a config that an output names, directly or by a hard link, is
+        # refused before any step runs, and stays as it was
+        text = "n_firms = 5\nn_workers = 20\nn_steps = 2\n"
+        out = tmp_path / "out"
+        out.mkdir()
+        if name == "link":
+            cfg = tmp_path / "economy.cfg"
+            cfg.write_text(text)
+            os.link(cfg, out / "series.csv")
+            name = "series.csv"
+        else:
+            cfg = out / name
+            cfg.write_text(text)
+        argv = ["firms", "--config", str(cfg), "--outdir", str(out)]
+        assert run_cli(*argv, *["--manifest"] * manifest) == 1
+        assert capsys.readouterr() == ("", f"error: {out / name} and an input name the same file\n")
+        assert cfg.read_text() == text
+        assert os.listdir(out) == [name]
+        assert started == []
+
+    def test_config_not_among_the_outputs_is_kept(self, tmp_path):
+        # without --manifest no manifest.json is written: a config of that name is read only
+        cfg = tmp_path / "manifest.json"
+        cfg.write_text("n_firms = 5\nn_workers = 20\nn_steps = 2\n")
+        assert run_cli("firms", "--config", str(cfg), "--outdir", str(tmp_path)) == 0
+        assert cfg.read_text() == "n_firms = 5\nn_workers = 20\nn_steps = 2\n"
+        assert json.loads((tmp_path / "run.json").read_text())["config"]["n_steps"] == 2
 
     def test_non_finite_config_value_writes_no_output(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
@@ -995,7 +1032,7 @@ class TestAnalyzeCommand:
         csv_path = tmp_path / "phase_t1.csv"
         csv_path.write_text("firm_id,x,y\n\n")
         assert run_cli("analyze", str(csv_path)) == 1
-        assert capsys.readouterr().err == "error: need >= 2 points, got 0\n"
+        assert capsys.readouterr().err == f"error: {csv_path}: need >= 2 points, got 0\n"
 
     def test_non_finite_metric_writes_no_output(self, tmp_path, capsys):
         # finite points whose spread overflows float64: std_x is inf
@@ -1138,6 +1175,8 @@ class TestAnalyzeInputs:
             else:
                 want = TWO_POINTS
         message = want if isinstance(want, str) else f"line {want[0]}: {path}: {want[1]}"
+        # a decode error does not name its file: analyze puts the path first
+        reported = f"{path}: {message}" if isinstance(want, str) else message
         if index:
             # the reader passes a file it rejects back, to be parsed again for the error
             assert reader_frames([str(path)]) == [want if isinstance(want, list) else None]
@@ -1161,8 +1200,19 @@ class TestAnalyzeInputs:
             assert (code, err) == (0, "")
             assert want in binned
         else:
-            assert (code, err) == (1, f"error: {message}\n")
+            assert (code, err) == (1, f"error: {reported}\n")
             assert not out.exists() and not hist.exists()
+
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        # the middle one of three files holds a byte that is not UTF-8
+        files = phase_files(tmp_path, 3)
+        Path(files[1]).write_bytes(b"firm_id,x,y\n0\xff,0.5,0.1\n1,-2,0.25\n")
+        with pytest.raises(UnicodeDecodeError) as info:
+            Path(files[1]).read_text()  # decoded as analyze decodes it
+        assert run_cli("analyze", *files) == 1
+        assert capsys.readouterr() == ("", f"error: {files[1]}: {info.value}\n")
+        with pytest.raises(UnicodeDecodeError, match=f"^{re.escape(files[1])}: "):
+            cli._cmd_analyze(build_parser().parse_args(["analyze", *files]))
 
     def test_first_bad_file_in_argument_order_is_reported(self, tmp_path, capsys):
         # a missing file at index 1 and a malformed one at index 2
@@ -1181,7 +1231,7 @@ class TestAnalyzeInputs:
         Path(files[0]).write_text("firm_id,x,y\n0,0.5,0.1\n")
         Path(files[2]).write_text("firm_id,x,y\n0,0.3\n")
         assert run_cli("analyze", *files) == 1
-        assert capsys.readouterr() == ("", "error: need >= 2 points, got 1\n")
+        assert capsys.readouterr() == ("", f"error: {files[0]}: need >= 2 points, got 1\n")
 
     def test_unwritable_report_removes_the_histogram(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -1217,7 +1267,7 @@ def test_overflowing_moment_is_named_without_warnings(tmp_path, capsys, rows, me
         assert json.loads(out.read_text())["phase_t1.csv"]["skew_x"] == 0.0
         return
     assert run_cli("analyze", str(csv_path), "--out", str(out)) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {csv_path}: {message}\n")
     assert os.listdir(tmp_path) == ["phase_t1.csv"]
 
 
@@ -1275,14 +1325,16 @@ class TestPhaseReader:
         monkeypatch.setattr(phase, "bin_phase", failing_bin_phase)
         out = tmp_path / "out"
         out.mkdir()
-        argv = ["analyze", *phase_files(tmp_path, 4), "--out", str(out / "r.json"),
-                "--hist-out", str(out / "h.csv")]
+        files = phase_files(tmp_path, 4)
+        argv = ["analyze", *files, "--out", str(out / "r.json"), "--hist-out", str(out / "h.csv")]
         if isinstance(error, KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
                 run_cli(*argv)
         else:
             assert run_cli(*argv) == 1
-            assert capsys.readouterr().err == "error: binning failed\n"
+            # the degenerate sample is named by its file, whichever was binned second
+            named = "|".join(map(re.escape, files))
+            assert re.fullmatch(f"error: ({named}): binning failed\n", capsys.readouterr().err)
         assert os.listdir(out) == []
         [proc] = started
         assert_reaped(proc)

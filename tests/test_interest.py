@@ -8,7 +8,6 @@ import scipy.stats
 
 from finphase.errors import InvalidConfig
 from finphase.interest import (
-    ReserveFlowParams,
     ReserveRiskModel,
     excursion_exceedance,
     expected_loan_cost,
@@ -161,40 +160,40 @@ class TestMinInterestRate:
 
 class TestReservePath:
     def test_balanced_flows_constant(self):
-        path = reserve_path(ReserveFlowParams(B0=100, G=50, Tx=50, S=0), 1.0, 4)
+        path = reserve_path(100, 50, 50, 0, 1.0, 4)
         assert [b for _, b in path] == [100.0] * 5
 
     def test_linear_accumulation(self):
-        path = reserve_path(ReserveFlowParams(B0=7, G=15, Tx=3, S=2), 1.0, 5)
+        path = reserve_path(7, 15, 3, 2, 1.0, 5)
         assert [b for _, b in path] == [7.0, 17.0, 27.0, 37.0, 47.0, 57.0]
         assert [t for t, _ in path] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_security_sales_drain_reserves(self):
-        path = reserve_path(ReserveFlowParams(B0=1000, G=10, Tx=5, S=20), 0.5, 6)
+        path = reserve_path(1000, 10, 5, 20, 0.5, 6)
         values = [b for _, b in path]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_nonpositive_step(self):
         with pytest.raises(InvalidConfig, match="^dt"):
-            reserve_path(ReserveFlowParams(B0=0, G=0, Tx=0, S=0), 0.0, 3)
+            reserve_path(0, 0, 0, 0, 0.0, 3)
         with pytest.raises(InvalidConfig, match="^dt"):
-            reserve_path(ReserveFlowParams(B0=0, G=0, Tx=0, S=0), float("nan"), 3)
+            reserve_path(0, 0, 0, 0, float("nan"), 3)
         with pytest.raises(InvalidConfig, match="^dt must be finite"):
-            reserve_path(ReserveFlowParams(B0=0, G=0, Tx=0, S=0), float("inf"), 3)
+            reserve_path(0, 0, 0, 0, float("inf"), 3)
 
     @pytest.mark.parametrize(
-        "params,dt,n,t_end",
+        "flows,dt,n,t_end",
         [
             # float overflow of flow * t, at the last sample only
-            (ReserveFlowParams(B0=2**63 - 1, G=2**63 - 1, Tx=0, S=0), 1e300, 2, "2e+300"),
+            ((2**63 - 1, 2**63 - 1, 0, 0), 1e300, 2, "2e+300"),
             # t itself overflows
-            (ReserveFlowParams(B0=0, G=0, Tx=0, S=0), 1e308, 2, "inf"),
+            ((0, 0, 0, 0), 1e308, 2, "inf"),
             # an amount too large for a float
-            (ReserveFlowParams(B0=10**400, G=1, Tx=0, S=0), 1.0, 3, "3.0"),
+            ((10**400, 1, 0, 0), 1.0, 3, "3.0"),
         ],
         ids=["flow", "time", "wide_int"],
     )
-    def test_leaving_the_finite_range(self, params, dt, n, t_end):
+    def test_leaving_the_finite_range(self, flows, dt, n, t_end):
         message = f"B(t) leaves the finite range by t = {t_end}"
         with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
-            reserve_path(params, dt, n)
+            reserve_path(*flows, dt, n)
