@@ -38,14 +38,9 @@ endowment from bank equity is the initial per-firm endowment: zero).
 
 Two phases are defined by a pass over the firms in id order: owner
 consumption and classification + investment/repayment, where a firm's
-deposit at its turn includes what lower firms paid it. Since a turn
-depends only on lower ids, each is evaluated exactly as a few array
-passes: starting from no payments, recompute every firm's deposit at
-its turn, and what it then pays, from the payments of the pass before,
-until nothing changes. The unique fixed point is the in-order result,
-reached within one pass more than the longest chain of lower-id
-payments, and the step raises the error the in-order pass would raise
-first.
+deposit at its turn includes what lower firms paid it. Both are evaluated
+exactly by :func:`_in_order`, and the step raises the error the in-order
+pass would raise first.
 
 The ledger conservation residual is zero after every step, bit-exactly.
 One economy instance is sequential; independent seeds are independent.
@@ -53,6 +48,7 @@ One economy instance is sequential; independent seeds are independent.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from collections.abc import Iterator
@@ -249,76 +245,80 @@ _EXACT = 2**52
 _BELOW_2_63 = float(2**63 - 1024)
 
 
-def _first_overflow(base, early, target, amount, taken, end: int):
-    """The first turn below ``end`` at which a firm deposit leaves the
-    money range, or None if none does.
+def _in_order(dep, target, pays):
+    """A pass over the firms in id order, in which each firm pays firm
+    ``target[k]`` the amount ``pays(at_turn)[0][k]`` given the deposits at
+    each turn. Returns those deposits, the mask of those out of the money
+    range, and then what ``pays`` returns for them.
 
-    Firms take turns in id order. At firm k's turn its deposit (``base[k]``
-    plus what lower firms sent it) loses ``taken[k]`` and firm
-    ``target[k]`` gains ``amount[k]``; ``early[k]`` marks a check that
-    fails no later than firm k's turn. A deposit rises up to its own turn,
-    drops there and rises again, so within the first m turns it peaks just
-    before its turn or after the last of them. Whether some check fails
-    within the first m turns is then monotone in m, and bisection finds
-    the least such m.
+    A firm's deposit at its turn is ``dep`` plus the payments of the lower
+    firms that pay it, so the payments are the fixed point of recomputing
+    ``pays`` from the pass before. Iterated from no payments, pass p is
+    exact for every firm whose chain of lower payers is shorter than p,
+    and the loop stops the first time the lower payers' amounts repeat;
+    the pay map is monotone, so the iterates rise to the in-order result.
+    The chains of lower ids are at most n long, hence at most n + 1 passes.
     """
-    ids = np.arange(len(base))
+    n = len(dep)
+    lower = np.flatnonzero(target > np.arange(n))  # paid before the payee's turn
+    ahead = target[lower]
+    paid = np.zeros(len(lower), dtype=np.int64)
+    for _ in range(n + 1):
+        at_turn, over = _sums(dep, ahead, paid)
+        amount, *rest = pays(at_turn)
+        if np.array_equal(amount[lower], paid):
+            break
+        paid = amount[lower]
+    return at_turn, over, amount, *rest
+
+
+def _settle(dep, early, target, amount, taken):
+    """The deposits after the last turn of an in-order pass, and the first
+    turn at which a check fails, or None if none does.
+
+    At firm k's turn its deposit (``dep[k]`` plus what lower firms sent
+    it) loses ``taken[k]`` and firm ``target[k]`` gains ``amount[k]``;
+    ``early[k]`` marks a check that fails no later than firm k's turn. A
+    deposit rises up to its own turn, drops there and rises again, so
+    within the first m turns it peaks just before its turn or after the
+    last of them. Whether some check fails or some deposit leaves the money
+    range within the first m turns is then monotone in m, and bisection
+    finds the least such m.
+    """
+    after, past = _sums(dep - taken, target, amount)
+    if not (early.any() or past.any()):
+        return after, None
 
     def fails(m: int) -> bool:
-        done = ids < m
-        _, peak = _sums(base - np.where(done, taken, 0), target, np.where(done, amount, 0))
+        done = np.arange(len(dep)) < m
+        _, peak = _sums(dep - np.where(done, taken, 0), target, np.where(done, amount, 0))
         return bool((early & done).any() or peak.any())
 
-    if not fails(end):
-        return None
-    lo, hi = 0, end - 1  # fails(hi + 1) holds
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fails(mid + 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # turn m - 1 for the least m with fails(m); fails(n) holds
+    return after, bisect.bisect_left(range(1, len(dep)), True, key=fails)
 
 
 def _owner_consumption(dep, receipts, shop_of, frac: float):
     """Owner consumption: in id order each firm i draws
     ``int(deposit * frac)`` of its deposit at its turn and spends it at
-    firm ``shop_of[i]``. Returns the draws and the receipts with these
-    sales added, or raises what the in-order loop raises first:
-    InsufficientFunds for a draw above its deposit (a float product
-    rounded up), MoneyOverflow for a deposit or receipt out of range.
-
-    A firm's deposit at its turn is ``dep`` plus the draws of the lower
-    firms that shop at it, so the draws are the fixed point of
-    ``draw = int((dep + inbound from lower ids) * frac)``. Iterated from
-    zero inbound, pass p is exact for every firm whose chain of lower
-    payers is shorter than p, and it stops the first time nothing
-    changes; the draw map is monotone, so the iterates rise to the
-    in-order result. The chains of lower ids are at most n long, hence
-    at most n + 1 passes.
+    firm ``shop_of[i]`` (:func:`_in_order`; the draw map rises with the
+    deposit). Returns the draws and the receipts with these sales added,
+    or raises what the in-order loop raises first: InsufficientFunds for a
+    draw above its deposit (a float product rounded up), MoneyOverflow for
+    a deposit or receipt out of range.
     """
-    n = len(dep)
-    lower = np.flatnonzero(shop_of > np.arange(n))  # paid before the shop's turn
-    ahead = shop_of[lower]
-    paid = np.zeros(len(lower), dtype=np.int64)
-    for _ in range(n + 1):
-        at_turn, over = _sums(dep, ahead, paid)
+
+    def pays(at_turn):
         product = at_turn * frac  # float64, truncated below: int(deposit * frac)
-        draws = np.minimum(product, _BELOW_2_63).astype(np.int64)
-        if np.array_equal(draws[lower], paid):
-            break
-        paid = draws[lower]
+        return np.minimum(product, _BELOW_2_63).astype(np.int64), product
+
+    at_turn, over, draws, product = _in_order(dep, shop_of, pays)
     short = (product >= 2.0**63) | (draws > at_turn)
-    _, past = _sums(dep - draws, shop_of, draws)  # the deposits after the last turn
-    if short.any() or over.any() or past.any():
-        first = int(np.argmax(short)) if short.any() else n
-        turn = _first_overflow(dep, over, shop_of, draws, draws, first)
-        if turn is not None:
-            raise MoneyOverflow(f"deposit of firm {shop_of[turn]} out of 64-bit range")
-        raise InsufficientFunds(
-            f"firm {first} holds {at_turn[first]}, draws {int(product[first])}"
-        )
+    _, turn = _settle(dep, over | short, shop_of, draws, draws)
+    if turn is not None:
+        if short[turn]:
+            raise InsufficientFunds(f"firm {turn} holds {at_turn[turn]}, draws {int(product[turn])}")
+        raise MoneyOverflow(f"deposit of firm {shop_of[turn]} out of 64-bit range")
     with_sales, wide = _sums(receipts, shop_of, draws)
     if wide.any():
         raise MoneyOverflow("receipts out of 64-bit range")
@@ -333,14 +333,10 @@ def _invest(dep, debt, capital, last_profit, seller_of, rate: float, margin: flo
     Returns the classes and the deposit, debt and capital columns'
     changes, or raises MoneyOverflow where the in-order loop would.
 
-    Only a firm's deposit depends on the order: it is ``dep`` plus the
-    purchases of lower firms that buy from it. As in
-    :func:`_owner_consumption` the deposits at each turn are the fixed
-    point of recomputing the interest due, the class and the purchases
-    from them, which is monotone: more inbound lowers the interest due,
-    so a firm only ever leaves class A.
+    Only a firm's deposit depends on the order (:func:`_in_order`). The
+    pay map is monotone: more inbound lowers the interest due, so a firm
+    only ever leaves class A.
     """
-    n = len(dep)
     lp = last_profit
     profit_rate = lp * STEPS_PER_YEAR / capital  # may wrap or round: fixed below
     # a negative profit is below any interest due (class A): its rate is not read
@@ -349,26 +345,21 @@ def _invest(dep, debt, capital, last_profit, seller_of, rate: float, margin: flo
         profit_rate[i] = int(lp[i]) * STEPS_PER_YEAR / int(capital[i])
     annual_rate = rate * STEPS_PER_YEAR
     may_buy = (lp > 0) & (seller_of is not None)
-    target = np.arange(n) if seller_of is None else seller_of
-    lower = np.flatnonzero(target > np.arange(n))
-    ahead = target[lower]
-    paid = np.zeros(len(lower), dtype=np.int64)
-    for _ in range(n + 1):
-        at_turn, over = _sums(dep, ahead, paid)
+    target = np.arange(len(dep)) if seller_of is None else seller_of
+
+    def pays(at_turn):
         cls = classify(lp, np.maximum(debt - at_turn, 0) * rate, profit_rate, annual_rate, margin)
         # Capital goods change hands at cost: the sale adds to the seller's
         # cash but carries no margin, so it does not enter the seller's
         # profit. Only consumption sales do.
-        spent = np.where(may_buy & (cls == FirmClass.B_VOLUNTARY_BORROWER), lp, 0)
-        if np.array_equal(spent[lower], paid):
-            break
-        paid = spent[lower]
+        return np.where(may_buy & (cls == FirmClass.B_VOLUNTARY_BORROWER), lp, 0), cls
+
+    at_turn, over, spent, cls = _in_order(dep, target, pays)
     repaid = np.where(cls == FirmClass.C_VOLUNTARY_LENDER, np.minimum(at_turn, debt), 0)
-    after, past = _sums(dep - repaid, target, spent)  # the deposits after the last turn
     # a buyer's loan passes through its deposit before it pays the seller
     early = over | (at_turn > MONEY_MAX - spent) | (debt > MONEY_MAX - spent)
-    if early.any() or past.any():
-        turn = _first_overflow(dep, early, target, spent, repaid, n)
+    after, turn = _settle(dep, early, target, spent, repaid)
+    if turn is not None:
         raise MoneyOverflow(f"loan to firm {turn} out of 64-bit range")
     if (capital > MONEY_MAX - spent).any():
         raise MoneyOverflow("capital out of 64-bit range")
@@ -395,12 +386,11 @@ def step(state: EconomyState, timings: dict | None = None) -> StepRecord:
     Many-to-one flows are summed exactly, folded with each firm's own
     deposit and outflow (:func:`ledger._sums`), and a flagged sum is an
     overflow. Owner consumption and phase 4 are defined in firm-id order
-    (a firm's deposit grows from lower firms' purchases). They are
-    evaluated exactly as array passes to the fixed point that equals the
-    in-order result (see :func:`_owner_consumption`) and raise what the
-    in-order loop would raise first. Everything is posted to a copy of
-    the ledger and built in new columns; the state takes them only after
-    the last phase, so a step that raises leaves the state as it was.
+    (a firm's deposit grows from lower firms' purchases), are evaluated by
+    :func:`_in_order` and raise what the in-order loop would raise first.
+    Everything is posted to a copy of the ledger and built in new columns;
+    the state takes them only after the last phase, so a step that raises
+    leaves the state as it was.
     """
     start = perf_counter()
     for name, item in zip(PHASES, _phases(state), strict=True):

@@ -529,22 +529,47 @@ class TestOrderDependentPhases:
     @pytest.mark.parametrize("direction", [1, -1])
     def test_chains_of_lower_ids(self, n, direction):
         # Firm i pays firm i + direction: upward every payment lands before
-        # its payee's turn, so the result needs one pass per link.
+        # its payee's turn, so the result needs one pass per link and one
+        # that repeats it; downward only firm 0's does, so the second pass
+        # repeats the first. Each pass is one _sums call, and so is settling
+        # the last turn (and, for owner consumption, adding the receipts).
+        passes = n if direction == 1 else min(n, 2)
         ids = np.arange(n)
         target = (ids + direction) % n
         dep = np.where(ids == 0, 10**15, 0)
         zeros = np.zeros(n, dtype=np.int64)
+
+        def counted(fn, *args):
+            with mock.patch.object(firms, "_sums", wraps=firms._sums) as sums:
+                return outcome(fn, *args), sums.call_count
+
         args = (dep, zeros, target, 0.5)
         if n > 1:
-            assert outcome(firms._owner_consumption, *args) == outcome(owner_consumption_oracle, *args)
+            expected = outcome(owner_consumption_oracle, *args)
+            assert counted(firms._owner_consumption, *args) == (expected, passes + 2)
         # Each firm but the first owes enough interest to be class A,
         # until the purchase of the firm before it arrives.
         debt = np.where(ids == 0, 0, 1100)
         args = (zeros, debt, np.full(n, 100), np.full(n, 10), target if n > 1 else None, 0.01, 0.0)
         expected = outcome(invest_oracle, *args)
-        assert outcome(firms._invest, *args) == expected
+        assert counted(firms._invest, *args) == (expected, passes + 1)
         if direction == 1:
             assert expected[0] == [FirmClass.B_VOLUNTARY_BORROWER] * n
+        if n == 40:
+            # Firm 30 holds nearly MONEY_MAX. Upward, what is handed up the
+            # chain overflows it at turn 29. Downward, it fails at its own
+            # turn 30: its draw at fraction 1.0 rounds up past its deposit,
+            # and its loan passes through that deposit.
+            dep = np.where(ids == 30, MONEY_MAX - 5, dep)
+            turn = 29 if direction == 1 else 30
+            args = (dep, zeros, target, 1.0)
+            expected = outcome(owner_consumption_oracle, *args)
+            assert outcome(firms._owner_consumption, *args) == expected
+            assert expected[0] is (MoneyOverflow if direction == 1 else InsufficientFunds)
+            args = (dep, debt, np.full(n, 100), np.full(n, 10), target, 0.01, 0.0)
+            expected = outcome(invest_oracle, *args)
+            assert outcome(firms._invest, *args) == expected
+            assert expected == (MoneyOverflow, f"loan to firm {turn} out of 64-bit range")
 
     @settings(max_examples=300, deadline=None)
     @given(
