@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import DegenerateSample, InvalidConfig
+from .errors import DegenerateSample, InvalidConfig, check_bounds
 from .ledger import MONEY_MAX, Money
 
 RULE_UNIFORM_PAIR_SPLIT = "uniform_pair_split"
@@ -73,31 +73,27 @@ _BLOCK = 1 << 17
 
 @dataclass(frozen=True)
 class ExchangeConfig:
-    n_agents: int
-    initial_money: Money
-    n_events: int
+    """Exchange parameters; each field's bound but ``rule``'s and
+    ``fixed_amount``'s is its ``range`` metadata (:func:`errors.check_bounds`)."""
+
+    n_agents: int = field(metadata={"range": (2, None)})
+    initial_money: Money = field(metadata={"range": (0, None)})
+    n_events: int = field(metadata={"range": (0, None)})
     rule: str = RULE_UNIFORM_PAIR_SPLIT
     fixed_amount: Money = 1
-    seed: int = 0
+    seed: int = field(default=0, metadata={"range": (0, 2**64 - 1)})
 
     def __post_init__(self):
-        if self.n_agents < 2:
-            raise InvalidConfig("n_agents must be >= 2")
-        if self.initial_money < 0:
-            raise InvalidConfig("initial_money must be >= 0")
+        check_bounds(self)
         if self.n_agents * self.initial_money > MONEY_MAX:
             raise InvalidConfig(
                 f"total money n_agents * initial_money must be <= {MONEY_MAX}, "
                 f"got {self.n_agents * self.initial_money}"
             )
-        if self.n_events < 0:
-            raise InvalidConfig("n_events must be >= 0")
         if self.rule not in _RULES:
             raise InvalidConfig(f"unknown exchange rule {self.rule!r}")
         if self.rule == RULE_FIXED_AMOUNT and not 0 <= self.fixed_amount <= MONEY_MAX:
             raise InvalidConfig("fixed_amount must be in [0, 2**63 - 1]")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidConfig("seed must be in [0, 2**64 - 1]")
 
 
 @dataclass

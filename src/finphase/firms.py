@@ -50,15 +50,14 @@ from __future__ import annotations
 
 import bisect
 import enum
-import math
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
 from . import rng
-from .errors import InsufficientFunds, InvalidConfig, MoneyOverflow
+from .errors import InsufficientFunds, MoneyOverflow, check_bounds
 from .ledger import MONEY_MAX, MONEY_MIN, Ledger, Money, _sums, _total
 
 # The simulation step is the pay period ("the week"); annual rates are
@@ -85,51 +84,26 @@ class EconomyConfig:
     interest_rate and depreciation are per step; investment_margin is the
     annual spread over the annualised interest rate that marks a firm as
     a voluntary borrower. ``initial_capital`` is the book value of a
-    fresh firm's equipment. Every float field must be finite; a config
-    that breaks a bound raises InvalidConfig when it is built.
+    fresh firm's equipment. Each field's bound is its ``range`` metadata
+    (:func:`errors.check_bounds`), and every float field must be finite;
+    a config that breaks a bound raises InvalidConfig when it is built.
     """
 
-    n_firms: int = 1000
-    n_workers: int = 10000
-    base_money: Money = 10**9
-    wage: Money = 100
-    interest_rate: float = 0.005
-    investment_margin: float = 0.01
-    depreciation: float = 0.01
-    capitalist_consumption_fraction: float = 0.05
-    n_steps: int = 20
-    seed: int = 0
-    initial_capital: Money = 3000
-    customer_churn: float = 0.0
+    n_firms: int = field(default=1000, metadata={"range": (1, None)})
+    n_workers: int = field(default=10000, metadata={"range": (0, None)})
+    base_money: Money = field(default=10**9, metadata={"range": (0, MONEY_MAX)})
+    wage: Money = field(default=100, metadata={"range": (0, MONEY_MAX)})
+    interest_rate: float = field(default=0.005, metadata={"range": (0, None)})
+    investment_margin: float = field(default=0.01, metadata={"range": (0, None)})
+    depreciation: float = field(default=0.01, metadata={"range": (0, 1, ")")})
+    capitalist_consumption_fraction: float = field(default=0.05, metadata={"range": (0, 1)})
+    n_steps: int = field(default=20, metadata={"range": (0, None)})
+    seed: int = field(default=0, metadata={"range": (0, 2**64 - 1)})
+    initial_capital: Money = field(default=3000, metadata={"range": (1, MONEY_MAX)})
+    customer_churn: float = field(default=0.0, metadata={"range": (0, 1)})
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidConfig(f"{name} must be finite, got {value}")
-        if self.n_firms < 1:
-            raise InvalidConfig("n_firms must be >= 1")
-        if self.n_workers < 0:
-            raise InvalidConfig("n_workers must be >= 0")
-        if not 0 <= self.base_money <= MONEY_MAX:
-            raise InvalidConfig("base_money must be in [0, 2**63 - 1]")
-        if not 0 <= self.wage <= MONEY_MAX:
-            raise InvalidConfig("wage must be in [0, 2**63 - 1]")
-        if self.interest_rate < 0:
-            raise InvalidConfig("interest_rate must be >= 0")
-        if self.investment_margin < 0:
-            raise InvalidConfig("investment_margin must be >= 0")
-        if not 0 <= self.depreciation < 1:
-            raise InvalidConfig("depreciation must be in [0, 1)")
-        if not 0 <= self.capitalist_consumption_fraction <= 1:
-            raise InvalidConfig("capitalist_consumption_fraction must be in [0, 1]")
-        if self.n_steps < 0:
-            raise InvalidConfig("n_steps must be >= 0")
-        if not 1 <= self.initial_capital <= MONEY_MAX:
-            raise InvalidConfig("initial_capital must be in [1, 2**63 - 1]")
-        if not 0 <= self.customer_churn <= 1:
-            raise InvalidConfig("customer_churn must be in [0, 1]")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidConfig("seed must be in [0, 2**64 - 1]")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -314,15 +288,16 @@ def _owner_consumption(dep, receipts, shop_of, frac: float):
 
     at_turn, over, draws, product = _in_order(dep, shop_of, pays)
     short = (product >= 2.0**63) | (draws > at_turn)
-    _, turn = _settle(dep, over | short, shop_of, draws, draws)
+    after, turn = _settle(dep, over | short, shop_of, draws, draws)
     if turn is not None:
         if short[turn]:
             raise InsufficientFunds(f"firm {turn} holds {at_turn[turn]}, draws {int(product[turn])}")
         raise MoneyOverflow(f"deposit of firm {shop_of[turn]} out of 64-bit range")
-    with_sales, wide = _sums(receipts, shop_of, draws)
-    if wide.any():
+    # the sales, after - (dep - draws), may pass MONEY_MAX where after does
+    # not; in this order no term of the check wraps
+    if (receipts - MONEY_MAX + after > dep - draws).any():
         raise MoneyOverflow("receipts out of 64-bit range")
-    return draws, with_sales
+    return draws, receipts + (after - (dep - draws))
 
 
 def _invest(dep, debt, capital, last_profit, seller_of, rate: float, margin: float):
@@ -448,7 +423,8 @@ def _phases(state: EconomyState):
 
     # (3) interest on outstanding debt, paid into bank equity (borrowed if short)
     rate = cfg.interest_rate
-    due = debt * rate  # float64 and truncated, exactly as int(debt * rate)
+    with np.errstate(over="ignore"):  # an infinite product is reported below
+        due = debt * rate  # float64 and truncated, exactly as int(debt * rate)
     if not (due < 2.0**63).all():
         raise MoneyOverflow("interest due out of 64-bit range")
     interest_paid = due.astype(np.int64)

@@ -282,6 +282,9 @@ BAD_GRIDS = [
          "--out and an input name the same file\n\\Z"),
         (["firms", "--config", "{twice}", "--outdir", "{out}"],
          ".*twice\\.cfg:3: key 'n_firms' given twice\n\\Z"),
+        # phase 3's float product debt * rate overflows to inf, without a numpy warning
+        (["firms", "--firms", "3", "--workers", "5", "--steps", "2", "--interest-rate", "1e308",
+          "--outdir", "{out}"], "interest due out of 64-bit range\n\\Z"),
     ]
     + [(cmd + ["--grid", *grid], message) for cmd in (FIRMS, ANALYZE) for grid, message in BAD_GRIDS],
     ids=["margin", "interest_rate", "grid", "gL", "lambda", "cagr", "table", "dt", "sigma",
@@ -293,10 +296,12 @@ BAD_GRIDS = [
          "analyze_same_out", "analyze_out_is_input", "analyze_hist_out_is_input",
          "firms_seed_too_wide", "firms_seed_negative", "exchange_seed_too_wide",
          "exchange_seed_negative", "fixed_amount_too_wide", "sectors_out_is_input",
-         "macro_table_out_is_input", "analyze_out_is_linked_input", "config_key_twice"]
+         "macro_table_out_is_input", "analyze_out_is_linked_input", "config_key_twice",
+         "interest_overflow"]
     + [f"{cmd}_grid_{case}" for cmd in ("firms", "analyze")
        for case in ("nx", "extent", "bins", "width")],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message):
     levels = tmp_path / "levels.csv"
     levels.write_text("t,level\n0,1.0\n1,nan\n")

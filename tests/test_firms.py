@@ -508,6 +508,9 @@ class TestOrderDependentPhases:
     @example(_arrays([10, MONEY_MAX - 5, 0], [0, 0, 0], [1, 2, 0]) + (1.0,))
     # the deposits stay in range but a receipt does not
     @example(_arrays([10, 0], [0, MONEY_MAX - 5], [1, 0]) + (1.0,))
+    # firm 1 sells 2**62 twice, so its sales pass MONEY_MAX while its
+    # deposit, which it spends in between, stays in range
+    @example(_arrays([2**62, 0, 0], [0, 0, 0], [1, 2, 1]) + (1.0,))
     def test_owner_consumption_matches_the_loop(self, case):
         assert outcome(firms._owner_consumption, *case) == outcome(owner_consumption_oracle, *case)
 
@@ -532,7 +535,7 @@ class TestOrderDependentPhases:
         # its payee's turn, so the result needs one pass per link and one
         # that repeats it; downward only firm 0's does, so the second pass
         # repeats the first. Each pass is one _sums call, and so is settling
-        # the last turn (and, for owner consumption, adding the receipts).
+        # the last turn.
         passes = n if direction == 1 else min(n, 2)
         ids = np.arange(n)
         target = (ids + direction) % n
@@ -546,7 +549,7 @@ class TestOrderDependentPhases:
         args = (dep, zeros, target, 0.5)
         if n > 1:
             expected = outcome(owner_consumption_oracle, *args)
-            assert counted(firms._owner_consumption, *args) == (expected, passes + 2)
+            assert counted(firms._owner_consumption, *args) == (expected, passes + 1)
         # Each firm but the first owes enough interest to be class A,
         # until the purchase of the firm before it arrives.
         debt = np.where(ids == 0, 0, 1100)
