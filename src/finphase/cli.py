@@ -6,10 +6,10 @@ config and seed (seeds default to 0, never to the clock), and all data
 outputs are written with full-precision repr formatting so identical runs
 are byte-identical. ``firms`` formats its phase CSVs and ``analyze``
 parses them with the help of a second process that meets this one in
-the middle (``_phasecsv``). Every output file is written through
-``_Outputs``, so a run that fails removes the files it wrote. Exit codes:
-0 success, 1 domain error (message on stderr, never a stack trace), 2
-usage error.
+the middle (``_phasecsv``). Every output file is declared to ``_Outputs``,
+which refuses one that is an input or another output before any is written,
+and removes the files written if the run fails. Exit codes: 0 success, 1
+domain error (message on stderr, never a stack trace), 2 usage error.
 Each subcommand imports its own modules, so no run pays for the others'.
 
 Config files are plain ``key = value`` lines with ``#`` comments; CLI
@@ -52,30 +52,8 @@ ENV_OUTDIR = "FINPHASE_OUTDIR"
 # --- helpers ----------------------------------------------------------------
 
 
-def _outdir(args, create: bool = True) -> Path:
-    path = Path(args.outdir or os.environ.get(ENV_OUTDIR) or ".")
-    if create:
-        path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _distinct_outputs(inputs, outputs) -> None:
-    """Raise InvalidConfig if an output ``(flag, path)`` names an input or
-    an output before it, which writing it would overwrite. Existing files
-    are compared by identity, as ``os.path.samefile`` does, other paths
-    by where they resolve to; a path of None is no file."""
-
-    def key(path):
-        try:
-            st = os.stat(path)
-        except OSError:
-            return Path(path).resolve()
-        return st.st_dev, st.st_ino
-
-    taken = {key(path): "an input" for path in inputs if path is not None}
-    for flag, path in outputs:
-        if path and (other := taken.setdefault(key(path), flag)) != flag:
-            raise InvalidConfig(f"{flag} and {other} name the same file")
+def _outdir(args) -> Path:
+    return Path(args.outdir or os.environ.get(ENV_OUTDIR) or ".")
 
 
 class _DecodeError(UnicodeDecodeError):
@@ -85,29 +63,95 @@ class _DecodeError(UnicodeDecodeError):
         return f"{self.path}: {super().__str__()}"
 
 
+@contextlib.contextmanager
+def _decoding(path):
+    """A block that reads the text file ``path``: a UnicodeDecodeError
+    raised in it is raised again as a _DecodeError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        error = _DecodeError(*exc.args)
+        error.path = path
+        raise error from None
+
+
 def _json(payload) -> str:
     """Strict JSON text: a NaN or infinity raises ValueError instead of
     being written as a token JSON does not have."""
     return json.dumps(payload, indent=2, allow_nan=False)
 
 
-class _Outputs:
-    """The output files of one run. Use it in a ``with`` block and write
-    each file with ``emit``: if the block fails, every file emitted is
-    removed again, so a failed run leaves none of its files behind.
-    Files it did not write, such as one it could not open, are left
-    alone."""
+class _Outputs(contextlib.AbstractContextManager):
+    """The output files of one run, declared up front: the ``(flag, path)``
+    of each file a flag names (path None: no file) and the ``names`` of
+    files in ``outdir``. An output that is one of ``inputs`` or an output
+    before it (the same file, or the same resolved path) raises
+    InvalidConfig. In a ``with`` block, ``emit`` writes a file by the flag
+    or name it was declared by, making ``outdir`` before the first; if the
+    block fails, the files emitted are removed again, and no other."""
 
-    def __init__(self) -> None:
+    def __init__(self, inputs, flags=(), outdir=None, names=()) -> None:
+        def key(path):
+            try:
+                st = os.stat(path)
+            except OSError:
+                return Path(path).resolve()
+            return st.st_dev, st.st_ino
+
+        declared = [(flag, flag, path) for flag, path in flags if path is not None]
+        declared += [(name, str(outdir / name), outdir / name) for name in names]
+        taken = {key(path): "an input" for path in inputs if path is not None}
+        for _, label, path in declared:
+            if (other := taken.setdefault(key(path), label)) != label:
+                raise InvalidConfig(f"{label} and {other} name the same file")
+        self.paths = {name: path for name, _, path in declared}  # in declared order
+        self.outdir = outdir if names else None  # None once it is made
         self.written: list[Path] = []
 
-    def __enter__(self) -> "_Outputs":
-        return self
-
-    def emit(self, path, data: bytes) -> None:
+    def emit(self, name, data: bytes) -> None:
+        path = self.paths[name]  # a file that was not declared is never written
+        if self.outdir is not None:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+            self.outdir = None
         with open(path, "wb") as fh:
             self.written.append(Path(path))  # from here on the file is this run's
             fh.write(data)
+
+    def report(self, text: str) -> None:
+        """``text`` as the ``--out`` file if one was declared, else on stdout."""
+        if "--out" in self.paths:
+            self.emit("--out", f"{text}\n".encode())
+        else:
+            print(text)
+
+    def manifest(self, subcommand: str, config: dict, started: str, **extra) -> None:
+        """``manifest.json``, if declared: the run's config and seed, times,
+        the other outputs in declared order, any ``extra`` fields, the
+        Python and numpy versions, and peak RSS: the larger of this
+        process's and that of its largest reaped child (``firms``'s writer)."""
+        if "manifest.json" not in self.paths:
+            return
+        import resource  # Unix only; needed only when a manifest is asked for
+
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+        rss = max(resource.getrusage(w).ru_maxrss for w in who)
+        payload = {
+            "tool": "finphase",
+            "version": __version__,
+            "subcommand": subcommand,
+            "config": config,
+            "seed": config["seed"],
+            "started": started,
+            "finished": datetime.now(timezone.utc).isoformat(),
+            "conservation_residuals": None,
+            "outputs": [name for name in self.paths if name != "manifest.json"],
+            **extra,  # a key above keeps its place
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "peak_rss_mb": rss / (2**20 if sys.platform == "darwin" else 2**10),
+        }
+        self.emit("manifest.json", f"{_json(payload)}\n".encode())
 
     def __exit__(self, exc_type, *_) -> None:
         if exc_type is not None:
@@ -137,7 +181,7 @@ def _csv_rows(path, width: int) -> list[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank row of a CSV with ``#``
     comments; a row with another number of fields is a ParseError."""
     rows = []
-    with open(path) as fh:
+    with _decoding(path), open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -175,7 +219,7 @@ def parse_config_file(path, config_cls):
     hints = typing.get_type_hints(config_cls)
     valid = {f.name: hints[f.name] for f in dataclasses.fields(config_cls)}
     values = {}
-    with open(path) as fh:
+    with _decoding(path), open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -210,34 +254,6 @@ def _config_from_args(config_cls, args, path=None):
     return config_cls(**values)
 
 
-def _manifest(subcommand: str, config: dict, started: str, outputs, **extra) -> bytes:
-    """A run's reproducibility record, as JSON text: its config and seed,
-    times, ``outputs`` by name, any ``extra`` fields, the Python and numpy
-    versions, and peak RSS: the larger of this process's and that of its
-    largest reaped child (``firms``'s phase-CSV writer, exited by now)."""
-    import resource  # Unix only; needed only when a manifest is asked for
-
-    # ru_maxrss is in KiB on Linux and in bytes on macOS
-    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-    rss = max(resource.getrusage(w).ru_maxrss for w in who)
-    payload = {
-        "tool": "finphase",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-        "seed": config["seed"],
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
-        "conservation_residuals": None,
-        "outputs": [path.name for path in outputs],
-        **extra,  # a key above keeps its place
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "peak_rss_mb": rss / (2**20 if sys.platform == "darwin" else 2**10),
-    }
-    return f"{_json(payload)}\n".encode()
-
-
 # --- subcommands --------------------------------------------------------------
 
 
@@ -247,23 +263,22 @@ def _cmd_exchange(args) -> int:
     rules = {"pairsplit": exchange.RULE_UNIFORM_PAIR_SPLIT, "fixed": exchange.RULE_FIXED_AMOUNT}
     args.rule = rules[args.rule]
     config = _config_from_args(exchange.ExchangeConfig, args)
+    names = ["wealth.csv", "fit.json"] + ["manifest.json"] * args.manifest
+    outputs = _Outputs([], outdir=_outdir(args), names=names)
     started = datetime.now(timezone.utc).isoformat()
     wealth = exchange.run_exchange(config)
     fit = exchange.fit_exponential(wealth)
-    outdir = _outdir(args)
 
     fit_json = {
         "temperature": fit.temperature,
         "ks_statistic": fit.ks_statistic,
         "total_money": wealth.total(),
     }
-    with _Outputs() as outputs:
+    with outputs:
         rows = "".join([f"{i},{m}\n" for i, m in enumerate(wealth.money)])
-        outputs.emit(outdir / "wealth.csv", f"agent_id,money\n{rows}".encode())
-        outputs.emit(outdir / "fit.json", f"{_json(fit_json)}\n".encode())
-        if args.manifest:
-            text = _manifest("exchange", dataclasses.asdict(config), started, outputs.written)
-            outputs.emit(outdir / "manifest.json", text)
+        outputs.emit("wealth.csv", f"agent_id,money\n{rows}".encode())
+        outputs.emit("fit.json", f"{_json(fit_json)}\n".encode())
+        outputs.manifest("exchange", dataclasses.asdict(config), started)
     print(
         f"exchange: {config.n_agents} agents, {config.n_events} events, "
         f"temperature {fit.temperature:.6g}, KS {fit.ks_statistic:.6g}"
@@ -276,11 +291,9 @@ def _cmd_firms(args) -> int:
 
     config = _config_from_args(firms.EconomyConfig, args, args.config)
     grid = _grid_from_args(args)
-    outdir = _outdir(args, create=False)  # made once the steps have run
-    paths = [outdir / f"phase_t{t}.csv" for t in range(config.n_steps + 1)]
-    if args.config:  # an output that names the config would overwrite it
-        names = ["series.csv", "run.json"] + ["manifest.json"] * args.manifest
-        _distinct_outputs([args.config], [(str(p), p) for p in paths + [outdir / n for n in names]])
+    names = [f"phase_t{t}.csv" for t in range(config.n_steps + 1)]
+    names += ["series.csv", "run.json"] + ["manifest.json"] * args.manifest
+    outputs = _Outputs([args.config], outdir=_outdir(args), names=names)
     series = ["t,entropy,rentier_fraction,std_x,bankruptcies,class_A,class_B,class_C\n"]
     residuals = []
     timings = dict.fromkeys(firms.PHASES, 0.0) if args.manifest else None
@@ -297,28 +310,23 @@ def _cmd_firms(args) -> int:
                 f"{metrics.std_x!r},{rec.bankruptcies},{a},{b},{c}\n"
             )
             residuals.append(rec.conservation_residual)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with _Outputs() as outputs:
+        with outputs:
             # each file as soon as its text is done; the writer's exit status
             # is checked after the last
             for k, text in writer.texts():
-                outputs.emit(paths[k], text)
+                outputs.emit(names[k], text)
             # written after the phase files, so a writer that fails at once leaves no output
-            outputs.emit(outdir / "series.csv", "".join(series).encode())
+            outputs.emit("series.csv", "".join(series).encode())
             run = {
                 "config": dataclasses.asdict(config),
                 "seed": config.seed,
                 "final_conservation_residual": residuals[-1],
             }
-            outputs.emit(outdir / "run.json", f"{_json(run)}\n".encode())
-            if args.manifest:
-                text = _manifest(
-                    "firms", dataclasses.asdict(config), started,
-                    # the phase files in t order, not in the order they were written
-                    [*paths, *outputs.written[len(paths) :]],
-                    conservation_residuals=residuals, phase_seconds=timings,
-                )
-                outputs.emit(outdir / "manifest.json", text)
+            outputs.emit("run.json", f"{_json(run)}\n".encode())
+            outputs.manifest(
+                "firms", dataclasses.asdict(config), started,
+                conservation_residuals=residuals, phase_seconds=timings,
+            )
     print(
         f"firms: {config.n_firms} firms x {config.n_steps} steps, "
         f"final residual {residuals[-1]}"
@@ -331,7 +339,7 @@ def _cmd_analyze(args) -> int:
 
     grid = _grid_from_args(args)
     files = args.files
-    _distinct_outputs(files, [("--hist-out", args.hist_out), ("--out", args.out)])
+    outputs = _Outputs(files, [("--hist-out", args.hist_out), ("--out", args.out)])
     # The report is keyed by base name, so two inputs sharing one would
     # leave one entry for both.
     names = [Path(name).name for name in files]
@@ -352,7 +360,8 @@ def _cmd_analyze(args) -> int:
         for k, values in _phasecsv.meet(reader, len(files)):
             try:
                 if values is None:  # this process's file, or one the reader rejected
-                    values = _phasecsv.parse_file(files[k])  # raises the error of a bad file
+                    with _decoding(files[k]):
+                        values = _phasecsv.parse_file(files[k])  # raises the error of a bad file
                 points = np.frombuffer(values).reshape(-1, 2)
                 hist = phase.bin_phase(points, grid)
                 counts += hist.counts
@@ -368,23 +377,17 @@ def _cmd_analyze(args) -> int:
                 }
             except (DegenerateSample, InvalidConfig) as exc:  # these do not name the file
                 errors[k] = type(exc)(f"{files[k]}: {exc}")
-            except UnicodeDecodeError as exc:  # nor does this, and its args are not its message
-                errors[k] = _DecodeError(*exc.args)
-                errors[k].path = files[k]
             except (FinphaseError, OSError, ValueError, MemoryError) as exc:
                 errors[k] = exc  # raised unless a file before this one fails too
     if errors:
         raise errors[min(errors)]
     text = _json(dict(zip(names, entries)))  # a non-finite metric fails here, before any output
-    with _Outputs() as outputs:
+    with outputs:
         if args.hist_out:
             total, out_of_range = (sum(e[key] for e in entries) for key in ("points", "out_of_range"))
             combined = phase.PhaseHistogram(grid, counts, total, out_of_range)
-            outputs.emit(args.hist_out, phase.histogram_csv(combined).encode())
-        if args.out:
-            outputs.emit(args.out, f"{text}\n".encode())
-    if not args.out:
-        print(text)
+            outputs.emit("--hist-out", phase.histogram_csv(combined).encode())
+        outputs.report(text)
     return 0
 
 
@@ -410,7 +413,7 @@ def _cmd_macro(args) -> int:
     if args.table:
         if args.out is None:
             raise InvalidConfig("--table needs --out for the result CSV")
-        _distinct_outputs([args.table], [("--out", args.out)])
+        outputs = _Outputs([args.table], [("--out", args.out)])
         expected = ["year", "g_L", "g_P", "d", "lambda"]
         table = _csv_rows(args.table, len(expected))
         if table and table[0][1] != expected:
@@ -429,8 +432,8 @@ def _cmd_macro(args) -> int:
             r_star = macro.equilibrium_rate(g_L, g_P, d, lam)
             g_req = macro.required_productivity(reference, lam, g_L, d)
             lines.append(f"{year},{r_star!r},{g_req!r}\n")
-        with _Outputs() as outputs:
-            outputs.emit(args.out, "".join(lines).encode())
+        with outputs:
+            outputs.emit("--out", "".join(lines).encode())
         print(f"macro: wrote {len(rows)} rows to {args.out}")
         return 0
     if None in (args.gL, args.gP, args.d, args.lambda_):
@@ -443,8 +446,8 @@ def _cmd_macro(args) -> int:
         )
         if args.out:
             rows = "".join([f"{t!r},{v!r}\n" for t, v in zip(series.t, series.value)])
-            with _Outputs() as outputs:
-                outputs.emit(args.out, f"t,R\n{rows}".encode())
+            with _Outputs([], [("--out", args.out)]) as outputs:
+                outputs.emit("--out", f"t,R\n{rows}".encode())
         report.append(f"R({series.t[-1]:.12g}) = {series.value[-1] * scale:.12g}{unit}")
     print("\n".join(report))
     return 0
@@ -458,11 +461,8 @@ def _cmd_interest(args) -> int:
     cost = interest.expected_loan_cost(model, args.loan)
     rate = interest.min_interest_rate(model, args.loan)
     payload = {"p_e": p_e, "expected_cost": cost, "min_rate": rate}
-    if args.out:
-        with _Outputs() as outputs:
-            outputs.emit(args.out, f"{_json(payload)}\n".encode())
-    else:
-        print(_json(payload))
+    with _Outputs([], [("--out", args.out)]) as outputs:
+        outputs.report(_json(payload))
     return 0
 
 
@@ -471,20 +471,22 @@ def _cmd_reserves(args) -> int:
 
     flows = args.b0, args.g, args.tax, args.sales
     path_points = interest.reserve_path(*flows, args.dt, _steps(args))
-    out = Path(args.out) if args.out else _outdir(args) / "reserves.csv"
+    outputs = _Outputs([], [("--out", args.out)], _outdir(args), [] if args.out else ["reserves.csv"])
+    [(name, out)] = outputs.paths.items()
     rows = "".join([f"{t!r},{b!r}\n" for t, b in path_points])
-    with _Outputs() as outputs:
-        outputs.emit(out, f"t,B\n{rows}".encode())
-    print(f"reserves: wrote {len(path_points)} samples to {out}")
+    with outputs:
+        outputs.emit(name, f"t,B\n{rows}".encode())
+    print(f"reserves: wrote {len(path_points)} samples to {Path(out)}")
     return 0
 
 
 def _cmd_sectors(args) -> int:
     from . import sectors
 
-    _distinct_outputs([args.file], [("--out", args.out)])
+    outputs = _Outputs([args.file], [("--out", args.out)])
     if args.file:
-        table = sectors.load_sectors(args.file)
+        with _decoding(args.file):
+            table = sectors.load_sectors(args.file)
     else:
         table = sectors.bundled_eurozone_2012q1()
     if args.action == "check":
@@ -509,11 +511,8 @@ def _cmd_sectors(args) -> int:
             "required_offset": result.required_offset,
             "balances": dict(result.table.entries),
         }
-    if args.out:
-        with _Outputs() as outputs:
-            outputs.emit(args.out, f"{_json(payload)}\n".encode())
-    else:
-        print(_json(payload))
+    with outputs:
+        outputs.report(_json(payload))
     return 0
 
 

@@ -53,8 +53,8 @@ class TestDispatch:
 
     def test_json_output_rejects_non_finite_numbers(self, tmp_path):
         path = tmp_path / "out.json"
-        with pytest.raises(ValueError), _Outputs() as outputs:
-            outputs.emit(path, _json({"mean_x": float("nan")}).encode())
+        with pytest.raises(ValueError), _Outputs([], [("--out", path)]) as outputs:
+            outputs.emit("--out", _json({"mean_x": float("nan")}).encode())
         assert outputs.written == []  # raised before the file was opened
         assert not path.exists()
 
@@ -337,6 +337,31 @@ def test_rejected_input_exits_one_without_output(tmp_path, capsys, argv, message
     assert phase_csv.read_text() == "firm_id,x,y\n0,0.5,0.0\n1,-0.5,0.1\n"
 
 
+@pytest.mark.parametrize(
+    "argv,body",
+    [
+        (["analyze", "{path}", "--out", "{out}/r.json"], b"firm_id,x,y\n0\xff,0.5,0.1\n1,-2,0.25\n"),
+        (["macro", "--table", "{path}", "--out", "{out}/t.csv"],
+         b"year,g_L,g_P,d,lambda\n# \xff\n1964,0.02,0.03,0.1,0.6\n"),
+        (["macro", "--cagr", "{path}"], b"t,level\n# \xff\n0,1\n1,2\n"),
+        (["sectors", "check", "{path}", "--out", "{out}/s.json"], b"sector,balance\n# \xff\nA,1\n"),
+        (["firms", "--config", "{path}", "--outdir", "{out}"], b"# \xff\nn_firms = 5\n"),
+    ],
+    ids=["analyze", "macro_table", "macro_cagr", "sectors", "firms_config"],
+)
+def test_undecodable_input_is_named(tmp_path, capsys, argv, body):
+    # a byte that is not UTF-8, in a data row or in a comment, names its file
+    path = tmp_path / "input.txt"
+    path.write_bytes(body)
+    with pytest.raises(UnicodeDecodeError) as info:
+        path.read_text()  # decoded as the command decodes it
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(*[a.format(path=path, out=out) for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {info.value}\n")
+    assert list(out.iterdir()) == []
+
+
 class TestExchangeCommand:
     def test_outputs_and_fit(self, tmp_path):
         code = run_cli(
@@ -352,6 +377,12 @@ class TestExchangeCommand:
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["total_money"] == 10000
         assert set(fit) == {"temperature", "ks_statistic", "total_money"}
+
+    def test_manifest_lists_the_outputs_in_declared_order(self, tmp_path):
+        argv = ["--agents", "20", "--events", "100", "--outdir", str(tmp_path), "--manifest"]
+        assert run_cli("exchange", *argv) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == ["wealth.csv", "fit.json"]
 
     def test_fraction_rule_is_an_unknown_choice(self, tmp_path, capsys):
         code = run_cli("exchange", "--rule", "fraction", "--outdir", str(tmp_path / "out"))
@@ -486,6 +517,47 @@ class TestFirmsCommand:
         assert run_cli("firms", "--config", str(cfg), "--outdir", str(out)) == 1
         assert capsys.readouterr().err == "error: interest_rate must be finite, got nan\n"
         assert not out.exists()
+
+
+SAME_FILE_FIRMS = ["firms", "--firms", "20", "--workers", "100", "--steps", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv,link,name,target,said",
+    [
+        # the later output of the two is named first, as in every same-file error
+        (SAME_FILE_FIRMS, "hard", "phase_t2.csv", "phase_t1.csv", ("phase_t2.csv", "phase_t1.csv")),
+        (SAME_FILE_FIRMS, "symlink", "phase_t2.csv", "phase_t1.csv", ("phase_t2.csv", "phase_t1.csv")),
+        (SAME_FILE_FIRMS, "dangling", "phase_t2.csv", "phase_t1.csv", ("phase_t2.csv", "phase_t1.csv")),
+        (["exchange", "--agents", "20", "--events", "100"], "hard", "wealth.csv", "fit.json",
+         ("fit.json", "wealth.csv")),
+    ],
+    ids=["firms_hard_link", "firms_symlink", "firms_dangling_symlink", "exchange_hard_link"],
+)
+def test_two_outputs_that_are_one_file_are_refused(
+    tmp_path, capsys, started, argv, link, name, target, said
+):
+    # ``name`` is the same file as ``target``, another output of the run,
+    # which writing both would overwrite: refused before any work, with
+    # every file in --outdir as it was
+    out = tmp_path / "out"
+    out.mkdir()
+    if link != "dangling":
+        (out / target).write_text("an older run's\n")
+    if link == "hard":
+        os.link(out / target, out / name)
+    else:
+        (out / name).symlink_to(target)
+
+    def state():
+        return {p.name: (p.is_symlink(), p.exists() and p.read_bytes()) for p in out.iterdir()}
+
+    before = state()
+    assert run_cli(*argv, "--outdir", str(out), "--manifest") == 1
+    later, earlier = (out / n for n in said)
+    assert capsys.readouterr() == ("", f"error: {later} and {earlier} name the same file\n")
+    assert state() == before
+    assert started == []
 
 
 @pytest.mark.parametrize(
