@@ -1,11 +1,13 @@
-"""The phase-CSV helper: a second process that formats the phase CSVs of
+"""The phase-CSV helpers: a second process that formats the phase CSVs of
 ``finphase firms`` and parses those of ``finphase analyze``, so that
 work runs on another core while the command's own process goes on.
 
 The CLI holds a ``PhaseWriter`` or a ``PhaseReader``, each of which
-starts this file as ``python -I -S _phasecsv.py [parse ENCODING]``. As a
-script it imports only the standard library (no numpy, no finphase), so
-it starts in a few tens of milliseconds.
+forks the command's process (1-2 ms) once its imports are done: the
+helper has numpy and decodes files as the command does. It runs
+``serve`` and leaves through ``os._exit``, never through the command's
+own code. Only Linux forks (``FORK``; CPython documents fork without
+exec as unsafe on macOS); elsewhere the command does every unit itself.
 
 Every frame, in both directions, is a byte length as 8 bytes, then that
 many bytes. The command sends one frame per input and then ends its
@@ -24,12 +26,9 @@ as it is done. The two helpers differ only in the work per input frame:
   and one ``i,x,y`` row per point, with x and y as ``repr`` gives them:
   the shortest decimal that reads back to the same float.
 - parse (``analyze``): the frame is a path, and the unit the file's x, y
-  values as float64 pairs, parsed by ``parse_file`` with ENCODING, the
-  main process's ``io.text_encoding(None)``, so both decode as
-  ``open(path)`` does there (``-I`` ignores ``PYTHONUTF8``). A file
-  ``parse_file`` rejects gets the length ``NOT_PARSED`` and no bytes,
-  for the main process to parse it again, which raises the error it
-  reports.
+  values as float64 pairs, by ``parse_file``; a file it rejects gets the
+  length ``NOT_PARSED`` and no bytes, for the command to parse it again,
+  which raises the error it reports.
 
 Once all of its input is sent, the command meets the helper in the
 middle (``meet``): it takes the helper's units from the front, each once
@@ -38,15 +37,22 @@ taken with the same function, so the output does not depend on which
 process did which unit. Where the two meet it closes the writer's
 output, which the writer takes as a normal stop (exit 0), and kills the
 reader, whose unit, a whole file, is too long to wait for.
-
-Integers and floats are in the machine's byte order: both ends run on
-the same machine.
 """
 
+import contextlib
+import os
+import select
+import signal
 import sys
+import warnings
+from math import isfinite
+
+import numpy as np
+
+from .errors import ParseError
 
 HEADER = "firm_id,x,y"
-SCRIPT = __file__  # what the helper processes run
+FORK = sys.platform == "linux"  # whether the helpers run, in a forked process
 _SIZE = 8  # bytes of a frame's length
 _ROW = 16  # bytes of one (x, y) float64 pair
 NOT_PARSED = (1 << 8 * _SIZE) - 1  # the frame length of a file the reader did not parse
@@ -77,70 +83,51 @@ def format_rows(data, start: int) -> bytes:
     return f"{head}{''.join(rows)}".encode()
 
 
-def parse_file(path, encoding=None):
-    """x0, y0, x1, y1, ... of the rows of the phase CSV at ``path``, all
-    finite, as an ``array('d')``. Rows are stripped, blank ones skipped,
-    and the ids not read. A file that cannot be read or decoded with
-    ``encoding`` raises its OSError or UnicodeDecodeError; a wrong header
-    or a malformed or non-finite row is a ValueError ``line N: <path>:
-    ...``, blank lines counted in N.
-
-    The text is parsed whole, so the cost per row is C calls, not Python
-    statements; only a file that fails that pass is walked line by line,
-    for the first bad row.
-    """
-    # imported here: the writer does without, and under -S array costs
-    # ~5 ms of start-up (it imports collections.abc)
-    from array import array
-    from math import isfinite
-
-    with open(path, encoding=encoding) as fh:
+def parse_file(path):
+    """The x, y pairs of the rows of the phase CSV at ``path``, all finite,
+    as an (n, 2) float64 array. Rows are stripped, blank ones skipped, and
+    the ids not read. A file that cannot be read or decoded raises its
+    OSError or UnicodeDecodeError; a wrong header or a malformed or
+    non-finite row is a ParseError ``line N: <path>: ...``, blank lines
+    counted in N. ``np.loadtxt`` parses the rows in C, and its result is
+    taken only if every row is three numbers and every x and y is finite;
+    any other file (an id ``abc``, ``1_0``, a bad row) is walked line by
+    line with ``float``, which decides what is accepted."""
+    with open(path) as fh:
         text = fh.read()
     header, _, body = text.partition("\n")
     if header.strip() != HEADER:
-        raise ValueError(f"line 1: {path}: expected the header {HEADER!r}, got {header!r}")
-    rows = body.rstrip("\n")
-    n = rows.count("\n") + 1 if rows else 0
-    # With a comma before each newline, each newline starts a field. Every
-    # row has three fields exactly when there are 3n fields and all n - 1
-    # newlines start one of the ids, fields[3k]; blank rows fail this.
-    fields = rows.replace("\n", ",\n").split(",")
-    if n == 0 or len(fields) == 3 * n and "".join(fields[::3]).count("\n") == n - 1:
-        del fields[::3]  # x0, y0, x1, y1, ... remain
-        try:
-            values = array("d", list(map(float, fields)))
-        except ValueError:
-            pass
-        else:
-            # a NaN or an infinity makes the sum non-finite, and so can
-            # finite values that overflow it: the walk below tells them apart
-            if isfinite(sum(values)):
-                return values
-    values = array("d")
-    for lineno, line in enumerate(body.split("\n"), start=2):
+        raise ParseError(1, f"{path}: expected the header {HEADER!r}, got {header!r}")
+    lines = body.split("\n")
+    with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a file of no rows: loadtxt warns
+        # \x1c-\x1f are spaces around a number to loadtxt, not to float()
+        if not any(c in body for c in "\x1c\x1d\x1e\x1f"):
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if table.shape[1] == 3 and np.isfinite(points := table[:, 1:]).all():
+                return points.copy()  # contiguous, as the reader's frames are
+    values = []
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != 3:
-            raise ValueError(f"line {lineno}: {path}: expected 3 fields, got {len(fields)}")
+            raise ParseError(lineno, f"{path}: expected 3 fields, got {len(fields)}")
         try:
             x, y = float(fields[1]), float(fields[2])
         except ValueError:
-            raise ValueError(
-                f"line {lineno}: {path}: x and y must be numbers, got {line.strip()!r}"
-            ) from None
+            message = f"{path}: x and y must be numbers, got {line.strip()!r}"
+            raise ParseError(lineno, message) from None
         if not (isfinite(x) and isfinite(y)):
-            raise ValueError(f"line {lineno}: {path}: non-finite phase point")
-        values.extend((x, y))
-    return values  # finite, though their sum is not
+            raise ParseError(lineno, f"{path}: non-finite phase point")
+        values += (x, y)
+    return np.array(values, dtype=np.float64).reshape(-1, 2)
 
 
 def _spool():
     """An anonymous read-write binary file: a memfd where the system has
     them, else a temporary file (``tempfile`` takes ~19 ms to import, on
     the writer's path in every ``finphase firms`` run)."""
-    import os
-
     try:
         return open(os.memfd_create("phase-spool"), "w+b")
     except (AttributeError, OSError):  # no memfd_create here, or refused
@@ -157,24 +144,21 @@ def _formatted(points):
         yield _uint(len(text)) + text
 
 
-def _parsed(path, encoding: str):
+def _parsed(path):
     """The parse helper's output frame for one path: the file's values, or
     the length NOT_PARSED."""
     try:
-        values = parse_file(bytes(path), encoding)
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        points = parse_file(bytes(path))
+    except (OSError, ValueError, ParseError):  # UnicodeDecodeError is a ValueError
         yield _uint(NOT_PARSED)
     else:
-        yield _uint(len(values) * values.itemsize) + values.tobytes()
+        yield _uint(points.nbytes) + points.tobytes()
 
 
-def main(stdin, stdout, encoding=None) -> None:
-    """Run the format helper, or with ``encoding`` the parse helper: split
+def main(stdin, stdout, parse=False) -> None:
+    """Run the format helper, or with ``parse`` the parse helper: split
     ``stdin`` into frames and write each one's output frames to ``stdout``,
     in order, spooled until the input ends."""
-    import os
-    import select
-
     fd = stdin.fileno()
     received = bytearray()  # input not yet split into frames
     work = []  # the output frames still to come of each input frame
@@ -197,7 +181,7 @@ def main(stdin, stdout, encoding=None) -> None:
                     break
                 data = received[_SIZE:end]
                 del received[:end]
-                work.append(_formatted(data) if encoding is None else _parsed(data, encoding))
+                work.append(_parsed(data) if parse else _formatted(data))
             if ended and received:
                 n = int.from_bytes(received[:_SIZE], sys.byteorder)
                 raise ValueError(
@@ -223,76 +207,109 @@ def main(stdin, stdout, encoding=None) -> None:
             stdout.flush()  # for the command to take it now
 
 
-class _Helper:
-    """A helper process, run as this file with ``args``.
+def serve(name: str, parse: bool, stdin: int, stdout: int) -> int:
+    """The helper ``name``'s run in the forked process: ``main`` over the
+    pipe ends ``stdin`` and ``stdout``. Its exit status: 0 when done or
+    stopped at the meet, 130 on KeyboardInterrupt, and 1 after writing
+    ``<name>: <error>`` to fd 2."""
+    reader, writer = open(stdin, "rb", closefd=False), open(stdout, "wb", closefd=False)
+    try:
+        main(reader, writer, parse)
+    except BrokenPipeError:  # the command closed the output where the two met: a normal stop
+        # what the output still buffers goes nowhere, with no warning
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+    except KeyboardInterrupt:  # Ctrl-C reaches the whole process group; the CLI reports it
+        return 130
+    except Exception as exc:
+        os.write(2, f"{name}: {exc}\n".encode())
+        return 1
+    return 0
 
-    Use it in a ``with`` block: on leaving it the process is killed if
-    it is still running and always reaped, so no exit path, an
-    exception or KeyboardInterrupt included, leaves it behind. A helper
-    that exits early or non-zero on its own, or a frame that ends early,
-    is an OSError naming the helper.
-    """
 
-    def __init__(self, *args: str) -> None:
-        import os
-        import subprocess  # imported here: only the phase commands start a process
+class _Helper(contextlib.AbstractContextManager):
+    """A helper process, forked to run ``serve``; with ``FORK`` false there
+    is none, ``pid`` is None, and ``meet`` gives the command every unit.
 
-        self._proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", SCRIPT, *args],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-        )
-        if sys.platform == "linux":
-            import fcntl
+    Use it in a ``with`` block: leaving it kills the process if it still runs
+    and always reaps it, so no exit path, an exception or KeyboardInterrupt
+    included, leaves it behind. A helper that exits early or non-zero on its
+    own, or a frame that ends early, is an OSError naming the helper."""
 
-            for pipe in (self._proc.stdin, self._proc.stdout):
-                try:
-                    fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-                except OSError:  # above the system's limit: the default size works too
-                    pass
-        os.set_blocking(self._proc.stdout.fileno(), False)  # for ready(), which never waits
+    parse = False  # the format helper, or the parse helper
+
+    def __init__(self) -> None:
+        self.pid = self.returncode = None
         self._frame = bytearray()  # what is read of the next output frame
         self._need = _SIZE  # its length, as far as it is known
+        if not FORK:
+            return
+        import fcntl
 
-    def __enter__(self):
-        return self
+        down, up = os.pipe(), os.pipe()  # the helper's input and its output
+        for fd in (down[1], up[1]):  # above the system's limit, the default size works too
+            with contextlib.suppress(OSError):
+                fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        parent, code = os.getpid(), 1
+        try:
+            with warnings.catch_warnings():  # Python 3.12+ warns of OpenBLAS's threads
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+            if self.pid == 0:
+                os.close(down[1])
+                os.close(up[0])
+                code = serve(self.name, self.parse, down[0], up[1])
+        except OSError:  # no process was made: nothing is left open
+            for fd in (*down, *up):
+                os.close(fd)
+            raise
+        finally:
+            if os.getpid() != parent:  # the helper, whatever was raised: no unwinding
+                os._exit(code)
+        os.close(down[0])
+        os.close(up[1])
+        self._stdin, self._stdout = open(down[1], "wb"), open(up[0], "rb", buffering=0)
+        os.set_blocking(up[0], False)  # for ready(), which never waits
 
     def __exit__(self, exc_type, *_) -> None:
-        proc = self._proc
-        if proc.returncode is None:
-            proc.kill()  # its output is not wanted, or no more of it
-        for pipe in (proc.stdin, proc.stdout):
-            try:
+        if self.pid is None:
+            return
+        self.wait(kill=True)  # its output is not wanted, or no more of it
+        for pipe in (self._stdin, self._stdout):
+            with contextlib.suppress(OSError):  # flushing input to a helper that has exited
                 pipe.close()
-            except OSError:  # flushing input to a helper that has exited
-                pass
-        if proc.wait() not in (0, -9) and exc_type is None:  # -9: the kill above
-            raise OSError(f"{self.name} failed (exit status {proc.returncode})")
+        if self.returncode not in (0, -signal.SIGKILL) and exc_type is None:  # the kill above
+            raise self._failed("failed")
+
+    def wait(self, kill=False) -> int:
+        """Its exit status once reaped, minus any signal that ended it; ``kill`` kills first."""
+        if self.returncode is None:
+            if kill:  # not reaped yet, so the pid is still the helper's
+                os.kill(self.pid, signal.SIGKILL)
+            self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.returncode
 
     def _failed(self, what: str) -> OSError:
-        self._proc.kill()
-        return OSError(f"{self.name} {what} (exit status {self._proc.wait()})")
+        return OSError(f"{self.name} {what} (exit status {self.wait(kill=True)})")
 
     def _send(self, data) -> None:
         """Send ``data`` to the helper as one frame; None ends its input."""
-        stdin = self._proc.stdin
+        if self.pid is None:
+            return
         try:
             if data is None:
-                stdin.close()
+                self._stdin.close()
             else:
-                stdin.write(_uint(len(data)))
-                stdin.write(data)
+                self._stdin.write(_uint(len(data)))
+                self._stdin.write(data)
         except BrokenPipeError:
             raise self._failed("stopped reading") from None
 
     def ready(self) -> bool:
         """Whether all of the next output frame is read, reading no further
         than its end, without waiting."""
-        import os
-
         while (missing := self._need - len(self._frame)) > 0:
             try:
-                data = os.read(self._proc.stdout.fileno(), missing)
+                data = os.read(self._stdout.fileno(), missing)
             except BlockingIOError:
                 return False
             if not data:
@@ -319,15 +336,14 @@ def meet(helper, n: int, wait=lambda front, last: False):
     otherwise None, for the caller to do the last unit neither has taken.
     Where ``wait(front, last)`` is true, the caller may not do unit
     ``last``, so the helper's unit ``front`` is waited for. With no helper
-    (None), every unit is the caller's."""
-    import select
-
+    process (None, or pid None), every unit is the caller's."""
+    live = helper is not None and helper.pid is not None
     front, back = 0, n
     while front < back:
-        if helper is not None and wait(front, back - 1):
+        if live and wait(front, back - 1):
             while not helper.ready():
-                select.select([helper._proc.stdout], [], [])
-        if helper is not None and helper.ready():
+                select.select([helper._stdout], [], [])
+        if live and helper.ready():
             yield front, helper.take()
             front += 1
         else:
@@ -345,9 +361,8 @@ class PhaseWriter(_Helper):
     def __init__(self) -> None:
         super().__init__()
         self._chunks = []  # the number of chunks of each file sent
-        # the points' bytes of each file sent, for this process to format
-        # from the back; the writer reaches the earlier half first, so those
-        # are not kept
+        # the points' bytes of each file sent, for this process to format from the
+        # back; with a writer, which reaches the earlier half first, those are dropped
         self._points = []
 
     def send(self, points) -> None:
@@ -356,7 +371,7 @@ class PhaseWriter(_Helper):
         self._send(data)
         self._chunks.append(max(1, -(-len(points) // CHUNK)))
         self._points.append(data)
-        if half := len(self._points) // 2:
+        if self.pid is not None and (half := len(self._points) // 2):
             self._points[half - 1] = None
 
     def texts(self):
@@ -383,43 +398,23 @@ class PhaseWriter(_Helper):
                 pieces = texts[k]
                 yield k, pieces[0] if len(pieces) == 1 else b"".join(pieces)
                 texts[k] = self._points[k] = None
-        self._proc.stdout.close()
-        if self._proc.wait() != 0:
-            raise self._failed("failed")
+        if self.pid is not None:
+            self._stdout.close()
+            if self.wait() != 0:
+                raise self._failed("failed")
 
 
 class PhaseReader(_Helper):
-    """The parse helper, as ``finphase analyze`` sees it: ``send(paths)``
-    hands it every path at once; ``meet`` then gives each file's x, y
-    float64 pairs, or None for a file the caller parses itself. Leaving
-    the ``with`` block kills it, as the command may have parsed the
-    remaining files itself."""
+    """The parse helper, as ``finphase analyze`` sees it, handed every path
+    at once; ``meet`` then gives each file's x, y float64 pairs, or None for
+    a file the caller parses itself. Leaving the ``with`` block kills it,
+    as the command may have parsed the remaining files itself."""
 
     name = "phase reader"
+    parse = True
 
-    def __init__(self) -> None:
-        import io
-
-        super().__init__("parse", io.text_encoding(None))
-
-    def send(self, paths) -> None:
-        import os
-
+    def __init__(self, paths) -> None:
+        super().__init__()
         for path in paths:
             self._send(os.fsencode(path))
         self._send(None)
-
-
-if __name__ == "__main__":
-    parse = sys.argv[1:2] == ["parse"]
-    try:
-        main(sys.stdin.buffer, sys.stdout.buffer, sys.argv[2] if parse else None)
-    except KeyboardInterrupt:  # Ctrl-C reaches the whole process group; the CLI reports it
-        sys.exit(130)
-    except BrokenPipeError:  # the command closed the output where the two met: a normal stop
-        import os
-
-        # what the output still buffers goes nowhere at exit, with no warning
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except (OSError, ValueError) as exc:
-        sys.exit(f"{(PhaseReader if parse else PhaseWriter).name}: {exc}")

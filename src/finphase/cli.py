@@ -5,12 +5,12 @@ interest | reserves | sectors. Every run is deterministic given its
 config and seed (seeds default to 0, never to the clock), and all data
 outputs are written with full-precision repr formatting so identical runs
 are byte-identical. ``firms`` formats its phase CSVs and ``analyze``
-parses them with the help of a second process that meets this one in
-the middle (``_phasecsv``). Every output file is declared to ``_Outputs``,
-which refuses one that is an input or another output before any is written,
-and removes the files written if the run fails. Exit codes: 0 success, 1
-domain error (message on stderr, never a stack trace), 2 usage error.
-Each subcommand imports its own modules, so no run pays for the others'.
+parses them with the help of a process forked from this one, which meets
+it in the middle (``_phasecsv``). Every output file is declared to
+``_Outputs``, which refuses one that is an input or another output before
+any is written, and removes what it wrote if the run fails. Exit codes: 0
+success, 1 domain error (message on stderr, never a stack trace), 2 usage
+error. Each subcommand imports its own modules, so no run pays for the others'.
 
 Config files are plain ``key = value`` lines with ``#`` comments; CLI
 flags override file values, and unknown keys are hard errors. The default
@@ -88,7 +88,8 @@ class _Outputs(contextlib.AbstractContextManager):
     before it (the same file, or the same resolved path) raises
     InvalidConfig. In a ``with`` block, ``emit`` writes a file by the flag
     or name it was declared by, making ``outdir`` before the first; if the
-    block fails, the files emitted are removed again, and no other."""
+    block fails, the files emitted are removed again, then the directories
+    made for them that are left empty, and nothing else."""
 
     def __init__(self, inputs, flags=(), outdir=None, names=()) -> None:
         def key(path):
@@ -107,10 +108,12 @@ class _Outputs(contextlib.AbstractContextManager):
         self.paths = {name: path for name, _, path in declared}  # in declared order
         self.outdir = outdir if names else None  # None once it is made
         self.written: list[Path] = []
+        self.made: list[Path] = []  # the directories that did not exist, deepest first
 
     def emit(self, name, data: bytes) -> None:
         path = self.paths[name]  # a file that was not declared is never written
         if self.outdir is not None:
+            self.made = [d for d in (self.outdir, *self.outdir.parents) if not d.exists()]
             self.outdir.mkdir(parents=True, exist_ok=True)
             self.outdir = None
         with open(path, "wb") as fh:
@@ -157,6 +160,9 @@ class _Outputs(contextlib.AbstractContextManager):
         if exc_type is not None:
             for path in self.written:
                 path.unlink(missing_ok=True)
+            for directory in self.made:  # deepest first: one left non-empty keeps its parents
+                with contextlib.suppress(OSError):
+                    directory.rmdir()
 
 
 _GRID_FIELDS = ("XMIN", "XMAX", "YMIN", "YMAX", "NX", "NY")
@@ -354,15 +360,13 @@ def _cmd_analyze(args) -> int:
     entries = [None] * len(files)  # the report's, in argument order
     errors = {}  # by file index: the first bad file's is raised
     # one file is not worth a phase reader: this process parses it
-    with _phasecsv.PhaseReader() if len(files) > 1 else contextlib.nullcontext() as reader:
-        if reader is not None:
-            reader.send(files)
+    with _phasecsv.PhaseReader(files) if len(files) > 1 else contextlib.nullcontext() as reader:
         for k, values in _phasecsv.meet(reader, len(files)):
             try:
                 if values is None:  # this process's file, or one the reader rejected
                     with _decoding(files[k]):
                         values = _phasecsv.parse_file(files[k])  # raises the error of a bad file
-                points = np.frombuffer(values).reshape(-1, 2)
+                points = np.frombuffer(values).reshape(-1, 2)  # either process's pairs
                 hist = phase.bin_phase(points, grid)
                 counts += hist.counts
                 metrics = phase.tail_metrics(points)

@@ -1,6 +1,9 @@
 """Shared test helpers."""
 
+import os
+
 import numpy as np
+import pytest
 
 from finphase import rng
 from finphase.ledger import Ledger
@@ -29,3 +32,16 @@ def normal_block(seed: int, start: int, count: int) -> np.ndarray:
     # Guard log(0): the stream never emits exactly 1.0, but may emit 0.0.
     u1 = np.where(u1 > 0.0, u1, 2.0 ** -53)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process behind, running or not
+    reaped: the phase helpers fork the test's own process, so a leaked
+    one would otherwise go unseen."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # reaps one that has exited
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process {'running' if pid == 0 else f'{pid} unreaped'}")

@@ -7,6 +7,7 @@ import math
 import os
 import platform
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from hypothesis.extra.numpy import arrays
 
 from finphase import _phasecsv, cli, exchange, firms, phase
 from finphase.cli import _json, _Outputs, build_parser, dispatch, parse_config_file
-from finphase.errors import DegenerateSample, InvalidConfig, MoneyOverflow
+from finphase.errors import DegenerateSample, InvalidConfig, MoneyOverflow, ParseError
 from finphase.exchange import ExchangeConfig
 from finphase.firms import EconomyConfig
 
@@ -645,16 +646,17 @@ def test_writer_texts_equal_the_oracle(files):
 
 @pytest.fixture
 def started(monkeypatch):
-    """Every process started through ``subprocess.Popen`` during the test."""
-    procs = []
+    """Every phase helper forked during the test."""
+    helpers = []
+    init = _phasecsv._Helper.__init__
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            procs.append(self)
+    def recorded(self, *args):
+        init(self, *args)  # in the helper's process this never returns
+        if self.pid is not None:
+            helpers.append(self)
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-    return procs
+    monkeypatch.setattr(_phasecsv._Helper, "__init__", recorded)
+    return helpers
 
 
 def assert_reaped(proc):
@@ -664,41 +666,64 @@ def assert_reaped(proc):
 
 
 SMALL_FIRMS = ["firms", "--firms", "5", "--workers", "20", "--steps", "4"]
+SERVE = _phasecsv.serve  # what a forked helper runs; tests put stand-ins in its place
+
+
+def exits_3(name, parse, stdin, stdout):
+    return 3
+
+
+def short_frame(name, parse, stdin, stdout):
+    """Reads all of its input, then sends a frame that ends early."""
+    while os.read(stdin, 1 << 16):
+        pass
+    os.write(stdout, (100).to_bytes(8, sys.byteorder) + b"abc")
+    return 0
+
+
+def exits_5_after_its_output(*args):
+    return SERVE(*args) or 5
 
 
 class TestPhaseWriter:
     @pytest.mark.parametrize(
-        "script,size,message,outputs",
+        "serve,size,message",
         [
-            ("import sys\nsys.exit(3)\n", SMALL_FIRMS,
-             r"phase writer (stopped reading|output ended early) \(exit status 3\)", []),
+            (exits_3, SMALL_FIRMS,
+             r"phase writer (stopped reading|output ended early) \(exit status 3\)"),
             # 101 steps of 16 kB: more than a pipe holds, so a send meets the exited writer
-            ("import sys\nsys.exit(3)\n",
-             ["firms", "--firms", "1000", "--workers", "2000", "--steps", "100"],
-             r"phase writer stopped reading \(exit status 3\)", []),
-            ("import sys\nsys.stdin.buffer.read()\n"
-             "sys.stdout.buffer.write((100).to_bytes(8, sys.byteorder) + b'abc')\n", SMALL_FIRMS,
-             r"phase writer output ended early \(exit status 0\)", []),
-            # every text intact, then a failure: the phase files written are deleted
-            ("import runpy, sys\nrunpy.run_path({real!r}, run_name='__main__')\nsys.exit(5)\n",
-             SMALL_FIRMS, r"phase writer failed \(exit status 5\)", []),
+            (exits_3, ["firms", "--firms", "1000", "--workers", "2000", "--steps", "100"],
+             r"phase writer stopped reading \(exit status 3\)"),
+            (short_frame, SMALL_FIRMS, r"phase writer output ended early \(exit status 0\)"),
+            # every text intact, then a failure: the phase files written are
+            # deleted, and so are the directories made for them
+            (exits_5_after_its_output, SMALL_FIRMS, r"phase writer failed \(exit status 5\)"),
         ],
         ids=["exits_3", "exits_3_mid_run", "short_text", "exits_5_after_its_output"],
     )
-    def test_failed_writer_exits_one(
-        self, tmp_path, capsys, monkeypatch, started, script, size, message, outputs
-    ):
-        path = tmp_path / "writer.py"
-        path.write_text(script.format(real=_phasecsv.SCRIPT))
-        monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
-        out = tmp_path / "out"
+    def test_failed_writer_exits_one(self, tmp_path, capsys, monkeypatch, started, serve, size, message):
+        monkeypatch.setattr(_phasecsv, "serve", serve)
+        out = tmp_path / "new" / "sub"
         assert run_cli(*size, "--outdir", str(out)) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(f"error: {message}\n", err), err
         assert "Traceback" not in err
-        assert sorted(p.name for p in out.glob("*")) == sorted(outputs)
+        assert os.listdir(tmp_path) == []
         [proc] = started
         assert_reaped(proc)
+
+    def test_failed_run_keeps_the_directories_it_did_not_make(self, tmp_path):
+        # "kept" existed and "new" holds a file of another's: of the
+        # directories the run made, only the empty "sub" is removed
+        (tmp_path / "kept").mkdir()
+        out = tmp_path / "kept" / "new" / "sub"
+        outputs = _Outputs([], outdir=out, names=["a.csv"])
+        with pytest.raises(OSError), outputs:
+            outputs.emit("a.csv", b"a\n")
+            (out.parent / "other.txt").write_text("not the run's\n")
+            raise OSError("failed")
+        assert os.listdir(tmp_path / "kept") == ["new"]
+        assert os.listdir(out.parent) == ["other.txt"]
 
     def test_unwritable_phase_file_removes_the_ones_written(self, tmp_path, capsys, started):
         # phase_t3.csv is a link to a directory: the run writes t0-t2, fails
@@ -771,15 +796,14 @@ class TestPhaseWriter:
         assert started == []
 
     @pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="no memfd here")
-    def test_writer_does_not_import_tempfile(self, tmp_path, monkeypatch, started):
-        # the writer spools into a memfd; tempfile would add ~19 ms to its
-        # start, and array, which only parse_file needs, ~5 ms
-        path = tmp_path / "writer.py"
-        path.write_text(
-            f"import runpy, sys\nrunpy.run_path({_phasecsv.SCRIPT!r}, run_name='__main__')\n"
-            "sys.exit(7 if {'tempfile', 'array'} & sys.modules.keys() else 0)\n"
-        )
-        monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+    def test_writer_does_not_import_tempfile(self, monkeypatch, started):
+        # the writer spools into a memfd; tempfile would add ~19 ms to a
+        # firms run, which does not import it otherwise
+        def serve(*args):
+            sys.modules.pop("tempfile", None)  # in the writer's process only
+            return SERVE(*args) or (7 if "tempfile" in sys.modules else 0)
+
+        monkeypatch.setattr(_phasecsv, "serve", serve)
         points = np.arange(6.0).reshape(3, 2)
         with _phasecsv.PhaseWriter() as writer:
             writer.send(points)
@@ -833,18 +857,18 @@ def test_input_ending_inside_a_frame_is_an_error(tmp_path, helper, tail, message
     # one whole frame, which the helper does, and then the end of the input
     # inside the next one: the error, and no output
     if helper == "format":
-        whole, encoding = np.arange(4.0).tobytes(), None
+        whole = np.arange(4.0).tobytes()
     else:
         path = tmp_path / "phase_t0.csv"
         path.write_text(GOOD_PHASE_CSV)
-        whole, encoding = os.fsencode(path), "utf-8"
+        whole = os.fsencode(path)
     read, write = os.pipe()
     os.write(write, len(whole).to_bytes(8, sys.byteorder) + whole + tail)
     os.close(write)
     stdin = open(read, "rb")
     stdout = io.BytesIO()
     with stdin, pytest.raises(ValueError) as info:
-        _phasecsv.main(stdin, stdout, encoding)
+        _phasecsv.main(stdin, stdout, helper == "parse")
     assert str(info.value) == message
     assert stdout.getvalue() == b""
 
@@ -905,25 +929,22 @@ class TestTwoEnds:
         assert proc.returncode == 0
         assert_reaped(proc)
 
-    def test_writer_sending_one_chunk_leaves_the_rest_to_the_command(
-        self, tmp_path, monkeypatch, started
-    ):
+    def test_writer_sending_one_chunk_leaves_the_rest_to_the_command(self, monkeypatch, started):
         # a stand-in writer: the first chunk's text, then nothing until the
         # command closes its end, which a poll of the output reports
-        path = tmp_path / "writer.py"
-        path.write_text(
-            "import runpy, select, sys\n"
-            f"real = runpy.run_path({_phasecsv.SCRIPT!r})\n"
-            "data = sys.stdin.buffer.read()\n"
-            "size = int.from_bytes(data[:8], sys.byteorder)\n"
-            "text = real['format_rows'](data[8 : 8 + size], 0)\n"
-            "sys.stdout.buffer.write(len(text).to_bytes(8, sys.byteorder) + text)\n"
-            "sys.stdout.buffer.flush()\n"
-            "poll = select.poll()\n"
-            "poll.register(sys.stdout, 0)\n"
-            "poll.poll()\n"
-        )
-        monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+        def one_chunk(name, parse, stdin, stdout):
+            data = b""
+            while more := os.read(stdin, 1 << 16):
+                data += more
+            size = int.from_bytes(data[:8], sys.byteorder)
+            text = _phasecsv.format_rows(data[8 : 8 + size], 0)
+            os.write(stdout, len(text).to_bytes(8, sys.byteorder) + text)
+            poll = select.poll()
+            poll.register(stdout, 0)
+            poll.poll()
+            return 0
+
+        monkeypatch.setattr(_phasecsv, "serve", one_chunk)
         # three files: the command keeps the points of the last two, so it
         # formats all three chunks of the second and the empty third
         rng = np.random.default_rng(3)
@@ -947,13 +968,11 @@ class TestTwoEnds:
         # in the pipe: the writer is still sending when the command closes
         # its end, and the wrapper exits 0 only if the writer took that as
         # its stop and sent the rest of its output to the null device.
-        path = tmp_path / "writer.py"
-        path.write_text(
-            "import os, runpy, sys\n"
-            f"runpy.run_path({_phasecsv.SCRIPT!r}, run_name='__main__')\n"
-            "sys.exit(0 if os.path.samestat(os.fstat(1), os.stat(os.devnull)) else 9)\n"
-        )
-        monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+        def quiet(name, parse, stdin, stdout):
+            code = SERVE(name, parse, stdin, stdout)
+            return code or (0 if os.path.samestat(os.fstat(stdout), os.stat(os.devnull)) else 9)
+
+        monkeypatch.setattr(_phasecsv, "serve", quiet)
         taken = front_takes(61)
         assert run_cli(*MULTI_CHUNK_ARGV, "--steps", "39", "--outdir", str(tmp_path)) == 0
         assert len(taken) == 61
@@ -1130,24 +1149,49 @@ class TestAnalyzeCommand:
 
 GOOD_PHASE_CSV = "firm_id,x,y\n0,0.5,0.1\n1,-0.3,0.2\n"
 TWO_POINTS = [[0.5, 0.1], [-2.0, 0.25]]
+HEAD = b"firm_id,x,y\n"
 # A phase CSV and what ``analyze`` makes of it: its points, or the line
-# and message of the error ``error: line N: <file>: <message>``.
+# and message of the error ``error: line N: <file>: <message>``. Checked
+# with numpy 2.4, the only numpy version these were verified against.
 ANALYZE_INPUTS = {
-    "underscore": (b"0,1_0,0.1\n1,-2,0.25\n", [[10.0, 0.1], [-2.0, 0.25]]),
-    "spaces_and_plus": (b"0, +1.5 ,0.1\n1,-2,0.25\n", [[1.5, 0.1], [-2.0, 0.25]]),
-    "leading_point": (b"0,.5,0.1\n1,-2,.25\n", TWO_POINTS),
-    "exponent": (b"0,1e-3,0.1\n1,-2E0,0.25\n", [[0.001, 0.1], [-2.0, 0.25]]),
-    "full_width_digit": ("0,\uff11,0.1\n1,-2,0.25\n".encode(), [[1.0, 0.1], [-2.0, 0.25]]),
-    "hex_float": (b"0,0.5,0.1\n1,0x1p3,0.25\n", (3, "x and y must be numbers, got '1,0x1p3,0.25'")),
-    "nan": (b"0,0.5,0.1\n1,nan,0.25\n", (3, "non-finite phase point")),
-    "id_abc": (b"abc,0.5,0.1\n1,-2,0.25\n", TWO_POINTS),
-    "crlf": (b"0,0.5,0.1\r\n1,-2,0.25\r\n", TWO_POINTS),
-    "blank_lines_and_tabs": (b"\n\t0,\t0.5,0.1\t\n \n\n1,-2,0.25\n\n", TWO_POINTS),
-    "trailing_comma": (b"0,0.5,0.1\n1,-2,0.25,\n", (3, "expected 3 fields, got 4")),
-    "non_utf8_byte": (b"0\xff,0.5,0.1\n1,-2,0.25\n", None),  # as this process decodes it
-    # finite values whose sum overflows: walked line by line, then accepted
-    "sum_overflow": (b"0,0.5,1e308\n1,-2,1e308\n2,0.1,0.1\n",
+    "underscore": (HEAD + b"0,1_0,0.1\n1,-2,0.25\n", [[10.0, 0.1], [-2.0, 0.25]]),
+    "spaces_and_plus": (HEAD + b"0, +1.5 ,0.1\n1,-2,0.25\n", [[1.5, 0.1], [-2.0, 0.25]]),
+    "leading_point": (HEAD + b"0,.5,0.1\n1,-2,.25\n", TWO_POINTS),
+    "exponent": (HEAD + b"0,1e-3,0.1\n1,-2E0,0.25\n", [[0.001, 0.1], [-2.0, 0.25]]),
+    "full_width_digit": (HEAD + "0,\uff11,0.1\n1,-2,0.25\n".encode(), [[1.0, 0.1], [-2.0, 0.25]]),
+    "hex_float": (HEAD + b"0,0.5,0.1\n1,0x1p3,0.25\n", (3, "x and y must be numbers, got '1,0x1p3,0.25'")),
+    "nan": (HEAD + b"0,0.5,0.1\n1,nan,0.25\n", (3, "non-finite phase point")),
+    "id_abc": (HEAD + b"abc,0.5,0.1\n1,-2,0.25\n", TWO_POINTS),
+    "crlf": (HEAD + b"0,0.5,0.1\r\n1,-2,0.25\r\n", TWO_POINTS),
+    "blank_lines_and_tabs": (HEAD + b"\n\t0,\t0.5,0.1\t\n \n\n1,-2,0.25\n\n", TWO_POINTS),
+    "trailing_comma": (HEAD + b"0,0.5,0.1\n1,-2,0.25,\n", (3, "expected 3 fields, got 4")),
+    "non_utf8_byte": (HEAD + b"0\xff,0.5,0.1\n1,-2,0.25\n", None),  # as this process decodes it
+    # finite values whose sum overflows: accepted
+    "sum_overflow": (HEAD + b"0,0.5,1e308\n1,-2,1e308\n2,0.1,0.1\n",
                      [[0.5, 1e308], [-2.0, 1e308], [0.1, 0.1]]),
+    # where np.loadtxt and float() could disagree: each file is parsed as float() parses it
+    "hash_in_field": (HEAD + b"0,0.5,0.1#2\n1,-2,0.25\n",  # comments=None: no comments
+                      (2, "x and y must be numbers, got '0,0.5,0.1#2'")),
+    "quote": (HEAD + b'0,"0.5",0.1\n1,-2,0.25\n', (2, """x and y must be numbers, got '0,"0.5",0.1'""")),
+    "nul": (HEAD + b"0,0.5\x00,0.1\n1,-2,0.25\n", (2, "x and y must be numbers, got '0,0.5\\x00,0.1'")),
+    "odd_spaces": (HEAD + "0,\x0b0.5\x0c,\xa00.1\u3000\n1, -2 ,0.25\n".encode(), TWO_POINTS),
+    # whitespace to numpy, not to float()
+    "file_separator": (HEAD + b"0,\x1c0.5,0.1\n1,-2,0.25\n",
+                       (2, "x and y must be numbers, got '0,\\x1c0.5,0.1'")),
+    "unit_separator": (HEAD + b"0,0.5,0.1\n1,-2\x1f,0.25\n",
+                       (3, "x and y must be numbers, got '1,-2\\x1f,0.25'")),
+    "negative_zero": (HEAD + b"0,-0,0.1\n1,-2,-0.0\n", [[-0.0, 0.1], [-2.0, -0.0]]),
+    "thirty_digits": (HEAD + b"0,123456789012345678901234567890,0.1\n1,-2,0.25\n",
+                      [[1.2345678901234568e29, 0.1], [-2.0, 0.25]]),
+    "underflow": (HEAD + b"0,1e-400,0.1\n1,-2,0.25\n", [[0.0, 0.1], [-2.0, 0.25]]),
+    "overflow": (HEAD + b"0,0.5,0.1\n1,-2,1e400\n", (3, "non-finite phase point")),
+    "nan_payload": (HEAD + b"0,nan(1),0.1\n1,-2,0.25\n", (2, "x and y must be numbers, got '0,nan(1),0.1'")),
+    "infinity": (HEAD + b"0,0.5,0.1\n1,infinity,0.25\n", (3, "non-finite phase point")),
+    "whitespace_row": (HEAD + b"0,0.5,0.1\n \t\x0c\n1,-2,0.25\n", TWO_POINTS),
+    "four_then_three": (HEAD + b"0,0.5,0.1,9\n1,-2,0.25\n", (2, "expected 3 fields, got 4")),
+    # open() keeps a byte-order mark, so the header does not match
+    "bom_before_header": (b"\xef\xbb\xbf" + HEAD + b"0,0.5,0.1\n1,-2,0.25\n",
+                          (1, "expected the header 'firm_id,x,y', got '\\ufefffirm_id,x,y'")),
 }
 
 
@@ -1173,13 +1217,20 @@ def reference_parse(path):
 
 
 phase_fields = st.sampled_from(
-    ["0.5", "-2", "1_0", " 0.25 ", "1e-3", "1e308", "nan", "inf", "-inf", "", "abc", "0x1p3"]
-) | st.floats().map(repr)
+    ["0.5", "-2", "1_0", " 0.25 ", "1e-3", "1e308", "nan", "inf", "-inf", "", "abc", "0x1p3",
+     # where np.loadtxt and float() could disagree
+     "1#2", '"1"', "1\x00", "-0", "123456789012345678901234567890", "1e-400", "1e400",
+     "nan(1)", "infinity"]
+) | st.tuples(
+    st.sampled_from(["", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u3000"]),
+    st.sampled_from(["0.5", "-0", "1e5"]),
+    st.sampled_from(["", "\x0b", "\x0c", "\x1c", "\xa0", "\u3000"]),
+).map("".join) | st.floats().map(repr)
 phase_lines = st.one_of(
     st.tuples(st.just("7"), phase_fields, phase_fields).map(",".join),
     st.tuples(st.just("7"), phase_fields).map(",".join),
     st.tuples(st.just("7"), phase_fields, phase_fields, phase_fields).map(",".join),
-    st.sampled_from(["", " ", "\t", "  \t "]),
+    st.sampled_from(["", " ", "\t", "  \t ", "\x0c", " \x1c"]),
 )
 phase_bodies = st.tuples(
     st.lists(st.tuples(phase_lines, st.sampled_from(["\n", "\r\n"])), max_size=8),
@@ -1192,12 +1243,15 @@ phase_bodies = st.tuples(
 @example("0,1_0,0.1\r\n\n \n1,-2,0.25\n\n")
 @example("0,0.5,1e308\n1,-2,1e308\n")
 @example("0,0.5\n1,-2,0.25,1\n")
+@example("7,1,2,3\n7,1,2\n7,3,4\n")  # four fields in the first row only
+@example("")  # the header alone
+@example("7,\x1c1,2\n")
 def test_parse_file_matches_a_line_by_line_reference(tmp_path_factory, body):
     path = tmp_path_factory.mktemp("body") / "phase_t0.csv"
     path.write_bytes(f"firm_id,x,y\n{body}".encode())
     try:
-        got = _phasecsv.parse_file(path).tolist()
-    except ValueError as exc:
+        got = _phasecsv.parse_file(path).ravel().tolist()
+    except ParseError as exc:
         got = str(exc)
     assert repr(got) == repr(reference_parse(path))  # repr: -0.0 and 0.0 differ
 
@@ -1215,8 +1269,7 @@ def reader_frames(paths):
     frame: the file's x, y pairs as a list, or None for a file it did not
     parse."""
     frames = []
-    with _phasecsv.PhaseReader() as reader:
-        reader.send(paths)
+    with _phasecsv.PhaseReader(paths) as reader:
         for _ in paths:
             while not reader.ready():
                 time.sleep(0.001)
@@ -1240,10 +1293,10 @@ class TestAnalyzeInputs:
         # each input is parsed by the command's own parse_file (index 0) and
         # by a phase reader (index 1), and then by analyze, whichever
         # process it reaches there
-        rows, want = ANALYZE_INPUTS[name]
+        text, want = ANALYZE_INPUTS[name]
         path = tmp_path / "input" / "phase_t1.csv"
         path.parent.mkdir()
-        path.write_bytes(b"firm_id,x,y\n" + rows)
+        path.write_bytes(text)
         if want is None:
             try:
                 path.read_text()  # decoded as open(path) decodes it
@@ -1254,13 +1307,19 @@ class TestAnalyzeInputs:
         message = want if isinstance(want, str) else f"line {want[0]}: {path}: {want[1]}"
         # a decode error does not name its file: analyze puts the path first
         reported = f"{path}: {message}" if isinstance(want, str) else message
+        # the rows, as a plain float() walk reads them (the header is not a row)
+        if isinstance(want, list):
+            assert repr(reference_parse(path)) == repr([v for pair in want for v in pair])
+        elif isinstance(want, tuple) and want[0] > 1:
+            assert reference_parse(path) == message
+        # repr: -0.0 and 0.0 differ
         if index:
             # the reader passes a file it rejects back, to be parsed again for the error
-            assert reader_frames([str(path)]) == [want if isinstance(want, list) else None]
+            assert repr(reader_frames([str(path)])) == repr([want if isinstance(want, list) else None])
         elif isinstance(want, list):
-            assert np.frombuffer(_phasecsv.parse_file(path)).reshape(-1, 2).tolist() == want
+            assert repr(_phasecsv.parse_file(path).tolist()) == repr(want)
         else:
-            with pytest.raises((OSError, ValueError)) as info:
+            with pytest.raises((OSError, ValueError, ParseError)) as info:
                 _phasecsv.parse_file(path)
             assert str(info.value) == message
         files = phase_files(tmp_path, 1)
@@ -1275,10 +1334,25 @@ class TestAnalyzeInputs:
         err = capsys.readouterr().err
         if isinstance(want, list):
             assert (code, err) == (0, "")
-            assert want in binned
+            assert repr(want) in map(repr, binned)
         else:
             assert (code, err) == (1, f"error: {reported}\n")
             assert not out.exists() and not hist.exists()
+
+    def test_header_only_file_has_no_points_in_either_process(self, tmp_path, capsys):
+        # np.loadtxt warns of a file without rows: that is a rejection, never
+        # printed, also where warnings are not errors, as in a plain run
+        path = tmp_path / "phase_t1.csv"
+        path.write_bytes(HEAD)
+        assert _phasecsv.parse_file(path).shape == (0, 2)
+        assert reader_frames([str(path)]) == [[]]
+        assert capsys.readouterr() == ("", "")
+        src = str(Path(phase.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "finphase.cli", "analyze", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (1, f"error: {path}: need >= 2 points, got 0\n")
 
     def test_undecodable_file_is_named(self, tmp_path, capsys):
         # the middle one of three files holds a byte that is not UTF-8
@@ -1350,30 +1424,26 @@ def test_overflowing_moment_is_named_without_warnings(tmp_path, capsys, rows, me
 
 class TestPhaseReader:
     @pytest.mark.parametrize(
-        "script,message",
+        "serve,message",
         [
-            ("import sys\nsys.exit(3)\n",
-             r"phase reader (stopped reading|output ended early) \(exit status 3\)"),
-            ("import sys\nsys.stdin.buffer.read()\n"
-             "sys.stdout.buffer.write((100).to_bytes(8, sys.byteorder) + b'abc')\n",
-             r"phase reader output ended early \(exit status 0\)"),
+            (exits_3, r"phase reader (stopped reading|output ended early) \(exit status 3\)"),
+            (short_frame, r"phase reader output ended early \(exit status 0\)"),
             # every frame intact, then a failure: no output is written
-            ("import runpy, sys\nrunpy.run_path({real!r}, run_name='__main__')\nsys.exit(5)\n",
-             r"phase reader failed \(exit status 5\)"),
+            (exits_5_after_its_output, r"phase reader failed \(exit status 5\)"),
         ],
         ids=["exits_3", "short_frame", "exits_5_after_its_output"],
     )
-    def test_failed_reader_exits_one(self, tmp_path, capsys, monkeypatch, started, script, message):
-        path = tmp_path / "reader.py"
-        path.write_text(script.format(real=_phasecsv.SCRIPT))
-        monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+    def test_failed_reader_exits_one(self, tmp_path, capsys, monkeypatch, started, serve, message):
+        monkeypatch.setattr(_phasecsv, "serve", serve)
         parse_file = _phasecsv.parse_file
 
-        def after_the_reader(path, encoding=None):
+        def after_the_reader(path):
             # the command parses its own files only once the reader has
-            # exited, so the reader fails before the two meet
-            started[0].wait(timeout=60)
-            return parse_file(path, encoding)
+            # exited, so the reader fails before the two meet; the reader,
+            # forked before it was recorded, parses at once
+            if started:
+                started[0].wait()
+            return parse_file(path)
 
         monkeypatch.setattr(_phasecsv, "parse_file", after_the_reader)
         out = tmp_path / "out"
@@ -1420,10 +1490,24 @@ class TestPhaseReader:
         assert run_cli("analyze", *phase_files(tmp_path, 1), "--out", str(tmp_path / "r.json")) == 0
         assert started == []
 
-    def test_reader_decodes_as_this_process(self, tmp_path, started):
-        assert run_cli("analyze", *phase_files(tmp_path, 2), "--out", str(tmp_path / "r.json")) == 0
-        [proc] = started
-        assert proc.args[-2:] == ["parse", io.text_encoding(None)]
+    def test_reader_decodes_as_this_process(self, tmp_path, monkeypatch, started):
+        # the reader opens files as this process does at the fork, here with
+        # an encoding set for parse_file's open(): the UTF-8 id does not
+        # decode as ASCII and is two characters in Latin-1
+        path = tmp_path / "phase_t0.csv"
+        path.write_bytes(HEAD + "\u00e9,0.5,0.1\n1,-2,0.25\n".encode())
+
+        def opening_text_in(encoding):  # parse_file's open(path); the pipes' as they are
+            return lambda file, *args, **kwargs: (
+                open(file, *args, **kwargs) if args else open(file, encoding=encoding)
+            )
+
+        for encoding, want in [("ascii", None), ("latin-1", TWO_POINTS)]:
+            monkeypatch.setattr(_phasecsv, "open", opening_text_in(encoding), raising=False)
+            assert reader_frames([str(path)]) == [want]
+        assert len(started) == 2
+        for proc in started:
+            assert_reaped(proc)
 
     @pytest.mark.parametrize("reader", ["answers_at_once", "never_answers"])
     def test_output_is_the_same_whoever_parses_each_file(
@@ -1441,9 +1525,7 @@ class TestPhaseReader:
         expected = analyze("expected")
         own = []
         parse_file = _phasecsv.parse_file
-        monkeypatch.setattr(
-            _phasecsv, "parse_file", lambda path, encoding=None: own.append(path) or parse_file(path, encoding)
-        )
+        monkeypatch.setattr(_phasecsv, "parse_file", lambda path: own.append(path) or parse_file(path))
         if reader == "answers_at_once":  # each frame is waited for: the reader parses every file
             ready = _phasecsv.PhaseReader.ready
 
@@ -1454,9 +1536,7 @@ class TestPhaseReader:
 
             monkeypatch.setattr(_phasecsv.PhaseReader, "ready", waiting)
         else:  # no frame ever comes: this process parses every file
-            path = tmp_path / "reader.py"
-            path.write_text("import time\ntime.sleep(600)\n")
-            monkeypatch.setattr(_phasecsv, "SCRIPT", str(path))
+            monkeypatch.setattr(_phasecsv, "serve", lambda *args: time.sleep(600))
         assert analyze(reader) == expected
         assert own == ([] if reader == "answers_at_once" else files[::-1])
         proc = started[-1]
@@ -1478,6 +1558,24 @@ class TestPhaseReader:
             subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, timeout=120)
             outputs.append(((out / "r.json").read_bytes(), (out / "h.csv").read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+def test_without_fork_the_command_does_every_unit(tmp_path, monkeypatch, started):
+    # where the helpers are not forked (not Linux), firms formats and
+    # analyze parses every file itself: the same bytes, and no helper
+    def run(name):
+        out = tmp_path / name
+        assert run_cli(*MULTI_CHUNK_ARGV, "--steps", "3", "--outdir", str(out / "run")) == 0
+        files = sorted(map(str, (out / "run").glob("phase_t*.csv")))
+        argv = ["--out", str(out / "r.json"), "--hist-out", str(out / "h.csv")]
+        assert run_cli("analyze", *files, *argv) == 0
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    forked = run("forked")
+    assert len(started) == 2
+    monkeypatch.setattr(_phasecsv, "FORK", False)
+    assert run("unforked") == forked
+    assert len(forked) == 8 and len(started) == 2  # 4 phase files, series, run, report, histogram
 
 
 class TestInterestAndReserves:
