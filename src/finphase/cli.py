@@ -523,13 +523,20 @@ def _cmd_sectors(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The finphase parser. Every subcommand is listed, but only
+    ``command``'s parser is given its arguments, or every one's when it is
+    None: a run parses with the one parser its subcommand names."""
     parser = argparse.ArgumentParser(
         prog="finphase",
         description="Deterministic econophysics simulations and analytics.",
     )
     parser.add_argument("--version", action="version", version=f"finphase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def subparser(name, help):
+        p = sub.add_parser(name, help=help)
+        return p if command in (None, name) else None
 
     def add_common(p):
         p.add_argument("--outdir", default=None, help="output directory")
@@ -548,91 +555,92 @@ def build_parser() -> argparse.ArgumentParser:
             help="phase-plane extent and bin counts",
         )
 
-    p = sub.add_parser("exchange", help="conservative random pairwise exchange")
-    add_common(p)
-    # each flag sets the ExchangeConfig field its dest names
-    p.add_argument("--agents", dest="n_agents", type=int, default=10000)
-    p.add_argument("--initial-money", dest="initial_money", type=int, default=1000)
-    p.add_argument("--events", dest="n_events", type=int, default=10**7)
-    p.add_argument("--rule", dest="rule", choices=("pairsplit", "fixed"), default="pairsplit")
-    p.add_argument("--amount", dest="fixed_amount", type=int, default=1, help="amount for the fixed rule")
-    p.set_defaults(func=_cmd_exchange)
+    if p := subparser("exchange", "conservative random pairwise exchange"):
+        add_common(p)
+        # each flag sets the ExchangeConfig field its dest names
+        p.add_argument("--agents", dest="n_agents", type=int, default=10000)
+        p.add_argument("--initial-money", dest="initial_money", type=int, default=1000)
+        p.add_argument("--events", dest="n_events", type=int, default=10**7)
+        p.add_argument("--rule", dest="rule", choices=("pairsplit", "fixed"), default="pairsplit")
+        p.add_argument("--amount", dest="fixed_amount", type=int, default=1, help="amount for the fixed rule")
+        p.set_defaults(func=_cmd_exchange)
 
-    p = sub.add_parser("firms", help="firm/worker/bank phase-plane economy")
-    add_common(p)
-    p.add_argument("--config", default=None, help="key = value config file")
-    # each flag sets the EconomyConfig field its dest names; None: not given
-    p.add_argument("--firms", dest="n_firms", type=int)
-    p.add_argument("--workers", dest="n_workers", type=int)
-    p.add_argument("--base-money", dest="base_money", type=int)
-    p.add_argument("--wage", dest="wage", type=int)
-    p.add_argument("--interest-rate", dest="interest_rate", type=float)
-    p.add_argument("--margin", dest="investment_margin", type=float)
-    p.add_argument("--depreciation", dest="depreciation", type=float)
-    p.add_argument("--consumption", dest="capitalist_consumption_fraction", type=float)
-    p.add_argument("--steps", dest="n_steps", type=int)
-    p.add_argument("--initial-capital", dest="initial_capital", type=int)
-    p.add_argument("--churn", dest="customer_churn", type=float)
-    add_grid(p)
-    p.set_defaults(func=_cmd_firms)
+    if p := subparser("firms", "firm/worker/bank phase-plane economy"):
+        add_common(p)
+        p.add_argument("--config", default=None, help="key = value config file")
+        # each flag sets the EconomyConfig field its dest names; None: not given
+        p.add_argument("--firms", dest="n_firms", type=int)
+        p.add_argument("--workers", dest="n_workers", type=int)
+        p.add_argument("--base-money", dest="base_money", type=int)
+        p.add_argument("--wage", dest="wage", type=int)
+        p.add_argument("--interest-rate", dest="interest_rate", type=float)
+        p.add_argument("--margin", dest="investment_margin", type=float)
+        p.add_argument("--depreciation", dest="depreciation", type=float)
+        p.add_argument("--consumption", dest="capitalist_consumption_fraction", type=float)
+        p.add_argument("--steps", dest="n_steps", type=int)
+        p.add_argument("--initial-capital", dest="initial_capital", type=int)
+        p.add_argument("--churn", dest="customer_churn", type=float)
+        add_grid(p)
+        p.set_defaults(func=_cmd_firms)
 
-    p = sub.add_parser("analyze", help="entropy and tail metrics of phase CSVs")
-    p.add_argument("files", nargs="+")
-    add_grid(p)
-    p.add_argument("--out", default=None, help="write metrics JSON here")
-    p.add_argument("--hist-out", default=None, help="write combined histogram CSV")
-    p.set_defaults(func=_cmd_analyze)
+    if p := subparser("analyze", "entropy and tail metrics of phase CSVs"):
+        p.add_argument("files", nargs="+")
+        add_grid(p)
+        p.add_argument("--out", default=None, help="write metrics JSON here")
+        p.add_argument("--hist-out", default=None, help="write combined histogram CSV")
+        p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("macro", help="profit-rate equilibrium and growth rates")
-    p.add_argument("--gL", type=float, default=None)
-    p.add_argument("--gP", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=None)
-    p.add_argument("--r0", type=float, default=None, help="also integrate from R0")
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--table", default=None, help="CSV of year,g_L,g_P,d,lambda")
-    p.add_argument("--reference", type=float, default=None)
-    p.add_argument("--cagr", default=None, help="CSV of t,level")
-    p.add_argument("--percent", action="store_true", help="display rates as percent")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_macro)
+    if p := subparser("macro", "profit-rate equilibrium and growth rates"):
+        p.add_argument("--gL", type=float, default=None)
+        p.add_argument("--gP", type=float, default=None)
+        p.add_argument("--d", type=float, default=None)
+        p.add_argument("--lambda", dest="lambda_", type=float, default=None)
+        p.add_argument("--r0", type=float, default=None, help="also integrate from R0")
+        p.add_argument("--dt", type=float, default=0.01)
+        p.add_argument("--steps", type=int, default=10000)
+        p.add_argument("--table", default=None, help="CSV of year,g_L,g_P,d,lambda")
+        p.add_argument("--reference", type=float, default=None)
+        p.add_argument("--cagr", default=None, help="CSV of t,level")
+        p.add_argument("--percent", action="store_true", help="display rates as percent")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_macro)
 
-    p = sub.add_parser("interest", help="interest floor from reserve-excursion risk")
-    p.add_argument("--capital", type=int, required=True)
-    p.add_argument("--reserves", type=int, required=True)
-    p.add_argument("--loan", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--mean", type=float, default=0.0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_interest)
+    if p := subparser("interest", "interest floor from reserve-excursion risk"):
+        p.add_argument("--capital", type=int, required=True)
+        p.add_argument("--reserves", type=int, required=True)
+        p.add_argument("--loan", type=int, required=True)
+        p.add_argument("--sigma", type=float, required=True)
+        p.add_argument("--mean", type=float, default=0.0)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_interest)
 
-    p = sub.add_parser("reserves", help="linear reserve path dB/dt = G - T - S")
-    p.add_argument("--b0", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--tax", type=int, required=True)
-    p.add_argument("--sales", type=int, required=True)
-    p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--out", default=None)
-    p.add_argument("--outdir", default=None)
-    p.set_defaults(func=_cmd_reserves)
+    if p := subparser("reserves", "linear reserve path dB/dt = G - T - S"):
+        p.add_argument("--b0", type=int, required=True)
+        p.add_argument("--g", type=int, required=True)
+        p.add_argument("--tax", type=int, required=True)
+        p.add_argument("--sales", type=int, required=True)
+        p.add_argument("--dt", type=float, default=1.0)
+        p.add_argument("--steps", type=int, default=10)
+        p.add_argument("--out", default=None)
+        p.add_argument("--outdir", default=None)
+        p.set_defaults(func=_cmd_reserves)
 
-    p = sub.add_parser("sectors", help="sectoral balance zero-sum checks")
-    p.add_argument("action", choices=["check", "what-if"])
-    p.add_argument("file", nargs="?", default=None, help="CSV (default: bundled Eurozone 2012 Q1)")
-    p.add_argument("--tolerance", type=int, default=0)
-    p.add_argument("--sector", default=None)
-    p.add_argument("--value", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sectors)
+    if p := subparser("sectors", "sectoral balance zero-sum checks"):
+        p.add_argument("action", choices=["check", "what-if"])
+        p.add_argument("file", nargs="?", default=None, help="CSV (default: bundled Eurozone 2012 Q1)")
+        p.add_argument("--tolerance", type=int, default=0)
+        p.add_argument("--sector", default=None)
+        p.add_argument("--value", type=int, default=None)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_sectors)
 
     return parser
 
 
 def dispatch(argv) -> int:
     """Route argv to a subcommand; never lets an exception escape."""
-    parser = build_parser()
+    # the first argument that is not an option names the subcommand
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help/usage errors

@@ -5,12 +5,17 @@ distinct agents, so total money is conserved bit-exactly. Two rules are
 provided:
 
 * ``uniform_pair_split`` (default): a pair's combined money is
-  redistributed uniformly over its integer splits. The run is a sequence
-  of matching rounds: each round draws a uniformly random perfect
-  matching of the agents (with an odd count, one agent sits the round
-  out) and splits all n // 2 disjoint pairs at once, one event per pair.
+  redistributed uniformly over its integer splits. Once per run the
+  agents are placed in uniformly random order on a ring of slots; the run
+  is then a sequence of rounds, each of which draws a centre ``c`` and
+  pairs slot ``s`` with slot ``c - s`` (mod n), a perfect matching (with
+  an odd count, one agent sits the round out), and splits all n // 2
+  disjoint pairs at once, one event per pair. Over the random placement,
+  each round's matching is a uniformly random one; consecutive rounds are
+  not independent matchings, so this is a different Markov chain from
+  one that draws every matching afresh, with the same stationary law.
   Every pair-split maps the uniform measure on compositions of the total
-  to itself, so the stationary distribution is exactly the
+  to itself and every two agents can meet, so that law is exactly the
   maximum-entropy (Gibbs-Boltzmann/exponential) one, reached within a few
   events per agent (Dragulescu & Yakovenko, "Statistical mechanics of
   money", Eur. Phys. J. B 17, 2000). The splits of a round touch disjoint
@@ -28,21 +33,15 @@ money but does not relax to the exponential law; the test suite keeps
 it as the counterexample.
 
 Every draw is read from a counter-mode stream at a fixed offset (round
-``r`` uses keys ``r*n ..`` and splits ``r*(n//2) ..``), so the output does
-not depend on how many rounds are drawn per block.
-
-The pair-split rule runs on two threads: one worker thread per run sorts
-the matchings of the next block of rounds (their keys never read the
-balances, and numpy releases the GIL while it draws and sorts them)
-while the calling thread splits the pairs of the current block. Every
-round still reads its keys and draws at the offsets above, so the output
-is the same whenever the worker finishes.
+``r`` uses centre ``r`` and splits ``r*(n//2) ..``), so the output does
+not depend on how many rounds are drawn per block. A round's pairs are
+two runs of adjacent slots, each paired end to end, and at most one more
+pair, so its splits are a few numpy operations on slices of the money
+array, all on the calling thread.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,17 +56,13 @@ RULE_FIXED_AMOUNT = "fixed_amount"
 _RULES = (RULE_UNIFORM_PAIR_SPLIT, RULE_FIXED_AMOUNT)
 
 # Substream tags: (payer, payee-offset) draws of the fixed rule; the
-# pair-split rule's matching keys and split draws.
-_TAG_PAYER, _TAG_PAYEE, _TAG_SPLIT, _TAG_MATCH = 1, 2, 3, 4
+# pair-split rule's split draws, placement keys and round centres.
+_TAG_PAYER, _TAG_PAYEE, _TAG_SPLIT, _TAG_MATCH, _TAG_CENTRE = 1, 2, 3, 4, 6
 
-# Stream outputs drawn per block: matching keys for the pair-split rule
-# (at least one round), events for the fixed rule. The pair-split rule
-# holds two blocks of keys at once, the one being split and the next one
-# being sorted on the worker: 2 x 2**17 keys are 2 MB. Larger blocks
-# only raise peak memory, on one CPU too, where the two threads take
-# turns: pinned to one CPU, a 1e4 x 1e7 run took 0.62 s with 8.6k minor
-# faults, and 0.63 s with 14.5k faults and 4 MB more peak memory with
-# blocks of 2**18 keys (medians of 10 runs each).
+# Stream outputs drawn per block: split draws for the pair-split rule (at
+# least one round's), events for the fixed rule. 2**17 draws are 1 MB;
+# from 2**15 to 2**18 a 1e4 x 1e7 pair-split run took the same time
+# within the host's noise (in-process runs on a 2-core Xeon).
 _BLOCK = 1 << 17
 
 
@@ -128,92 +123,80 @@ def run_exchange(config: ExchangeConfig) -> WealthVector:
 def _pair_split_rounds(money: np.ndarray, n_events: int, seed: int) -> None:
     """Apply ``n_events`` pair-splits to ``money`` (uint64) in place.
 
-    Round ``r`` keys agent ``i`` with stream output ``r*n + i``, whose low
-    ``b = (n-1).bit_length()`` bits are replaced by ``i``. The keys are
-    then distinct, so sorting them gives one permutation whatever the sort
-    algorithm, and the low bits of the sorted keys are that permutation.
-    Keys whose random high bits tie fall back to id order; that happens
-    with probability below n**2 / 2**(65 - b), far under sampling noise.
-    Pair ``j`` is (perm[2j], perm[2j+1]); the first agent keeps
-    ``draw % (total + 1)``, or its :func:`rng.redraw_below` when the draw
-    lies in the biased top range (see :func:`rng.unbiased_mod`). The last
-    round of a run that is not a whole number of rounds splits its first
-    pairs only.
+    Once per run the agents are relabelled into slots by a uniformly
+    random permutation: agent ``i`` is keyed with stream output ``i``,
+    whose low ``b = (n-1).bit_length()`` bits are replaced by ``i``, and
+    slot ``s`` holds the agent of the ``s``-th smallest key. The keys are
+    distinct, so any sort gives the same order; keys whose random high
+    bits tie fall back to id order, with probability below
+    n**2 / 2**(65 - b), far under sampling noise.
 
-    Rounds run in blocks of ``_BLOCK // n``. One worker thread per run
-    computes the sorted keys of each block in turn: this thread takes
-    block ``b``, asks for block ``b + 1`` and draws and applies the splits
-    of block ``b`` while the worker sorts the next one. The keys never
-    read ``money`` and every round reads the stream at its own offsets,
-    so the result does not depend on when the worker finishes. An
-    exception the worker raises is raised here, and the worker is stopped
-    and joined on every exit.
+    Round ``r`` pairs slot ``s`` with slot ``(c - s) mod n``, where the
+    centre ``c`` is output ``r`` of its own stream, uniform on [0, n):
+    two runs of slots, [0, c] and [c+1, n-1], each paired end to end.
+    A slot that is its own partner is a run's middle slot. When ``n`` and
+    ``c`` are both even there are two, ``c/2`` and ``c/2 + n/2``, and
+    they pair with each other; with an odd ``n`` there is one, which sits
+    the round out. So every round has ``n // 2`` pairs. Pair ``j`` in the
+    order run A, run B, the middle pair reads split offset
+    ``r*(n//2) + j``, and its lower slot keeps ``draw % (total + 1)``, or
+    its :func:`rng.redraw_below` when the draw lies in the biased top
+    range (see :func:`rng.unbiased_mod`). The last round of a run that is
+    not a whole number of rounds splits its first pairs only.
     """
     n = len(money)
     half = n // 2
-    low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    ids = np.arange(n, dtype=np.uint64)
-    s_match = rng.derive(seed, _TAG_MATCH)
     s_split = rng.derive(seed, _TAG_SPLIT)
+    s_centre = rng.derive(seed, _TAG_CENTRE)
     whole, rest = divmod(n_events, half)
     rounds = whole + (rest > 0)
-    per_block = max(1, _BLOCK // n)
+    per_block = max(1, _BLOCK // half)
 
-    def matchings(r0: int) -> np.ndarray:
-        """The perms of rounds ``r0 ..`` of one block, one row per round."""
-        b = min(per_block, rounds - r0)
-        keys = rng.u64_block(s_match, r0 * n, b * n).reshape(b, n)
-        keys &= ~low
-        keys |= ids
-        keys.sort(axis=1)
-        keys &= low
-        return keys.view(np.int64)  # agent ids < 2**63: same bits
-
-    # One block's start round goes in, its perms or the exception that
-    # computing them raised come out; None stops the worker.
-    requests, results = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def work() -> None:
-        while (r0 := requests.get()) is not None:
-            try:
-                results.put(matchings(r0))
-            except BaseException as exc:  # raised again on the calling thread
-                results.put(exc)
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = rng.u64_block(rng.derive(seed, _TAG_MATCH), 0, n)
+    keys &= ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    slots = (keys & low).view(np.int64)  # agent ids < 2**63: same bits
+    m = money[slots]
 
     # A pair's total is at most the run's, so a draw <= 2**64 - 1 - run
     # total is below every pair's rejection limit; only rounds with a draw
     # above it need the exact check.
     safe = ~np.uint64(int(money.sum()))
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        if rounds:
-            requests.put(0)
-        for r0 in range(0, rounds, per_block):
-            perm = results.get()
-            if isinstance(perm, BaseException):
-                raise perm
-            if r0 + per_block < rounds:
-                requests.put(r0 + per_block)
-            b = len(perm)
-            draws = rng.u64_block(s_split, r0 * half, b * half).reshape(b, half)
-            risky = (draws.max(axis=1) > safe).tolist()
-            for j in range(b):
-                k = half if r0 + j < whole else rest
-                p = perm[j, 0 : 2 * k : 2]
-                q = perm[j, 1 : 2 * k : 2]
+    one = np.uint64(1)
+    for r0 in range(0, rounds, per_block):
+        b = min(per_block, rounds - r0)
+        centres = rng.randint_block(s_centre, r0, b, n).tolist()
+        draws = rng.u64_block(s_split, r0 * half, b * half)
+        risky = (draws.reshape(b, half).max(axis=1) > safe).tolist()
+        for j, c in enumerate(centres):
+            k = half if r0 + j < whole else rest
+            # (first lower slot, last upper slot, pairs) of run A, run B
+            # and the middle pair; the runs hold all n // 2 pairs unless n
+            # and c are both even, so only then is one left for the middle
+            done = 0
+            for lo, hi, pairs in (
+                (0, c, (c + 1) // 2),
+                (c + 1, n - 1, (n - 1 - c) // 2),
+                (c // 2, c // 2 + half, 1),
+            ):
+                pairs = min(pairs, k - done)
+                if pairs <= 0:
+                    continue
+                at = j * half + done
+                d = draws[at : at + pairs]
+                p = m[lo : lo + pairs]
+                q = m[hi : hi - pairs : -1]  # hi >= pairs: the stop is never -1
                 # total money <= MONEY_MAX, so total + 1 fits in uint64
-                total = money[p] + money[q]
-                bound = total + np.uint64(1)
+                total = p + q
                 if risky[j]:
-                    keep = rng.unbiased_mod(s_split, (r0 + j) * half, draws[j, :k], bound)
+                    p[:] = rng.unbiased_mod(s_split, r0 * half + at, d, total + one)
                 else:
-                    keep = draws[j, :k] % bound
-                money[p] = keep
-                money[q] = total - keep
-    finally:
-        requests.put(None)
-        worker.join()
+                    np.remainder(d, total + one, out=p)
+                np.subtract(total, p, out=q)
+                done += pairs
+    money[slots] = m
 
 
 def _fixed_amount_events(config: ExchangeConfig) -> list:

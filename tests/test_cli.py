@@ -591,6 +591,26 @@ def test_every_config_field_has_a_flag(command, config_cls):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"], ["bogus"], [], ["exchange", "--help"], ["analyze", "--help"],
+        ["sectors", "--help"], ["firms", "--bogus"], ["--", "macro", "--help"],
+    ],
+    ids=["help", "unknown_subcommand", "no_subcommand", "exchange_help", "analyze_help",
+         "sectors_help", "unknown_flag", "after_double_dash"],
+)
+def test_a_run_prints_what_the_full_parser_does(capsys, argv):
+    # a run gives arguments only to the parser of the subcommand it names
+    code = dispatch(argv)
+    run = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert (code, run.out, run.err) == (exc.value.code, full.out, full.err)
+    assert run.out or run.err
+
+
+@pytest.mark.parametrize(
     "module, work, argv",
     [
         (exchange, "run_exchange", ["exchange", "--agents", "20", "--events", "100"]),

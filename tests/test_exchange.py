@@ -61,6 +61,38 @@ def sequential_pair_split(config):
     return WealthVector(money)
 
 
+def reflection_rounds(config):
+    """Oracle: ``run_exchange``'s pair-split chain, one event at a time.
+    Slot ``s`` holds the agent with the ``s``-th smallest placement key;
+    round ``r`` pairs slot ``s`` with slot ``(c - s) mod n`` for its centre
+    ``c``, and the two slots that are their own partners (n and c even)
+    with each other. Pairs are taken by their lower slot, which keeps the
+    draw, so event ``e`` (pair ``e % (n//2)`` of round ``e // (n//2)``)
+    reads split output ``e``."""
+    n, half, seed = config.n_agents, config.n_agents // 2, config.seed
+    low = (1 << (n - 1).bit_length()) - 1
+    keys = rng.u64_block(rng.derive(seed, exchange._TAG_MATCH), 0, n).tolist()
+    agent_of = [k & low for k in sorted((k & ~low) | i for i, k in enumerate(keys))]
+    rounds = -(-config.n_events // half)
+    centres = rng.randint_block(rng.derive(seed, exchange._TAG_CENTRE), 0, rounds, n).tolist()
+    draws = rng.u64_block(rng.derive(seed, exchange._TAG_SPLIT), 0, config.n_events).tolist()
+    money = [config.initial_money] * n  # by slot
+    for e, draw in enumerate(draws):
+        c = centres[e // half]
+        pairs = sorted((s, (c - s) % n) for s in range(n) if s < (c - s) % n)
+        fixed = tuple(s for s in range(n) if (2 * s - c) % n == 0)
+        if len(fixed) == 2:
+            pairs.append(fixed)
+        s, t = pairs[e % half]
+        total = money[s] + money[t]
+        money[s] = draw % (total + 1)
+        money[t] = total - money[s]
+    wealth = [0] * n
+    for s, agent in enumerate(agent_of):
+        wealth[agent] = money[s]
+    return WealthVector(wealth)
+
+
 def uniform_fraction(config):
     """Counterexample: the payer pays floor(u * balance), u ~ U[0, 1).
 
@@ -121,6 +153,12 @@ class TestRunExchange:
         if n_agents % 2:
             # one agent sits each round out
             assert (runs[0] == runs[2]).sum() >= 1
+
+    @pytest.mark.parametrize("n_agents", [2, 3, 4, 5, 10, 11])
+    def test_rounds_match_the_reflection_oracle(self, n_agents):
+        # 6 whole rounds and a partial one
+        cfg = config(n_agents=n_agents, n_events=6 * (n_agents // 2) + 1, seed=4)
+        assert run_exchange(cfg).money == reflection_rounds(cfg).money
 
     @pytest.mark.parametrize(
         "n_agents, initial_money", [(7, MONEY_MAX // 7), (2, MONEY_MAX // 2)]
@@ -190,7 +228,7 @@ class TestRunExchange:
         assert w.total() == 0
 
 
-# config() runs 80 rounds of 500 agents: 20 blocks of 4 rounds
+# config() runs 80 rounds of 250 pairs: 20 blocks of 4 rounds
 ROUNDS_PER_BLOCK = 4
 
 
@@ -206,16 +244,16 @@ def threads(monkeypatch):
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Recorded)
-    monkeypatch.setattr(exchange, "_BLOCK", ROUNDS_PER_BLOCK * 500)
+    monkeypatch.setattr(exchange, "_BLOCK", ROUNDS_PER_BLOCK * 250)
     return started
 
 
 def patch_stream_calls(monkeypatch, on_call):
     """Call ``on_call(tag, k)`` before the ``k``-th (from 1) call of
-    ``rng.u64_block`` on the pair-split stream ``tag`` (``_TAG_MATCH``
+    ``rng.u64_block`` on the pair-split stream ``tag`` (``_TAG_CENTRE``
     or ``_TAG_SPLIT``) of seed 0."""
     u64_block = rng.u64_block
-    tags = {rng.derive(0, tag): tag for tag in (exchange._TAG_MATCH, exchange._TAG_SPLIT)}
+    tags = {rng.derive(0, tag): tag for tag in (exchange._TAG_CENTRE, exchange._TAG_SPLIT)}
     calls = dict.fromkeys(tags.values(), 0)
 
     def patched(seed, start, count):
@@ -228,29 +266,27 @@ def patch_stream_calls(monkeypatch, on_call):
 
 
 class TestPairSplitThreads:
-    def test_error_on_the_second_thread_reaches_the_caller(self, monkeypatch, threads):
+    def test_error_in_a_stream_call_reaches_the_caller(self, monkeypatch, threads):
         before = threading.active_count()
         raised_on = []
 
         def on_call(tag, k):
-            # every block's keys are sorted on the worker; this is block 2
-            if tag == exchange._TAG_MATCH and k == 3:
+            # every block draws its centres once; this is block 2
+            if tag == exchange._TAG_CENTRE and k == 3:
                 raised_on.append(threading.current_thread())
-                raise MemoryError("keys")
+                raise MemoryError("centres")
 
         patch_stream_calls(monkeypatch, on_call)
-        with pytest.raises(MemoryError, match="^keys$"):
+        with pytest.raises(MemoryError, match="^centres$"):
             run_exchange(config())
-        assert raised_on == [threads[0]]
-        assert not any(t.is_alive() for t in threads)
+        assert raised_on == [threading.main_thread()]
+        assert threads == []
         assert threading.active_count() == before
 
-    def test_interrupt_on_the_calling_thread_joins_the_second(self, monkeypatch, threads):
+    def test_interrupt_mid_run_propagates(self, monkeypatch, threads):
         before = threading.active_count()
 
         def on_call(tag, k):
-            if tag == exchange._TAG_MATCH and k > 1:
-                time.sleep(0.2)  # the worker outlives the interrupt unless it is joined
             if tag == exchange._TAG_SPLIT and k == 3:
                 assert threading.current_thread() is threading.main_thread()
                 raise KeyboardInterrupt
@@ -258,8 +294,7 @@ class TestPairSplitThreads:
         patch_stream_calls(monkeypatch, on_call)
         with pytest.raises(KeyboardInterrupt):
             run_exchange(config())
-        assert len(threads) == 1  # the worker, the run's only thread
-        assert not any(t.is_alive() for t in threads)
+        assert threads == []  # the run starts no thread
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}, None], ids=["one_cpu", "two_cpus", "no_affinity_call"])
@@ -276,12 +311,12 @@ class TestPairSplitThreads:
         interval = sys.getswitchinterval()
         try:
             if pin:
-                os.sched_setaffinity(0, {min(allowed)})  # the worker and this thread take turns
+                os.sched_setaffinity(0, {min(allowed)})
             runs = [run_exchange(config()).money]
-            # a worker slower than the splits, with threads switching at every chance
+            # slow stream calls, with threads switching at every chance
             patch_stream_calls(
                 monkeypatch,
-                lambda tag, k: time.sleep(0.005) if tag == exchange._TAG_MATCH else None,
+                lambda tag, k: time.sleep(0.005) if tag == exchange._TAG_CENTRE else None,
             )
             sys.setswitchinterval(1e-6)
             runs.append(run_exchange(config()).money)
@@ -290,8 +325,7 @@ class TestPairSplitThreads:
             if pin:
                 os.sched_setaffinity(0, allowed)
         assert runs == [expected, expected]
-        assert len(threads) == 3  # one per run
-        assert not any(t.is_alive() for t in threads)
+        assert threads == []  # no run starts a thread
         assert threading.active_count() == before
 
     def test_import_loads_no_executor(self):
@@ -360,6 +394,20 @@ class TestEquilibrium:
             assert fit_exponential(w).ks_statistic <= 0.04
         two_sample = scipy.stats.ks_2samp(rounds.money, oracle.money).statistic
         assert two_sample <= 0.062
+
+    def test_relaxes_no_slower_than_the_sequential_oracle(self):
+        # 2.5 events per agent, far from equilibrium: a matching family
+        # that mixes slowly would leave run_exchange's KS above that of
+        # independently drawn pairs (medians over seeds 0-9)
+        def median_ks(chain):
+            return statistics.median(
+                fit_exponential(
+                    chain(ExchangeConfig(n_agents=2000, initial_money=1000, n_events=5000, seed=s))
+                ).ks_statistic
+                for s in range(10)
+            )
+
+        assert median_ks(run_exchange) <= median_ks(sequential_pair_split)
 
     @pytest.mark.parametrize("chain", [run_exchange, sequential_pair_split])
     def test_three_agents_visit_compositions_uniformly(self, chain):

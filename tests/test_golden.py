@@ -10,8 +10,9 @@ has kept the simulation's integers and the writer's formatting exactly.
 Each exchange digest is the SHA-256 of ``wealth.csv`` from a 30000-event
 run. The ``fixed`` rule's digests were captured from the per-event loop
 that predates the matching-round pair-split chain and must never change;
-the ``pairsplit`` digests pin that chain (299 agents: an odd count and a
-final partial round).
+the ``pairsplit`` digests pin the pair-split chain of reflection
+matchings on one random placement of the agents (299 agents: an odd
+count and a final partial round).
 
 Each analyze digest is the SHA-256 over ``report.json`` and ``hist.csv``
 (name, NUL, bytes, as above) from ``analyze`` of every phase CSV of the
@@ -84,10 +85,10 @@ EXCHANGE_GOLDEN = {
     "fixed_seed0": "4467bf947fc4a7840bc8ee7f6a7730b1d9daa2d33dd8e8ba59422a139119c31a",
     "fixed_seed1": "d823b84c47c6d40737f218c837281e28fe471d38cb736fb737a702b5ce2a9672",
     "fixed_seed2": "d3649f107e934ee9bb570fff7b0efadf12931fd0cbe791caca457cca8dc2b166",
-    "pairsplit_odd_agents": "0f7a2ee7e2a391d0ad3cff62f3b03089146b42ee9fb5f49faf44755698a3051f",
-    "pairsplit_seed0": "9a35357d0860b42ab8033a8afa541d8e5cb65d60209b0ad67736b1f7c4571529",
-    "pairsplit_seed1": "8c1b42fffbb4a4eb1b166a15f7f04970f44052ed56fe970186a9198b2f0d85c7",
-    "pairsplit_seed2": "eb8a265d4a52342d09726fa7af6a1c29118423983725109b7dde0e8c227b24e5",
+    "pairsplit_odd_agents": "0be12438860cccb6d53626e951daee545bdae3823fc78e6f00a3cbc4b5517aec",
+    "pairsplit_seed0": "0260ac40375b47d5ba31b55a8b83f66eed68856e9dadafa4a1a7b15eadaa4f8f",
+    "pairsplit_seed1": "bace94e2207fd7e920e90a6fef2ec68bfb1d7edb67858fa1606ca90fe1ab2b22",
+    "pairsplit_seed2": "05cfd35f14d13f2f1c3884f00832205100696310f35b3b1478cd905c32c6d7d8",
 }
 
 
