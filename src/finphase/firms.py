@@ -36,11 +36,11 @@ money. This puts every firm exactly at the origin at t = 0 and lets a
 post-bankruptcy replacement re-enter at the origin as well (its money
 endowment from bank equity is the initial per-firm endowment: zero).
 
-Two phases are defined by a pass over the firms in id order: owner
-consumption and classification + investment/repayment, where a firm's
-deposit at its turn includes what lower firms paid it. Both are evaluated
-exactly by :func:`_in_order`, and the step raises the error the in-order
-pass would raise first.
+Within a phase the firms act at once, not in turn: in owner consumption
+and in classification + investment/repayment every firm decides from its
+deposit at the start of the phase, and what the others pay it lands after
+every firm has acted, as in stock-flow consistent accounts, which do not
+order agents within a period. A firm id carries no economic meaning.
 
 The ledger conservation residual is zero after every step, bit-exactly.
 One economy instance is sequential; independent seeds are independent.
@@ -48,7 +48,6 @@ One economy instance is sequential; independent seeds are independent.
 
 from __future__ import annotations
 
-import bisect
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -219,98 +218,36 @@ _EXACT = 2**52
 _BELOW_2_63 = float(2**63 - 1024)
 
 
-def _in_order(dep, target, pays):
-    """A pass over the firms in id order, in which each firm pays firm
-    ``target[k]`` the amount ``pays(at_turn)[0][k]`` given the deposits at
-    each turn. Returns those deposits, the mask of those out of the money
-    range, and then what ``pays`` returns for them.
-
-    A firm's deposit at its turn is ``dep`` plus the payments of the lower
-    firms that pay it, so the payments are the fixed point of recomputing
-    ``pays`` from the pass before. Iterated from no payments, pass p is
-    exact for every firm whose chain of lower payers is shorter than p,
-    and the loop stops the first time the lower payers' amounts repeat;
-    the pay map is monotone, so the iterates rise to the in-order result.
-    The chains of lower ids are at most n long, hence at most n + 1 passes.
-    """
-    n = len(dep)
-    lower = np.flatnonzero(target > np.arange(n))  # paid before the payee's turn
-    ahead = target[lower]
-    paid = np.zeros(len(lower), dtype=np.int64)
-    for _ in range(n + 1):
-        at_turn, over = _sums(dep, ahead, paid)
-        amount, *rest = pays(at_turn)
-        if np.array_equal(amount[lower], paid):
-            break
-        paid = amount[lower]
-    return at_turn, over, amount, *rest
-
-
-def _settle(dep, early, target, amount, taken):
-    """The deposits after the last turn of an in-order pass, and the first
-    turn at which a check fails, or None if none does.
-
-    At firm k's turn its deposit (``dep[k]`` plus what lower firms sent
-    it) loses ``taken[k]`` and firm ``target[k]`` gains ``amount[k]``;
-    ``early[k]`` marks a check that fails no later than firm k's turn. A
-    deposit rises up to its own turn, drops there and rises again, so
-    within the first m turns it peaks just before its turn or after the
-    last of them. Whether some check fails or some deposit leaves the money
-    range within the first m turns is then monotone in m, and bisection
-    finds the least such m.
-    """
-    after, past = _sums(dep - taken, target, amount)
-    if not (early.any() or past.any()):
-        return after, None
-
-    def fails(m: int) -> bool:
-        done = np.arange(len(dep)) < m
-        _, peak = _sums(dep - np.where(done, taken, 0), target, np.where(done, amount, 0))
-        return bool((early & done).any() or peak.any())
-
-    # turn m - 1 for the least m with fails(m); fails(n) holds
-    return after, bisect.bisect_left(range(1, len(dep)), True, key=fails)
-
-
 def _owner_consumption(dep, receipts, shop_of, frac: float):
-    """Owner consumption: in id order each firm i draws
-    ``int(deposit * frac)`` of its deposit at its turn and spends it at
-    firm ``shop_of[i]`` (:func:`_in_order`; the draw map rises with the
-    deposit). Returns the draws and the receipts with these sales added,
-    or raises what the in-order loop raises first: InsufficientFunds for a
-    draw above its deposit (a float product rounded up), MoneyOverflow for
-    a deposit or receipt out of range.
+    """Owner consumption: each firm i draws ``int(deposit * frac)`` of its
+    deposit at the start of the phase and spends it at firm ``shop_of[i]``;
+    the sales land after every firm has drawn. Returns the draws and the
+    receipts with these sales added, or raises InsufficientFunds for the
+    lowest firm whose draw is above its deposit (a float product rounded
+    up) and MoneyOverflow for receipts out of range. The posting of the
+    deposit changes checks the deposits.
     """
-
-    def pays(at_turn):
-        product = at_turn * frac  # float64, truncated below: int(deposit * frac)
-        return np.minimum(product, _BELOW_2_63).astype(np.int64), product
-
-    at_turn, over, draws, product = _in_order(dep, shop_of, pays)
-    short = (product >= 2.0**63) | (draws > at_turn)
-    after, turn = _settle(dep, over | short, shop_of, draws, draws)
-    if turn is not None:
-        if short[turn]:
-            raise InsufficientFunds(f"firm {turn} holds {at_turn[turn]}, draws {int(product[turn])}")
-        raise MoneyOverflow(f"deposit of firm {shop_of[turn]} out of 64-bit range")
-    # the sales, after - (dep - draws), may pass MONEY_MAX where after does
-    # not; in this order no term of the check wraps
-    if (receipts - MONEY_MAX + after > dep - draws).any():
+    product = dep * frac  # float64, truncated below: int(deposit * frac)
+    draws = np.minimum(product, _BELOW_2_63).astype(np.int64)
+    short = (product >= 2.0**63) | (draws > dep)
+    if short.any():
+        i = int(np.argmax(short))
+        raise InsufficientFunds(f"firm {i} holds {dep[i]}, draws {int(product[i])}")
+    with_sales, over = _sums(receipts, shop_of, draws)
+    if over.any():
         raise MoneyOverflow("receipts out of 64-bit range")
-    return draws, receipts + (after - (dep - draws))
+    return draws, with_sales
 
 
 def _invest(dep, debt, capital, last_profit, seller_of, rate: float, margin: float):
-    """Phase 4 in id order: each firm is classified from its position at
-    its turn; a B firm with positive last profit borrows it and buys
+    """Phase 4: each firm is classified from its position at the start of
+    the phase; a B firm with positive last profit borrows it and buys
     capital goods for it from firm ``seller_of[i]`` (None: one firm,
-    nobody to buy from), a C firm repays what its deposit covers.
-    Returns the classes and the deposit, debt and capital columns'
-    changes, or raises MoneyOverflow where the in-order loop would.
-
-    Only a firm's deposit depends on the order (:func:`_in_order`). The
-    pay map is monotone: more inbound lowers the interest due, so a firm
-    only ever leaves class A.
+    nobody to buy from), a C firm repays ``min(deposit, debt)``. The
+    purchases land after every firm has acted. Returns the classes and the
+    deposit, debt and capital columns' changes, or raises MoneyOverflow
+    for the lowest firm whose deposit leaves the money range, then for a
+    capital out of range. The posting of the changes checks the debts.
     """
     lp = last_profit
     profit_rate = lp * STEPS_PER_YEAR / capital  # may wrap or round: fixed below
@@ -318,24 +255,19 @@ def _invest(dep, debt, capital, last_profit, seller_of, rate: float, margin: flo
     inexact = (lp > _EXACT // STEPS_PER_YEAR) | (capital > _EXACT)
     for i in np.flatnonzero(inexact).tolist():
         profit_rate[i] = int(lp[i]) * STEPS_PER_YEAR / int(capital[i])
-    annual_rate = rate * STEPS_PER_YEAR
-    may_buy = (lp > 0) & (seller_of is not None)
+    cls = classify(
+        lp, np.maximum(debt - dep, 0) * rate, profit_rate, rate * STEPS_PER_YEAR, margin
+    )
+    # Capital goods change hands at cost: the sale adds to the seller's
+    # cash but carries no margin, so it does not enter the seller's
+    # profit. Only consumption sales do.
+    may_buy = (lp > 0) & (seller_of is not None) & (cls == FirmClass.B_VOLUNTARY_BORROWER)
+    spent = np.where(may_buy, lp, 0)
+    repaid = np.where(cls == FirmClass.C_VOLUNTARY_LENDER, np.minimum(dep, debt), 0)
     target = np.arange(len(dep)) if seller_of is None else seller_of
-
-    def pays(at_turn):
-        cls = classify(lp, np.maximum(debt - at_turn, 0) * rate, profit_rate, annual_rate, margin)
-        # Capital goods change hands at cost: the sale adds to the seller's
-        # cash but carries no margin, so it does not enter the seller's
-        # profit. Only consumption sales do.
-        return np.where(may_buy & (cls == FirmClass.B_VOLUNTARY_BORROWER), lp, 0), cls
-
-    at_turn, over, spent, cls = _in_order(dep, target, pays)
-    repaid = np.where(cls == FirmClass.C_VOLUNTARY_LENDER, np.minimum(at_turn, debt), 0)
-    # a buyer's loan passes through its deposit before it pays the seller
-    early = over | (at_turn > MONEY_MAX - spent) | (debt > MONEY_MAX - spent)
-    after, turn = _settle(dep, early, target, spent, repaid)
-    if turn is not None:
-        raise MoneyOverflow(f"loan to firm {turn} out of 64-bit range")
+    after, over = _sums(dep - repaid, target, spent)
+    if over.any():
+        raise MoneyOverflow(f"balance of agent {int(np.argmax(over))} would exceed 64-bit range")
     if (capital > MONEY_MAX - spent).any():
         raise MoneyOverflow("capital out of 64-bit range")
     return cls, after - dep, spent - repaid, capital + spent
@@ -360,9 +292,9 @@ def step(state: EconomyState, timings: dict | None = None) -> StepRecord:
     4; the write-offs. Every rate, zero included, takes the same path.
     Many-to-one flows are summed exactly, folded with each firm's own
     deposit and outflow (:func:`ledger._sums`), and a flagged sum is an
-    overflow. Owner consumption and phase 4 are defined in firm-id order
-    (a firm's deposit grows from lower firms' purchases), are evaluated by
-    :func:`_in_order` and raise what the in-order loop would raise first.
+    overflow; an error names the lowest failing firm, as the posting
+    does. In owner consumption and phase 4 each firm acts on its deposit
+    at the start of the phase and its receipts land after.
     Everything is posted to a copy of the ledger and built in new columns;
     the state takes them only after the last phase, so a step that raises
     leaves the state as it was.

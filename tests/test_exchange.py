@@ -438,15 +438,19 @@ class TestEquilibrium:
         assert fit_exponential(w).ks_statistic > 0.1
 
     def test_stationarity_of_ks(self):
-        # KS at 2x events differs from KS at x by < 0.01 once equilibrated
-        base = dict(n_agents=2000, initial_money=1000, seed=5)
-        k1 = fit_exponential(
-            run_exchange(ExchangeConfig(n_events=10**6, **base))
-        ).ks_statistic
-        k2 = fit_exponential(
-            run_exchange(ExchangeConfig(n_events=2 * 10**6, **base))
-        ).ks_statistic
-        assert abs(k2 - k1) < 0.01
+        # KS at 2x events differs from KS at x by < 0.01 once equilibrated,
+        # in the median over 9 seeds. One seed alone exceeds the bound
+        # about one time in ten (99 of seeds 0-999); the median does only
+        # when 5 of the 9 do, about once in 1200 runs at that rate.
+        diffs = []
+        for seed in range(9):
+            base = dict(n_agents=2000, initial_money=1000, seed=seed)
+            k1, k2 = (
+                fit_exponential(run_exchange(ExchangeConfig(n_events=e, **base))).ks_statistic
+                for e in (10**6, 2 * 10**6)
+            )
+            diffs.append(abs(k2 - k1))
+        assert statistics.median(diffs) < 0.01
 
     def test_entropy_nondecreasing_toward_equilibrium(self):
         # 1-D wealth entropy via the degenerate phase grid, median over 10 seeds

@@ -239,8 +239,8 @@ class TestTransactionalStep:
 
 class TestInvestmentSettlement:
     """Phase 4 posts its loans, purchases and repayments as one net
-    batch, so a step succeeds exactly when the one-at-a-time postings in
-    firm-id order would."""
+    batch, each firm acting on its deposit at the start of the phase, so
+    which of buyer and lender has the lower id does not change the result."""
 
     def economy(self, lender):
         # Two firms, no wages, consumption or interest. Firm `lender` is a
@@ -268,12 +268,15 @@ class TestInvestmentSettlement:
         assert state.ledger.debts.tolist() == [0, 1000]
         assert state.capital.tolist() == [3000, 4000]
 
-    def test_purchase_before_the_repayment_overflows(self):
+    def test_purchase_and_repayment_settle_in_either_order(self):
+        # the mirror image: the buyer has the lower id
         state = self.economy(lender=1)
-        before = snapshot(state)
-        with pytest.raises(MoneyOverflow):
-            step(state)
-        assert snapshot(state) == before
+        rec = step(state)
+        assert rec.class_counts == (0, 1, 1)
+        assert rec.conservation_residual == 0
+        assert state.ledger.deposits.tolist() == [0, MONEY_MAX - 1010]
+        assert state.ledger.debts.tolist() == [1000, 0]
+        assert state.capital.tolist() == [4000, 3000]
 
 
 class TestExactRecord:
@@ -288,8 +291,8 @@ class TestExactRecord:
             n_firms=4, n_workers=0, base_money=MONEY_MAX, interest_rate=0.0,
             depreciation=0.0, capitalist_consumption_fraction=1.0, seed=4,
         )
-        # in step 1 firm 0 shops at firm 3, which passes the money on to
-        # firm 2, and buys from firm 1
+        # in step 1 firm 0 shops at firm 3, which held nothing when the
+        # phase began and so keeps what it is paid, and buys from firm 1
         assert firms._other_firms(4, 1, firms._TAG_OWNER_TARGET, 4).tolist() == [3, 2, 1, 2]
         assert firms._other_firms(4, 1, firms._TAG_INVEST_TARGET, 4)[0] == 1
         state = init_economy(config)
@@ -303,10 +306,10 @@ class TestExactRecord:
         assert rec.points.tolist() == [
             [b / k, (b + d) / k],
             [-b / 3000, -b / 3000],
-            [-d / 3000, -d / 3000],
             [0.0, 0.0],
+            [-d / 3000, -d / 3000],
         ]
-        assert (state.ledger.debts - state.ledger.deposits).tolist() == [b, -b, -d, 0]
+        assert (state.ledger.debts - state.ledger.deposits).tolist() == [b, -b, 0, -d]
 
     def test_change_is_measured_from_the_ledger(self):
         # Two firms and no flows. Between the steps the bank pays firm 0
@@ -358,12 +361,15 @@ class TestRun:
         assert statistics.median(skews) < 0
 
 
-# -- the sequential oracle ---------------------------------------------------
+# -- the simultaneous-order oracle ---------------------------------------------
 #
-# Owner consumption and phase 4 as they were written before their array
-# evaluation: loops in firm-id order on Python ints, checking every balance
-# as they go. They take and return what firms._owner_consumption and
-# firms._invest do, so they can also stand in for them inside step.
+# Owner consumption and phase 4 as loops on Python ints: every firm decides
+# from the balances at the start of the phase, then the flows settle and
+# every balance is checked. They take and return what
+# firms._owner_consumption and firms._invest do, so they can also stand in
+# for them inside step. They also raise the error of the posting step makes
+# of those results, so the functions are compared with them through
+# posted_owner_consumption and posted_invest.
 
 
 def _int64(values: list, what: str) -> np.ndarray:
@@ -372,6 +378,13 @@ def _int64(values: list, what: str) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         raise MoneyOverflow(f"{what} out of 64-bit range") from None
+
+
+def _check_balances(values: list) -> None:
+    """MoneyOverflow for the lowest balance above MONEY_MAX, as Ledger.post words it."""
+    for i, v in enumerate(values):
+        if v > MONEY_MAX:
+            raise MoneyOverflow(f"balance of agent {i} would exceed 64-bit range")
 
 
 def classify_oracle(last_profit, interest_due, profit_rate, interest_rate, margin):
@@ -383,56 +396,62 @@ def classify_oracle(last_profit, interest_due, profit_rate, interest_rate, margi
 
 
 def owner_consumption_oracle(dep, receipts, shop_of, frac):
-    n = len(dep)
     d = dep.tolist()
     r = receipts.tolist()
-    draws = [0] * n
+    draws = [int(di * frac) for di in d]
+    for i, (di, draw) in enumerate(zip(d, draws)):
+        if draw > di:
+            raise InsufficientFunds(f"firm {i} holds {di}, draws {draw}")
     for i, shop in enumerate(shop_of.tolist()):
-        di = d[i]
-        draw = int(di * frac)
-        if draw:
-            # The batch checks only the loop's net result; these catch
-            # balances that are out of range mid-loop only.
-            if draw > di:
-                raise InsufficientFunds(f"firm {i} holds {di}, draws {draw}")
-            if d[shop] > MONEY_MAX - draw:
-                raise MoneyOverflow(f"deposit of firm {shop} out of 64-bit range")
-            d[i] = di - draw
-            d[shop] += draw
-            r[shop] += draw
-            draws[i] = draw
-    return np.array(draws, dtype=np.int64), _int64(r, "receipts")
+        d[i] -= draws[i]
+        d[shop] += draws[i]
+        r[shop] += draws[i]
+    r = _int64(r, "receipts")
+    _check_balances(d)
+    return np.array(draws, dtype=np.int64), r
 
 
 def invest_oracle(dep, debt, capital, last_profit, seller_of, rate, margin):
     annual_rate = rate * STEPS_PER_YEAR
-    sellers = None if seller_of is None else seller_of.tolist()
     d = dep.tolist()
     b = debt.tolist()
     caps = capital.tolist()
-    cls = [0] * len(d)
+    cls, spent, repaid = [], [], []
     for i, lp in enumerate(last_profit.tolist()):
         di, bi = d[i], b[i]
         nd = bi - di
         due = int(nd * rate) if nd > 0 else 0
         c = classify_oracle(lp, due, lp * STEPS_PER_YEAR / caps[i], annual_rate, margin)
-        cls[i] = c
-        if c is FirmClass.B_VOLUNTARY_BORROWER:
-            if lp > 0 and sellers is not None:
-                seller = sellers[i]
-                if max(di, bi, d[seller]) > MONEY_MAX - lp:
-                    raise MoneyOverflow(f"loan to firm {i} out of 64-bit range")
-                b[i] = bi + lp
-                d[seller] += lp
-                caps[i] += lp
-        elif c is FirmClass.C_VOLUNTARY_LENDER:
-            repay = min(di, bi)
-            if repay:
-                d[i] = di - repay
-                b[i] = bi - repay
+        cls.append(c)
+        buys = c is FirmClass.B_VOLUNTARY_BORROWER and lp > 0 and seller_of is not None
+        spent.append(lp if buys else 0)
+        repaid.append(min(di, bi) if c is FirmClass.C_VOLUNTARY_LENDER else 0)
+    for i, seller in enumerate(range(len(d)) if seller_of is None else seller_of.tolist()):
+        d[i] -= repaid[i]
+        d[seller] += spent[i]
+        b[i] += spent[i] - repaid[i]
+        caps[i] += spent[i]
+    _check_balances(d)
+    caps = _int64(caps, "capital")
+    _check_balances(b)
     dep_change = np.array(d, dtype=np.int64) - dep
     debt_change = np.array(b, dtype=np.int64) - debt
-    return np.array(cls, dtype=np.int64), dep_change, debt_change, _int64(caps, "capital")
+    return np.array(cls, dtype=np.int64), dep_change, debt_change, caps
+
+
+def posted_owner_consumption(dep, receipts, shop_of, frac):
+    """firms._owner_consumption, then step's posting of its deposit changes
+    to a ledger of the opening deposits: its error if it raises one."""
+    draws, with_sales = firms._owner_consumption(dep, receipts, shop_of, frac)
+    Ledger._of(dep.copy(), np.zeros_like(dep), 0, 0).post(with_sales - receipts - draws)
+    return draws, with_sales
+
+
+def posted_invest(dep, debt, *args):
+    """firms._invest, then step's posting of its deposit and debt changes."""
+    result = firms._invest(dep, debt, *args)
+    Ledger._of(dep.copy(), debt.copy(), 0, 0).post(result[1], result[2])
+    return result
 
 
 def outcome(fn, *args):
@@ -495,48 +514,57 @@ def _arrays(*columns):
 
 
 class TestOrderDependentPhases:
-    """The array evaluation of owner consumption and phase 4 against the
-    sequential loops: the same draws, classes and balances, or the same
-    error raised first."""
+    """The array evaluation of owner consumption and phase 4, with the
+    postings step makes of them, against the simultaneous-order loops: the
+    same draws, classes and balances, or the same error."""
 
     @settings(max_examples=600, deadline=None)
     @given(_owner_case())
     # firm 1's float product rounds up to 2**63, so it draws more than it
-    # holds, before firm 2's draw would overflow firm 1
+    # holds; firm 2's draw to it is never posted
     @example(_arrays([0, MONEY_MAX, 10], [0, 0, 0], [1, 2, 1]) + (1.0,))
-    # firm 0's draw overflows firm 1 before firm 1's product rounds up
+    # firm 0's draw would overflow firm 1's deposit, but firm 1's product
+    # rounds up: the draws are checked before any deposit
     @example(_arrays([10, MONEY_MAX - 5, 0], [0, 0, 0], [1, 2, 0]) + (1.0,))
     # the deposits stay in range but a receipt does not
     @example(_arrays([10, 0], [0, MONEY_MAX - 5], [1, 0]) + (1.0,))
-    # firm 1 sells 2**62 twice, so its sales pass MONEY_MAX while its
-    # deposit, which it spends in between, stays in range
+    # firm 1 sells firm 0's 2**62 and, holding nothing at the start of the
+    # phase, passes none of it on to firm 2
     @example(_arrays([2**62, 0, 0], [0, 0, 0], [1, 2, 1]) + (1.0,))
+    # firms 0 and 1 each receive two draws that lift their deposits past
+    # MONEY_MAX, and the posting names firm 0
+    @example(_arrays([MONEY_MAX - 10] * 4, [0] * 4, [1, 0, 0, 1]) + (0.001,))
     def test_owner_consumption_matches_the_loop(self, case):
-        assert outcome(firms._owner_consumption, *case) == outcome(owner_consumption_oracle, *case)
+        assert outcome(posted_owner_consumption, *case) == outcome(owner_consumption_oracle, *case)
 
     @settings(max_examples=600, deadline=None)
     @given(_invest_case())
-    # a lender repays before the purchase arrives / the purchase overflows
+    # a lender near MONEY_MAX repays and is paid for capital goods in the
+    # same phase, whichever of buyer and lender has the lower id
     @example(_arrays([MONEY_MAX - 10, 0], [2000, 0], [3000, 3000], [0, 1000], [1, 0]) + (0.0, 0.01))
     @example(_arrays([0, MONEY_MAX - 10], [0, 2000], [3000, 3000], [1000, 0], [1, 0]) + (0.0, 0.01))
-    # a buyer's loan overflows its own deposit, its debt, its capital
+    # a buyer near MONEY_MAX buys: its loan pays the seller without passing
+    # through its own deposit; then a loan that overflows the buyer's
+    # debt (raised by the posting), and one that overflows its capital
     @example(_arrays([MONEY_MAX - 10, 0], [0, 0], [3000, 3000], [1000, 0], [1, 0]) + (0.0, 0.01))
     @example(_arrays([0, 0], [MONEY_MAX - 10, 0], [3000, 3000], [1000, 0], [1, 0]) + (0.0, 0.0))
     @example(_arrays([0, 0], [0, 0], [MONEY_MAX - 10, 3000], [2**62, 0], [1, 0]) + (0.0, 0.0))
+    # two purchases overflow the seller's deposit together, not one alone
+    @example(
+        _arrays([0, 0, MONEY_MAX - 1500], [0, 0, 0], [3000] * 3, [1000, 1000, 0], [2, 2, 0])
+        + (0.0, 0.0)
+    )
     # interest due of 2**63 or more, with the largest profit
     @example(_arrays([0], [MONEY_MAX], [1], [MONEY_MAX], None) + (2.0, 0.0))
     def test_invest_matches_the_loop(self, case):
-        assert outcome(firms._invest, *case) == outcome(invest_oracle, *case)
+        assert outcome(posted_invest, *case) == outcome(invest_oracle, *case)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40])
     @pytest.mark.parametrize("direction", [1, -1])
     def test_chains_of_lower_ids(self, n, direction):
-        # Firm i pays firm i + direction: upward every payment lands before
-        # its payee's turn, so the result needs one pass per link and one
-        # that repeats it; downward only firm 0's does, so the second pass
-        # repeats the first. Each pass is one _sums call, and so is settling
-        # the last turn.
-        passes = n if direction == 1 else min(n, 2)
+        # Firm i pays firm i + direction. Each firm acts on its opening
+        # deposit, so only what firm 0 holds moves, however long the chain,
+        # and each phase is one _sums call.
         ids = np.arange(n)
         target = (ids + direction) % n
         dep = np.where(ids == 0, 10**15, 0)
@@ -549,30 +577,31 @@ class TestOrderDependentPhases:
         args = (dep, zeros, target, 0.5)
         if n > 1:
             expected = outcome(owner_consumption_oracle, *args)
-            assert counted(firms._owner_consumption, *args) == (expected, passes + 1)
-        # Each firm but the first owes enough interest to be class A,
-        # until the purchase of the firm before it arrives.
+            assert counted(posted_owner_consumption, *args) == (expected, 1)
+            assert expected[0] == [10**15 // 2] + [0] * (n - 1)
+        # Each firm but the first owes enough interest to be class A, and a
+        # purchase that reaches it within the phase does not change that.
         debt = np.where(ids == 0, 0, 1100)
         args = (zeros, debt, np.full(n, 100), np.full(n, 10), target if n > 1 else None, 0.01, 0.0)
         expected = outcome(invest_oracle, *args)
-        assert counted(firms._invest, *args) == (expected, passes + 1)
-        if direction == 1:
-            assert expected[0] == [FirmClass.B_VOLUNTARY_BORROWER] * n
+        assert counted(posted_invest, *args) == (expected, 1)
+        classes = [FirmClass.B_VOLUNTARY_BORROWER] + [FirmClass.A_INVOLUNTARY_BORROWER] * (n - 1)
+        assert expected[0] == classes
         if n == 40:
-            # Firm 30 holds nearly MONEY_MAX. Upward, what is handed up the
-            # chain overflows it at turn 29. Downward, it fails at its own
-            # turn 30: its draw at fraction 1.0 rounds up past its deposit,
-            # and its loan passes through that deposit.
-            dep = np.where(ids == 30, MONEY_MAX - 5, dep)
-            turn = 29 if direction == 1 else 30
+            # Firms 30 and 35 hold nearly MONEY_MAX. At fraction 1.0 both
+            # their draws round up past their deposits. Without debt every
+            # firm is B, and the purchases of their neighbours overflow both
+            # their deposits. Either way, in both directions, the error
+            # names the lower firm, 30.
+            dep = np.where((ids == 30) | (ids == 35), MONEY_MAX - 5, dep)
             args = (dep, zeros, target, 1.0)
             expected = outcome(owner_consumption_oracle, *args)
-            assert outcome(firms._owner_consumption, *args) == expected
-            assert expected[0] is (MoneyOverflow if direction == 1 else InsufficientFunds)
-            args = (dep, debt, np.full(n, 100), np.full(n, 10), target, 0.01, 0.0)
+            assert outcome(posted_owner_consumption, *args) == expected
+            assert expected == (InsufficientFunds, f"firm 30 holds {MONEY_MAX - 5}, draws {2**63}")
+            args = (dep, zeros, np.full(n, 100), np.full(n, 10), target, 0.01, 0.0)
             expected = outcome(invest_oracle, *args)
-            assert outcome(firms._invest, *args) == expected
-            assert expected == (MoneyOverflow, f"loan to firm {turn} out of 64-bit range")
+            assert outcome(posted_invest, *args) == expected
+            assert expected == (MoneyOverflow, "balance of agent 30 would exceed 64-bit range")
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -2,10 +2,11 @@
 
 Each firms digest is the SHA-256 over ``series.csv`` and ``phase_t0.csv``
 .. ``phase_t30.csv`` (file name, a NUL byte, then the file bytes, in that
-order) from a 50 firms x 500 workers x 30 steps run. The digests were
-captured from the list-backed ledger with its one-posting-at-a-time step,
-so any later rewrite of the ledger or of ``firms.step`` that keeps them
-has kept the simulation's integers and the writer's formatting exactly.
+order) from a 50 firms x 500 workers x 30 steps run. The digests pin the
+step in which every firm acts on its deposit at the start of owner
+consumption and of phase 4, its receipts landing after, so a rewrite of
+the ledger or of ``firms.step`` that keeps them has kept the simulation's
+integers and the writer's formatting exactly.
 
 Each exchange digest is the SHA-256 of ``wealth.csv`` from a 30000-event
 run. The ``fixed`` rule's digests were captured from the per-event loop
@@ -17,9 +18,10 @@ count and a final partial round).
 Each analyze digest is the SHA-256 over ``report.json`` and ``hist.csv``
 (name, NUL, bytes, as above) from ``analyze`` of every phase CSV of the
 ``seed0`` firms case, in step order, with the default grid and with a
-custom one. They were captured from the line-by-line CSV reader that
-binned the concatenated points of all files a second time, so a reader
-or histogram rewrite that keeps them has kept the reports exactly.
+custom one. They pin the reports of the line-by-line CSV reader that
+binned the concatenated points of all files a second time, so a reader or
+histogram rewrite that keeps them has kept the reports exactly. They
+depend on the firms step only through the ``seed0`` phase files.
 
 Regenerate (only for a deliberate, documented semantic change) with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints the tables.
@@ -50,14 +52,14 @@ CASES = {
 }
 
 GOLDEN = {
-    "bankruptcies": "7f551c9a24b1e9f97340a419564c28f844bf06f7ff79cf780ecd3804f62ce30a",
-    "churn_seed0": "7ffc1274e05dfb79cabe364f10a85b957d7f03e334d1f40c2bb52f606abb9439",
-    "churn_seed1": "3ec39658ca90aa6c38d843fb3d6d15d0541dd0b079c92e1d895cd55ed5bc2b37",
-    "churn_seed2": "8f965fc89285e7c973332d5a497fea77cea997dd891f87aad10349052c511aa5",
+    "bankruptcies": "2e70ef82bc6dc1a59602dc6e2eeaeb27576caa7487075357d157c82a8545fceb",
+    "churn_seed0": "fd71ff0cfe02fbd6c9371dea6171d58615b551cf0115bbda50087eb1eeab9270",
+    "churn_seed1": "793290d56e3a5034e820723f697368c0615f0ec380a9a46f438566393340529d",
+    "churn_seed2": "a1365ec7948ffd6fd8a9bf397a000eaf4d50b305db8d71d9d15d549e7199a137",
     "no_workers": "2e42a961d8e90fb2ed4d7f5ca313cb7793952e1cf06c064be07843861b249915",
-    "seed0": "f598083902fd1ed550fa6e5b88a9e14ecc227f55d5c751b1b71b414cd67edb61",
-    "seed1": "8c8ace5dd0c8d920c90f9a4805b7e47e1e168a7391c9828065d5b61568d6fff6",
-    "seed2": "94a094e6fab138060f96a0f6f7614495472b19ea4108bb3c29e451f3e0843b34",
+    "seed0": "fb5a84d384633832db3870e67c4d4bcf54346c43ba1586f1aed4498d991e3cd5",
+    "seed1": "f3fea6ed8514aab980be2efd7cc1c0a7edce23a71575b68c6c3674430b1cd344",
+    "seed2": "068a0dc06d419a4a60c5ef474b6ed29ee8d221c796c1a701e96d93039b476ebb",
     "zero_wage": "2e42a961d8e90fb2ed4d7f5ca313cb7793952e1cf06c064be07843861b249915",
 }
 
@@ -98,8 +100,8 @@ ANALYZE_CASES = {
 }
 
 ANALYZE_GOLDEN = {
-    "custom_grid": "1c5424c8aaa886d9c03b790f2d7bf1527e1ff369b547ad94ab104693837514f4",
-    "default_grid": "4a4e9e87dc8c748a007cae51ee919e6dfb129c65baf9c549b3d73c167e3bd528",
+    "custom_grid": "6e5b9f93d86e26702a61643e2dd66e3588388ebc836c7ed48af4c9a57bf3eed5",
+    "default_grid": "6716c4d3d6c73499c62dfdd407aed2c85df9aa35a04dcbab870b741856a764ff",
 }
 
 

@@ -11,10 +11,11 @@ step number, class and message of the error raised.
 
 The previous boundary's net debt is the ledger's, debts less deposits,
 as in every run; the draws once made for it are still made, so the
-draws after them are unchanged. ``step_edges.json`` holds the outcomes
-captured from the step that still kept its own copy of that net debt,
-so every overflow, shortfall and write-off at the edges ends the same
-way now that the ledger is its only record. Print the current outcomes with
+draws after them are unchanged. ``step_edges.json`` pins the outcomes of
+the step in which every firm acts on its deposit at the start of owner
+consumption and of phase 4: every overflow, shortfall and write-off at
+the edges, and the lowest failing firm each error names. Print the
+current outcomes with
 ``PYTHONPATH=src python tests/test_step_edges.py``; when
 ``step_edges.json`` exists, how many of its ``ok`` hashes and error
 outcomes differ from them goes to stderr.
